@@ -64,7 +64,7 @@ from .states import (
     thermal_preparation,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CovarianceMatrix", "Preparation", "SqueezedVacuum", "Thermal",

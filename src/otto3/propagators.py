@@ -35,7 +35,7 @@ _OMEGA6 = symplectic_form(3)
 
 def _check_symplectic(mat: np.ndarray, tol: float = SYMPLECTIC_TOL) -> float:
     defect = float(np.max(np.abs(mat @ _OMEGA6 @ mat.T - _OMEGA6)))
-    if defect > tol:
+    if not defect <= tol:
         raise SymplecticityError(f"propagator defect |S Omega S^T - Omega| = {defect:.3e} > {tol:.1e}")
     return defect
 
@@ -354,7 +354,7 @@ def ode_propagator(schedule: RampSchedule, tol: float = 1e-11, *,
         raise IntegrationError(f"propagator integration failed: {sol.message}")
     mat = sol.y[:, -1].reshape(6, 6)
     defect = float(np.max(np.abs(mat @ _OMEGA6 @ mat.T - _OMEGA6)))
-    if defect > 10.0 * tol:
+    if not defect <= 10.0 * tol:
         raise IntegrationError(
             f"integrated propagator defect {defect:.3e} exceeds 10*tol = {10 * tol:.1e}"
         )

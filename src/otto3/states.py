@@ -12,6 +12,7 @@ exact (nbar = 0) instead of pushing beta to infinity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -24,13 +25,19 @@ SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
 
 
+@functools.cache
 def symplectic_form(n_modes: int = 3) -> np.ndarray:
-    """Symplectic form Omega in the (x..., p...) ordering; Omega @ Omega = -I."""
+    """Symplectic form Omega in the (x..., p...) ordering; Omega @ Omega = -I.
+
+    Built once per mode count and shared, so the array is read-only.
+    """
     if n_modes < 1:
         raise ValueError(f"n_modes must be positive, got {n_modes}")
     eye = np.eye(n_modes)
     zero = np.zeros((n_modes, n_modes))
-    return np.block([[zero, eye], [-eye, zero]])
+    omega = np.block([[zero, eye], [-eye, zero]])
+    omega.flags.writeable = False
+    return omega
 
 
 def symplectic_eigenvalues(sigma: Union[np.ndarray, "CovarianceMatrix"]) -> np.ndarray:
@@ -92,18 +99,16 @@ class CovarianceMatrix:
         return symplectic_eigenvalues(self.matrix)
 
 
-def thermal_covariance(nbar: float, omega: float) -> CovarianceMatrix:
-    """Single-mode thermal block diag(c/(2 omega), c omega/2) with c = 2 nbar + 1."""
+def _thermal_block(nbar: float, omega: float) -> np.ndarray:
     if nbar < 0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
     c = 2.0 * nbar + 1.0
-    return CovarianceMatrix(np.diag([c / (2.0 * omega), c * omega / 2.0]))
+    return np.diag([c / (2.0 * omega), c * omega / 2.0])
 
 
-def squeezed_vacuum_covariance(r: float, omega: float) -> CovarianceMatrix:
-    """Single-mode squeezed vacuum block diag(e^{-2r}/(2 omega), omega e^{2r}/2)."""
+def _squeezed_block(r: float, omega: float) -> np.ndarray:
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
     try:
@@ -112,7 +117,17 @@ def squeezed_vacuum_covariance(r: float, omega: float) -> CovarianceMatrix:
         raise PhysicalityError(f"squeezing r={r} overflows double precision") from exc
     if not np.isfinite(mat).all():
         raise PhysicalityError(f"squeezing r={r} overflows double precision")
-    return CovarianceMatrix(mat)
+    return mat
+
+
+def thermal_covariance(nbar: float, omega: float) -> CovarianceMatrix:
+    """Single-mode thermal block diag(c/(2 omega), c omega/2) with c = 2 nbar + 1."""
+    return CovarianceMatrix(_thermal_block(nbar, omega))
+
+
+def squeezed_vacuum_covariance(r: float, omega: float) -> CovarianceMatrix:
+    """Single-mode squeezed vacuum block diag(e^{-2r}/(2 omega), omega e^{2r}/2)."""
+    return CovarianceMatrix(_squeezed_block(r, omega))
 
 
 @dataclass(frozen=True)
@@ -125,8 +140,9 @@ class Thermal:
         if self.nbar < 0 or not math.isfinite(self.nbar):
             raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
 
-    def block(self, omega: float) -> CovarianceMatrix:
-        return thermal_covariance(self.nbar, omega)
+    def block(self, omega: float) -> np.ndarray:
+        """Unvalidated 2x2 block; thermal_covariance gives the validated one."""
+        return _thermal_block(self.nbar, omega)
 
     def energy_above_ground(self, omega: float) -> float:
         return self.nbar * omega
@@ -145,8 +161,9 @@ class SqueezedVacuum:
         if not math.isfinite(self.r):
             raise ValueError(f"r must be finite, got {self.r}")
 
-    def block(self, omega: float) -> CovarianceMatrix:
-        return squeezed_vacuum_covariance(self.r, omega)
+    def block(self, omega: float) -> np.ndarray:
+        """Unvalidated 2x2 block; squeezed_vacuum_covariance gives the validated one."""
+        return _squeezed_block(self.r, omega)
 
     def energy_above_ground(self, omega: float) -> float:
         return omega * math.sinh(self.r) ** 2
@@ -182,10 +199,14 @@ class Preparation:
 
 
 def product_state(prep: Preparation) -> CovarianceMatrix:
-    """Assemble the 6x6 covariance matrix of the initial product state."""
+    """Assemble the 6x6 covariance matrix of the initial product state.
+
+    Only the assembled matrix is validated: its symplectic spectrum is the
+    union of the blocks' spectra, so checking each block first adds nothing.
+    """
     sigma = np.zeros((6, 6))
     for i, (mode, omega) in enumerate(zip(prep.modes, prep.frequencies)):
-        b = mode.block(omega).matrix
+        b = mode.block(omega)
         sigma[i, i] = b[0, 0]
         sigma[i + 3, i + 3] = b[1, 1]
         sigma[i, i + 3] = sigma[i + 3, i] = b[0, 1]

@@ -80,6 +80,13 @@ class TestConfigRejection:
         doc = base_config(alpha12=-0.1)
         assert simulate(write_cfg(tmp_path, doc), tmp_path / "o") == 2
 
+    def test_non_finite_engine_value(self, tmp_path):
+        for field in ("alpha12", "tau_comp"):
+            doc = base_config(**{field: float("nan")})
+            assert simulate(write_cfg(tmp_path, doc), tmp_path / "o") == 2
+        doc = base_config(tau_h=float("inf"))
+        assert simulate(write_cfg(tmp_path, doc), tmp_path / "o") == 2
+
     def test_non_numeric_engine_value(self, tmp_path):
         doc = base_config(tau_h="fast")
         assert simulate(write_cfg(tmp_path, doc), tmp_path / "o") == 2

@@ -1,9 +1,13 @@
+import argparse
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from otto3 import engine
+from otto3.cli import build_engine_params, load_config
 from otto3.energetics import mode_energies, mode_energy
 from otto3.engine import (Engine, EngineParams, FixedCycles, TimeSeries,
                           WorkNonNegative, run_engine, run_reduced)
@@ -60,6 +64,17 @@ class TestParamsValidation:
         with pytest.raises(ConfigError):
             EngineParams(prep=prep, alpha12=0.0, alpha23=0.0, tau_comp=1.0,
                          tau_h=0.1, tau_c=0.1, max_cycles=0)
+
+    def test_rejects_non_finite_knobs(self):
+        prep = thermal_preparation(beta1=0.01, omega3=0.1)
+        for field in ("alpha12", "alpha23", "tau_comp", "tau_h", "tau_c",
+                      "sample_dt"):
+            for bad in (math.nan, math.inf):
+                kw = dict(alpha12=0.0, alpha23=0.0, tau_comp=1.0, tau_h=0.1,
+                          tau_c=0.1)
+                kw[field] = bad
+                with pytest.raises(ConfigError):
+                    EngineParams(prep=prep, **kw)
 
     def test_cycle_duration(self):
         p = optimized_params()
@@ -379,3 +394,43 @@ class TestModuleLevelRunners:
         red = run_reduced(p)
         assert red.discord_max[0] <= full.discord_max[0] + 1e-12
         assert red.discord_max[0] > 0.0
+
+
+RECURRENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "recurrence_140.json"
+ENERGY_FIELDS = ("w1", "w2", "q1", "q2", "du", "w_cycle", "w_cum", "e1", "e2", "e3")
+
+
+def _recurrence_params():
+    return build_engine_params(load_config(str(RECURRENCE_CONFIG)),
+                               argparse.Namespace(ramp=None, cycles=None))
+
+
+class TestChunkSizeInvariance:
+    """The first chunk size changes only how cycles are batched, never the
+    stop decision; values agree to 1e-12 of the run's energy scale, the
+    first-law budget's own scale."""
+
+    @pytest.mark.parametrize("make_params", [optimized_params, _recurrence_params],
+                             ids=["work_non_negative", "recurrence_140"])
+    def test_runs_agree_across_first_chunk_sizes(self, make_params, monkeypatch):
+        params = make_params()
+        results = {}
+        for start in (1, 4, 32):
+            monkeypatch.setattr(engine, "_CHUNK_START", start)
+            results[start] = Engine(params).run()
+        ref = results[32]
+        assert ref.n_cycles > 32  # the run crosses several chunk boundaries
+        ref_rows = ref.records + ((ref.probe,) if ref.probe is not None else ())
+        scale = max(r.e1 + r.e2 + r.e3 for r in ref_rows)
+        for start in (1, 4):
+            res = results[start]
+            assert res.n_cycles == ref.n_cycles
+            assert res.stop_reason == ref.stop_reason
+            assert len(res.records) == len(ref.records)
+            assert (res.probe is None) == (ref.probe is None)
+            assert_allclose(res.w_total, ref.w_total, rtol=1e-12, atol=1e-12 * scale)
+            rows = res.records + ((res.probe,) if res.probe is not None else ())
+            for field in ENERGY_FIELDS:
+                assert_allclose([getattr(r, field) for r in rows],
+                                [getattr(r, field) for r in ref_rows],
+                                rtol=1e-12, atol=1e-12 * scale, err_msg=field)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from otto3.energetics import mode_energies, mode_energy
-from otto3.errors import DegenerateRampError, SymplecticityError
+from otto3 import propagators
+from otto3.errors import DegenerateRampError, IntegrationError, SymplecticityError
 from otto3.propagators import (CouplingSide, RampMode, RampSchedule,
                                SymplecticPropagator, coupling_propagator,
                                coupling_propagators_at, harmonic_propagator,
@@ -31,6 +33,14 @@ class TestSymplecticPropagator:
     def test_rejects_non_symplectic(self):
         with pytest.raises(SymplecticityError):
             SymplecticPropagator(1.001 * np.eye(6), duration=1.0)
+
+    def test_rejects_nan_matrix(self):
+        with pytest.raises(SymplecticityError):
+            SymplecticPropagator(np.full((6, 6), np.nan), duration=1.0)
+        mat = np.eye(6)
+        mat[2, 4] = np.nan
+        with pytest.raises(SymplecticityError):
+            SymplecticPropagator(mat, duration=1.0)
 
     def test_rejects_bad_shape_and_duration(self):
         with pytest.raises(ValueError):
@@ -320,6 +330,14 @@ class TestRampPhase:
 
 
 class TestOdePropagator:
+    def test_nan_solution_fails_defect_check(self, monkeypatch):
+        nan_solution = SimpleNamespace(success=True, message="",
+                                       y=np.full((36, 1), np.nan))
+        monkeypatch.setattr(propagators, "solve_ivp",
+                            lambda *args, **kwargs: nan_solution)
+        with pytest.raises(IntegrationError):
+            ode_propagator(RampSchedule(0.2, 0.9, 5.0))
+
     def test_tolerance_domain(self):
         sched = RampSchedule(1.0, 0.1, 5.0)
         with pytest.raises(ValueError):

@@ -30,6 +30,13 @@ class TestSymplecticForm:
         assert_allclose(omega[3:, :3], -np.eye(3), atol=0)
         assert_allclose(omega[:3, :3], 0, atol=0)
 
+    def test_cached_and_read_only(self):
+        omega = symplectic_form(3)
+        assert symplectic_form(3) is omega
+        with pytest.raises(ValueError):
+            omega[0, 3] = 2.0
+        assert omega[0, 3] == 1.0
+
 
 class TestThermalCovariance:
     def test_vacuum_unit_frequency(self):
@@ -136,6 +143,19 @@ class TestProductState:
         prep = squeezed_preparation(beta1=0.01, omega3=0.1)
         nus = product_state(prep).symplectic_eigenvalues()
         assert_allclose(nus, 0.5, atol=1e-10)
+
+    def test_overflowing_squeeze_still_rejected(self):
+        prep = Preparation((SqueezedVacuum(400.0), SqueezedVacuum(0.0),
+                            SqueezedVacuum(0.0)), omega3=0.1)
+        with pytest.raises(PhysicalityError):
+            product_state(prep)
+
+    def test_non_finite_block_caught_by_assembled_check(self):
+        # c = 2 nbar + 1 overflows to inf; only the 6x6 validation sees it.
+        prep = Preparation((Thermal(1e308), Thermal(0.0), Thermal(0.0)),
+                           omega3=0.1)
+        with pytest.raises(PhysicalityError):
+            product_state(prep)
 
     def test_energy_additivity(self):
         prep = Preparation((Thermal(1.5), SqueezedVacuum(0.7), Thermal(0.2)),
