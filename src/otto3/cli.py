@@ -85,6 +85,12 @@ def load_config(path: Optional[str]) -> dict:
 _RAMP_NAMES = {mode.value: mode for mode in RampMode}
 
 
+def _ramp_mode(name: Any) -> RampMode:
+    if not isinstance(name, str) or name not in _RAMP_NAMES:
+        raise ConfigError(f"unknown ramp mode {name!r}")
+    return _RAMP_NAMES[name]
+
+
 def _build_preparation(cfg: dict):
     section = dict(cfg.get("preparation", {}))
     _require_keys(section, {"family", "beta1", "r1", "omega3"}, "preparation")
@@ -130,11 +136,8 @@ def build_engine_params(cfg: dict, args: argparse.Namespace) -> EngineParams:
     _require_keys(section, {"alpha12", "alpha23", "tau_comp", "tau_h", "tau_c",
                             "ramp", "stop", "sample_dt", "max_cycles"}, "engine")
     prep = _build_preparation(cfg)
-    ramp_name = section.get("ramp", RampMode.QUASI_STATIC.value)
-    if args.ramp is not None:
-        ramp_name = args.ramp
-    if ramp_name not in _RAMP_NAMES:
-        raise ConfigError(f"unknown ramp mode {ramp_name!r}")
+    ramp = _ramp_mode(section.get("ramp", RampMode.QUASI_STATIC.value)
+                      if args.ramp is None else args.ramp)
     stop = _build_stop(section)
     if args.cycles is not None:
         stop = FixedCycles(args.cycles)
@@ -152,7 +155,7 @@ def build_engine_params(cfg: dict, args: argparse.Namespace) -> EngineParams:
             tau_comp=_as_number(section.get("tau_comp", 1.0), "engine.tau_comp"),
             tau_h=_as_number(section.get("tau_h", 0.0), "engine.tau_h"),
             tau_c=_as_number(section.get("tau_c", 0.0), "engine.tau_c"),
-            ramp=_RAMP_NAMES[ramp_name], stop=stop, sample_dt=sample_dt,
+            ramp=ramp, stop=stop, sample_dt=sample_dt,
             max_cycles=max_cycles)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -260,7 +263,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         budget=int(section.get("budget", 6000)),
         restarts=int(section.get("restarts", 16)),
         method=section.get("method", "nelder-mead"),
-        ramp=_RAMP_NAMES[section.get("ramp", RampMode.QUASI_STATIC.value)],
+        ramp=_ramp_mode(section.get("ramp", RampMode.QUASI_STATIC.value)),
         seed=int(seed),
     )
     out = _out_dir(args)
@@ -348,7 +351,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         n_samples, int(seed), box=box,
         family=PrepFamily(section.get("family", "thermal")),
         beta1=_as_number(section.get("beta1", 1e-2), "scan.beta1"),
-        ramp=_RAMP_NAMES[section.get("ramp", RampMode.QUASI_STATIC.value)],
+        ramp=_ramp_mode(section.get("ramp", RampMode.QUASI_STATIC.value)),
         max_cycles=int(section.get("max_cycles", 10_000)),
         min_alpha23_tau_c=_as_number(section.get("min_alpha23_tau_c", 0.0),
                                      "scan.min_alpha23_tau_c"),

@@ -18,18 +18,21 @@ cycle.  The engine checks that identity on every cycle it simulates.
 
 All four stroke propagators are fixed symplectic matrices, so a whole cycle
 is a single 6x6 sandwich and long runs evaluate matrix-power batches
-instead of stepping stroke by stroke.  Pair correlations move only while a
-coupling stroke acts (ramps drive each oscillator separately, and local
-maps cannot change a two-mode correlation measure), so interior sampling
-effort goes to the coupling strokes; ramp interiors reuse stroke-start
-correlation values, which is exact rather than an approximation.
+instead of stepping stroke by stroke.  Many independent engines (a scan)
+step together along an engine axis through the same cycle kernel and
+stepping loop that run one Engine; no engine's numbers depend on the
+others.  Pair correlations move only while a coupling stroke acts (ramps
+drive each oscillator separately, and local maps cannot change a two-mode
+correlation measure), so interior sampling effort goes to the coupling
+strokes; ramp interiors reuse stroke-start correlation values, which is
+exact rather than an approximation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,21 +43,30 @@ from .propagators import (
     CouplingSide,
     RampMode,
     RampSchedule,
-    coupling_propagator,
+    _check_symplectic,
     coupling_propagators_at,
-    ramp_propagator,
+    ramp_propagators,
     ramp_propagators_at,
 )
-from .states import CovarianceMatrix, Preparation, product_state
+from .states import (CovarianceMatrix, Preparation, product_state, product_states,
+                     validate_covariances)
 
 FIRST_LAW_RTOL = 1e-12
 DEFAULT_STROKE_SAMPLES = 20
 # Cap on (cycles per batch) x (sampled points per cycle); keeps the batched
-# interior-state stacks bounded when sample_dt is very fine.
+# interior-state stacks bounded when sample_dt is very fine.  EngineParams
+# refuses a sample_dt whose interior points per cycle exceed it.
 _BATCH_POINT_BUDGET = 200_000
 # Chunks double from a small first one: most scan engines stop within a few
 # cycles, while each chunk carries a fixed correlation-scoring cost.
 _CHUNK_START, _CHUNK_MAX = 4, 256
+# Engines stepped together: one kernel call holds at most this many
+# engine-cycles (times the points per cycle), which is one engine's largest
+# chunk, however many engines share the call.
+_STACK_CYCLES = _CHUNK_MAX
+# Engines per ensemble of run_reduced_ensemble; bounds the stacked stroke
+# maps and cursors of a long scan.
+_ENSEMBLE_SIZE = _CHUNK_MAX
 
 
 @dataclass(frozen=True)
@@ -81,6 +93,14 @@ class FixedCycles:
 
 
 StopRule = Union[WorkNonNegative, FixedCycles]
+
+
+def _points_within(tau: float, dt: float) -> float:
+    """Length of np.arange(dt, tau, dt), computed without allocating it."""
+    span = (tau - dt) / dt
+    if not math.isfinite(span):
+        return math.inf
+    return max(0, math.ceil(span))
 
 
 @dataclass(frozen=True)
@@ -117,9 +137,17 @@ class EngineParams:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.ramp is not RampMode.SUDDEN and self.tau_comp <= 0:
             raise ConfigError("finite-time ramps need tau_comp > 0")
-        if self.sample_dt is not None and not (math.isfinite(self.sample_dt)
-                                               and self.sample_dt > 0):
-            raise ConfigError(f"sample_dt must be finite and > 0, got {self.sample_dt}")
+        if self.sample_dt is not None:
+            if not (math.isfinite(self.sample_dt) and self.sample_dt > 0):
+                raise ConfigError(f"sample_dt must be finite and > 0, got {self.sample_dt}")
+            strokes = [self.tau_h, self.tau_c]
+            if self.ramp is RampMode.LINEAR_AIRY:
+                strokes += [self.tau_comp, self.tau_comp]
+            points = sum(_points_within(tau, self.sample_dt) for tau in strokes)
+            if points > _BATCH_POINT_BUDGET:
+                raise ConfigError(
+                    f"sample_dt={self.sample_dt} samples {points} interior points per "
+                    f"cycle; at most {_BATCH_POINT_BUDGET} are allowed")
         if self.max_cycles < 1:
             raise ConfigError(f"max_cycles must be >= 1, got {self.max_cycles}")
         if not isinstance(self.stop, (WorkNonNegative, FixedCycles)):
@@ -245,24 +273,45 @@ class EngineResult:
         return float(np.max(np.abs(self.sigma_final.matrix - self.sigma_initial.matrix)))
 
 
+def _stop_limits(params: EngineParams) -> tuple[int, float]:
+    """(cycle limit, eps_stop) of a run under params.stop; -inf means no work rule."""
+    if isinstance(params.stop, FixedCycles):
+        return params.stop.n, -math.inf
+    return params.max_cycles, params.stop.eps_stop
+
+
 def _sandwich(mat: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     out = mat @ sigma @ mat.T
     return 0.5 * (out + out.T)
 
 
-# The batched sandwiches below run as two two-operand einsums: about half the
-# cost of one three-operand einsum.  matmul would be faster still, but its
-# fused multiply-adds turn exact zeros (the heat of a zero-coupling stroke)
-# into rounding noise; einsum keeps them exact.
+# Batched states and maps are held matrix-element first, as (6, 6, N)
+# stacks, so that every einsum's inner loop runs along the stack and not
+# along a 6-long matrix row.  A sandwich is a left and a right two-operand
+# product, each summing over its contracted index in a fixed order whatever
+# N is (in sequence on the left; even and odd terms apart, then added, on
+# the right), so no engine's numbers depend on which engines share a call.
+# matmul would be faster, but its fused multiply-adds turn exact zeros (the
+# heat of a zero-coupling stroke) into rounding noise.
 
-def _stage_sandwich(mat: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """mat @ states[k] @ mat.T for a (K, 6, 6) stack of states."""
-    return np.einsum("kac,dc->kad", np.einsum("ab,kbc->kac", mat, states), mat)
+def _sandwich_stack(mats: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """mats[..., n] @ states[..., n] @ mats[..., n].T for (6, 6, N) stacks."""
+    x = np.einsum("abn,bcn->acn", mats, states)
+    out = np.einsum("acn,dcn->adn", x[:, 0::2], mats[:, 0::2])
+    out += np.einsum("acn,dcn->adn", x[:, 1::2], mats[:, 1::2])
+    return out
 
 
-def _interior_sandwich(mats: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """mats[n] @ states[k] @ mats[n].T, shaped (K, N, 6, 6)."""
-    return np.einsum("knac,ndc->knad", np.einsum("nab,kbc->knac", mats, states), mats)
+def _by_element(stack: np.ndarray) -> np.ndarray:
+    """(..., 6, 6) -> contiguous (6, 6, N), N = the product of the leading axes."""
+    flat = stack.reshape(-1, 36)
+    return np.ascontiguousarray(flat.T).reshape(6, 6, flat.shape[0])
+
+
+def _by_matrix(stack: np.ndarray) -> np.ndarray:
+    """(6, 6, ...) -> contiguous (..., 6, 6)."""
+    lead = stack.shape[2:]
+    return np.ascontiguousarray(stack.reshape(36, -1).T).reshape(*lead, 6, 6)
 
 
 def _ramp_interior_weights(schedule: RampSchedule, times: np.ndarray,
@@ -283,18 +332,71 @@ def _ramp_interior_weights(schedule: RampSchedule, times: np.ndarray,
                   + wsq[:, None, None] * xx[:, :, None] * xx[:, None, :])
 
 
+def _interior_times(tau: float, fallback_n: int, dt: Optional[float]) -> np.ndarray:
+    """Strictly interior sample instants of one stroke."""
+    if tau <= 0.0 or fallback_n <= 0:
+        return np.empty(0)
+    if dt is None:
+        return tau * np.arange(1, fallback_n + 1) / (fallback_n + 1)
+    times = np.arange(dt, tau, dt)
+    return times[times < tau * (1.0 - 1e-12)]
+
+
+_STROKE_NAMES = ("compression", "heating", "expansion", "cooling")
+
+
+class _Strokes:
+    """The four stroke maps and the cycle map of E engines, each (E, 6, 6).
+
+    Every map of every engine is checked to be symplectic when built.  ids
+    name the engines in errors (default: their positions).
+    """
+
+    def __init__(self, params: Sequence[EngineParams],
+                 ids: Optional[Sequence[int]] = None) -> None:
+        mode = params[0].ramp
+        if any(p.ramp is not mode for p in params):
+            raise ValueError("the engines of one ensemble share their ramp mode")
+        self.params = tuple(params)
+        self.ids = range(len(params)) if ids is None else ids
+        self.w1 = w1 = np.array([p.prep.omega1 for p in params])
+        self.w3 = w3 = np.array([p.prep.omega3 for p in params])
+        self.w1sq, self.w3sq = w1**2, w3**2
+        self.alpha12 = np.array([p.alpha12 for p in params])
+        self.alpha23 = np.array([p.alpha23 for p in params])
+        tau = np.array([p.ramp_duration for p in params])
+        self.comp, self.exp = ramp_propagators(mode, np.stack((w3, w1)), np.stack((w1, w3)),
+                                               tau, tau, w1, w3)
+        self.heat = coupling_propagators_at(self.alpha12, w1, w3,
+                                            np.array([p.tau_h for p in params]),
+                                            CouplingSide.HOT_PAIR)
+        self.cool = coupling_propagators_at(self.alpha23, w3, w1,
+                                            np.array([p.tau_c for p in params]),
+                                            CouplingSide.COLD_PAIR)
+        maps = np.stack((self.comp, self.heat, self.exp, self.cool), axis=1)
+        _check_symplectic(maps.reshape(-1, 6, 6), name=lambda k: (
+            f"{_STROKE_NAMES[k % 4]} map of engine {self.ids[k // 4]}"))
+        self.cycle = self.cool @ self.exp @ self.heat @ self.comp
+        # (6, 6, E) copies for the kernel; run_stroke reads the (E, 6, 6) maps.
+        self.comp_el, self.heat_el, self.exp_el, self.cool_el = (
+            np.ascontiguousarray(x) for x in _by_element(maps).reshape(6, 6, -1, 4)
+            .transpose(3, 0, 1, 2))
+
+
 @dataclass
 class _Chunk:
-    """Stage states and per-cycle energies for a batch of consecutive cycles."""
+    """Stage states and per-cycle energies of G engines over `count` cycles each.
 
-    sig_a: np.ndarray      # (count + 1, 6, 6); the extra entry starts the next batch
-    sig_b: np.ndarray
+    States are element-first: sig_b[:, :, g, k] is engine g's state after
+    compression in its k-th cycle of the chunk.
+    """
+
+    sig_a: np.ndarray      # (6, 6, G, count + 1); entry `count` starts the next chunk
+    sig_b: np.ndarray      # (6, 6, G, count)
     sig_c: np.ndarray
     sig_d: np.ndarray
     sig_e: np.ndarray
-    heat_states: np.ndarray  # (count, nh, 6, 6)
-    cool_states: np.ndarray
-    e_a: np.ndarray
+    e_a: np.ndarray        # (G, count)
     e_b: np.ndarray
     e_c: np.ndarray
     e_d: np.ndarray
@@ -307,31 +409,226 @@ class _Chunk:
     w_cycle: np.ndarray
 
 
+def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray, count: int,
+                    first_cycle: np.ndarray) -> _Chunk:
+    """The cycle kernel: evolve engines `idx` by `count` cycles from `sigma`.
+
+    Cycle starts come from powers of each engine's cycle map applied to its
+    cursor; the five stage energies of each cycle derive from one
+    consistent chain of stroke sandwiches, which keeps the first-law
+    residual at rounding level.  The first law is checked on every cycle.
+    """
+    n_eng = idx.size
+    cycle = strokes.cycle[idx]
+    powers = np.empty((n_eng, count + 1, 6, 6))
+    powers[:, 0] = np.eye(6)
+    for j in range(count):
+        np.matmul(cycle, powers[:, j], out=powers[:, j + 1])
+    sig_a = _sandwich_stack(_by_element(powers),
+                            np.repeat(_by_element(sigma), count + 1, axis=2))
+    sig_a = sig_a.reshape(6, 6, n_eng, count + 1)
+    starts = sig_a[:, :, :, :count].reshape(6, 6, -1)
+    states = [starts]
+    for maps in (strokes.comp_el, strokes.heat_el, strokes.exp_el, strokes.cool_el):
+        states.append(_sandwich_stack(np.repeat(maps[:, :, idx], count, axis=2), states[-1]))
+
+    w1sq = np.repeat(strokes.w1sq[idx], count)
+    w3sq = np.repeat(strokes.w3sq[idx], count)
+    e_a, e_b, e_c, e_d, e_e = (
+        (0.5 * (st[4, 4] + wsq * st[1, 1])).reshape(n_eng, count)
+        for st, wsq in zip(states, (w3sq, w1sq, w1sq, w3sq, w3sq)))
+    w1, q1 = e_b - e_a, e_b - e_c
+    w2, q2 = e_d - e_c, e_d - e_e
+    du = e_e - e_a
+    w_cycle = w1 + w2
+
+    residual = np.abs(w1 + w2 - q1 - q2 - du)
+    budget = FIRST_LAW_RTOL * np.maximum(1.0, np.abs(w1) + np.abs(w2))
+    bad = ~(residual <= budget)
+    if bad.any():
+        g, k = np.argwhere(bad)[0]
+        raise EnergyBalanceError(
+            f"engine {strokes.ids[idx[g]]}, cycle {first_cycle[g] + k}: first-law residual "
+            f"{residual[g, k]:.3e} exceeds {budget[g, k]:.3e}"
+        )
+    sig_b, sig_c, sig_d, sig_e = (st.reshape(6, 6, n_eng, count) for st in states[1:])
+    return _Chunk(sig_a, sig_b, sig_c, sig_d, sig_e,
+                  e_a, e_b, e_c, e_d, e_e, w1, q1, w2, q2, du, w_cycle)
+
+
+_RECORD_COLUMNS = ("w1", "q1", "w2", "q2", "du", "w_cycle", "e1", "e2", "e3", "neg", "disc")
+
+
+@dataclass
+class _Runs:
+    """Per-engine outcome of the stepping loop, row e for engine e.
+
+    columns[e] maps each record column to its values over every simulated
+    cycle, probe included (w_cycle alone unless records were kept).
+    """
+
+    simulated: np.ndarray   # (E,) cycles simulated, probe included
+    probe: np.ndarray       # (E,) bool: the work stop rule fired
+    sigma: np.ndarray       # (E, 6, 6) cursor after the last counted cycle
+    neg_max: np.ndarray     # (E, 3) run-level maxima; NaN without correlations
+    disc_max: np.ndarray
+    columns: list[dict[str, np.ndarray]]
+
+    def w_total(self, e: int) -> float:
+        return float(np.sum(self.columns[e]["w_cycle"][:self.simulated[e] - self.probe[e]]))
+
+
+def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
+                 eps_stop: np.ndarray, first_cycle: np.ndarray, heat_times: np.ndarray,
+                 cool_times: np.ndarray, correlations: bool, keep_records: bool,
+                 series: Optional["_TimeSeriesBuilder"] = None) -> _Runs:
+    """The stepping loop: run E engines in lockstep until each one stops.
+
+    Engine e runs at most totals[e] cycles and stops before its first cycle
+    with w_cycle >= -eps_stop[e] (that probe cycle is still simulated; pass
+    -inf for no work rule).  Every engine follows the same chunk schedule,
+    doubling from _CHUNK_START to _CHUNK_MAX and capped by
+    _BATCH_POINT_BUDGET, so its numbers do not depend on the engines beside
+    it.  Engines sharing a chunk size are stepped together in sub-batches
+    of at most _STACK_CYCLES engine-cycles.  Correlations are scored only at
+    the kept cycles' points, batched across engines.  heat_times and
+    cool_times are (E, nh) and (E, nc); series, if given, receives every
+    chunk of a one-engine run.
+    """
+    n_eng = len(strokes.params)
+    if series is not None and n_eng != 1:
+        raise ValueError("a time series follows exactly one engine")
+    if correlations or series is not None:
+        heat_mats = _by_element(coupling_propagators_at(
+            strokes.alpha12[:, None], strokes.w1[:, None], strokes.w3[:, None], heat_times,
+            CouplingSide.HOT_PAIR)).reshape(6, 6, *heat_times.shape)
+        cool_mats = _by_element(coupling_propagators_at(
+            strokes.alpha23[:, None], strokes.w3[:, None], strokes.w1[:, None], cool_times,
+            CouplingSide.COLD_PAIR)).reshape(6, 6, *cool_times.shape)
+    else:
+        heat_mats = cool_mats = None
+    nh, nc = heat_times.shape[1], cool_times.shape[1]
+    chunk_cap = max(1, min(_CHUNK_MAX, _BATCH_POINT_BUDGET // (3 + nh + nc)))
+    stack_cap = max(1, min(_STACK_CYCLES, chunk_cap))
+
+    sigma = np.array(sigma0, dtype=float)
+    simulated = np.zeros(n_eng, dtype=int)
+    probe = np.zeros(n_eng, dtype=bool)
+    fill = 0.0 if correlations else np.nan
+    neg_max, disc_max = np.full((n_eng, 3), fill), np.full((n_eng, 3), fill)
+    names = _RECORD_COLUMNS if keep_records else ("w_cycle",)
+    parts: list[dict[str, list[np.ndarray]]] = [{n: [] for n in names} for _ in range(n_eng)]
+
+    chunk_size = _CHUNK_START
+    active = np.flatnonzero(totals > 0)
+    while active.size:
+        counts = np.minimum(min(chunk_size, chunk_cap), totals[active] - simulated[active])
+        for count in sorted(set(counts.tolist())):
+            same = active[counts == count]
+            per_call = max(1, stack_cap // count)
+            for lo in range(0, same.size, per_call):
+                idx = same[lo:lo + per_call]
+                _step(strokes, idx, count, sigma, simulated, probe, neg_max, disc_max,
+                      parts, heat_mats, cool_mats, first_cycle, eps_stop, correlations,
+                      series)
+        chunk_size = min(chunk_size * 2, _CHUNK_MAX)
+        active = active[~probe[active] & (simulated[active] < totals[active])]
+
+    columns = [{name: np.concatenate(p[name]) if p[name] else
+                np.empty((0, 3) if name in ("neg", "disc") else 0) for name in names}
+               for p in parts]
+    return _Runs(simulated, probe, sigma, neg_max, disc_max, columns)
+
+
+def _interior_states(mats: np.ndarray, owner: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Interior states (6, 6, R, n) of R kept cycles: mats[:, :, owner[r], i]
+    sandwiching states[:, :, r], for element-first (6, 6, E, n) maps."""
+    n = mats.shape[3]
+    out = _sandwich_stack(mats[:, :, owner].reshape(6, 6, -1),
+                          np.repeat(states, n, axis=2))
+    return out.reshape(6, 6, owner.size, n)
+
+
+def _step(strokes: _Strokes, idx: np.ndarray, count: int, sigma: np.ndarray,
+          simulated: np.ndarray, probe: np.ndarray, neg_max: np.ndarray,
+          disc_max: np.ndarray, parts: list, heat_mats: Optional[np.ndarray],
+          cool_mats: Optional[np.ndarray], first_cycle: np.ndarray, eps_stop: np.ndarray,
+          correlations: bool, series: Optional["_TimeSeriesBuilder"]) -> None:
+    """One chunk of `count` cycles for engines `idx`; updates the loop state in place.
+
+    Interior states are built only for the cycles each engine keeps, and
+    only when correlations or a time series read them.
+    """
+    chunk = _simulate_chunk(strokes, idx, sigma[idx], count, first_cycle[idx] + simulated[idx])
+    hit = chunk.w_cycle >= -eps_stop[idx, None]
+    stopped = hit.any(axis=1)
+    keep = np.where(stopped, hit.argmax(axis=1), count)
+    rows = keep + stopped
+
+    heat_states = cool_states = neg = disc = None
+    if heat_mats is not None:
+        # Kept cycles, engine by engine, as one row axis.
+        first = np.cumsum(rows) - rows
+        kept = np.arange(count) < rows[:, None]
+        owner = idx[np.repeat(np.arange(idx.size), rows)]
+        heat_states = _interior_states(heat_mats, owner, chunk.sig_b[:, :, kept])
+        cool_states = _interior_states(cool_mats, owner, chunk.sig_d[:, :, kept])
+    if correlations:
+        # Points per cycle: start, heating interiors, after heating, cooling
+        # interiors, end.  Ramp interiors carry no new correlation values.
+        pts = np.concatenate([
+            chunk.sig_a[:, :, :, :count][:, :, kept][..., None],
+            heat_states,
+            chunk.sig_c[:, :, kept][..., None],
+            cool_states,
+            chunk.sig_e[:, :, kept][..., None],
+        ], axis=3)
+        neg, disc = pair_correlations(np.moveaxis(pts, (0, 1), (-2, -1)))
+        cyc_neg, cyc_disc = neg.max(axis=1), disc.max(axis=1)
+        neg_max[idx] = np.maximum(neg_max[idx], np.maximum.reduceat(cyc_neg, first, axis=0))
+        disc_max[idx] = np.maximum(disc_max[idx], np.maximum.reduceat(cyc_disc, first, axis=0))
+
+    for g, e in enumerate(idx):
+        m = int(rows[g])
+        cols = parts[e]
+        cols["w_cycle"].append(chunk.w_cycle[g, :m])
+        if "w1" in cols:
+            for name in ("w1", "q1", "w2", "q2", "du"):
+                cols[name].append(getattr(chunk, name)[g, :m])
+            ends = chunk.sig_e[:, :, g, :m]
+            cols["e1"].append(0.5 * (ends[3, 3] + strokes.w1sq[e] * ends[0, 0]))
+            cols["e2"].append(chunk.e_e[g, :m])
+            cols["e3"].append(0.5 * (ends[5, 5] + strokes.w3sq[e] * ends[2, 2]))
+            if correlations:
+                cols["neg"].append(cyc_neg[first[g]:first[g] + m])
+                cols["disc"].append(cyc_disc[first[g]:first[g] + m])
+            else:
+                cols["neg"].append(np.full((m, 3), np.nan))
+                cols["disc"].append(np.full((m, 3), np.nan))
+    if series is not None:
+        series.add_chunk(chunk, int(rows[0]), heat_states, cool_states, neg, disc)
+
+    final = _by_matrix(chunk.sig_a[:, :, np.arange(idx.size), keep])
+    sigma[idx] = 0.5 * (final + np.swapaxes(final, -1, -2))
+    simulated[idx] += rows
+    probe[idx] = stopped
+
+
 class Engine:
     """Stateful driver holding the covariance state, phase and clocks.
 
     The phase is the medium's current frequency slot, "low" (omega3) or
     "high" (omega1); strokes check it instead of trusting call order, so a
-    heating stroke cannot act on an uncompressed medium.
+    heating stroke cannot act on an uncompressed medium.  Whole runs go
+    through the same cycle kernel and stepping loop as an ensemble of
+    engines, here an ensemble of one.
     """
 
     def __init__(self, params: EngineParams) -> None:
         self.params = params
         self._w1 = params.prep.omega1
         self._w3 = params.prep.omega3
-        tau_ramp = 0.0 if params.ramp is RampMode.SUDDEN else params.tau_comp
-        self._comp_sched = RampSchedule(self._w3, self._w1, tau_ramp, params.ramp)
-        self._exp_sched = RampSchedule(self._w1, self._w3, tau_ramp, params.ramp)
-        self._s_comp = ramp_propagator(self._comp_sched, spectator_omega1=self._w1,
-                                       spectator_omega3=self._w3).matrix
-        self._s_exp = ramp_propagator(self._exp_sched, spectator_omega1=self._w1,
-                                      spectator_omega3=self._w3).matrix
-        self._s_heat = coupling_propagator(params.alpha12, self._w1, self._w3,
-                                           params.tau_h, CouplingSide.HOT_PAIR).matrix
-        self._s_cool = coupling_propagator(params.alpha23, self._w3, self._w1,
-                                           params.tau_c, CouplingSide.COLD_PAIR).matrix
-        self._cycle_map = self._s_cool @ self._s_exp @ self._s_heat @ self._s_comp
-        self._mpow = [np.eye(6)]
+        self._strokes = _Strokes([params])
         self.sigma_initial = product_state(params.prep)
         self._sigma = np.array(self.sigma_initial.matrix)
         self._phase = "low"
@@ -364,14 +661,15 @@ class Engine:
         it.  A sudden compression changes e2 without touching the state,
         because the energy is re-evaluated at the new frequency.
         """
+        maps = self._strokes
         table = {
-            "compression": (self._s_comp, self.params.ramp_duration,
+            "compression": (maps.comp[0], self.params.ramp_duration,
                             self._w3, self._w1, "low", "high"),
-            "heating": (self._s_heat, self.params.tau_h,
+            "heating": (maps.heat[0], self.params.tau_h,
                         self._w1, self._w1, "high", "high"),
-            "expansion": (self._s_exp, self.params.ramp_duration,
+            "expansion": (maps.exp[0], self.params.ramp_duration,
                           self._w1, self._w3, "high", "low"),
-            "cooling": (self._s_cool, self.params.tau_c,
+            "cooling": (maps.cool[0], self.params.tau_c,
                         self._w3, self._w3, "low", "low"),
         }
         if kind not in table:
@@ -390,83 +688,6 @@ class Engine:
         self._t += duration
         return StrokeResult(kind, duration, w_start, w_end, e_start, e_end)
 
-    # -- batched core ------------------------------------------------------
-
-    def _powers(self, n: int) -> np.ndarray:
-        """cycle_map ** j for j = 0..n, stacked as (n + 1, 6, 6)."""
-        while len(self._mpow) <= n:
-            self._mpow.append(self._cycle_map @ self._mpow[-1])
-        return np.asarray(self._mpow[: n + 1])
-
-    def _interior_times(self, tau: float, fallback_n: int) -> np.ndarray:
-        """Strictly interior sample instants of one stroke."""
-        if tau <= 0.0 or fallback_n <= 0:
-            return np.empty(0)
-        dt = self.params.sample_dt
-        if dt is None:
-            return tau * np.arange(1, fallback_n + 1) / (fallback_n + 1)
-        times = np.arange(dt, tau, dt)
-        return times[times < tau * (1.0 - 1e-12)]
-
-    def _simulate_chunk(self, count: int, heat_mats: np.ndarray,
-                        cool_mats: np.ndarray) -> _Chunk:
-        """Evolve `count` cycles from the current state without committing.
-
-        Cycle starts come from powers of the cycle map applied to the
-        cursor; the five stage energies of each cycle derive from one
-        consistent chain of stroke sandwiches, which keeps the first-law
-        residual at rounding level.
-        """
-        powers = self._powers(count)
-        sig_a = _interior_sandwich(powers, self._sigma[None])[0]
-        starts = sig_a[:count]
-        sig_b = _stage_sandwich(self._s_comp, starts)
-        sig_c = _stage_sandwich(self._s_heat, sig_b)
-        sig_d = _stage_sandwich(self._s_exp, sig_c)
-        sig_e = _stage_sandwich(self._s_cool, sig_d)
-        heat_states = _interior_sandwich(heat_mats, sig_b)
-        cool_states = _interior_sandwich(cool_mats, sig_d)
-
-        w1sq, w3sq = self._w1**2, self._w3**2
-        e_a = 0.5 * (starts[:, 4, 4] + w3sq * starts[:, 1, 1])
-        e_b = 0.5 * (sig_b[:, 4, 4] + w1sq * sig_b[:, 1, 1])
-        e_c = 0.5 * (sig_c[:, 4, 4] + w1sq * sig_c[:, 1, 1])
-        e_d = 0.5 * (sig_d[:, 4, 4] + w3sq * sig_d[:, 1, 1])
-        e_e = 0.5 * (sig_e[:, 4, 4] + w3sq * sig_e[:, 1, 1])
-        w1, q1 = e_b - e_a, e_b - e_c
-        w2, q2 = e_d - e_c, e_d - e_e
-        du = e_e - e_a
-        w_cycle = w1 + w2
-
-        residual = np.abs(w1 + w2 - q1 - q2 - du)
-        budget = FIRST_LAW_RTOL * np.maximum(1.0, np.abs(w1) + np.abs(w2))
-        if np.any(residual > budget):
-            k = int(np.argmax(residual - budget))
-            raise EnergyBalanceError(
-                f"cycle {self._cycle + k}: first-law residual {residual[k]:.3e} "
-                f"exceeds {budget[k]:.3e}"
-            )
-        return _Chunk(sig_a, sig_b, sig_c, sig_d, sig_e, heat_states, cool_states,
-                      e_a, e_b, e_c, e_d, e_e, w1, q1, w2, q2, du, w_cycle)
-
-    @staticmethod
-    def _score_correlations(chunk: _Chunk, upto: int) -> tuple[np.ndarray, np.ndarray]:
-        """Negativity and discord at the sampled points of the first `upto`
-        cycles, each of shape (upto, points, 3).
-
-        Points per cycle: cycle start, heating interiors, after heating,
-        cooling interiors, cycle end.  Ramp interiors carry no new
-        correlation values and are not scored.
-        """
-        pts = np.concatenate([
-            chunk.sig_a[:upto, None],
-            chunk.heat_states[:upto],
-            chunk.sig_c[:upto, None],
-            chunk.cool_states[:upto],
-            chunk.sig_e[:upto, None],
-        ], axis=1)
-        return pair_correlations(pts)
-
     # -- whole runs ----------------------------------------------------------
 
     def run(self, *, want_timeseries: bool = True, correlations: bool = True,
@@ -481,100 +702,52 @@ class Engine:
         """
         if self._phase != "low":
             raise PhaseOrderError("a run must start with the medium at omega3")
+        return self._advance(*_stop_limits(self.params), want_timeseries, correlations,
+                             keep_records, heat_samples, cool_samples)
+
+    def run_cycle(self) -> CycleRecord:
+        """Execute one full cycle from the current state and record it.
+
+        Unlike a run, a single cycle is always counted, whatever its work
+        balance.
+        """
+        if self._phase != "low":
+            raise PhaseOrderError("a cycle must start with the medium at omega3")
+        return self._advance(1, -math.inf, False, True, True, None, None).records[0]
+
+    def _advance(self, total: int, eps_stop: float, want_timeseries: bool,
+                 correlations: bool, keep_records: bool, heat_samples: Optional[int],
+                 cool_samples: Optional[int]) -> EngineResult:
         params = self.params
-        rule = params.stop
-        total = rule.n if isinstance(rule, FixedCycles) else params.max_cycles
-        t_run_start = self._t
-        cycle_start_index = self._cycle
-
-        heat_times = self._interior_times(
-            params.tau_h, DEFAULT_STROKE_SAMPLES if heat_samples is None else heat_samples)
-        cool_times = self._interior_times(
-            params.tau_c, DEFAULT_STROKE_SAMPLES if cool_samples is None else cool_samples)
-        heat_mats = coupling_propagators_at(params.alpha12, self._w1, self._w3,
-                                            heat_times, CouplingSide.HOT_PAIR)
-        cool_mats = coupling_propagators_at(params.alpha23, self._w3, self._w1,
-                                            cool_times, CouplingSide.COLD_PAIR)
-
+        heat_times = _interior_times(
+            params.tau_h, DEFAULT_STROKE_SAMPLES if heat_samples is None else heat_samples,
+            params.sample_dt)
+        cool_times = _interior_times(
+            params.tau_c, DEFAULT_STROKE_SAMPLES if cool_samples is None else cool_samples,
+            params.sample_dt)
         ts = _TimeSeriesBuilder(self, heat_times, cool_times) if want_timeseries else None
+        runs = _run_engines(
+            self._strokes, self._sigma[None], totals=np.array([total]),
+            eps_stop=np.array([eps_stop]), first_cycle=np.array([self._cycle]),
+            heat_times=heat_times[None], cool_times=cool_times[None],
+            correlations=correlations, keep_records=keep_records, series=ts)
 
-        points_per_cycle = 3 + heat_times.size + cool_times.size
-        chunk_cap = max(1, min(_CHUNK_MAX, _BATCH_POINT_BUDGET // points_per_cycle))
-
-        cols: dict[str, list[np.ndarray]] = {
-            name: [] for name in ("w1", "q1", "w2", "q2", "du", "w_cycle",
-                                  "e1", "e2", "e3")}
-        neg_cycle_max: list[np.ndarray] = []
-        disc_cycle_max: list[np.ndarray] = []
-        run_neg = np.zeros(3) if correlations else np.full(3, np.nan)
-        run_disc = np.zeros(3) if correlations else np.full(3, np.nan)
-
-        simulated = 0
-        probe_seen = False
-        chunk_size = _CHUNK_START
-        w1sq, w3sq = self._w1**2, self._w3**2
-        while simulated < total:
-            count = min(chunk_size, chunk_cap, total - simulated)
-            chunk = self._simulate_chunk(count, heat_mats, cool_mats)
-            chunk_size = min(chunk_size * 2, _CHUNK_MAX)
-
-            keep = count
-            if isinstance(rule, WorkNonNegative):
-                hits = np.flatnonzero(chunk.w_cycle >= -rule.eps_stop)
-                if hits.size:
-                    keep = int(hits[0])
-                    probe_seen = True
-            rows = keep + 1 if probe_seen else keep
-
-            cols["w1"].append(chunk.w1[:rows])
-            cols["q1"].append(chunk.q1[:rows])
-            cols["w2"].append(chunk.w2[:rows])
-            cols["q2"].append(chunk.q2[:rows])
-            cols["du"].append(chunk.du[:rows])
-            cols["w_cycle"].append(chunk.w_cycle[:rows])
-            ends = chunk.sig_e[:rows]
-            cols["e1"].append(0.5 * (ends[:, 3, 3] + w1sq * ends[:, 0, 0]))
-            cols["e2"].append(chunk.e_e[:rows])
-            cols["e3"].append(0.5 * (ends[:, 5, 5] + w3sq * ends[:, 2, 2]))
-
-            neg = disc = None
-            if rows:
-                if correlations:
-                    neg, disc = self._score_correlations(chunk, rows)
-                    neg_cycle_max.append(neg.max(axis=1))
-                    disc_cycle_max.append(disc.max(axis=1))
-                    np.maximum(run_neg, neg.max(axis=(0, 1)), out=run_neg)
-                    np.maximum(run_disc, disc.max(axis=(0, 1)), out=run_disc)
-                else:
-                    neg_cycle_max.append(np.full((rows, 3), np.nan))
-                    disc_cycle_max.append(np.full((rows, 3), np.nan))
-                if ts is not None:
-                    ts.add_chunk(chunk, rows, neg, disc,
-                                 t_run_start + simulated * params.cycle_duration)
-
-            simulated += rows
-            if probe_seen:
-                final = chunk.sig_a[keep]
-                self._sigma = 0.5 * (final + final.T)
-                break
-            self._sigma = 0.5 * (chunk.sig_a[count] + chunk.sig_a[count].T)
-
+        simulated = int(runs.simulated[0])
+        probe_seen = bool(runs.probe[0])
         n_counted = simulated - int(probe_seen)
+        cycle_start_index = self._cycle
+        self._sigma = runs.sigma[0]
         self._cycle += n_counted
         self._t += n_counted * params.cycle_duration
 
         if probe_seen:
             stop_reason = "work_non_negative"
-        elif isinstance(rule, FixedCycles):
+        elif isinstance(params.stop, FixedCycles):
             stop_reason = "fixed_cycles"
         else:
             stop_reason = "cycle_cap"
 
-        flat = {name: (np.concatenate(parts) if parts else np.empty(0))
-                for name, parts in cols.items()}
-        neg_max = np.concatenate(neg_cycle_max) if neg_cycle_max else np.empty((0, 3))
-        disc_max = np.concatenate(disc_cycle_max) if disc_cycle_max else np.empty((0, 3))
-
+        flat = runs.columns[0]
         records: list[CycleRecord] = []
         probe: Optional[CycleRecord] = None
         if keep_records:
@@ -591,18 +764,19 @@ class Engine:
                                    float(flat["q1"][i]), float(flat["q2"][i])).value,
                     e1=float(flat["e1"][i]), e2=float(flat["e2"][i]),
                     e3=float(flat["e3"][i]),
-                    d12_max=float(disc_max[i, 0]), d23_max=float(disc_max[i, 1]),
-                    d13_max=float(disc_max[i, 2]),
-                    n12_max=float(neg_max[i, 0]), n23_max=float(neg_max[i, 1]),
-                    n13_max=float(neg_max[i, 2]),
+                    d12_max=float(flat["disc"][i, 0]), d23_max=float(flat["disc"][i, 1]),
+                    d13_max=float(flat["disc"][i, 2]),
+                    n12_max=float(flat["neg"][i, 0]), n23_max=float(flat["neg"][i, 1]),
+                    n13_max=float(flat["neg"][i, 2]),
                 )
                 if probe_seen and i == simulated - 1:
                     probe = record
                 else:
                     records.append(record)
 
-        w_total = float(np.sum(flat["w_cycle"][:n_counted]))
+        w_total = runs.w_total(0)
         self._w_cum += w_total
+        run_neg, run_disc = runs.neg_max[0], runs.disc_max[0]
 
         return EngineResult(
             params=params,
@@ -618,45 +792,6 @@ class Engine:
             negativity_max=(float(run_neg[0]), float(run_neg[1]), float(run_neg[2])),
         )
 
-    def run_cycle(self) -> CycleRecord:
-        """Execute one full cycle from the current state and record it.
-
-        Unlike a run, a single cycle is always counted, whatever its work
-        balance.
-        """
-        if self._phase != "low":
-            raise PhaseOrderError("a cycle must start with the medium at omega3")
-        params = self.params
-        heat_times = self._interior_times(params.tau_h, DEFAULT_STROKE_SAMPLES)
-        cool_times = self._interior_times(params.tau_c, DEFAULT_STROKE_SAMPLES)
-        heat_mats = coupling_propagators_at(params.alpha12, self._w1, self._w3,
-                                            heat_times, CouplingSide.HOT_PAIR)
-        cool_mats = coupling_propagators_at(params.alpha23, self._w3, self._w1,
-                                            cool_times, CouplingSide.COLD_PAIR)
-        chunk = self._simulate_chunk(1, heat_mats, cool_mats)
-        neg, disc = self._score_correlations(chunk, 1)
-        neg_pk, disc_pk = neg.max(axis=1)[0], disc.max(axis=1)[0]
-        self._w_cum += float(chunk.w_cycle[0])
-        record = CycleRecord(
-            index=self._cycle,
-            w1=float(chunk.w1[0]), w2=float(chunk.w2[0]),
-            q1=float(chunk.q1[0]), q2=float(chunk.q2[0]), du=float(chunk.du[0]),
-            w_cycle=float(chunk.w_cycle[0]), w_cum=self._w_cum,
-            eta=efficiency(float(chunk.w_cycle[0]), float(chunk.du[0]),
-                           float(chunk.q1[0]), float(chunk.q2[0])).value,
-            e1=float(0.5 * (chunk.sig_e[0, 3, 3] + self._w1**2 * chunk.sig_e[0, 0, 0])),
-            e2=float(chunk.e_e[0]),
-            e3=float(0.5 * (chunk.sig_e[0, 5, 5] + self._w3**2 * chunk.sig_e[0, 2, 2])),
-            d12_max=float(disc_pk[0]), d23_max=float(disc_pk[1]),
-            d13_max=float(disc_pk[2]),
-            n12_max=float(neg_pk[0]), n23_max=float(neg_pk[1]),
-            n13_max=float(neg_pk[2]),
-        )
-        self._sigma = 0.5 * (chunk.sig_e[0] + chunk.sig_e[0].T)
-        self._cycle += 1
-        self._t += params.cycle_duration
-        return record
-
 
 class _TimeSeriesBuilder:
     """Accumulates time-series rows chunk by chunk.
@@ -671,16 +806,23 @@ class _TimeSeriesBuilder:
     def __init__(self, engine: Engine, heat_times: np.ndarray,
                  cool_times: np.ndarray) -> None:
         params = engine.params
+        w1, w3 = engine._w1, engine._w3
         self._engine = engine
-        self._w1sq = engine._w1**2
-        self._w3sq = engine._w3**2
+        self._w1sq = w1**2
+        self._w3sq = w3**2
         self._cycle_duration = params.cycle_duration
-        ramp_times = (engine._interior_times(params.tau_comp, DEFAULT_STROKE_SAMPLES)
-                      if params.ramp is RampMode.LINEAR_AIRY else np.empty(0))
-        self._comp_weights = _ramp_interior_weights(
-            engine._comp_sched, ramp_times, engine._w1, engine._w3)
-        self._exp_weights = _ramp_interior_weights(
-            engine._exp_sched, ramp_times, engine._w1, engine._w3)
+        self._t0 = engine._t
+        self._cycles_added = 0
+        if params.ramp is RampMode.LINEAR_AIRY:
+            ramp_times = _interior_times(params.tau_comp, DEFAULT_STROKE_SAMPLES,
+                                         params.sample_dt)
+            self._comp_weights = _ramp_interior_weights(
+                RampSchedule(w3, w1, params.tau_comp, params.ramp), ramp_times, w1, w3)
+            self._exp_weights = _ramp_interior_weights(
+                RampSchedule(w1, w3, params.tau_comp, params.ramp), ramp_times, w1, w3)
+        else:
+            ramp_times = np.empty(0)
+            self._comp_weights = self._exp_weights = np.empty((0, 6, 6))
         nr, nh, nc = ramp_times.size, heat_times.size, cool_times.size
         self._nh, self._nc = nh, nc
         tau_r = params.ramp_duration
@@ -712,35 +854,44 @@ class _TimeSeriesBuilder:
         e3 = 0.5 * (states[..., 5, 5] + self._w3sq * states[..., 2, 2])
         return e1, e3
 
-    def add_chunk(self, chunk: _Chunk, rows: int, neg: Optional[np.ndarray],
-                  disc: Optional[np.ndarray], t_start: float) -> None:
-        m, length = rows, self._length
-        sig_a, sig_b = chunk.sig_a[:m], chunk.sig_b[:m]
-        sig_c, sig_d = chunk.sig_c[:m], chunk.sig_d[:m]
+    def add_chunk(self, chunk: _Chunk, rows: int, heat_states: np.ndarray,
+                  cool_states: np.ndarray, neg: Optional[np.ndarray],
+                  disc: Optional[np.ndarray]) -> None:
+        """Rows of the engine's first `rows` cycles of a one-engine chunk.
+
+        heat_states and cool_states hold those cycles' interior states,
+        (6, 6, rows, n); neg and disc their scored points, (rows, points,
+        3), or None without correlations.
+        """
+        g, m, length = 0, rows, self._length
+        t_start = self._t0 + self._cycles_added * self._cycle_duration
+        self._cycles_added += m
+        sig_a, sig_b, sig_c, sig_d = (_by_matrix(st[:, :, g, :m]) for st in (
+            chunk.sig_a, chunk.sig_b, chunk.sig_c, chunk.sig_d))
         e1 = np.empty((m, length))
         e2 = np.empty((m, length))
         e3 = np.empty((m, length))
 
         e1_a, e3_a = self._mode_energies(sig_a)
         e1_c, e3_c = self._mode_energies(sig_c)
-        e1[:, self._i_a], e2[:, self._i_a], e3[:, self._i_a] = e1_a, chunk.e_a[:m], e3_a
+        e1[:, self._i_a], e2[:, self._i_a], e3[:, self._i_a] = e1_a, chunk.e_a[g, :m], e3_a
         e1[:, self._s_comp] = e1_a[:, None]
         e3[:, self._s_comp] = e3_a[:, None]
         e2[:, self._s_comp] = np.einsum("nab,kab->kn", self._comp_weights, sig_a)
         e1_b, e3_b = self._mode_energies(sig_b)
-        e1[:, self._i_b], e2[:, self._i_b], e3[:, self._i_b] = e1_b, chunk.e_b[:m], e3_b
-        hs = chunk.heat_states[:m]
+        e1[:, self._i_b], e2[:, self._i_b], e3[:, self._i_b] = e1_b, chunk.e_b[g, :m], e3_b
+        hs = _by_matrix(heat_states)
         e1_h, e3_h = self._mode_energies(hs)
         e1[:, self._s_heat] = e1_h
         e2[:, self._s_heat] = 0.5 * (hs[..., 4, 4] + self._w1sq * hs[..., 1, 1])
         e3[:, self._s_heat] = e3_h
-        e1[:, self._i_c], e2[:, self._i_c], e3[:, self._i_c] = e1_c, chunk.e_c[:m], e3_c
+        e1[:, self._i_c], e2[:, self._i_c], e3[:, self._i_c] = e1_c, chunk.e_c[g, :m], e3_c
         e1[:, self._s_exp] = e1_c[:, None]
         e3[:, self._s_exp] = e3_c[:, None]
         e2[:, self._s_exp] = np.einsum("nab,kab->kn", self._exp_weights, sig_c)
         e1_d, e3_d = self._mode_energies(sig_d)
-        e1[:, self._i_d], e2[:, self._i_d], e3[:, self._i_d] = e1_d, chunk.e_d[:m], e3_d
-        cs = chunk.cool_states[:m]
+        e1[:, self._i_d], e2[:, self._i_d], e3[:, self._i_d] = e1_d, chunk.e_d[g, :m], e3_d
+        cs = _by_matrix(cool_states)
         e1_k, e3_k = self._mode_energies(cs)
         e1[:, self._s_cool] = e1_k
         e2[:, self._s_cool] = 0.5 * (cs[..., 4, 4] + self._w3sq * cs[..., 1, 1])
@@ -773,11 +924,11 @@ class _TimeSeriesBuilder:
         self._parts["neg"].append(corr_rows["neg"].reshape(-1, 3))
         self._parts["disc"].append(corr_rows["disc"].reshape(-1, 3))
 
-        last = chunk.sig_e[m - 1]
+        last = _by_matrix(chunk.sig_e[:, :, g, m - 1])
         e1_e, e3_e = self._mode_energies(last[None])
         self._closing = (
             t_start + m * self._cycle_duration,
-            float(e1_e[0]), float(chunk.e_e[m - 1]), float(e3_e[0]),
+            float(e1_e[0]), float(chunk.e_e[g, m - 1]), float(e3_e[0]),
             neg[m - 1, -1].copy() if neg is not None else np.full(3, np.nan),
             disc[m - 1, -1].copy() if disc is not None else np.full(3, np.nan),
         )
@@ -831,3 +982,60 @@ def run_reduced(params: EngineParams, *, correlations: bool = True,
     return Engine(params).run(
         want_timeseries=False, correlations=correlations, keep_records=False,
         heat_samples=heat_samples, cool_samples=cool_samples)
+
+
+@dataclass(frozen=True)
+class EnsembleTotals:
+    """What run_reduced keeps of each engine of an ensemble; row e is params[e]."""
+
+    n_cycles: np.ndarray        # (E,) counted cycles
+    w_total: np.ndarray         # (E,)
+    discord_max: np.ndarray     # (E, 3) pairs (1,2), (2,3), (1,3)
+    negativity_max: np.ndarray  # (E, 3)
+
+
+def run_reduced_ensemble(params: Sequence[EngineParams], *, heat_samples: int = 4,
+                         cool_samples: int = 2) -> EnsembleTotals:
+    """run_reduced for many engines at once, stepped together in lockstep.
+
+    Every engine gets exactly the numbers run_reduced gives it alone: the
+    engines share one cycle kernel and stepping loop, never their
+    arithmetic.  Engines are taken _ENSEMBLE_SIZE at a time.  Every initial
+    and final state is checked for physicality once; errors name engines by
+    their position in `params`.
+    """
+    n_eng = len(params)
+    sigma0 = validate_covariances(product_states([p.prep for p in params]))
+    final = np.empty_like(sigma0)
+    n_cycles = np.zeros(n_eng, dtype=int)
+    w_total = np.zeros(n_eng)
+    disc_max = np.zeros((n_eng, 3))
+    neg_max = np.zeros((n_eng, 3))
+    for lo in range(0, n_eng, _ENSEMBLE_SIZE):
+        block = range(lo, min(lo + _ENSEMBLE_SIZE, n_eng))
+        heat = {e: _interior_times(params[e].tau_h, heat_samples, params[e].sample_dt)
+                for e in block}
+        cool = {e: _interior_times(params[e].tau_c, cool_samples, params[e].sample_dt)
+                for e in block}
+        # Engines with the same ramp mode and interior point counts share stacks.
+        cohorts: dict[tuple, list[int]] = {}
+        for e in block:
+            cohorts.setdefault((params[e].ramp, heat[e].size, cool[e].size), []).append(e)
+        for rows in cohorts.values():
+            group = [params[e] for e in rows]
+            limits = [_stop_limits(p) for p in group]
+            runs = _run_engines(
+                _Strokes(group, ids=rows), sigma0[rows],
+                totals=np.array([total for total, _ in limits]),
+                eps_stop=np.array([eps for _, eps in limits]),
+                first_cycle=np.zeros(len(group), dtype=int),
+                heat_times=np.stack([heat[e] for e in rows]),
+                cool_times=np.stack([cool[e] for e in rows]),
+                correlations=True, keep_records=False)
+            final[rows] = runs.sigma
+            n_cycles[rows] = runs.simulated - runs.probe
+            w_total[rows] = [runs.w_total(k) for k in range(len(rows))]
+            disc_max[rows] = runs.disc_max
+            neg_max[rows] = runs.neg_max
+    validate_covariances(final)
+    return EnsembleTotals(n_cycles, w_total, disc_max, neg_max)

@@ -27,7 +27,8 @@ import numpy as np
 from scipy.optimize import differential_evolution, minimize
 
 from .energetics import ergotropy
-from .engine import EngineParams, WorkNonNegative, run_reduced
+from . import engine
+from .engine import EngineParams, WorkNonNegative, run_reduced, run_reduced_ensemble
 from .errors import ConfigError
 from .propagators import RampMode
 from .states import Preparation, matched_squeezing, nbar_from_beta, \
@@ -157,37 +158,54 @@ def _draw(box: ParameterBox, rng: np.random.Generator,
             return values
 
 
+def scan_samples(indices: range, settings: ScanSettings) -> list[ScanSample]:
+    """Draw and run the samples of a contiguous index range as one ensemble."""
+    draws, params = [], []
+    for index in indices:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(settings.seed, spawn_key=(index,)))
+        values = _draw(settings.box, rng, settings.min_alpha23_tau_c)
+        prep = settings.family.preparation(values["omega3"], settings.beta1)
+        params.append(EngineParams(
+            prep=prep, alpha12=values["alpha12"], alpha23=values["alpha23"],
+            tau_comp=values["tau_comp"], tau_h=values["tau_h"], tau_c=values["tau_c"],
+            ramp=settings.ramp, stop=WorkNonNegative(), max_cycles=settings.max_cycles))
+        draws.append(values)
+    totals = run_reduced_ensemble(params, heat_samples=settings.heat_samples,
+                                  cool_samples=settings.cool_samples)
+    samples = []
+    for e, (index, values) in enumerate(zip(indices, draws)):
+        d12, d23, d13 = (float(v) for v in totals.discord_max[e])
+        n12, n23, n13 = (float(v) for v in totals.negativity_max[e])
+        samples.append(ScanSample(
+            index=index, alpha12=values["alpha12"], alpha23=values["alpha23"],
+            tau_h=values["tau_h"], tau_c=values["tau_c"], tau_comp=values["tau_comp"],
+            omega3=values["omega3"], cycles=int(totals.n_cycles[e]),
+            w_total=float(totals.w_total[e]),
+            d12_max=d12, d23_max=d23, d13_max=d13,
+            n12_max=n12, n23_max=n23, n13_max=n13))
+    return samples
+
+
 def scan_sample(index: int, settings: ScanSettings) -> ScanSample:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(settings.seed, spawn_key=(index,)))
-    values = _draw(settings.box, rng, settings.min_alpha23_tau_c)
-    omega3 = values["omega3"]
-    prep = settings.family.preparation(omega3, settings.beta1)
-    params = EngineParams(
-        prep=prep, alpha12=values["alpha12"], alpha23=values["alpha23"],
-        tau_comp=values["tau_comp"], tau_h=values["tau_h"], tau_c=values["tau_c"],
-        ramp=settings.ramp, stop=WorkNonNegative(), max_cycles=settings.max_cycles)
-    result = run_reduced(params, heat_samples=settings.heat_samples,
-                         cool_samples=settings.cool_samples)
-    d12, d23, d13 = result.discord_max
-    n12, n23, n13 = result.negativity_max
-    return ScanSample(
-        index=index, alpha12=values["alpha12"], alpha23=values["alpha23"],
-        tau_h=values["tau_h"], tau_c=values["tau_c"], tau_comp=values["tau_comp"],
-        omega3=omega3, cycles=result.n_cycles, w_total=result.w_total,
-        d12_max=d12, d23_max=d23, d13_max=d13,
-        n12_max=n12, n23_max=n23, n13_max=n13)
+    """One sample: a scan of the single index."""
+    return scan_samples(range(index, index + 1), settings)[0]
 
 
-def _scan_worker(args: tuple[int, ScanSettings]) -> ScanSample:
-    return scan_sample(*args)
+def _scan_worker(args: tuple[range, ScanSettings]) -> list[ScanSample]:
+    return scan_samples(*args)
 
 
 def random_scan(n_samples: int, seed: int, *, box: Optional[ParameterBox] = None,
                 family: PrepFamily = PrepFamily.THERMAL, beta1: float = DEFAULT_BETA1,
                 ramp: RampMode = RampMode.QUASI_STATIC, max_cycles: int = 10_000,
                 min_alpha23_tau_c: float = 0.0, workers: int = 1) -> list[ScanSample]:
-    """Run n_samples independent seeded engine draws; order follows index."""
+    """Run n_samples independent seeded engine draws; order follows index.
+
+    Each worker runs contiguous blocks of indices, every block as one
+    ensemble of engines stepped together; sample i's numbers depend only on
+    (seed, i), never on the blocks or the worker count.
+    """
     if n_samples < 0:
         raise ConfigError(f"n_samples must be >= 0, got {n_samples}")
     if workers < 1:
@@ -199,11 +217,13 @@ def random_scan(n_samples: int, seed: int, *, box: Optional[ParameterBox] = None
     settings = ScanSettings(seed=seed, box=box, family=family, beta1=beta1,
                             ramp=ramp, max_cycles=max_cycles,
                             min_alpha23_tau_c=min_alpha23_tau_c)
-    jobs = [(i, settings) for i in range(n_samples)]
     if workers == 1 or n_samples < 2 * workers:
-        return [scan_sample(i, settings) for i, _ in jobs]
+        return scan_samples(range(n_samples), settings)
+    size = max(1, min(engine._ENSEMBLE_SIZE, n_samples // (8 * workers)))
+    jobs = [(range(lo, min(lo + size, n_samples)), settings)
+            for lo in range(0, n_samples, size)]
     with Pool(workers) as pool:
-        return pool.map(_scan_worker, jobs, chunksize=max(1, n_samples // (8 * workers)))
+        return [s for block in pool.map(_scan_worker, jobs) for s in block]
 
 
 # -- optimization -----------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -33,11 +34,22 @@ DEGENERATE_OMEGA_TOL = 1e-9
 _OMEGA6 = symplectic_form(3)
 
 
-def _check_symplectic(mat: np.ndarray, tol: float = SYMPLECTIC_TOL) -> float:
-    defect = float(np.max(np.abs(mat @ _OMEGA6 @ mat.T - _OMEGA6)))
-    if not defect <= tol:
-        raise SymplecticityError(f"propagator defect |S Omega S^T - Omega| = {defect:.3e} > {tol:.1e}")
-    return defect
+def _check_symplectic(mat: np.ndarray, tol: float = SYMPLECTIC_TOL, *,
+                      name: Optional[Callable[[int], str]] = None) -> "float | np.ndarray":
+    """Defect |S Omega S^T - Omega| of a 6x6 map or of each map in an (N, 6, 6) stack.
+
+    Raises on the first map whose defect is not <= tol, so a NaN defect
+    fails too.  A stack's error names map k as name(k), or "map k".
+    """
+    mat = np.asarray(mat, dtype=float)
+    defect = np.max(np.abs(mat @ _OMEGA6 @ np.swapaxes(mat, -1, -2) - _OMEGA6), axis=(-2, -1))
+    bad = np.flatnonzero(~(defect <= tol))
+    if bad.size:
+        k = int(bad[0])
+        where = "" if defect.ndim == 0 else f"{name(k) if name else f'map {k}'}: "
+        raise SymplecticityError(f"{where}propagator defect |S Omega S^T - Omega| = "
+                                 f"{defect.flat[k]:.3e} > {tol:.1e}")
+    return float(defect) if defect.ndim == 0 else defect
 
 
 @dataclass(frozen=True)
@@ -79,10 +91,10 @@ class RampSchedule:
     mode: RampMode = RampMode.LINEAR_AIRY
 
     def __post_init__(self) -> None:
-        if self.omega_in <= 0 or self.omega_fin <= 0:
-            raise ValueError(f"ramp frequencies must be > 0, got {self.omega_in}, {self.omega_fin}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if not all(math.isfinite(v) and v > 0 for v in (self.omega_in, self.omega_fin)):
+            raise ValueError(f"ramp frequencies must be finite and > 0, got {self.omega_in}, {self.omega_fin}")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         if self.mode is RampMode.SUDDEN and self.tau != 0.0:
             raise ValueError("a sudden ramp has zero duration; set tau = 0")
         if self.mode is not RampMode.SUDDEN and self.tau == 0.0:
@@ -140,47 +152,52 @@ def coupling_propagator(alpha: float, omega: float, omega_spec: float, t: float,
     return SymplecticPropagator(mat, duration=t, label=f"coupling-{side.value}")
 
 
-def coupling_propagators_at(alpha: float, omega: float, omega_spec: float,
-                            times: np.ndarray, side: CouplingSide) -> np.ndarray:
-    """Stack of coupling propagators at the given times, shape (len(times), 6, 6)."""
+def coupling_propagators_at(alpha, omega, omega_spec, times, side: CouplingSide) -> np.ndarray:
+    """Stack of unvalidated coupling propagators, shape broadcast(args) + (6, 6).
+
+    alpha, omega and omega_spec may be arrays (one entry per engine) that
+    broadcast against times: scalars with times of shape (n,) give (n, 6, 6),
+    and (E, 1) parameters with (E, n) times give (E, n, 6, 6).
+    """
     (a, b), k = _PAIR_OF[side]
     t = np.asarray(times, dtype=float)
+    alpha, omega, omega_spec = (np.asarray(v, dtype=float) for v in (alpha, omega, omega_spec))
     ca, sa = np.cos(alpha * t), np.sin(alpha * t)
     cw, sw = np.cos(omega * t), np.sin(omega * t)
     cc, ss, cs, sc = ca * cw, sa * sw, ca * sw, sa * cw
     ck, sk = np.cos(omega_spec * t), np.sin(omega_spec * t)
-    out = np.zeros((t.size, 6, 6))
+    nss, cso, sco, ocs, osc = -ss, cs / omega, sc / omega, -omega * cs, -omega * sc
+    out = np.zeros(np.broadcast(t, alpha, omega, omega_spec).shape + (6, 6))
     for i, j, val in (
-        (a, a, cc), (a, b, -ss), (b, a, -ss), (b, b, cc),
-        (a, a + 3, cs / omega), (a, b + 3, sc / omega),
-        (b, a + 3, sc / omega), (b, b + 3, cs / omega),
-        (a + 3, a, -omega * cs), (a + 3, b, -omega * sc),
-        (b + 3, a, -omega * sc), (b + 3, b, -omega * cs),
-        (a + 3, a + 3, cc), (a + 3, b + 3, -ss), (b + 3, a + 3, -ss), (b + 3, b + 3, cc),
+        (a, a, cc), (a, b, nss), (b, a, nss), (b, b, cc),
+        (a, a + 3, cso), (a, b + 3, sco), (b, a + 3, sco), (b, b + 3, cso),
+        (a + 3, a, ocs), (a + 3, b, osc), (b + 3, a, osc), (b + 3, b, ocs),
+        (a + 3, a + 3, cc), (a + 3, b + 3, nss), (b + 3, a + 3, nss), (b + 3, b + 3, cc),
         (k, k, ck), (k, k + 3, sk / omega_spec), (k + 3, k, -omega_spec * sk), (k + 3, k + 3, ck),
     ):
-        out[:, i, j] = val
+        out[..., i, j] = val
     return out
 
 
-def ramp_xy(omega_in: float, omega_fin: float, tau: float,
-            t: "float | np.ndarray") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def ramp_xy(omega_in, omega_fin, tau, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fundamental solutions of xddot = -omega^2(t) x on the linear-omega^2 sweep.
 
     Returns (x, y, xdot, ydot) with x(0) = 0, xdot(0) = 1, y(0) = 1,
     ydot(0) = 0.  Both are Airy-function combinations in the rescaled
     variable z(t) = -omega^2(t) (tau/(omega_in^2 - omega_fin^2))^{2/3};
-    the Wronskian xdot*y - x*ydot stays exactly 1.
+    the Wronskian xdot*y - x*ydot stays exactly 1.  The sweep parameters
+    may be arrays that broadcast against t, one sweep per entry.
     """
-    dsq = omega_in**2 - omega_fin**2
-    if abs(omega_in - omega_fin) < DEGENERATE_OMEGA_TOL:
+    omega_in, omega_fin, tau = (np.asarray(v, dtype=float) for v in (omega_in, omega_fin, tau))
+    gap = np.abs(omega_in - omega_fin)
+    if np.any(gap < DEGENERATE_OMEGA_TOL):
         raise DegenerateRampError(
-            f"|omega_in - omega_fin| = {abs(omega_in - omega_fin):.2e} too small; use a constant-frequency rotation"
+            f"|omega_in - omega_fin| = {np.min(gap):.2e} too small; use a constant-frequency rotation"
         )
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    s = tau / dsq
-    cube = math.copysign(abs(s) ** (1.0 / 3.0), s)
+    if np.any(tau <= 0):
+        raise ValueError(f"tau must be > 0, got {np.min(tau)}")
+    s = tau / (omega_in**2 - omega_fin**2)
+    cube = np.cbrt(s)
     s23 = cube * cube
     t = np.asarray(t, dtype=float)
     omega_sq_t = omega_in**2 + (omega_fin**2 - omega_in**2) * t / tau
@@ -195,7 +212,7 @@ def ramp_xy(omega_in: float, omega_fin: float, tau: float,
     return x, y, xdot, ydot
 
 
-def ramp_phase_integral(omega_in: float, omega_fin: float, tau: float) -> float:
+def ramp_phase_integral(omega_in, omega_fin, tau):
     """Accumulated phase integral(0..tau) omega(t) dt of the sweep, in closed form.
 
     Equals (2/3) tau (omega_in^2 + omega_in omega_fin + omega_fin^2)
@@ -213,40 +230,66 @@ def ramp_phase_variant(omega_in: float, omega_fin: float, tau: float) -> float:
     return (2.0 / 3.0) * tau * (2.0 * omega_fin**2 + omega_in * omega_fin) / (omega_in + omega_fin)
 
 
-def _middle_block_quasistatic(omega_in: float, omega_fin: float, phi: float) -> np.ndarray:
-    root = math.sqrt(omega_in / omega_fin)
-    prod = math.sqrt(omega_in * omega_fin)
-    return np.array([
-        [root * math.cos(phi), math.sin(phi) / prod],
-        [-prod * math.sin(phi), math.cos(phi) / root],
-    ])
+def _place_block(out: np.ndarray, mode: int, m00, m01, m10, m11) -> None:
+    """Write one mode's 2x2 (x_i, p_i) block into a (..., 6, 6) stack."""
+    out[..., mode, mode] = m00
+    out[..., mode, mode + 3] = m01
+    out[..., mode + 3, mode] = m10
+    out[..., mode + 3, mode + 3] = m11
 
 
-def _free_block(omega: float, t: float) -> np.ndarray:
-    return np.array([
-        [math.cos(omega * t), math.sin(omega * t) / omega],
-        [-omega * math.sin(omega * t), math.cos(omega * t)],
-    ])
-
-
-def _assemble_blocks(blocks: list[np.ndarray]) -> np.ndarray:
-    """Interleave per-mode 2x2 (x_i, p_i) blocks into the global 6x6 ordering."""
-    out = np.zeros((6, 6))
-    for i, blk in enumerate(blocks):
-        out[i, i] = blk[0, 0]
-        out[i, i + 3] = blk[0, 1]
-        out[i + 3, i] = blk[1, 0]
-        out[i + 3, i + 3] = blk[1, 1]
-    return out
+def _place_free(out: np.ndarray, mode: int, omega, t) -> None:
+    c, s = np.cos(omega * t), np.sin(omega * t)
+    _place_block(out, mode, c, s / omega, -omega * s, c)
 
 
 def harmonic_propagator(omegas: tuple[float, float, float], t: float) -> SymplecticPropagator:
     """Free rotation of three uncoupled oscillators for time t."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    return SymplecticPropagator(
-        _assemble_blocks([_free_block(w, t) for w in omegas]), duration=t, label="free"
-    )
+    out = np.zeros((6, 6))
+    for mode, w in enumerate(omegas):
+        _place_free(out, mode, w, t)
+    return SymplecticPropagator(out, duration=t, label="free")
+
+
+def ramp_propagators(mode: RampMode, omega_in, omega_fin, tau, t, omega_hi, omega_lo) -> np.ndarray:
+    """Stack of unvalidated ramp-stroke propagators, shape broadcast(args) + (6, 6).
+
+    The middle oscillator is swept from omega_in to omega_fin over tau and
+    the outer ones rotate freely at omega_hi (hot) and omega_lo (cold); t is
+    the time into the stroke.  Every argument may be an array, one entry per
+    engine or per instant.  A sudden ramp is the identity, and the
+    quasi-static map exists only at t = tau.  A finite-time sweep whose
+    endpoints agree to DEGENERATE_OMEGA_TOL is a constant-frequency rotation
+    at omega_in, entry by entry.
+    """
+    args = [np.asarray(v, dtype=float) for v in (omega_in, omega_fin, tau, t, omega_hi, omega_lo)]
+    omega_in, omega_fin, tau, t, omega_hi, omega_lo = args
+    out = np.zeros(np.broadcast(*args).shape + (6, 6))
+    if mode is RampMode.SUDDEN:
+        out[...] = np.eye(6)
+        return out
+    if mode is RampMode.QUASI_STATIC:
+        if np.any(t != tau):
+            raise ValueError("the quasi-static map is defined only at the full stroke duration")
+        phi = ramp_phase_integral(omega_in, omega_fin, tau)
+        root, prod = np.sqrt(omega_in / omega_fin), np.sqrt(omega_in * omega_fin)
+        c, s = np.cos(phi), np.sin(phi)
+        _place_block(out, 1, root * c, s / prod, -prod * s, c / root)
+    else:
+        omega_in, omega_fin, tau, t = np.broadcast_arrays(omega_in, omega_fin, tau, t)
+        degenerate = np.abs(omega_in - omega_fin) < DEGENERATE_OMEGA_TOL
+        _place_free(out, 1, omega_in, t)
+        if not np.all(degenerate):
+            sweep = ~degenerate
+            x, y, xd, yd = ramp_xy(omega_in[sweep], omega_fin[sweep], tau[sweep], t[sweep])
+            mid = out[sweep]
+            _place_block(mid, 1, y, x, yd, xd)
+            out[sweep] = mid
+    _place_free(out, 0, omega_hi, t)
+    _place_free(out, 2, omega_lo, t)
+    return out
 
 
 def ramp_propagator(schedule: RampSchedule, *, spectator_omega1: float | None = None,
@@ -266,26 +309,10 @@ def ramp_propagator(schedule: RampSchedule, *, spectator_omega1: float | None = 
         t = schedule.tau
     if t < 0 or t > schedule.tau:
         raise ValueError(f"t must lie in [0, tau], got {t}")
-
-    if schedule.mode is RampMode.SUDDEN:
-        return SymplecticPropagator(np.eye(6), duration=0.0, label="ramp-sudden")
-
-    if schedule.mode is RampMode.QUASI_STATIC:
-        if t != schedule.tau:
-            raise ValueError("the quasi-static map is defined only at the full stroke duration")
-        phi = ramp_phase_integral(schedule.omega_in, schedule.omega_fin, schedule.tau)
-        mid = _middle_block_quasistatic(schedule.omega_in, schedule.omega_fin, phi)
-        blocks = [_free_block(w_hi, schedule.tau), mid, _free_block(w_lo, schedule.tau)]
-        return SymplecticPropagator(_assemble_blocks(blocks), duration=schedule.tau, label="ramp-quasistatic")
-
-    if abs(schedule.omega_in - schedule.omega_fin) < DEGENERATE_OMEGA_TOL:
-        # Degenerate sweep: constant frequency to numerical accuracy.
-        return harmonic_propagator((w_hi, schedule.omega_in, w_lo), t)
-
-    x, y, xd, yd = ramp_xy(schedule.omega_in, schedule.omega_fin, schedule.tau, t)
-    mid = np.array([[float(y), float(x)], [float(yd), float(xd)]])
-    blocks = [_free_block(w_hi, t), mid, _free_block(w_lo, t)]
-    return SymplecticPropagator(_assemble_blocks(blocks), duration=t, label="ramp-airy")
+    mat = ramp_propagators(schedule.mode, schedule.omega_in, schedule.omega_fin, schedule.tau,
+                           t, w_hi, w_lo)
+    duration = 0.0 if schedule.mode is RampMode.SUDDEN else t
+    return SymplecticPropagator(mat, duration=duration, label=f"ramp-{schedule.mode.value}")
 
 
 def ramp_propagators_at(schedule: RampSchedule, times: np.ndarray, *,
@@ -300,25 +327,8 @@ def ramp_propagators_at(schedule: RampSchedule, times: np.ndarray, *,
         raise ValueError("interior ramp maps exist only for the finite-time sweep")
     w_hi = spectator_omega1 if spectator_omega1 is not None else max(schedule.omega_in, schedule.omega_fin)
     w_lo = spectator_omega3 if spectator_omega3 is not None else min(schedule.omega_in, schedule.omega_fin)
-    t = np.asarray(times, dtype=float)
-    out = np.zeros((t.size, 6, 6))
-    if abs(schedule.omega_in - schedule.omega_fin) < DEGENERATE_OMEGA_TOL:
-        x = np.sin(schedule.omega_in * t) / schedule.omega_in
-        y = np.cos(schedule.omega_in * t)
-        xd = np.cos(schedule.omega_in * t)
-        yd = -schedule.omega_in * np.sin(schedule.omega_in * t)
-    else:
-        x, y, xd, yd = ramp_xy(schedule.omega_in, schedule.omega_fin, schedule.tau, t)
-    out[:, 1, 1] = y
-    out[:, 1, 4] = x
-    out[:, 4, 1] = yd
-    out[:, 4, 4] = xd
-    for k, w in ((0, w_hi), (2, w_lo)):
-        out[:, k, k] = np.cos(w * t)
-        out[:, k, k + 3] = np.sin(w * t) / w
-        out[:, k + 3, k] = -w * np.sin(w * t)
-        out[:, k + 3, k + 3] = np.cos(w * t)
-    return out
+    return ramp_propagators(RampMode.LINEAR_AIRY, schedule.omega_in, schedule.omega_fin,
+                            schedule.tau, np.asarray(times, dtype=float).reshape(-1), w_hi, w_lo)
 
 
 def ode_propagator(schedule: RampSchedule, tol: float = 1e-11, *,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -44,17 +44,57 @@ def symplectic_eigenvalues(sigma: Union[np.ndarray, "CovarianceMatrix"]) -> np.n
     """Symplectic spectrum of a covariance matrix, ascending.
 
     The 2n eigenvalues of i*Omega*sigma come in +/- pairs; the n distinct
-    moduli are returned.  Physical states have every value >= 1/2.
+    moduli are returned.  Physical states have every value >= 1/2.  A
+    (..., 2n, 2n) stack gives a (..., n) stack of spectra.
     """
     mat = sigma.matrix if isinstance(sigma, CovarianceMatrix) else np.asarray(sigma, dtype=float)
-    n = mat.shape[0] // 2
-    if mat.shape != (2 * n, 2 * n):
+    n = mat.shape[-1] // 2
+    if mat.ndim < 2 or mat.shape[-2:] != (2 * n, 2 * n) or n == 0:
         raise ValueError(f"covariance matrix must be square with even dimension, got {mat.shape}")
-    if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(mat)))):
+    scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)))
+    if np.any(np.max(np.abs(mat - np.swapaxes(mat, -1, -2)), axis=(-2, -1)) > SYMMETRY_TOL * scale):
         raise PhysicalityError("covariance matrix is not symmetric")
-    ev = np.abs(np.linalg.eigvals(symplectic_form(n) @ mat))
-    ev.sort()
-    return ev[::2]
+    return _spectrum(mat)
+
+
+def _spectrum(mat: np.ndarray) -> np.ndarray:
+    ev = np.sort(np.abs(np.linalg.eigvals(symplectic_form(mat.shape[-1] // 2) @ mat)), axis=-1)
+    return ev[..., ::2]
+
+
+def validate_covariances(mats: np.ndarray) -> np.ndarray:
+    """Check a (E, 2n, 2n) stack of covariance matrices; return it symmetrised.
+
+    Each matrix must be finite, symmetric to 1e-12 relative to its largest
+    entry, and physical: min symplectic eigenvalue >= 1/2 - 1e-9.  The
+    first failing matrix is named by its stack index.
+    """
+    mat = np.array(mats, dtype=float)
+    if mat.ndim != 3 or mat.shape[1] != mat.shape[2] or mat.shape[1] % 2 or mat.shape[1] == 0:
+        raise PhysicalityError(f"expected a stack of 2n x 2n matrices, got {mat.shape}")
+    if mat.shape[0] == 0:
+        return mat
+
+    def fail(bad: np.ndarray, what: str) -> None:
+        where = f"state {int(np.flatnonzero(bad)[0])}: " if mat.shape[0] > 1 else ""
+        raise PhysicalityError(f"{where}covariance matrix {what}")
+
+    flat = mat.reshape(mat.shape[0], -1)
+    finite = np.isfinite(flat).all(axis=1)
+    if not finite.all():
+        fail(~finite, "has non-finite entries")
+    mat_t = mat.transpose(0, 2, 1)
+    scale = np.maximum(1.0, np.abs(flat).max(axis=1))
+    asym = np.abs(mat - mat_t).reshape(flat.shape).max(axis=1) > SYMMETRY_TOL * scale
+    if asym.any():
+        fail(asym, "is not symmetric to 1e-12")
+    mat = 0.5 * (mat + mat_t)
+    nu_min = _spectrum(mat)[:, 0]
+    low = ~(nu_min >= 0.5 - PHYSICALITY_TOL)
+    if low.any():
+        fail(low, f"violates the uncertainty bound: min symplectic eigenvalue "
+                  f"{float(nu_min[np.flatnonzero(low)[0]])!r} < 1/2")
+    return mat
 
 
 @dataclass(frozen=True)
@@ -62,27 +102,18 @@ class CovarianceMatrix:
     """Validated covariance matrix of one, two or three modes.
 
     Construction checks symmetry (to 1e-12 relative to the largest entry)
-    and physicality (min symplectic eigenvalue >= 1/2 - 1e-9).  The wrapped
-    array is made read-only so instances can be shared freely.
+    and physicality (min symplectic eigenvalue >= 1/2 - 1e-9), as
+    validate_covariances does for a stack.  The wrapped array is made
+    read-only so instances can be shared freely.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 or mat.shape[0] == 0:
+        mat = np.asarray(self.matrix, dtype=float)
+        if mat.ndim != 2:
             raise PhysicalityError(f"expected a 2n x 2n matrix, got shape {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise PhysicalityError("covariance matrix has non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL * scale:
-            raise PhysicalityError("covariance matrix is not symmetric to 1e-12")
-        mat = 0.5 * (mat + mat.T)
-        nu_min = float(symplectic_eigenvalues(mat)[0])
-        if nu_min < 0.5 - PHYSICALITY_TOL:
-            raise PhysicalityError(
-                f"covariance matrix violates the uncertainty bound: min symplectic eigenvalue {nu_min!r} < 1/2"
-            )
+        mat = validate_covariances(mat[None])[0]
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -198,19 +229,26 @@ class Preparation:
         return (self.omega1, self.omega3, self.omega3)
 
 
-def product_state(prep: Preparation) -> CovarianceMatrix:
-    """Assemble the 6x6 covariance matrix of the initial product state.
+def product_states(preps: Sequence[Preparation]) -> np.ndarray:
+    """Unvalidated (E, 6, 6) stack of initial product states, one per preparation.
 
-    Only the assembled matrix is validated: its symplectic spectrum is the
-    union of the blocks' spectra, so checking each block first adds nothing.
+    Pass the stack through validate_covariances before trusting it; its
+    symplectic spectrum is the union of the blocks' spectra, so checking
+    each block first adds nothing.
     """
-    sigma = np.zeros((6, 6))
-    for i, (mode, omega) in enumerate(zip(prep.modes, prep.frequencies)):
-        b = mode.block(omega)
-        sigma[i, i] = b[0, 0]
-        sigma[i + 3, i + 3] = b[1, 1]
-        sigma[i, i + 3] = sigma[i + 3, i] = b[0, 1]
-    return CovarianceMatrix(sigma)
+    sigma = np.zeros((len(preps), 6, 6))
+    for e, prep in enumerate(preps):
+        for i, (mode, omega) in enumerate(zip(prep.modes, prep.frequencies)):
+            b = mode.block(omega)
+            sigma[e, i, i] = b[0, 0]
+            sigma[e, i + 3, i + 3] = b[1, 1]
+            sigma[e, i, i + 3] = sigma[e, i + 3, i] = b[0, 1]
+    return sigma
+
+
+def product_state(prep: Preparation) -> CovarianceMatrix:
+    """The validated 6x6 covariance matrix of one initial product state."""
+    return CovarianceMatrix(product_states([prep])[0])
 
 
 def restrict(sigma: Union[np.ndarray, CovarianceMatrix], i: int, j: int) -> CovarianceMatrix:

@@ -305,3 +305,21 @@ class TestNumericalFailureExit:
     def test_missing_subcommand_is_an_argparse_exit(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestRampAndSampleRejection:
+    def test_unknown_ramp_in_scan_config(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"schema_version": 1,
+                                   "scan": {"n_samples": 2, "ramp": "adiabatic"}})
+        assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_unknown_ramp_in_optimize_config(self, tmp_path):
+        for ramp in ("adiabatic", ["quasistatic"]):
+            cfg = write_cfg(tmp_path, {"schema_version": 1,
+                                       "optimize": {"omega3": 0.1, "budget": 2,
+                                                    "ramp": ramp}})
+            assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_too_fine_sample_dt(self, tmp_path):
+        doc = base_config(sample_dt=1e-7, tau_h=0.59)
+        assert simulate(write_cfg(tmp_path, doc), tmp_path / "o") == 2

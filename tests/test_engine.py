@@ -12,6 +12,7 @@ from otto3.energetics import mode_energies, mode_energy
 from otto3.engine import (Engine, EngineParams, FixedCycles, TimeSeries,
                           WorkNonNegative, run_engine, run_reduced)
 from otto3.errors import ConfigError, PhaseOrderError
+from otto3.engine import _BATCH_POINT_BUDGET, run_reduced_ensemble
 from otto3.propagators import RampMode
 from otto3.states import (Preparation, SqueezedVacuum, Thermal,
                           thermal_preparation)
@@ -434,3 +435,44 @@ class TestChunkSizeInvariance:
                 assert_allclose([getattr(r, field) for r in rows],
                                 [getattr(r, field) for r in ref_rows],
                                 rtol=1e-12, atol=1e-12 * scale, err_msg=field)
+
+
+class TestSampleBudget:
+    def test_too_fine_sample_dt_is_refused_before_allocation(self):
+        prep = thermal_preparation(beta1=0.01, omega3=0.1)
+        kw = dict(prep=prep, alpha12=0.038, alpha23=1e-4, tau_comp=85.02,
+                  tau_h=0.59, tau_c=0.9996, ramp=RampMode.QUASI_STATIC)
+        with pytest.raises(ConfigError, match="interior points per cycle"):
+            EngineParams(**kw, sample_dt=1e-7)
+        # ramp interiors count too, but only for the finite-time sweep
+        dt = 2.0 * 85.02 / _BATCH_POINT_BUDGET
+        EngineParams(**kw, sample_dt=dt)
+        with pytest.raises(ConfigError):
+            EngineParams(**dict(kw, ramp=RampMode.LINEAR_AIRY), sample_dt=dt)
+        with pytest.raises(ConfigError):
+            EngineParams(**kw, sample_dt=5e-324)
+
+
+class TestReducedEnsemble:
+    def test_each_engine_gets_what_run_reduced_gives_it(self, monkeypatch):
+        prep = thermal_preparation(beta1=0.01, omega3=0.1)
+        base = optimized_params()
+        params = [
+            base,
+            optimized_params(stop=FixedCycles(3)),
+            EngineParams(prep=prep, alpha12=0.02, alpha23=0.01, tau_comp=40.0,
+                         tau_h=0.0, tau_c=0.7, ramp=RampMode.QUASI_STATIC),
+            optimized_params(stop=WorkNonNegative(eps_stop=1e6)),
+            EngineParams(prep=prep, alpha12=0.038, alpha23=1e-4, tau_comp=85.02,
+                         tau_h=0.59, tau_c=0.9996, ramp=RampMode.QUASI_STATIC,
+                         max_cycles=7),
+            optimized_params(ramp=RampMode.LINEAR_AIRY, stop=FixedCycles(5)),
+        ]
+        monkeypatch.setattr(engine, "_ENSEMBLE_SIZE", 4)
+        totals = run_reduced_ensemble(params)
+        for e, p in enumerate(params):
+            alone = run_reduced(p)
+            assert totals.n_cycles[e] == alone.n_cycles
+            assert totals.w_total[e] == alone.w_total
+            assert tuple(totals.discord_max[e]) == alone.discord_max
+            assert tuple(totals.negativity_max[e]) == alone.negativity_max

@@ -9,6 +9,11 @@ from otto3.explore import (DIMENSIONS, Objective, OptimizeOutcome,
                            ParameterBox, PrepFamily, ScanSample, optimize,
                            random_scan)
 from otto3.states import SqueezedVacuum, Thermal
+from otto3 import engine
+from otto3.engine import EngineParams, WorkNonNegative, run_reduced
+from otto3.explore import (DEFAULT_BETA1, DEFAULT_SCAN_COOL_SAMPLES,
+                           DEFAULT_SCAN_HEAT_SAMPLES)
+from otto3.propagators import RampMode
 
 from helpers import (MATCHED_R1, NBAR_BETA_001, OPT_ALPHA12, OPT_ALPHA23,
                      OPT_TAU_C, OPT_TAU_COMP, OPT_TAU_H, W_TOTAL_BASELINE)
@@ -224,3 +229,35 @@ class TestOptimize:
                        family=PrepFamily.SQUEEZED)
         assert isinstance(out.best_params.prep.modes[0], SqueezedVacuum)
         assert out.w_total < 0.0
+
+
+class TestScanEnsembles:
+    """A scan steps its engines together; no sample may notice how."""
+
+    SCAN = dict(n_samples=12, seed=21, max_cycles=400)
+
+    def test_ensemble_and_sub_batch_sizes_do_not_change_samples(self, monkeypatch):
+        reference = random_scan(**self.SCAN)
+        for size in (1, 7, self.SCAN["n_samples"]):
+            monkeypatch.setattr(engine, "_ENSEMBLE_SIZE", size)
+            assert random_scan(**self.SCAN) == reference, f"ensembles of {size}"
+        monkeypatch.setattr(engine, "_STACK_CYCLES", 1)
+        assert random_scan(**self.SCAN) == reference, "one-engine sub-batches"
+        monkeypatch.undo()
+        assert random_scan(**self.SCAN, workers=2) == reference, "two workers"
+
+    @pytest.mark.parametrize("family", list(PrepFamily))
+    @pytest.mark.parametrize("ramp", list(RampMode))
+    def test_sample_equals_run_reduced_on_its_params(self, family, ramp):
+        samples = random_scan(6, seed=8, family=family, ramp=ramp, max_cycles=60)
+        for s in samples:
+            params = EngineParams(
+                prep=family.preparation(s.omega3, DEFAULT_BETA1), alpha12=s.alpha12,
+                alpha23=s.alpha23, tau_comp=s.tau_comp, tau_h=s.tau_h, tau_c=s.tau_c,
+                ramp=ramp, stop=WorkNonNegative(), max_cycles=60)
+            alone = run_reduced(params, heat_samples=DEFAULT_SCAN_HEAT_SAMPLES,
+                                cool_samples=DEFAULT_SCAN_COOL_SAMPLES)
+            assert s.cycles == alone.n_cycles
+            assert s.w_total == alone.w_total
+            assert (s.d12_max, s.d23_max, s.d13_max) == alone.discord_max
+            assert (s.n12_max, s.n23_max, s.n13_max) == alone.negativity_max

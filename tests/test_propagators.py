@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from otto3.energetics import mode_energies, mode_energy
 from otto3 import propagators
 from otto3.errors import DegenerateRampError, IntegrationError, SymplecticityError
+from otto3.propagators import ramp_propagators
 from otto3.propagators import (CouplingSide, RampMode, RampSchedule,
                                SymplecticPropagator, coupling_propagator,
                                coupling_propagators_at, harmonic_propagator,
@@ -379,3 +380,44 @@ class TestHarmonicPropagator:
         out = harmonic_propagator(prep.frequencies, 13.7).apply(sigma)
         assert_allclose(mode_energies(out, prep.frequencies),
                         mode_energies(sigma, prep.frequencies), rtol=1e-12)
+
+
+@pytest.mark.parametrize("field", ["omega_in", "omega_fin", "tau"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ramp_schedule_rejects_non_finite(field, bad):
+    kw = dict(omega_in=1.0, omega_fin=0.1, tau=5.0)
+    kw[field] = bad
+    with pytest.raises(ValueError):
+        RampSchedule(**kw)
+
+
+class TestStackedBuilders:
+    """Stacked builders give every entry exactly its single-map value."""
+
+    @pytest.mark.parametrize("mode", list(RampMode))
+    def test_ramp_stack_matches_singles(self, mode):
+        w_in = np.array([0.1, 0.5, 0.3, 0.7])
+        w_fin = np.array([1.0, 0.5 + 1e-12, 0.9, 0.2])
+        tau = np.zeros(4) if mode is RampMode.SUDDEN else np.array([3.0, 7.0, 40.0, 0.5])
+        stack = ramp_propagators(mode, w_in, w_fin, tau, tau, 1.0, 0.1)
+        for k in range(4):
+            single = ramp_propagator(RampSchedule(w_in[k], w_fin[k], tau[k], mode),
+                                     spectator_omega1=1.0, spectator_omega3=0.1)
+            assert np.array_equal(stack[k], single.matrix)
+
+    def test_coupling_stack_over_parameters(self):
+        alpha = np.array([[0.0], [0.02], [0.05]])
+        omega = np.array([[1.0], [0.4], [0.9]])
+        times = np.array([[0.1, 0.4], [1.0, 3.0], [0.0, 7.5]])
+        stack = coupling_propagators_at(alpha, omega, 0.3, times, CouplingSide.HOT_PAIR)
+        assert stack.shape == (3, 2, 6, 6)
+        for e in range(3):
+            for n in range(2):
+                single = coupling_propagator(float(alpha[e, 0]), float(omega[e, 0]), 0.3,
+                                             float(times[e, n]), CouplingSide.HOT_PAIR)
+                assert np.array_equal(stack[e, n], single.matrix)
+
+    def test_stacked_symplectic_check_names_the_map(self):
+        stack = np.stack([np.eye(6), np.eye(6), 2.0 * np.eye(6)])
+        with pytest.raises(SymplecticityError, match="map 2"):
+            propagators._check_symplectic(stack)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from otto3.correlations import gaussian_discord, pair_correlations
 from otto3.energetics import mode_energies, mode_energy
 from otto3.errors import PhysicalityError
+from otto3.states import product_states, validate_covariances
 from otto3.propagators import CouplingSide, coupling_propagator
 from otto3.states import (CovarianceMatrix, Preparation, SqueezedVacuum, Thermal,
                           beta_from_nbar, matched_squeezing, nbar_from_beta,
@@ -283,3 +284,26 @@ class TestOccupationConversions:
             nbar_from_beta(0.0, 1.0)
         with pytest.raises(ValueError):
             nbar_from_beta(-1.0, 1.0)
+
+
+class TestStackedStates:
+    def test_product_states_match_singles(self):
+        preps = [thermal_preparation(beta1=0.01, omega3=0.1),
+                 squeezed_preparation(beta1=0.05, omega3=0.4)]
+        stack = validate_covariances(product_states(preps))
+        for prep, sigma in zip(preps, stack):
+            assert np.array_equal(sigma, product_state(prep).matrix)
+
+    @pytest.mark.parametrize("defect", ["nan", "asymmetric", "unphysical"])
+    def test_validation_names_the_failing_state(self, defect):
+        stack = np.stack([0.5 * np.eye(6)] * 3)
+        if defect == "nan":
+            stack[1, 0, 0] = np.nan
+        elif defect == "asymmetric":
+            stack[1, 0, 1] = 1e-3
+        else:
+            stack[1] *= 0.5
+        with pytest.raises(PhysicalityError, match="state 1"):
+            validate_covariances(stack)
+        with pytest.raises(PhysicalityError):
+            CovarianceMatrix(stack[1])
