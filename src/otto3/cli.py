@@ -15,6 +15,7 @@ efficiency becomes nan.  Every output is deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,11 +26,11 @@ import numpy as np
 
 from . import analytics
 from .energetics import ergotropy
-from .engine import (Engine, EngineParams, EngineResult, FixedCycles,
+from .engine import (CycleRecord, Engine, EngineParams, EngineResult, FixedCycles,
                      WorkNonNegative)
 from .errors import ConfigError, Otto3Error
 from .explore import (Objective, OptimizeOutcome, ParameterBox, PrepFamily,
-                      optimize, random_scan)
+                      ScanSample, optimize, random_scan)
 from .propagators import (RampMode, RampSchedule, SYMPLECTIC_TOL, harmonic_propagator,
                           ode_propagator, ramp_phase_integral, ramp_phase_variant,
                           ramp_propagator)
@@ -42,10 +43,6 @@ CYCLES_HEADER = ("cycle,W1,W2,Q1,Q2,dU,W_cycle,W_cum,eta,E1,E2,E3,"
 TIMESERIES_HEADER = "t,E1,E2,E3,D12,D23,D13,N12,N23,N13"
 SCAN_HEADER = ("index,alpha12,alpha23,tau_h,tau_c,tau_comp,omega3,cycles,"
                "w_total,d12_max,d23_max,d13_max,n12_max,n23_max,n13_max")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
 
 
 # -- config ------------------------------------------------------------------
@@ -180,24 +177,33 @@ def _parse_box(section: Any, where: str) -> ParameterBox:
 # -- output helpers ----------------------------------------------------------
 
 
-def _write_cycles_csv(path: Path, result: EngineResult) -> None:
-    with open(path, "w") as fh:
-        fh.write(CYCLES_HEADER + "\n")
-        for r in result.records:
-            eta = math.nan if r.eta is None else r.eta
-            row = (str(r.index),) + tuple(_fmt(v) for v in (
-                r.w1, r.w2, r.q1, r.q2, r.du, r.w_cycle, r.w_cum, eta,
-                r.e1, r.e2, r.e3, r.d12_max, r.d23_max, r.d13_max,
-                r.n12_max, r.n23_max, r.n13_max))
-            fh.write(",".join(row) + "\n")
+# Rows per formatted block: bounds the memory of a long time series.
+_BLOCK_ROWS = 1024
 
 
-def _write_timeseries_csv(path: Path, result: EngineResult) -> None:
-    ts = result.timeseries
+def _write_csv(path: Path, header: str, columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length columns under a header line, one row per entry.
+
+    Integer columns print with "%d", the rest with "%.12e", which gives the
+    same strings as f"{v:.12e}" (nan and inf included).  Rows are formatted
+    a block at a time with one template; integer columns pass through
+    float64 there, which is exact below 2**53.
+    """
+    template = ",".join("%d" if c.dtype.kind in "iu" else "%.12e" for c in columns) + "\n"
+    n = len(columns[0])
     with open(path, "w") as fh:
-        fh.write(TIMESERIES_HEADER + "\n")
-        for row in zip(*ts.columns()):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(header + "\n")
+        for lo in range(0, n, _BLOCK_ROWS):
+            block = np.column_stack([c[lo:lo + _BLOCK_ROWS] for c in columns])
+            fh.write((template * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _field_columns(items: Sequence, cls: type) -> list[np.ndarray]:
+    """One column per dataclass field of cls, in field order; an int field
+    stays integer, and a None in a float field becomes nan."""
+    return [np.array([getattr(item, f.name) for item in items],
+                     dtype=int if f.type in ("int", int) else float)
+            for f in dataclasses.fields(cls)]
 
 
 def _summary(result: EngineResult) -> dict:
@@ -237,10 +243,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = build_engine_params(cfg, args)
     out = _out_dir(args)
     result = Engine(params).run()
-    _write_cycles_csv(out / "cycles.csv", result)
-    _write_timeseries_csv(out / "timeseries.csv", result)
+    # The summary's ergotropy can fail; it is computed before any artifact
+    # is written, so a failed run leaves none behind.
+    summary = _summary(result)
+    _write_csv(out / "cycles.csv", CYCLES_HEADER, _field_columns(result.records, CycleRecord))
+    _write_csv(out / "timeseries.csv", TIMESERIES_HEADER, result.timeseries.columns())
     with open(out / "summary.json", "w") as fh:
-        json.dump(_summary(result), fh, indent=2)
+        json.dump(summary, fh, indent=2)
         fh.write("\n")
     print(f"simulate: {result.n_cycles} cycles ({result.stop_reason}), "
           f"W_total = {result.w_total:.6f} -> {out}")
@@ -280,11 +289,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             rows.append((w3, outcome))
             print(f"omega3={w3}: ratio={-outcome.ratio:.6f} "
                   f"W_total={outcome.w_total:.6f} converged={outcome.converged}")
-        with open(out / "ratio_vs_omega3.csv", "w") as fh:
-            fh.write("omega3,ratio,w_total,cycles,evaluations,converged\n")
-            for w3, oc in rows:
-                fh.write(f"{_fmt(w3)},{_fmt(-oc.ratio)},{_fmt(oc.w_total)},"
-                         f"{oc.cycles},{oc.evaluations},{int(oc.converged)}\n")
+        _write_csv(out / "ratio_vs_omega3.csv",
+                   "omega3,ratio,w_total,cycles,evaluations,converged", [
+                       np.array([w3 for w3, _ in rows], dtype=float),
+                       np.array([-oc.ratio for _, oc in rows]),
+                       np.array([oc.w_total for _, oc in rows]),
+                       np.array([oc.cycles for _, oc in rows], dtype=int),
+                       np.array([oc.evaluations for _, oc in rows], dtype=int),
+                       np.array([oc.converged for _, oc in rows], dtype=int)])
         return 0
 
     if "omega3" in section:
@@ -324,10 +336,9 @@ def _write_optimize_outputs(out: Path, outcome: OptimizeOutcome) -> None:
     with open(out / "best_params.json", "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    with open(out / "trace.csv", "w") as fh:
-        fh.write("evaluation,best_value\n")
-        for n, v in outcome.trace:
-            fh.write(f"{n},{_fmt(v)}\n")
+    _write_csv(out / "trace.csv", "evaluation,best_value", [
+        np.array([n for n, _ in outcome.trace], dtype=int),
+        np.array([v for _, v in outcome.trace], dtype=float)])
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -358,14 +369,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     out = _out_dir(args)
-    with open(out / "scan.csv", "w") as fh:
-        fh.write(SCAN_HEADER + "\n")
-        for s in samples:
-            fh.write(f"{s.index}," + ",".join(_fmt(v) for v in (
-                s.alpha12, s.alpha23, s.tau_h, s.tau_c, s.tau_comp, s.omega3))
-                + f",{s.cycles}," + ",".join(_fmt(v) for v in (
-                    s.w_total, s.d12_max, s.d23_max, s.d13_max,
-                    s.n12_max, s.n23_max, s.n13_max)) + "\n")
+    _write_csv(out / "scan.csv", SCAN_HEADER, _field_columns(samples, ScanSample))
     print(f"scan: {len(samples)} samples -> {out / 'scan.csv'}")
     return 0
 

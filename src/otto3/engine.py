@@ -53,9 +53,10 @@ from .states import (CovarianceMatrix, Preparation, product_state, product_state
 
 FIRST_LAW_RTOL = 1e-12
 DEFAULT_STROKE_SAMPLES = 20
-# Cap on (cycles per batch) x (sampled points per cycle); keeps the batched
-# interior-state stacks bounded when sample_dt is very fine.  EngineParams
-# refuses a sample_dt whose interior points per cycle exceed it.
+# Cap on (cycles per batch) x (sampled points, or time-series rows, per
+# cycle); keeps the batched interior-state stacks and one chunk's series
+# rows bounded when sample_dt is very fine.  EngineParams refuses a
+# sample_dt whose interior points per cycle exceed it.
 _BATCH_POINT_BUDGET = 200_000
 # Chunks double from a small first one: most scan engines stop within a few
 # cycles, while each chunk carries a fixed correlation-scoring cost.
@@ -508,7 +509,10 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     else:
         heat_mats = cool_mats = None
     nh, nc = heat_times.shape[1], cool_times.shape[1]
-    chunk_cap = max(1, min(_CHUNK_MAX, _BATCH_POINT_BUDGET // (3 + nh + nc)))
+    # Points held per cycle: the kernel's, or the rows of a time series,
+    # which add the ramp interiors.
+    per_cycle = 3 + nh + nc if series is None else series.rows_per_cycle
+    chunk_cap = max(1, min(_CHUNK_MAX, _BATCH_POINT_BUDGET // per_cycle))
     stack_cap = max(1, min(_STACK_CYCLES, chunk_cap))
 
     sigma = np.array(sigma0, dtype=float)
@@ -834,8 +838,8 @@ class _TimeSeriesBuilder:
         self._s_exp = slice(self._i_c + 1, self._i_c + 1 + nr)
         self._i_d = self._i_c + 1 + nr
         self._s_cool = slice(self._i_d + 1, self._i_d + 1 + nc)
-        self._length = self._i_d + 1 + nc
-        offsets = np.empty(self._length)
+        self.rows_per_cycle = self._i_d + 1 + nc
+        offsets = np.empty(self.rows_per_cycle)
         offsets[self._i_a] = 0.0
         offsets[self._s_comp] = ramp_times
         offsets[self._i_b] = tau_r
@@ -863,7 +867,7 @@ class _TimeSeriesBuilder:
         (6, 6, rows, n); neg and disc their scored points, (rows, points,
         3), or None without correlations.
         """
-        g, m, length = 0, rows, self._length
+        g, m, length = 0, rows, self.rows_per_cycle
         t_start = self._t0 + self._cycles_added * self._cycle_duration
         self._cycles_added += m
         sig_a, sig_b, sig_c, sig_d = (_by_matrix(st[:, :, g, :m]) for st in (

@@ -221,8 +221,9 @@ class Preparation:
     def __post_init__(self) -> None:
         if len(self.modes) != 3:
             raise ValueError("exactly three mode specifications required")
-        if not (0 < self.omega3 < self.omega1):
-            raise ValueError(f"need 0 < omega3 < omega1, got omega3={self.omega3}, omega1={self.omega1}")
+        if not (0 < self.omega3 < self.omega1 and math.isfinite(self.omega1)):
+            raise ValueError(f"need finite 0 < omega3 < omega1, got omega3={self.omega3}, "
+                             f"omega1={self.omega1}")
 
     @property
     def frequencies(self) -> tuple[float, float, float]:

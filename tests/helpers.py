@@ -5,12 +5,15 @@ the closed forms, or by an independent run of the routine under test whose
 inputs are pinned here; they guard against silent regressions.
 """
 
+import heapq
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
 from otto3.engine import Engine, EngineParams, FixedCycles, WorkNonNegative
 from otto3.propagators import RampMode
-from otto3.states import symplectic_form, thermal_preparation
+from otto3.states import SqueezedVacuum, symplectic_form, thermal_preparation
 
 # coth(1/200): occupation factor of the hot mode at beta1 = 0.01, omega1 = 1
 C1_BETA_001 = 200.001666663888895502628968296
@@ -90,3 +93,77 @@ def first_law_residuals(records):
         scale = max(1.0, abs(r.w1) + abs(r.w2))
         out.append(abs(r.w1 + r.w2 - r.q1 - r.q2 - r.du) / scale)
     return np.asarray(out)
+
+
+# -- heap enumeration: the reference for otto3.energetics ---------------------
+#
+# A priority-queue walk of the occupation lattice, largest population (or
+# smallest level) first; the array enumeration must give its floats with ==.
+
+
+def heap_mode_eigenvalues(mode, tail):
+    """Descending single-mode eigenvalues carrying mass at least 1 - tail."""
+    if isinstance(mode, SqueezedVacuum) or mode.nbar == 0.0:
+        return np.array([1.0])
+    ratio = mode.nbar / (1.0 + mode.nbar)
+    count = max(1, math.ceil(math.log(tail) / math.log(ratio)))
+    return (1.0 - ratio) * ratio ** np.arange(count)
+
+
+def heap_initial_spectrum(prep, tail_mass=1e-8):
+    """(populations, tail_mass): products of the per-mode eigenvalues,
+    largest first, until the retained mass reaches 1 - tail_mass."""
+    per_mode = [heap_mode_eigenvalues(m, tail_mass / 3.0) for m in prep.modes]
+    target = 1.0 - tail_mass
+
+    def prob(idx):
+        return per_mode[0][idx[0]] * per_mode[1][idx[1]] * per_mode[2][idx[2]]
+
+    start = (0, 0, 0)
+    heap = [(-prob(start), start)]
+    seen = {start}
+    out = []
+    total = 0.0
+    while heap and total < target:
+        neg_p, idx = heapq.heappop(heap)
+        out.append(-neg_p)
+        total += -neg_p
+        for d in range(3):
+            nxt = tuple(idx[k] + (k == d) for k in range(3))
+            if nxt[d] < len(per_mode[d]) and nxt not in seen:
+                seen.add(nxt)
+                heapq.heappush(heap, (-prob(nxt), nxt))
+    return np.asarray(out), max(0.0, 1.0 - total)
+
+
+def heap_ascending_levels(frequencies, count):
+    """The count smallest excitation energies n·ω over occupation triples."""
+    w = frequencies
+    start = (0, 0, 0)
+    heap = [(0.0, start)]
+    seen = {start}
+    out = np.empty(count)
+    for k in range(count):
+        energy, idx = heapq.heappop(heap)
+        out[k] = energy
+        for d in range(3):
+            nxt = tuple(idx[j] + (j == d) for j in range(3))
+            if nxt not in seen:
+                seen.add(nxt)
+                heapq.heappush(heap, (nxt[0] * w[0] + nxt[1] * w[1] + nxt[2] * w[2], nxt))
+    return out
+
+
+def heap_ergotropy(prep, convergence=1e-6, tail_mass=1e-8):
+    """Ergotropy by heap enumeration, refining the tail by 100 until stable."""
+    freqs = prep.frequencies
+    e_init = sum(m.energy_above_ground(w) for m, w in zip(prep.modes, freqs))
+    tail = tail_mass
+    prev = None
+    while True:
+        populations, _ = heap_initial_spectrum(prep, tail)
+        value = e_init - float(populations @ heap_ascending_levels(freqs, len(populations)))
+        if prev is not None and abs(value - prev) <= convergence * max(1.0, abs(value)):
+            return value
+        prev = value
+        tail /= 100.0

@@ -1,12 +1,15 @@
 """End-to-end runs of the console entry point, in process."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from otto3 import cli
 from otto3.cli import (CYCLES_HEADER, SCAN_HEADER, TIMESERIES_HEADER,
                        load_config, main)
 from otto3.errors import ConfigError
@@ -323,3 +326,110 @@ class TestRampAndSampleRejection:
     def test_too_fine_sample_dt(self, tmp_path):
         doc = base_config(sample_dt=1e-7, tau_h=0.59)
         assert simulate(write_cfg(tmp_path, doc), tmp_path / "o") == 2
+
+
+class TestCsvWriter:
+    """One writer formats every artifact; its bytes are those of the
+    per-value f-string formatting it replaced."""
+
+    EDGES = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+             2.2250738585072014e-308 / 3, 1.7976931348623157e308,
+             -1.7976931348623157e308, 1e-300, 123456.789012345678, -1.0 / 3]
+
+    @staticmethod
+    def reference(header, columns, integer):
+        lines = [header]
+        for row in zip(*columns):
+            lines.append(",".join(f"{v}" if j in integer else f"{v:.12e}"
+                                  for j, v in enumerate(row)))
+        return "".join(line + "\n" for line in lines)
+
+    def test_edge_values_and_integer_columns(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 2 * cli._BLOCK_ROWS + 17
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[:len(self.EDGES)] = self.EDGES
+        edges_late = np.resize(self.EDGES, n)
+        ints = rng.integers(-2**52, 2**52, n)
+        ints[:4] = [0, -1, 2**53 - 1, -(2**53 - 1)]
+        columns = [np.arange(n), floats, ints, edges_late]
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, "i,x,k,y", columns)
+        want = self.reference("i,x,k,y", [c.tolist() for c in columns], {0, 2})
+        assert path.read_bytes() == want.encode()
+
+    def test_no_rows_writes_the_header_only(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, "a,b", [np.empty(0, dtype=int), np.empty(0)])
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_record_columns_keep_integers_and_map_none_to_nan(self):
+        class Rec:
+            def __init__(self, index, eta):
+                self.index, self.eta = index, eta
+
+        @dataclasses.dataclass
+        class Row:
+            index: int
+            eta: "float | None"
+
+        cols = cli._field_columns([Rec(3, None), Rec(4, 0.5)], Row)
+        assert cols[0].dtype.kind == "i" and cols[0].tolist() == [3, 4]
+        assert math.isnan(cols[1][0]) and cols[1][1] == 0.5
+
+
+FROZEN_SIMULATE = Path(__file__).resolve().parent / "data" / "simulate_frozen.json"
+
+
+def artifact_digest(out_dir):
+    """Numeric contents of one simulate output directory: every summary
+    number, and per CSV its row count, per-column sums of |value| and rows
+    sampled at a fixed stride (plus the last row)."""
+    out_dir = Path(out_dir)
+    doc = {"summary": json.loads((out_dir / "summary.json").read_text())}
+    for name in ("cycles", "timeseries"):
+        header, *rows = (out_dir / f"{name}.csv").read_text().splitlines()
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        stride = max(1, len(rows) // 16)
+        doc[name] = {"header": header, "rows": len(rows),
+                     "abs_sum": np.abs(table).sum(axis=0).tolist(),
+                     "sampled": table[::stride].tolist() + [table[-1].tolist()]}
+    return doc
+
+
+def assert_numbers_close(got, want, where="", rtol=1e-10, atol=1e-12):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_numbers_close(got[key], want[key], f"{where}.{key}", rtol, atol)
+    elif isinstance(want, list):
+        assert_allclose(np.asarray(got, dtype=float), np.asarray(want, dtype=float),
+                        rtol=rtol, atol=atol, err_msg=where)
+    elif isinstance(want, float):
+        assert_allclose(got, want, rtol=rtol, atol=atol, err_msg=where)
+    else:
+        assert got == want, where
+
+
+class TestPinnedSimulateContents:
+    """simulate's numbers on three shipped configs, frozen from a reference
+    run, at rtol 1e-10 (absolute 1e-12 near zero): a refactor that moves
+    results by more than rounding fails here even when its reruns agree."""
+
+    @pytest.mark.parametrize("config", ["zero_coupling", "optimized_run", "recurrence_140"])
+    def test_contents_match_frozen(self, tmp_path, config):
+        frozen = json.loads(FROZEN_SIMULATE.read_text())[config]
+        assert simulate(str(CONFIGS / f"{config}.json"), tmp_path) == 0
+        assert_numbers_close(artifact_digest(tmp_path), frozen, config)
+
+
+class TestErgotropyFailureExit:
+    def test_flat_spectrum_exits_3_with_convergence_error(self, tmp_path, capsys):
+        # nbar = 1e17: nbar / (1 + nbar) rounds to 1, and the summary's
+        # ergotropy refuses it instead of dividing by log(1.0); the failed
+        # run writes no artifact
+        doc = base_config()
+        doc["preparation"]["beta1"] = 1e-17
+        assert simulate(write_cfg(tmp_path, doc), tmp_path / "o") == 3
+        assert "ConvergenceError" in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []

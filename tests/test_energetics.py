@@ -1,16 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from otto3.energetics import (efficiency, ergotropy, initial_spectrum,
+from otto3.energetics import (_ascending_levels, efficiency, ergotropy, initial_spectrum,
                               mode_energies, mode_energy, spectral_shortfall)
 from otto3.errors import ConvergenceError
 from otto3.states import (Preparation, SqueezedVacuum, Thermal, product_state,
                           squeezed_preparation, thermal_preparation)
 
-from helpers import C1_BETA_001, ERGOTROPY_BASELINE
+from helpers import (C1_BETA_001, ERGOTROPY_BASELINE, heap_ascending_levels,
+                     heap_ergotropy, heap_initial_spectrum)
 
 
 def vacuum_prep(omega3=0.1):
@@ -178,3 +182,104 @@ class TestErgotropy:
     def test_rejects_nonpositive_convergence(self):
         with pytest.raises(ValueError):
             ergotropy(vacuum_prep(), convergence=0.0)
+
+
+# Preparations the array enumeration must reproduce exactly.
+_betas = st.floats(1e-3, 10.0)
+_omega3 = st.floats(0.01, 0.99, exclude_min=True, exclude_max=True)
+_family_preps = st.builds(lambda f, b, w: f(beta1=b, omega3=w),
+                          st.sampled_from([thermal_preparation, squeezed_preparation]),
+                          _betas, _omega3)
+_mixed_preps = st.builds(
+    lambda nbars, w: Preparation(tuple(Thermal(n) for n in nbars), omega3=w),
+    st.tuples(*[st.floats(0.0, 1.0)] * 3), _omega3)
+
+
+class TestHeapOracle:
+    """The array enumeration gives the heap enumeration's floats, not
+    merely close ones: populations, tail mass, levels and ergotropy."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.one_of(_family_preps, _mixed_preps),
+           st.sampled_from([1e-8, 1e-10, 1e-12, 0.3]))
+    def test_spectrum_and_levels_equal_the_heap(self, prep, tail):
+        populations, tail_mass = heap_initial_spectrum(prep, tail)
+        spec = initial_spectrum(prep, tail)
+        assert spec.populations.tobytes() == populations.tobytes()
+        assert spec.tail_mass == tail_mass
+        levels = _ascending_levels(prep.frequencies, len(populations), 10**6)
+        assert levels.tobytes() == heap_ascending_levels(prep.frequencies,
+                                                         len(populations)).tobytes()
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.one_of(_family_preps, _mixed_preps))
+    def test_ergotropy_equals_the_heap(self, prep):
+        assert ergotropy(prep) == heap_ergotropy(prep)
+
+    @pytest.mark.parametrize("prep", [
+        thermal_preparation(beta1=0.01, omega3=0.1),
+        Preparation((Thermal(5.0), Thermal(2.0), Thermal(1.0)), omega3=0.3),
+        Preparation((Thermal(0.3), Thermal(0.7), Thermal(0.05)), omega3=0.37, omega1=1.3),
+    ], ids=["pinned", "three_hot_modes", "mixed"])
+    def test_pinned_and_three_mode_preparations(self, prep):
+        assert ergotropy(prep) == heap_ergotropy(prep)
+
+    def test_baseline_bits(self):
+        assert ergotropy(thermal_preparation(beta1=0.01, omega3=0.1)) == ERGOTROPY_BASELINE
+
+    def test_tail_of_one_or_more_keeps_nothing(self):
+        for tail in (1.0, 5.0):
+            spec = initial_spectrum(thermal_preparation(beta1=0.5, omega3=0.3), tail)
+            assert spec.populations.size == 0 and spec.tail_mass == 1.0
+
+
+class TestOverBudgetSpectrum:
+    def test_refused_before_allocation(self):
+        # beta1 = 1e-6 needs about 18M levels per refinement
+        prep = thermal_preparation(beta1=1e-6, omega3=0.1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError, match="needs at least"):
+                ergotropy(prep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("call", [ergotropy, initial_spectrum])
+    def test_occupation_too_large_for_a_distinct_ratio(self, call):
+        # nbar / (1 + nbar) rounds to 1: the spectrum is flat in double precision
+        prep = Preparation((Thermal(1e17), Thermal(0.0), Thermal(0.0)), omega3=0.1)
+        with pytest.raises(ConvergenceError):
+            call(prep)
+
+    def test_three_hot_modes_refused_within_bounded_memory(self):
+        # every mode alone needs fewer levels than the budget; together they
+        # need far more, found without building their outer product
+        prep = Preparation((Thermal(2000.0),) * 3, omega3=0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError):
+                ergotropy(prep, level_budget=10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+class TestNonFiniteFrequencies:
+    @pytest.mark.parametrize("omega3, omega1", [
+        (0.5, math.inf), (0.5, math.nan), (math.nan, 1.0), (math.inf, 1.0),
+        (-math.inf, 1.0), (math.inf, math.inf)])
+    def test_preparation_rejects(self, omega3, omega1):
+        with pytest.raises(ValueError, match="finite"):
+            Preparation((Thermal(1.0), Thermal(0.0), Thermal(0.0)),
+                        omega3=omega3, omega1=omega1)
+
+    def test_overflowing_energy_raises_convergence_error(self):
+        # finite frequencies whose initial energy overflows: the value is
+        # not finite, which no tail refinement can mend
+        prep = Preparation((Thermal(2.0), Thermal(0.0), Thermal(0.0)),
+                           omega3=0.5, omega1=1e308)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            ergotropy(prep)

@@ -476,3 +476,30 @@ class TestReducedEnsemble:
             assert totals.w_total[e] == alone.w_total
             assert tuple(totals.discord_max[e]) == alone.discord_max
             assert tuple(totals.negativity_max[e]) == alone.negativity_max
+
+
+class TestSeriesChunkCap:
+    def test_time_series_rows_per_chunk_stay_within_the_budget(self, monkeypatch):
+        # Airy sweeps sampled every 0.5 add about 340 ramp rows per cycle
+        # to the series, which the kernel's own point count leaves out
+        params = EngineParams(
+            prep=thermal_preparation(beta1=0.01, omega3=0.1), alpha12=0.038,
+            alpha23=1e-4, tau_comp=85.02, tau_h=0.59, tau_c=0.9996,
+            ramp=RampMode.LINEAR_AIRY, stop=FixedCycles(12), sample_dt=0.5)
+        free = Engine(params).run()
+        budget = 1000
+        monkeypatch.setattr(engine, "_BATCH_POINT_BUDGET", budget)
+        chunk_rows = []
+        add_chunk = engine._TimeSeriesBuilder.add_chunk
+
+        def counting_add_chunk(self, chunk, rows, *args):
+            chunk_rows.append(rows * self.rows_per_cycle)
+            return add_chunk(self, chunk, rows, *args)
+
+        monkeypatch.setattr(engine._TimeSeriesBuilder, "add_chunk", counting_add_chunk)
+        capped = Engine(params).run()
+        assert len(chunk_rows) > 1
+        assert max(chunk_rows) <= budget
+        assert capped.n_cycles == free.n_cycles == 12
+        assert len(capped.records) == len(free.records)
+        assert len(capped.timeseries) == len(free.timeseries)

@@ -261,3 +261,11 @@ class TestScanEnsembles:
             assert s.w_total == alone.w_total
             assert (s.d12_max, s.d23_max, s.d13_max) == alone.discord_max
             assert (s.n12_max, s.n23_max, s.n13_max) == alone.negativity_max
+
+
+@pytest.mark.parametrize("name, interval", [
+    ("alpha12", (0.0, float("nan"))), ("tau_h", (0.0, float("inf"))),
+    ("omega3", (float("nan"), 0.5)), ("tau_comp", (float("-inf"), 1.0))])
+def test_parameter_box_rejects_non_finite_endpoints(name, interval):
+    with pytest.raises(ConfigError):
+        ParameterBox(**{name: interval})
