@@ -7,9 +7,11 @@ Subcommands:
   scan       seeded random draws -> scan.csv
   validate   oracle cross-checks -> report on stdout
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
-All numbers are serialized with 12 significant digits; an undefined
-efficiency becomes nan.  Every output is deterministic for a fixed seed.
+Exit codes: 0 success, 2 for any config value the package refuses (a
+ConfigError), 3 for a numerical failure.  CSV floats are written as
+"%.12e", 13 significant digits; JSON files hold Python's shortest
+round-trip repr of each float.  An undefined efficiency becomes nan.  Every
+output is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -20,49 +22,155 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from . import analytics
 from .energetics import ergotropy
 from .engine import (CycleRecord, Engine, EngineParams, EngineResult, FixedCycles,
-                     WorkNonNegative)
+                     TimeSeries, WorkNonNegative)
 from .errors import ConfigError, Otto3Error
-from .explore import (Objective, OptimizeOutcome, ParameterBox, PrepFamily,
-                      ScanSample, optimize, random_scan)
-from .propagators import (RampMode, RampSchedule, SYMPLECTIC_TOL, harmonic_propagator,
-                          ode_propagator, ramp_phase_integral, ramp_phase_variant,
+from .explore import (DEFAULT_BETA1, DIMENSIONS, METHODS, OMEGA3_RANGE, Objective,
+                      OptimizeOutcome, ParameterBox, PrepFamily, ScanSample, optimize,
+                      random_scan)
+from .propagators import (RampMode, RampSchedule, SYMPLECTIC_TOL, ode_propagator,
                           ramp_propagator)
-from .states import symplectic_form, thermal_preparation, squeezed_preparation
+from .states import Preparation, SqueezedVacuum, symplectic_form, thermal_preparation
 
 SCHEMA_VERSION = 1
 
 CYCLES_HEADER = ("cycle,W1,W2,Q1,Q2,dU,W_cycle,W_cum,eta,E1,E2,E3,"
                  "D12max,D23max,D13max,N12max,N23max,N13max")
-TIMESERIES_HEADER = "t,E1,E2,E3,D12,D23,D13,N12,N23,N13"
-SCAN_HEADER = ("index,alpha12,alpha23,tau_h,tau_c,tau_comp,omega3,cycles,"
-               "w_total,d12_max,d23_max,d13_max,n12_max,n23_max,n13_max")
+TIMESERIES_HEADER = ",".join(TimeSeries.COLUMNS)
+SCAN_HEADER = ",".join(ScanSample.COLUMNS)
 
 
 # -- config ------------------------------------------------------------------
+#
+# A section is (table, build): the table maps each key to a converter of its
+# JSON value or to a nested section, and build makes the section's value
+# from the converted keys.  Converters raise TypeError for a value of the
+# wrong kind, and builds for keys that do not go together; the library
+# constructors they call raise ConfigError for values outside their
+# domain.  _convert turns all of these into a ConfigError naming the key.
 
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _as_number(value: Any, where: str) -> float:
+def _number(value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+        raise TypeError(f"must be a number, got {value!r}")
     return float(value)
 
 
+def _integer(value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return value
+
+
+def _pair(value: Any) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise TypeError(f"must be a [lo, hi] pair, got {value!r}")
+    return _number(value[0]), _number(value[1])
+
+
+def _numbers(value: Any) -> list[float]:
+    if not isinstance(value, list) or not value:
+        raise TypeError(f"must be a non-empty list of numbers, got {value!r}")
+    return [_number(v) for v in value]
+
+
+def _choice(named: dict) -> Callable[[Any], Any]:
+    def convert(value: Any) -> Any:
+        if not isinstance(value, str) or value not in named:
+            raise TypeError(f"must be one of {', '.join(named)}, got {value!r}")
+        return named[value]
+    return convert
+
+
+def _config(schema_version: Optional[int] = None, **sections: Any) -> dict:
+    if schema_version != SCHEMA_VERSION:
+        raise TypeError(f"schema_version must be {SCHEMA_VERSION}, got {schema_version!r}")
+    return {"schema_version": schema_version, **sections}
+
+
+def _preparation(family: PrepFamily = PrepFamily.THERMAL, beta1: float = DEFAULT_BETA1,
+                 omega3: float = 0.1, r1: Optional[float] = None) -> Preparation:
+    if r1 is None:
+        return family.preparation(omega3, beta1)
+    if family is not PrepFamily.SQUEEZED:
+        raise TypeError("r1 only applies to the squeezed family")
+    return Preparation((SqueezedVacuum(r1), SqueezedVacuum(0.0), SqueezedVacuum(0.0)),
+                       omega3=omega3)
+
+
+def _stop_rule(rule: Optional[type] = None, **kwargs: Any):
+    if rule is None:
+        raise TypeError("needs a rule")
+    return rule(**kwargs)
+
+
+_RAMP = _choice({mode.value: mode for mode in RampMode})
+_FAMILY = _choice({family.value: family for family in PrepFamily})
+_BOX = ({name: _pair for name in DIMENSIONS}, ParameterBox)
+_STOP = ({"rule": _choice({"work_non_negative": WorkNonNegative,
+                           "fixed_cycles": FixedCycles}),
+          "eps_stop": _number, "n": _integer}, _stop_rule)
+_CONFIG = ({
+    "schema_version": _integer,
+    "seed": _integer,
+    "preparation": ({"family": _FAMILY, "beta1": _number, "r1": _number,
+                     "omega3": _number}, _preparation),
+    "engine": ({"alpha12": _number, "alpha23": _number, "tau_comp": _number,
+                "tau_h": _number, "tau_c": _number, "ramp": _RAMP, "stop": _STOP,
+                "sample_dt": _number, "max_cycles": _integer}, dict),
+    "scan": ({"family": _FAMILY, "n_samples": _integer, "beta1": _number, "box": _BOX,
+              "ramp": _RAMP, "max_cycles": _integer, "min_alpha23_tau_c": _number}, dict),
+    "optimize": ({"objective": _choice({o.value: o for o in Objective}),
+                  "budget": _integer, "restarts": _integer,
+                  "method": _choice({m: m for m in METHODS}), "box": _BOX,
+                  "omega3": _number, "omega3_sweep": _numbers, "family": _FAMILY,
+                  "beta1": _number, "ramp": _RAMP}, dict),
+}, _config)
+
+# Engine values a simulate config may leave out.
+_ENGINE_DEFAULTS = dict(alpha12=0.0, alpha23=0.0, tau_comp=1.0, tau_h=0.0, tau_c=0.0,
+                        ramp=RampMode.QUASI_STATIC)
+
+
+def _convert(value: Any, section: tuple, where: Optional[str] = None) -> Any:
+    """Apply a section's table to a JSON value and build the section.
+
+    The one place a config value is refused: every refusal is a
+    ConfigError that names the key.
+    """
+    table, build = section
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where or 'config'} must be an object, got {value!r}")
+    unknown = sorted(set(value) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where or 'config'}: {', '.join(unknown)}")
+    kwargs = {}
+    for key, item in value.items():
+        name = key if where is None else f"{where}.{key}"
+        if isinstance(table[key], tuple):
+            kwargs[key] = _convert(item, table[key], name)
+            continue
+        try:
+            kwargs[key] = table[key](item)
+        except TypeError as exc:
+            raise ConfigError(f"{name} {exc}") from None
+    try:
+        return build(**kwargs)
+    except (TypeError, ConfigError) as exc:
+        raise ConfigError(f"{where or 'config'}: {exc}") from None
+
+
 def load_config(path: Optional[str]) -> dict:
+    """Read and convert a config: each section a dict of converted values
+    ("preparation" a Preparation, boxes ParameterBox, stop a stop rule)."""
     if path is None:
-        return {"schema_version": SCHEMA_VERSION}
+        return _convert({"schema_version": SCHEMA_VERSION}, _CONFIG)
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -70,108 +178,24 @@ def load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(cfg, {"schema_version", "seed", "engine", "preparation",
-                        "scan", "optimize"}, "config")
-    if cfg.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
-    return cfg
-
-
-_RAMP_NAMES = {mode.value: mode for mode in RampMode}
-
-
-def _ramp_mode(name: Any) -> RampMode:
-    if not isinstance(name, str) or name not in _RAMP_NAMES:
-        raise ConfigError(f"unknown ramp mode {name!r}")
-    return _RAMP_NAMES[name]
-
-
-def _build_preparation(cfg: dict):
-    section = dict(cfg.get("preparation", {}))
-    _require_keys(section, {"family", "beta1", "r1", "omega3"}, "preparation")
-    family = section.get("family", "thermal")
-    beta1 = _as_number(section.get("beta1", 1e-2), "preparation.beta1")
-    omega3 = _as_number(section.get("omega3", 0.1), "preparation.omega3")
-    if family == "thermal":
-        if "r1" in section:
-            raise ConfigError("preparation.r1 only applies to the squeezed family")
-        return thermal_preparation(beta1=beta1, omega3=omega3)
-    if family == "squeezed":
-        if "r1" in section:
-            from .states import Preparation, SqueezedVacuum
-            r1 = _as_number(section["r1"], "preparation.r1")
-            return Preparation((SqueezedVacuum(r1), SqueezedVacuum(0.0),
-                                SqueezedVacuum(0.0)), omega3=omega3)
-        return squeezed_preparation(beta1=beta1, omega3=omega3)
-    raise ConfigError(f"unknown preparation family {family!r}")
-
-
-def _build_stop(section: dict):
-    stop = section.get("stop")
-    if stop is None:
-        return WorkNonNegative()
-    if not isinstance(stop, dict):
-        raise ConfigError("engine.stop must be an object")
-    rule = stop.get("rule")
-    if rule == "work_non_negative":
-        _require_keys(stop, {"rule", "eps_stop"}, "engine.stop")
-        return WorkNonNegative(_as_number(stop.get("eps_stop", 0.0),
-                                          "engine.stop.eps_stop"))
-    if rule == "fixed_cycles":
-        _require_keys(stop, {"rule", "n"}, "engine.stop")
-        n = stop.get("n")
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ConfigError("engine.stop.n must be an integer")
-        return FixedCycles(n)
-    raise ConfigError(f"unknown stop rule {rule!r}")
+    return _convert(cfg, _CONFIG)
 
 
 def build_engine_params(cfg: dict, args: argparse.Namespace) -> EngineParams:
-    section = dict(cfg.get("engine", {}))
-    _require_keys(section, {"alpha12", "alpha23", "tau_comp", "tau_h", "tau_c",
-                            "ramp", "stop", "sample_dt", "max_cycles"}, "engine")
-    prep = _build_preparation(cfg)
-    ramp = _ramp_mode(section.get("ramp", RampMode.QUASI_STATIC.value)
-                      if args.ramp is None else args.ramp)
-    stop = _build_stop(section)
+    """EngineParams of a loaded config, with the --ramp and --cycles overrides."""
+    kwargs = {**_ENGINE_DEFAULTS, **cfg.get("engine", {})}
+    if args.ramp is not None:
+        kwargs["ramp"] = RampMode(args.ramp)
     if args.cycles is not None:
-        stop = FixedCycles(args.cycles)
-    sample_dt = section.get("sample_dt")
-    if sample_dt is not None:
-        sample_dt = _as_number(sample_dt, "engine.sample_dt")
-    max_cycles = section.get("max_cycles", 10_000)
-    if not isinstance(max_cycles, int) or isinstance(max_cycles, bool):
-        raise ConfigError("engine.max_cycles must be an integer")
-    try:
-        return EngineParams(
-            prep=prep,
-            alpha12=_as_number(section.get("alpha12", 0.0), "engine.alpha12"),
-            alpha23=_as_number(section.get("alpha23", 0.0), "engine.alpha23"),
-            tau_comp=_as_number(section.get("tau_comp", 1.0), "engine.tau_comp"),
-            tau_h=_as_number(section.get("tau_h", 0.0), "engine.tau_h"),
-            tau_c=_as_number(section.get("tau_c", 0.0), "engine.tau_c"),
-            ramp=ramp, stop=stop, sample_dt=sample_dt,
-            max_cycles=max_cycles)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        kwargs["stop"] = FixedCycles(args.cycles)
+    prep = cfg["preparation"] if "preparation" in cfg else _preparation()
+    return EngineParams(prep=prep, **kwargs)
 
 
-def _parse_box(section: Any, where: str) -> ParameterBox:
-    if section is None:
-        return ParameterBox()
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
-    _require_keys(section, {"alpha12", "alpha23", "tau_h", "tau_c", "tau_comp",
-                            "omega3"}, where)
-    kwargs = {}
-    for name, iv in section.items():
-        if (not isinstance(iv, list) or len(iv) != 2):
-            raise ConfigError(f"{where}.{name} must be a [lo, hi] pair")
-        kwargs[name] = (_as_number(iv[0], f"{where}.{name}[0]"),
-                        _as_number(iv[1], f"{where}.{name}[1]"))
-    return ParameterBox(**kwargs)
+def _with_omega3(box: Optional[ParameterBox]) -> ParameterBox:
+    """The box, with OMEGA3_RANGE when it has no omega3 interval."""
+    box = box or ParameterBox()
+    return box if box.omega3 is not None else dataclasses.replace(box, omega3=OMEGA3_RANGE)
 
 
 # -- output helpers ----------------------------------------------------------
@@ -258,34 +282,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    section = dict(cfg.get("optimize", {}))
-    _require_keys(section, {"objective", "budget", "restarts", "method", "box",
-                            "omega3", "omega3_sweep", "family", "beta1", "ramp"},
-                  "optimize")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    objective = Objective(section.get("objective", "total_work"))
-    family = PrepFamily(section.get("family", "thermal"))
-    kwargs = dict(
-        family=family,
-        beta1=_as_number(section.get("beta1", 1e-2), "optimize.beta1"),
-        objective=objective,
-        budget=int(section.get("budget", 6000)),
-        restarts=int(section.get("restarts", 16)),
-        method=section.get("method", "nelder-mead"),
-        ramp=_ramp_mode(section.get("ramp", RampMode.QUASI_STATIC.value)),
-        seed=int(seed),
-    )
+    kwargs = dict(cfg.get("optimize", {}))
+    kwargs["seed"] = args.seed if args.seed is not None else cfg.get("seed", 0)
+    sweep = kwargs.pop("omega3_sweep", None)
     out = _out_dir(args)
 
-    sweep = section.get("omega3_sweep")
     if sweep is not None:
-        if not isinstance(sweep, list) or not sweep:
-            raise ConfigError("optimize.omega3_sweep must be a non-empty list")
-        box = _parse_box(section.get("box"), "optimize.box")
         rows = []
         for w3 in sweep:
-            outcome = optimize(omega3=_as_number(w3, "omega3_sweep entry"),
-                               box=box, **kwargs)
+            outcome = optimize(**{**kwargs, "omega3": w3})
             rows.append((w3, outcome))
             print(f"omega3={w3}: ratio={-outcome.ratio:.6f} "
                   f"W_total={outcome.w_total:.6f} converged={outcome.converged}")
@@ -299,17 +304,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                        np.array([oc.converged for _, oc in rows], dtype=int)])
         return 0
 
-    if "omega3" in section:
-        outcome = optimize(omega3=_as_number(section["omega3"], "optimize.omega3"),
-                           box=_parse_box(section.get("box"), "optimize.box"),
-                           **kwargs)
-    else:
-        box = _parse_box(section.get("box"), "optimize.box")
-        if box.omega3 is None:
-            box = ParameterBox(alpha12=box.alpha12, alpha23=box.alpha23,
-                               tau_h=box.tau_h, tau_c=box.tau_c,
-                               tau_comp=box.tau_comp, omega3=(0.01, 0.99))
-        outcome = optimize(box=box, **kwargs)
+    if "omega3" not in kwargs:
+        kwargs["box"] = _with_omega3(kwargs.get("box"))
+    outcome = optimize(**kwargs)
     _write_optimize_outputs(out, outcome)
     print(f"optimize: W_total={outcome.w_total:.6f} ratio={-outcome.ratio:.6f} "
           f"evals={outcome.evaluations} converged={outcome.converged}")
@@ -343,31 +340,11 @@ def _write_optimize_outputs(out: Path, outcome: OptimizeOutcome) -> None:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    section = dict(cfg.get("scan", {}))
-    _require_keys(section, {"family", "n_samples", "beta1", "box", "ramp",
-                            "max_cycles", "min_alpha23_tau_c"}, "scan")
+    kwargs = dict(cfg.get("scan", {}))
+    n_samples = kwargs.pop("n_samples", 1000)
+    kwargs["box"] = _with_omega3(kwargs.get("box"))
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    n_samples = section.get("n_samples", 1000)
-    if not isinstance(n_samples, int) or isinstance(n_samples, bool):
-        raise ConfigError("scan.n_samples must be an integer")
-    box_section = section.get("box")
-    box = None
-    if box_section is not None:
-        box = _parse_box(box_section, "scan.box")
-        if box.omega3 is None:
-            box = ParameterBox(alpha12=box.alpha12, alpha23=box.alpha23,
-                               tau_h=box.tau_h, tau_c=box.tau_c,
-                               tau_comp=box.tau_comp, omega3=(0.01, 0.99))
-    samples = random_scan(
-        n_samples, int(seed), box=box,
-        family=PrepFamily(section.get("family", "thermal")),
-        beta1=_as_number(section.get("beta1", 1e-2), "scan.beta1"),
-        ramp=_ramp_mode(section.get("ramp", RampMode.QUASI_STATIC.value)),
-        max_cycles=int(section.get("max_cycles", 10_000)),
-        min_alpha23_tau_c=_as_number(section.get("min_alpha23_tau_c", 0.0),
-                                     "scan.min_alpha23_tau_c"),
-        workers=args.workers,
-    )
+    samples = random_scan(n_samples, seed, workers=args.workers, **kwargs)
     out = _out_dir(args)
     _write_csv(out / "scan.csv", SCAN_HEADER, _field_columns(samples, ScanSample))
     print(f"scan: {len(samples)} samples -> {out / 'scan.csv'}")
@@ -409,19 +386,14 @@ def run_validation(perturbation: float = 0.0, seed: int = 0) -> bool:
     ok &= _check("ramp symplectic defect", sdef <= SYMPLECTIC_TOL,
                  f"|S Omega S^T - Omega| = {sdef:.2e}")
 
-    # Which closed-form phase matches the slow-ramp limit of the true dynamics?
-    sched = RampSchedule(0.5, 1.0, 2000.0)
-    airy = ramp_propagator(sched, spectator_omega1=1.0, spectator_omega3=0.5).matrix
-    diffs = {}
-    for label, phase_fn in (("standard", ramp_phase_integral),
-                            ("variant", ramp_phase_variant)):
-        phi = phase_fn(sched.omega_in, sched.omega_fin, sched.tau)
-        qs = _quasi_static_matrix(sched, phi)
-        diffs[label] = float(np.max(np.abs(airy - qs)))
-    winner = min(diffs, key=diffs.get)
-    ok &= _check("quasi-static phase resolution", winner == "standard",
-                 f"slow-limit match: standard={diffs['standard']:.2e}, "
-                 f"variant={diffs['variant']:.2e} -> {winner}")
+    # The idealised quasi-static map is the slow limit of the exact sweep.
+    airy = ramp_propagator(RampSchedule(0.5, 1.0, 2000.0),
+                           spectator_omega1=1.0, spectator_omega3=0.5).matrix
+    qs = ramp_propagator(RampSchedule(0.5, 1.0, 2000.0, RampMode.QUASI_STATIC),
+                         spectator_omega1=1.0, spectator_omega3=0.5).matrix
+    gap = float(np.max(np.abs(airy - qs)))
+    ok &= _check("quasi-static map vs slow Airy ramp", gap < 5e-3,
+                 f"max |diff| at tau = 2000: {gap:.2e}")
 
     prep = thermal_preparation(beta1=0.05, omega3=0.4)
     c1 = 1.0 / math.tanh(0.05 / 2.0)
@@ -448,19 +420,6 @@ def run_validation(perturbation: float = 0.0, seed: int = 0) -> bool:
     return ok
 
 
-def _quasi_static_matrix(sched: RampSchedule, phi: float) -> np.ndarray:
-    """Adiabatic two-by-two medium map with an explicit phase, embedded."""
-    wi, wf = sched.omega_in, sched.omega_fin
-    block = np.array([
-        [math.sqrt(wi / wf) * math.cos(phi), math.sin(phi) / math.sqrt(wi * wf)],
-        [-math.sqrt(wi * wf) * math.sin(phi), math.sqrt(wf / wi) * math.cos(phi)],
-    ])
-    free = harmonic_propagator((1.0, 1.0, 0.5), sched.tau).matrix
-    out = np.array(free)
-    out[np.ix_((1, 4), (1, 4))] = block
-    return out
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     ok = run_validation(perturbation=args.perturb)
     print("validate:", "all checks passed" if ok else "FAILURES above")
@@ -483,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--cycles", type=int, default=None,
                        help="override: run exactly N cycles")
-        p.add_argument("--ramp", choices=sorted(_RAMP_NAMES), default=None)
+        p.add_argument("--ramp", choices=sorted(m.value for m in RampMode), default=None)
         p.add_argument("--workers", type=int, default=1)
         if name == "validate":
             p.add_argument("--perturb", type=float, default=0.0,

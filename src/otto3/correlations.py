@@ -154,18 +154,6 @@ def _emin_branch2(j1, j2, j3, j4):
     return (j1 * j2 - j3 * j3 + j4 - rad) / (2.0 * j2)
 
 
-def _emin_branch2_as_printed(i1, i2, i3, i4):
-    """Literal raw-convention variant of the second branch, kept for comparison.
-
-    Lifting it to the doubled convention gives twice _emin_branch2, which is
-    discontinuous against the first branch at the boundary; the test suite
-    documents this and the package does not use it.
-    """
-    s = i1 * i2 + i4 - i3 * i3
-    rad = np.sqrt(np.maximum(s * s - 4.0 * i1 * i2 * i4, 0.0))
-    return (i1 * i2 - i3 * i3 + i4 - rad) / i2
-
-
 def discord_from_invariants(i1, i2, i3, i4, *, d_minus=None, d_plus=None,
                             strict: bool = False) -> np.ndarray:
     """Gaussian discord with the measurement on the second mode.

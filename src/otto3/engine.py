@@ -81,6 +81,10 @@ class WorkNonNegative:
 
     eps_stop: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.eps_stop):
+            raise ConfigError(f"eps_stop must be finite, got {self.eps_stop}")
+
 
 @dataclass(frozen=True)
 class FixedCycles:
@@ -108,11 +112,10 @@ def _points_within(tau: float, dt: float) -> float:
 class EngineParams:
     """Static description of one engine configuration.
 
-    omega3 may be left None to inherit the preparation's value; giving both
-    a value is allowed only when they agree.  tau_comp is the wall-clock
-    ramp duration for the finite-time and quasi-static modes; the sudden
-    quench takes no time and ignores it.  max_cycles caps open-ended runs
-    under WorkNonNegative and does not limit FixedCycles.
+    The cold frequency omega3 is the preparation's.  tau_comp is the
+    wall-clock ramp duration for the finite-time and quasi-static modes; the
+    sudden quench takes no time and ignores it.  max_cycles caps open-ended
+    runs under WorkNonNegative and does not limit FixedCycles.
     """
 
     prep: Preparation
@@ -122,16 +125,11 @@ class EngineParams:
     tau_h: float
     tau_c: float
     ramp: RampMode = RampMode.LINEAR_AIRY
-    omega3: Optional[float] = None
     stop: StopRule = WorkNonNegative()
     sample_dt: Optional[float] = None
     max_cycles: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.omega3 is not None and self.omega3 != self.prep.omega3:
-            raise ConfigError(
-                f"omega3={self.omega3} disagrees with the preparation's {self.prep.omega3}"
-            )
         for name in ("alpha12", "alpha23", "tau_comp", "tau_h", "tau_c"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -153,6 +151,9 @@ class EngineParams:
             raise ConfigError(f"max_cycles must be >= 1, got {self.max_cycles}")
         if not isinstance(self.stop, (WorkNonNegative, FixedCycles)):
             raise ConfigError(f"unknown stop rule {self.stop!r}")
+        # the probe cycle past the limit must end at a finite time too
+        if not math.isfinite((_stop_limits(self)[0] + 1) * self.cycle_duration):
+            raise ConfigError(f"the run's clock overflows at {self.cycle_duration} per cycle")
 
     @property
     def ramp_duration(self) -> float:

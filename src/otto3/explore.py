@@ -31,12 +31,17 @@ from . import engine
 from .engine import EngineParams, WorkNonNegative, run_reduced, run_reduced_ensemble
 from .errors import ConfigError
 from .propagators import RampMode
-from .states import Preparation, matched_squeezing, nbar_from_beta, \
-    squeezed_preparation, thermal_preparation
+from .states import Preparation, squeezed_preparation, thermal_preparation
 
 DEFAULT_BETA1 = 1e-2
-DEFAULT_SCAN_HEAT_SAMPLES = 4
-DEFAULT_SCAN_COOL_SAMPLES = 2
+# Default omega3 interval of a scan or an omega3-free optimization: clear
+# of the degenerate-ramp corner at omega3 -> omega1.
+OMEGA3_RANGE = (0.01, 0.99)
+# Draws per scan sample before a weak-cold-contact filter that no draw
+# meets is refused; the default box passes alpha23 * tau_c >= 0.02 about
+# one draw in four.
+MAX_DRAWS = 10_000
+METHODS = ("nelder-mead", "differential-evolution")
 
 # Draw order within one sample's substream; omega3 comes last when boxed.
 DIMENSIONS = ("alpha12", "alpha23", "tau_h", "tau_c", "tau_comp", "omega3")
@@ -47,8 +52,7 @@ class ParameterBox:
     """Closed per-parameter intervals; a collapsed interval pins the value.
 
     omega3=None means the frequency is not part of the box and must be
-    supplied by the caller; scans default it to (0.01, 0.99), keeping clear
-    of the degenerate-ramp corner at omega3 -> omega1.
+    supplied by the caller; scans default it to OMEGA3_RANGE.
     """
 
     alpha12: tuple[float, float] = (1e-4, 0.05)
@@ -64,7 +68,10 @@ class ParameterBox:
             if iv is None:
                 continue
             lo, hi = iv
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            for end in iv:
+                if not math.isfinite(end):
+                    raise ConfigError(f"{name} interval {iv} has a non-finite endpoint {end}")
+            if not lo <= hi:
                 raise ConfigError(f"{name} interval {iv} is not an ordered pair")
             if lo < 0:
                 raise ConfigError(f"{name} interval {iv} reaches below zero")
@@ -96,9 +103,6 @@ class PrepFamily(enum.Enum):
         if self is PrepFamily.THERMAL:
             return thermal_preparation(beta1=beta1, omega3=omega3)
         return squeezed_preparation(beta1=beta1, omega3=omega3)
-
-    def matched_r1(self, beta1: float = DEFAULT_BETA1) -> float:
-        return matched_squeezing(nbar_from_beta(beta1, 1.0))
 
 
 @dataclass(frozen=True)
@@ -143,19 +147,28 @@ class ScanSettings:
     ramp: RampMode
     max_cycles: int
     min_alpha23_tau_c: float
-    heat_samples: int = DEFAULT_SCAN_HEAT_SAMPLES
-    cool_samples: int = DEFAULT_SCAN_COOL_SAMPLES
 
 
-def _draw(box: ParameterBox, rng: np.random.Generator,
+def _engine_params(values: dict[str, float], family: PrepFamily, beta1: float,
+                   ramp: RampMode, max_cycles: int) -> EngineParams:
+    """The engine of one scan draw or optimizer point."""
+    return EngineParams(prep=family.preparation(values["omega3"], beta1), ramp=ramp,
+                        stop=WorkNonNegative(), max_cycles=max_cycles,
+                        **{name: values[name] for name in DIMENSIONS[:5]})
+
+
+def _draw(index: int, box: ParameterBox, rng: np.random.Generator,
           min_alpha23_tau_c: float) -> dict[str, float]:
     """One parameter draw; resamples within the substream until the
-    weak-cold-contact filter passes, so the filter cannot break determinism."""
-    while True:
+    weak-cold-contact filter passes, so the filter cannot break determinism.
+    A filter that MAX_DRAWS draws do not meet is refused."""
+    for _ in range(MAX_DRAWS):
         values = {name: rng.uniform(*box.interval(name))
                   for name in DIMENSIONS if getattr(box, name) is not None}
         if values["alpha23"] * values["tau_c"] >= min_alpha23_tau_c:
             return values
+    raise ConfigError(f"sample {index}: no draw in {MAX_DRAWS} met "
+                      f"min_alpha23_tau_c = {min_alpha23_tau_c}")
 
 
 def scan_samples(indices: range, settings: ScanSettings) -> list[ScanSample]:
@@ -164,15 +177,11 @@ def scan_samples(indices: range, settings: ScanSettings) -> list[ScanSample]:
     for index in indices:
         rng = np.random.default_rng(
             np.random.SeedSequence(settings.seed, spawn_key=(index,)))
-        values = _draw(settings.box, rng, settings.min_alpha23_tau_c)
-        prep = settings.family.preparation(values["omega3"], settings.beta1)
-        params.append(EngineParams(
-            prep=prep, alpha12=values["alpha12"], alpha23=values["alpha23"],
-            tau_comp=values["tau_comp"], tau_h=values["tau_h"], tau_c=values["tau_c"],
-            ramp=settings.ramp, stop=WorkNonNegative(), max_cycles=settings.max_cycles))
+        values = _draw(index, settings.box, rng, settings.min_alpha23_tau_c)
+        params.append(_engine_params(values, settings.family, settings.beta1,
+                                     settings.ramp, settings.max_cycles))
         draws.append(values)
-    totals = run_reduced_ensemble(params, heat_samples=settings.heat_samples,
-                                  cool_samples=settings.cool_samples)
+    totals = run_reduced_ensemble(params)
     samples = []
     for e, (index, values) in enumerate(zip(indices, draws)):
         d12, d23, d13 = (float(v) for v in totals.discord_max[e])
@@ -210,8 +219,10 @@ def random_scan(n_samples: int, seed: int, *, box: Optional[ParameterBox] = None
         raise ConfigError(f"n_samples must be >= 0, got {n_samples}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if box is None:
-        box = ParameterBox(omega3=(0.01, 0.99))
+        box = ParameterBox(omega3=OMEGA3_RANGE)
     if box.omega3 is None:
         raise ConfigError("scans need an omega3 interval in the box")
     settings = ScanSettings(seed=seed, box=box, family=family, beta1=beta1,
@@ -294,16 +305,10 @@ def _objective_fn(box: ParameterBox, free: list[str], fixed: dict[str, float],
         values = dict(fixed)
         for name, xi in zip(free, x):
             values[name] = box.clip(name, float(xi))
-        prep = family.preparation(values["omega3"], beta1)
-        params = EngineParams(
-            prep=prep, alpha12=values["alpha12"], alpha23=values["alpha23"],
-            tau_comp=values["tau_comp"], tau_h=values["tau_h"],
-            tau_c=values["tau_c"], ramp=ramp, stop=WorkNonNegative(),
-            max_cycles=max_cycles)
-        result = run_reduced(params, correlations=False)
-        value = result.w_total
+        params = _engine_params(values, family, beta1, ramp, max_cycles)
+        value = run_reduced(params, correlations=False).w_total
         if objective is Objective.WORK_ERGOTROPY_RATIO:
-            value /= _ergotropy_cached(prep)
+            value /= _ergotropy_cached(params.prep)
         if tracker is not None:
             tracker.record(value)
         return value
@@ -332,7 +337,9 @@ def optimize(*, omega3: Optional[float] = None, box: Optional[ParameterBox] = No
         raise ConfigError(f"budget must be >= 1, got {budget}")
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
-    if method not in ("nelder-mead", "differential-evolution"):
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if method not in METHODS:
         raise ConfigError(f"unknown optimizer method {method!r}")
 
     fixed: dict[str, float] = {} if omega3 is None else {"omega3": omega3}
@@ -364,15 +371,11 @@ def optimize(*, omega3: Optional[float] = None, box: Optional[ParameterBox] = No
     values = dict(fixed)
     for name, xi in zip(free, x_best):
         values[name] = box.clip(name, float(xi))
-    prep = family.preparation(values["omega3"], beta1)
-    best_params = EngineParams(
-        prep=prep, alpha12=values["alpha12"], alpha23=values["alpha23"],
-        tau_comp=values["tau_comp"], tau_h=values["tau_h"], tau_c=values["tau_c"],
-        ramp=ramp, stop=WorkNonNegative(), max_cycles=max_cycles)
+    best_params = _engine_params(values, family, beta1, ramp, max_cycles)
     final = run_reduced(best_params, correlations=False)
     return OptimizeOutcome(
         best_params=best_params, value=value, w_total=final.w_total,
-        ratio=final.w_total / _ergotropy_cached(prep), cycles=final.n_cycles,
+        ratio=final.w_total / _ergotropy_cached(best_params.prep), cycles=final.n_cycles,
         evaluations=tracker.count, converged=converged, objective=objective,
         trace=tuple(tracker.trace))
 

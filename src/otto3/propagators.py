@@ -104,24 +104,6 @@ class RampSchedule:
         return self.omega_in**2 + (self.omega_fin**2 - self.omega_in**2) * np.asarray(t) / self.tau
 
 
-def coupling_matrix_generator(alpha: float, omega: float, omega_spec: float,
-                              pair: tuple[int, int], spectator: int) -> np.ndarray:
-    """Quadratic-form Hamiltonian matrix h of the resonant coupling stroke.
-
-    H = sum_i (p_i^2/2 + omega_i^2 x_i^2/2) + alpha (omega x_a x_b + p_a p_b / omega)
-    written as H = R^T h R / 2; the equations of motion use A = Omega h.
-    """
-    a, b = pair
-    hx = np.zeros((3, 3))
-    hp = np.zeros((3, 3))
-    hx[a, a] = hx[b, b] = omega**2
-    hx[spectator, spectator] = omega_spec**2
-    hp[a, a] = hp[b, b] = hp[spectator, spectator] = 1.0
-    hx[a, b] = hx[b, a] = alpha * omega
-    hp[a, b] = hp[b, a] = alpha / omega
-    return np.block([[hx, np.zeros((3, 3))], [np.zeros((3, 3)), hp]])
-
-
 class CouplingSide(enum.Enum):
     HOT_PAIR = "hot"    # oscillators 1 and 2, resonant at omega1
     COLD_PAIR = "cold"  # oscillators 2 and 3, resonant at omega3
@@ -219,15 +201,6 @@ def ramp_phase_integral(omega_in, omega_fin, tau):
     / (omega_in + omega_fin).
     """
     return (2.0 / 3.0) * tau * (omega_in**2 + omega_in * omega_fin + omega_fin**2) / (omega_in + omega_fin)
-
-
-def ramp_phase_variant(omega_in: float, omega_fin: float, tau: float) -> float:
-    """Alternative phase grouping (2/3) tau (2 omega_fin^2 + omega_in omega_fin) / (omega_in + omega_fin).
-
-    Kept only so the validation report can show which expression tracks the
-    exact sweep; see validate_quasistatic_phase.
-    """
-    return (2.0 / 3.0) * tau * (2.0 * omega_fin**2 + omega_in * omega_fin) / (omega_in + omega_fin)
 
 
 def _place_block(out: np.ndarray, mode: int, m00, m01, m10, m11) -> None:

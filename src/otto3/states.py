@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import PhysicalityError
+from .errors import ConfigError, PhysicalityError
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
@@ -169,7 +169,7 @@ class Thermal:
 
     def __post_init__(self) -> None:
         if self.nbar < 0 or not math.isfinite(self.nbar):
-            raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
+            raise ConfigError(f"nbar must be finite and >= 0, got {self.nbar}")
 
     def block(self, omega: float) -> np.ndarray:
         """Unvalidated 2x2 block; thermal_covariance gives the validated one."""
@@ -190,7 +190,7 @@ class SqueezedVacuum:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.r):
-            raise ValueError(f"r must be finite, got {self.r}")
+            raise ConfigError(f"r must be finite, got {self.r}")
 
     def block(self, omega: float) -> np.ndarray:
         """Unvalidated 2x2 block; squeezed_vacuum_covariance gives the validated one."""
@@ -220,10 +220,10 @@ class Preparation:
 
     def __post_init__(self) -> None:
         if len(self.modes) != 3:
-            raise ValueError("exactly three mode specifications required")
+            raise ConfigError("exactly three mode specifications required")
         if not (0 < self.omega3 < self.omega1 and math.isfinite(self.omega1)):
-            raise ValueError(f"need finite 0 < omega3 < omega1, got omega3={self.omega3}, "
-                             f"omega1={self.omega1}")
+            raise ConfigError(f"need finite 0 < omega3 < omega1, got omega3={self.omega3}, "
+                              f"omega1={self.omega1}")
 
     @property
     def frequencies(self) -> tuple[float, float, float]:
@@ -269,10 +269,10 @@ def restrict(sigma: Union[np.ndarray, CovarianceMatrix], i: int, j: int) -> Cova
 
 def nbar_from_beta(beta: float, omega: float) -> float:
     """Mean occupation of a mode at inverse temperature beta; beta = inf -> 0."""
-    if omega <= 0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0 (use math.inf for T = 0), got {beta}")
+    if not omega > 0:
+        raise ConfigError(f"omega must be > 0, got {omega}")
+    if not beta > 0:
+        raise ConfigError(f"beta must be > 0 (use math.inf for T = 0), got {beta}")
     if math.isinf(beta):
         return 0.0
     return 1.0 / math.expm1(beta * omega)

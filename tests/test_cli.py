@@ -1,12 +1,18 @@
 """End-to-end runs of the console entry point, in process."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import re
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from otto3 import cli
@@ -130,6 +136,106 @@ class TestConfigRejection:
                         {"omega3_sweep": []}):
             cfg = write_cfg(tmp_path, {"schema_version": 1, "optimize": section})
             assert main(["optimize", "--config", cfg, "--out", out]) == 2
+
+
+def run_quietly(argv):
+    """main(argv) with its output captured: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+NAN, INF = float("nan"), float("inf")
+
+# Each value the package refuses exits 2 with a message naming its key; a
+# value refused while a scan runs is named as the library names it.
+REFUSED = [
+    ("optimize", {"optimize": {"objective": "bogus", "budget": 4}}, "optimize.objective"),
+    ("optimize", {"optimize": {"family": "bogus", "budget": 4}}, "optimize.family"),
+    ("scan", {"scan": {"family": "bogus", "n_samples": 2}}, "scan.family"),
+    ("optimize", {"optimize": {"omega3": 0.1, "budget": "x"}}, "optimize.budget"),
+    ("optimize", {"optimize": {"omega3": 0.1, "budget": 2.5}}, "optimize.budget"),
+    ("optimize", {"optimize": {"omega3": 0.1, "budget": 4, "restarts": "x"}},
+     "optimize.restarts"),
+    ("scan", {"seed": "x", "scan": {"n_samples": 2}}, "seed"),
+    ("optimize", {"seed": 1.5, "optimize": {"omega3": 0.1, "budget": 4}}, "seed"),
+    ("scan", {"scan": {"n_samples": 2, "max_cycles": "x"}}, "scan.max_cycles"),
+    ("scan", {"scan": {"n_samples": 2, "max_cycles": 2.7}}, "scan.max_cycles"),
+    ("simulate", {"engine": {"max_cycles": 2.7}}, "engine.max_cycles"),
+    ("optimize", {"optimize": {"omega3": 1.0, "budget": 4}}, "omega3"),
+    ("scan", {"scan": {"n_samples": 2, "beta1": -1}}, "beta must be > 0"),
+    ("simulate", {"engine": []}, "engine must be an object"),
+    ("optimize", {"optimize": []}, "optimize must be an object"),
+    ("scan", {"scan": {"n_samples": 2, "min_alpha23_tau_c": NAN}}, "min_alpha23_tau_c"),
+    ("scan", {"scan": {"n_samples": 2, "min_alpha23_tau_c": 1.0}}, "min_alpha23_tau_c"),
+    ("simulate", {"engine": {"stop": {"rule": "work_non_negative", "eps_stop": NAN}}},
+     "eps_stop"),
+    ("scan", {"scan": {"n_samples": 2, "box": {"tau_h": [0.0, INF]}}},
+     "tau_h interval .* non-finite endpoint"),
+]
+
+
+class TestRefusedValues:
+    @pytest.mark.parametrize("command, doc, names", REFUSED,
+                             ids=[names.split(" ")[0] for _, _, names in REFUSED])
+    def test_exits_2_naming_the_key(self, tmp_path, command, doc, names):
+        cfg = write_cfg(tmp_path, {"schema_version": 1, **doc})
+        start = time.perf_counter()
+        code, err = run_quietly([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2, err
+        assert re.search(names, err), err
+        assert time.perf_counter() - start < 10.0
+
+
+def small_copy(name):
+    """A shipped config cut down to a fraction of a second of work."""
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    if "engine" in doc:
+        doc["engine"]["max_cycles"] = 2
+        if doc["engine"]["stop"]["rule"] == "fixed_cycles":
+            doc["engine"]["stop"]["n"] = 2
+    if "scan" in doc:
+        doc["scan"].update(n_samples=2, max_cycles=2)
+    if "optimize" in doc:
+        doc["optimize"].update(budget=8, restarts=2,
+                               omega3_sweep=doc["optimize"]["omega3_sweep"][:2])
+    return doc
+
+
+def key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+FUZZ_CONFIGS = {"recurrence_140": "simulate", "optimized_run": "simulate",
+                "zero_coupling": "simulate", "thermal_scan": "scan",
+                "ratio_sweep": "optimize"}
+# Wrong JSON types, a float where an integer belongs, non-finite and
+# out-of-range numbers, and a list or a string in place of a section.
+BAD_VALUES = ["x", True, None, [], [1.0], 1.5, NAN, INF, -INF, -1, 0, 1e308]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_config_fuzz_keeps_the_exit_code_contract(data):
+    name = data.draw(st.sampled_from(sorted(FUZZ_CONFIGS)), label="config")
+    doc = small_copy(name)
+    path = data.draw(st.sampled_from(list(key_paths(doc))), label="key")
+    value = data.draw(st.sampled_from(BAD_VALUES), label="value")
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, err = run_quietly([FUZZ_CONFIGS[name], "--config", str(cfg),
+                                 "--out", str(Path(tmp) / "o")])
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
 
 
 class TestSimulate:

@@ -15,8 +15,7 @@ from otto3.correlations import (entropy_like, discord_from_invariants,
                                 gaussian_discord, log_negativity,
                                 negativity_from_invariants,
                                 pair_correlations, pt_smallest_eigenvalue,
-                                two_mode_invariants, _emin_branch2,
-                                _emin_branch2_as_printed)
+                                two_mode_invariants)
 from otto3.errors import PhysicalityError
 from otto3.states import restrict, symplectic_eigenvalues
 
@@ -207,22 +206,6 @@ class TestBranchHandOff:
             d_lo = gaussian_discord(lo)
             d_hi = gaussian_discord(hi)
             assert abs(d_lo - d_hi) <= 1e-4
-
-    def test_raw_transcription_is_half_the_continuous_branch(self):
-        # the literal raw-convention expression, kept only for comparison,
-        # comes out a factor two below the branch that joins continuously
-        rng = np.random.default_rng(21)
-        checked = 0
-        while checked < 10:
-            sigma, _ = random_covariance(rng)
-            j = self._doubled_invariants(sigma)
-            if self._boundary_gap(j) <= 0:
-                continue
-            inv = two_mode_invariants(sigma)
-            fixed = _emin_branch2(*j)
-            raw = _emin_branch2_as_printed(inv.i1, inv.i2, inv.i3, inv.i4)
-            assert_allclose(raw / fixed, 0.5, rtol=1e-12)
-            checked += 1
 
 
 class TestPairCorrelations:

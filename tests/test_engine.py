@@ -41,12 +41,6 @@ class TestParamsValidation:
             with pytest.raises(ConfigError):
                 EngineParams(prep=prep, **kw)
 
-    def test_rejects_omega3_mismatch(self):
-        prep = thermal_preparation(beta1=0.01, omega3=0.1)
-        with pytest.raises(ConfigError):
-            EngineParams(prep=prep, omega3=0.2, alpha12=0.0, alpha23=0.0,
-                         tau_comp=1.0, tau_h=0.1, tau_c=0.1)
-
     def test_finite_ramps_need_duration(self):
         prep = thermal_preparation(beta1=0.01, omega3=0.1)
         with pytest.raises(ConfigError):
@@ -56,6 +50,11 @@ class TestParamsValidation:
     def test_rejects_negative_cycle_count(self):
         with pytest.raises(ConfigError):
             FixedCycles(-1)
+
+    @pytest.mark.parametrize("eps_stop", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_eps_stop(self, eps_stop):
+        with pytest.raises(ConfigError, match="eps_stop must be finite"):
+            WorkNonNegative(eps_stop)
 
     def test_rejects_bad_sample_dt_and_cap(self):
         prep = thermal_preparation(beta1=0.01, omega3=0.1)
@@ -76,6 +75,18 @@ class TestParamsValidation:
                 kw[field] = bad
                 with pytest.raises(ConfigError):
                     EngineParams(prep=prep, **kw)
+
+    @pytest.mark.parametrize("field", ["tau_comp", "tau_h", "tau_c"])
+    def test_rejects_durations_that_overflow_the_clock(self, field):
+        # finite durations whose run (probe cycle included) ends past the
+        # largest float would put inf and nan times into the series
+        kw = dict(alpha12=0.0, alpha23=0.0, tau_comp=1.0, tau_h=0.1, tau_c=0.1,
+                  ramp=RampMode.QUASI_STATIC, stop=FixedCycles(2))
+        kw[field] = 1e308
+        with pytest.raises(ConfigError, match="clock overflows"):
+            EngineParams(prep=thermal_preparation(beta1=0.01, omega3=0.1), **kw)
+        kw[field] = 1e300
+        EngineParams(prep=thermal_preparation(beta1=0.01, omega3=0.1), **kw)
 
     def test_cycle_duration(self):
         p = optimized_params()

@@ -11,8 +11,7 @@ from otto3.explore import (DIMENSIONS, Objective, OptimizeOutcome,
 from otto3.states import SqueezedVacuum, Thermal
 from otto3 import engine
 from otto3.engine import EngineParams, WorkNonNegative, run_reduced
-from otto3.explore import (DEFAULT_BETA1, DEFAULT_SCAN_COOL_SAMPLES,
-                           DEFAULT_SCAN_HEAT_SAMPLES)
+from otto3.explore import DEFAULT_BETA1
 from otto3.propagators import RampMode
 
 from helpers import (MATCHED_R1, NBAR_BETA_001, OPT_ALPHA12, OPT_ALPHA23,
@@ -77,8 +76,6 @@ class TestPrepFamily:
         prep = PrepFamily.SQUEEZED.preparation(0.1, beta1=0.01)
         assert isinstance(prep.modes[0], SqueezedVacuum)
         assert_allclose(prep.modes[0].r, MATCHED_R1, rtol=1e-14)
-        assert_allclose(PrepFamily.SQUEEZED.matched_r1(0.01), MATCHED_R1,
-                        rtol=1e-14)
 
     def test_round_trip_by_value(self):
         assert PrepFamily("thermal") is PrepFamily.THERMAL
@@ -94,6 +91,8 @@ class TestRandomScan:
             random_scan(-1, seed=1)
         with pytest.raises(ConfigError):
             random_scan(4, seed=1, workers=0)
+        with pytest.raises(ConfigError):
+            random_scan(4, seed=-1)
 
     def test_box_needs_omega3(self):
         with pytest.raises(ConfigError):
@@ -131,11 +130,28 @@ class TestRandomScan:
         assert max(s.n12_max for s in samples) == 0.0
         assert max(s.d12_max for s in samples) > 0.0
 
+    # (alpha23, tau_c) of random_scan(12, seed=13, min_alpha23_tau_c=0.02),
+    # frozen from the unbounded redraw loop
+    FILTERED_DRAWS = [
+        (0.04226210151188994, 0.70377647766229), (0.037297716077045434, 0.6490256002346179),
+        (0.04344633414232947, 0.8177810128809653), (0.03172412715273926, 0.9607513198170013),
+        (0.0381884270927186, 0.889311433216436), (0.041882617715467724, 0.6292894434399497),
+        (0.037119974163744233, 0.8776831800322816), (0.041918153733380446, 0.7349859226299144),
+        (0.0326912150965806, 0.899222474936577), (0.046262468342529034, 0.9775536096779724),
+        (0.03193454668247221, 0.7860208683078633), (0.02710018499555667, 0.9210264325317404)]
+
     def test_weak_cold_contact_filter(self):
         samples = random_scan(12, seed=13, min_alpha23_tau_c=0.02)
         assert all(s.alpha23 * s.tau_c >= 0.02 for s in samples)
+        assert [(s.alpha23, s.tau_c) for s in samples] == self.FILTERED_DRAWS
         unfiltered = random_scan(12, seed=13)
         assert samples != unfiltered
+
+    @pytest.mark.parametrize("threshold", [float("nan"), 1.0])
+    def test_unreachable_filter_is_refused(self, threshold):
+        # the default box reaches alpha23 * tau_c = 0.05 at most
+        with pytest.raises(ConfigError, match=f"sample 0: .* min_alpha23_tau_c = {threshold}"):
+            random_scan(3, seed=1, min_alpha23_tau_c=threshold)
 
     def test_collapsed_omega3_pins_every_sample(self):
         box = ParameterBox(omega3=(0.3, 0.3))
@@ -166,6 +182,8 @@ class TestOptimize:
             optimize(omega3=0.5, restarts=0)
         with pytest.raises(ConfigError):
             optimize(omega3=0.5, method="annealing")
+        with pytest.raises(ConfigError):
+            optimize(omega3=0.5, seed=-1)
 
     def test_fully_pinned_box_is_a_single_evaluation(self):
         out = optimize(omega3=0.1, box=published_box())
@@ -255,8 +273,7 @@ class TestScanEnsembles:
                 prep=family.preparation(s.omega3, DEFAULT_BETA1), alpha12=s.alpha12,
                 alpha23=s.alpha23, tau_comp=s.tau_comp, tau_h=s.tau_h, tau_c=s.tau_c,
                 ramp=ramp, stop=WorkNonNegative(), max_cycles=60)
-            alone = run_reduced(params, heat_samples=DEFAULT_SCAN_HEAT_SAMPLES,
-                                cool_samples=DEFAULT_SCAN_COOL_SAMPLES)
+            alone = run_reduced(params)
             assert s.cycles == alone.n_cycles
             assert s.w_total == alone.w_total
             assert (s.d12_max, s.d23_max, s.d13_max) == alone.discord_max
@@ -267,5 +284,5 @@ class TestScanEnsembles:
     ("alpha12", (0.0, float("nan"))), ("tau_h", (0.0, float("inf"))),
     ("omega3", (float("nan"), 0.5)), ("tau_comp", (float("-inf"), 1.0))])
 def test_parameter_box_rejects_non_finite_endpoints(name, interval):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"{name} interval .* has a non-finite endpoint"):
         ParameterBox(**{name: interval})

@@ -13,8 +13,7 @@ from otto3.propagators import ramp_propagators
 from otto3.propagators import (CouplingSide, RampMode, RampSchedule,
                                SymplecticPropagator, coupling_propagator,
                                coupling_propagators_at, harmonic_propagator,
-                               ode_propagator, ramp_phase_integral,
-                               ramp_phase_variant, ramp_propagator,
+                               ode_propagator, ramp_phase_integral, ramp_propagator,
                                ramp_propagators_at, ramp_xy)
 from otto3.states import (Preparation, Thermal, product_state, symplectic_form,
                           thermal_preparation)
@@ -298,20 +297,10 @@ class TestRampPhase:
                           0.0, tau, epsabs=1e-13, epsrel=1e-13)
             assert_allclose(ramp_phase_integral(w_in, w_fin, tau), num, rtol=1e-10)
 
-    def test_variant_differs_by_linear_term(self):
-        w_in, w_fin, tau = 1.0, 0.1, 85.02
-        delta = ramp_phase_variant(w_in, w_fin, tau) - ramp_phase_integral(w_in, w_fin, tau)
-        assert_allclose(delta, (2.0 / 3.0) * tau * (w_fin - w_in), rtol=1e-12)
-
-    def test_compression_and_expansion_variants_cancel(self):
-        # the two groupings disagree per stroke but their disagreement is
-        # opposite on the up and down sweeps, so cycle phases coincide
-        w_in, w_fin, tau = 1.0, 0.1, 85.02
-        down = ramp_phase_variant(w_in, w_fin, tau) - ramp_phase_integral(w_in, w_fin, tau)
-        up = ramp_phase_variant(w_fin, w_in, tau) - ramp_phase_integral(w_fin, w_in, tau)
-        assert_allclose(down + up, 0.0, atol=1e-12)
-
     def test_slow_limit_selects_the_integral_form(self):
+        # negative control: the phase grouping (2/3) tau (2 w_fin^2 +
+        # w_in w_fin) / (w_in + w_fin), off from the integral by
+        # (2/3) tau (w_fin - w_in), misses the slow sweep
         sched = RampSchedule(0.5, 1.0, 2000.0)
         airy = ramp_propagator(sched, spectator_omega1=1.0,
                                spectator_omega3=0.5).matrix
@@ -319,7 +308,8 @@ class TestRampPhase:
         wi, wf = sched.omega_in, sched.omega_fin
         diffs = {}
         for name, fn in (("integral", ramp_phase_integral),
-                         ("variant", ramp_phase_variant)):
+                         ("variant", lambda wi, wf, tau:
+                          (2.0 / 3.0) * tau * (2.0 * wf**2 + wi * wf) / (wi + wf))):
             phi = fn(wi, wf, sched.tau)
             qs = np.array([
                 [math.sqrt(wi / wf) * math.cos(phi), math.sin(phi) / math.sqrt(wi * wf)],
