@@ -9,6 +9,7 @@ import heapq
 import math
 
 import numpy as np
+from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from otto3.engine import Engine, EngineParams, FixedCycles, WorkNonNegative
@@ -93,6 +94,22 @@ def first_law_residuals(records):
         scale = max(1.0, abs(r.w1) + abs(r.w2))
         out.append(abs(r.w1 + r.w2 - r.q1 - r.q2 - r.du) / scale)
     return np.asarray(out)
+
+
+def assert_numbers_close(got, want, where="", rtol=1e-10, atol=1e-12):
+    """Nested dicts and lists of numbers agree with frozen ones: floats to
+    rtol (atol near zero), everything else exactly."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_numbers_close(got[key], want[key], f"{where}.{key}", rtol, atol)
+    elif isinstance(want, list):
+        assert_allclose(np.asarray(got, dtype=float), np.asarray(want, dtype=float),
+                        rtol=rtol, atol=atol, err_msg=where)
+    elif isinstance(want, float):
+        assert_allclose(got, want, rtol=rtol, atol=atol, err_msg=where)
+    else:
+        assert got == want, where
 
 
 # -- heap enumeration: the reference for otto3.energetics ---------------------

@@ -20,6 +20,8 @@ from otto3.cli import (CYCLES_HEADER, SCAN_HEADER, TIMESERIES_HEADER,
                        load_config, main)
 from otto3.errors import ConfigError
 
+from helpers import assert_numbers_close
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 RATIO_BASELINE = 0.9098591162635316
@@ -501,20 +503,6 @@ def artifact_digest(out_dir):
                      "abs_sum": np.abs(table).sum(axis=0).tolist(),
                      "sampled": table[::stride].tolist() + [table[-1].tolist()]}
     return doc
-
-
-def assert_numbers_close(got, want, where="", rtol=1e-10, atol=1e-12):
-    if isinstance(want, dict):
-        assert sorted(got) == sorted(want), where
-        for key in want:
-            assert_numbers_close(got[key], want[key], f"{where}.{key}", rtol, atol)
-    elif isinstance(want, list):
-        assert_allclose(np.asarray(got, dtype=float), np.asarray(want, dtype=float),
-                        rtol=rtol, atol=atol, err_msg=where)
-    elif isinstance(want, float):
-        assert_allclose(got, want, rtol=rtol, atol=atol, err_msg=where)
-    else:
-        assert got == want, where
 
 
 class TestPinnedSimulateContents:

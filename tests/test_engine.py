@@ -1,4 +1,5 @@
 import argparse
+import json
 import math
 from pathlib import Path
 
@@ -15,10 +16,10 @@ from otto3.errors import ConfigError, PhaseOrderError
 from otto3.engine import _BATCH_POINT_BUDGET, run_reduced_ensemble
 from otto3.propagators import RampMode
 from otto3.states import (Preparation, SqueezedVacuum, Thermal,
-                          thermal_preparation)
+                          squeezed_preparation, thermal_preparation)
 
-from helpers import (C1_BETA_001, first_law_residuals, optimized_params,
-                     sudden_cycle_work)
+from helpers import (C1_BETA_001, assert_numbers_close, first_law_residuals,
+                     optimized_params, sudden_cycle_work)
 
 
 def sudden_params(prep=None, alpha12=0.0, alpha23=0.0, tau_h=0.0, tau_c=0.0,
@@ -381,6 +382,49 @@ class TestTimeSeries:
         res = Engine(optimized_params(stop=FixedCycles(2))).run(
             want_timeseries=False)
         assert res.timeseries is None
+
+
+FROZEN_SERIES = Path(__file__).resolve().parent / "data" / "timeseries_frozen.json"
+
+# Time series that no shipped config covers (every shipped one is
+# quasi-static at the default sample counts).
+PINNED_SERIES = {
+    "airy_sample_dt": lambda: EngineParams(
+        prep=thermal_preparation(beta1=0.01, omega3=0.1), alpha12=0.038,
+        alpha23=1e-4, tau_comp=85.02, tau_h=0.59, tau_c=0.9996,
+        ramp=RampMode.LINEAR_AIRY, stop=FixedCycles(3), sample_dt=0.5),
+    "sudden": lambda: sudden_params(alpha12=0.05, alpha23=0.03, tau_h=0.4,
+                                    tau_c=0.3, stop=FixedCycles(6)),
+    "squeezed_sample_dt": lambda: EngineParams(
+        prep=squeezed_preparation(beta1=0.01, omega3=0.1), alpha12=0.038,
+        alpha23=1e-4, tau_comp=85.02, tau_h=0.59, tau_c=0.9996,
+        ramp=RampMode.QUASI_STATIC, stop=FixedCycles(3), sample_dt=0.05),
+    "no_heating": lambda: EngineParams(
+        prep=thermal_preparation(beta1=0.01, omega3=0.1), alpha12=0.038,
+        alpha23=0.02, tau_comp=20.0, tau_h=0.0, tau_c=0.9996,
+        ramp=RampMode.LINEAR_AIRY, stop=FixedCycles(4)),
+}
+
+
+def series_digest(ts):
+    """Row count, per-column sums of |value| and rows sampled at a fixed
+    stride (plus the last row) of a time series."""
+    table = np.column_stack(ts.columns())
+    stride = max(1, len(table) // 16)
+    return {"rows": len(table), "abs_sum": np.abs(table).sum(axis=0).tolist(),
+            "sampled": table[::stride].tolist() + [table[-1].tolist()]}
+
+
+class TestPinnedTimeSeries:
+    """Time series of ramp interiors, sudden twin rows, fine coupling
+    samples and an absent heating stroke, frozen from a reference run at
+    the simulate pins' tolerance."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SERIES))
+    def test_series_match_frozen(self, name):
+        frozen = json.loads(FROZEN_SERIES.read_text())[name]
+        ts = Engine(PINNED_SERIES[name]()).run().timeseries
+        assert_numbers_close(series_digest(ts), frozen, name)
 
 
 class TestModuleLevelRunners:
