@@ -18,7 +18,6 @@ from .engine import (
     StrokeResult,
     TimeSeries,
     WorkNonNegative,
-    run_engine,
     run_reduced,
 )
 from .errors import (
@@ -74,7 +73,7 @@ __all__ = [
     "coupling_propagator", "harmonic_propagator", "ode_propagator",
     "ramp_propagator",
     "CycleRecord", "Engine", "EngineParams", "EngineResult", "FixedCycles",
-    "StrokeResult", "TimeSeries", "WorkNonNegative", "run_engine", "run_reduced",
+    "StrokeResult", "TimeSeries", "WorkNonNegative", "run_reduced",
     "EfficiencyResult", "efficiency", "ergotropy", "mode_energies", "mode_energy",
     "gaussian_discord", "log_negativity", "pt_smallest_eigenvalue",
     "Objective", "OptimizeOutcome", "ParameterBox", "PrepFamily", "ScanSample",

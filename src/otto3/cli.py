@@ -74,10 +74,24 @@ def _pair(value: Any) -> tuple[float, float]:
     return _number(value[0]), _number(value[1])
 
 
-def _numbers(value: Any) -> list[float]:
+def _number_that(holds: Callable[[float], bool], rule: str) -> Callable[[Any], float]:
+    def convert(value: Any) -> float:
+        number = _number(value)
+        if not holds(number):
+            raise TypeError(f"must {rule}, got {value!r}")
+        return number
+    return convert
+
+
+_POSITIVE = _number_that(lambda x: x > 0, "be > 0")
+# omega1 is 1 in every config
+_COLD_FREQUENCY = _number_that(lambda x: 0 < x < 1, "lie between 0 and the hot frequency 1")
+
+
+def _cold_frequencies(value: Any) -> list[float]:
     if not isinstance(value, list) or not value:
         raise TypeError(f"must be a non-empty list of numbers, got {value!r}")
-    return [_number(v) for v in value]
+    return [_COLD_FREQUENCY(v) for v in value]
 
 
 def _choice(named: dict) -> Callable[[Any], Any]:
@@ -119,18 +133,18 @@ _STOP = ({"rule": _choice({"work_non_negative": WorkNonNegative,
 _CONFIG = ({
     "schema_version": _integer,
     "seed": _integer,
-    "preparation": ({"family": _FAMILY, "beta1": _number, "r1": _number,
-                     "omega3": _number}, _preparation),
+    "preparation": ({"family": _FAMILY, "beta1": _POSITIVE, "r1": _number,
+                     "omega3": _COLD_FREQUENCY}, _preparation),
     "engine": ({"alpha12": _number, "alpha23": _number, "tau_comp": _number,
                 "tau_h": _number, "tau_c": _number, "ramp": _RAMP, "stop": _STOP,
                 "sample_dt": _number, "max_cycles": _integer}, dict),
-    "scan": ({"family": _FAMILY, "n_samples": _integer, "beta1": _number, "box": _BOX,
+    "scan": ({"family": _FAMILY, "n_samples": _integer, "beta1": _POSITIVE, "box": _BOX,
               "ramp": _RAMP, "max_cycles": _integer, "min_alpha23_tau_c": _number}, dict),
     "optimize": ({"objective": _choice({o.value: o for o in Objective}),
                   "budget": _integer, "restarts": _integer,
                   "method": _choice({m: m for m in METHODS}), "box": _BOX,
-                  "omega3": _number, "omega3_sweep": _numbers, "family": _FAMILY,
-                  "beta1": _number, "ramp": _RAMP}, dict),
+                  "omega3": _COLD_FREQUENCY, "omega3_sweep": _cold_frequencies,
+                  "family": _FAMILY, "beta1": _POSITIVE, "ramp": _RAMP}, dict),
 }, _config)
 
 # Engine values a simulate config may leave out.

@@ -44,6 +44,7 @@ from .propagators import (
     RampMode,
     RampSchedule,
     _check_symplectic,
+    _sandwich,
     coupling_propagators_at,
     ramp_propagators,
     ramp_propagators_at,
@@ -53,6 +54,9 @@ from .states import (CovarianceMatrix, Preparation, product_state, product_state
 
 FIRST_LAW_RTOL = 1e-12
 DEFAULT_STROKE_SAMPLES = 20
+# Interior samples of the heating and the cooling stroke in a run without
+# records (run_reduced, run_reduced_ensemble): sparse, for scans and optimizers.
+_REDUCED_SAMPLES = (4, 2)
 # Cap on (cycles per batch) x (sampled points, or time-series rows, per
 # cycle); keeps the batched interior-state stacks and one chunk's series
 # rows bounded when sample_dt is very fine.  EngineParams refuses a
@@ -282,9 +286,10 @@ def _stop_limits(params: EngineParams) -> tuple[int, float]:
     return params.max_cycles, params.stop.eps_stop
 
 
-def _sandwich(mat: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    out = mat @ sigma @ mat.T
-    return 0.5 * (out + out.T)
+def _energy(s: np.ndarray, mode: int, wsq: "float | np.ndarray") -> np.ndarray:
+    """Energy of oscillator `mode` (0, 1, 2) at squared frequency wsq, read off
+    a state or an element-first (6, 6, ...) stack s."""
+    return 0.5 * (s[mode + 3, mode + 3] + wsq * s[mode, mode])
 
 
 # Batched states and maps are held matrix-element first, as (6, 6, N)
@@ -316,9 +321,10 @@ def _by_matrix(stack: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(stack.reshape(36, -1).T).reshape(*lead, 6, 6)
 
 
-def _ramp_interior_weights(schedule: RampSchedule, times: np.ndarray,
+def _ramp_interior_weights(omega_in: float, omega_fin: float, tau: float, times: np.ndarray,
                            w1: float, w3: float) -> np.ndarray:
-    """Weights G_n with E2(t_n) = sum_ab G_n[a,b] sigma[a,b] for sweep interiors.
+    """Weights G_n with E2(t_n) = sum_ab G_n[a,b] sigma[a,b] at the interior
+    instants of a linear (Airy) sweep.
 
     The medium's interior energy needs only one row of the interior
     propagator and the instantaneous squared frequency, never the full
@@ -326,6 +332,7 @@ def _ramp_interior_weights(schedule: RampSchedule, times: np.ndarray,
     """
     if times.size == 0:
         return np.empty((0, 6, 6))
+    schedule = RampSchedule(omega_in, omega_fin, tau)
     mats = ramp_propagators_at(schedule, times, spectator_omega1=w1, spectator_omega3=w3)
     wsq = np.asarray(schedule.omega_sq(times), dtype=float)
     px = mats[:, 4, :]
@@ -436,9 +443,8 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray, count
 
     w1sq = np.repeat(strokes.w1sq[idx], count)
     w3sq = np.repeat(strokes.w3sq[idx], count)
-    e_a, e_b, e_c, e_d, e_e = (
-        (0.5 * (st[4, 4] + wsq * st[1, 1])).reshape(n_eng, count)
-        for st, wsq in zip(states, (w3sq, w1sq, w1sq, w3sq, w3sq)))
+    e_a, e_b, e_c, e_d, e_e = (_energy(st, 1, wsq).reshape(n_eng, count)
+                               for st, wsq in zip(states, (w3sq, w1sq, w1sq, w3sq, w3sq)))
     w1, q1 = e_b - e_a, e_b - e_c
     w2, q2 = e_d - e_c, e_d - e_e
     du = e_e - e_a
@@ -458,7 +464,8 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray, count
                   e_a, e_b, e_c, e_d, e_e, w1, q1, w2, q2, du, w_cycle)
 
 
-_RECORD_COLUMNS = ("w1", "q1", "w2", "q2", "du", "w_cycle", "e1", "e2", "e3", "neg", "disc")
+_RECORD_FLOATS = ("w1", "q1", "w2", "q2", "du", "w_cycle", "e1", "e2", "e3")
+_RECORD_COLUMNS = _RECORD_FLOATS + ("neg", "disc")
 
 
 @dataclass
@@ -601,9 +608,9 @@ def _step(strokes: _Strokes, idx: np.ndarray, count: int, sigma: np.ndarray,
             for name in ("w1", "q1", "w2", "q2", "du"):
                 cols[name].append(getattr(chunk, name)[g, :m])
             ends = chunk.sig_e[:, :, g, :m]
-            cols["e1"].append(0.5 * (ends[3, 3] + strokes.w1sq[e] * ends[0, 0]))
+            cols["e1"].append(_energy(ends, 0, strokes.w1sq[e]))
             cols["e2"].append(chunk.e_e[g, :m])
-            cols["e3"].append(0.5 * (ends[5, 5] + strokes.w3sq[e] * ends[2, 2]))
+            cols["e3"].append(_energy(ends, 2, strokes.w3sq[e]))
             if correlations:
                 cols["neg"].append(cyc_neg[first[g]:first[g] + m])
                 cols["disc"].append(cyc_disc[first[g]:first[g] + m])
@@ -686,9 +693,9 @@ class Engine:
                 f"{'omega3' if needed == 'low' else 'omega1'} but the engine is "
                 f"in the {self._phase!r} phase"
             )
-        e_start = 0.5 * (self._sigma[4, 4] + w_start**2 * self._sigma[1, 1])
+        e_start = _energy(self._sigma, 1, w_start**2)
         self._sigma = _sandwich(mat, self._sigma)
-        e_end = 0.5 * (self._sigma[4, 4] + w_end**2 * self._sigma[1, 1])
+        e_end = _energy(self._sigma, 1, w_end**2)
         self._phase = after
         self._t += duration
         return StrokeResult(kind, duration, w_start, w_end, e_start, e_end)
@@ -696,19 +703,18 @@ class Engine:
     # -- whole runs ----------------------------------------------------------
 
     def run(self, *, want_timeseries: bool = True, correlations: bool = True,
-            keep_records: bool = True, heat_samples: Optional[int] = None,
-            cool_samples: Optional[int] = None) -> EngineResult:
+            keep_records: bool = True) -> EngineResult:
         """Repeat cycles from the current state until the stop rule fires.
 
-        heat_samples and cool_samples override the interior sample count of
-        the coupling strokes (sample_dt, when set, wins).  correlations=False
-        reduces the run to pure energy bookkeeping, the fastest mode, leaving
-        NaN in every correlation field.
+        correlations=False reduces the run to pure energy bookkeeping, the
+        fastest mode, leaving NaN in every correlation field.  A run without
+        records samples the coupling strokes sparsely, at 4 heating and 2
+        cooling interior instants per cycle, unless sample_dt is set.
         """
         if self._phase != "low":
             raise PhaseOrderError("a run must start with the medium at omega3")
         return self._advance(*_stop_limits(self.params), want_timeseries, correlations,
-                             keep_records, heat_samples, cool_samples)
+                             keep_records)
 
     def run_cycle(self) -> CycleRecord:
         """Execute one full cycle from the current state and record it.
@@ -718,19 +724,15 @@ class Engine:
         """
         if self._phase != "low":
             raise PhaseOrderError("a cycle must start with the medium at omega3")
-        return self._advance(1, -math.inf, False, True, True, None, None).records[0]
+        return self._advance(1, -math.inf, False, True, True).records[0]
 
     def _advance(self, total: int, eps_stop: float, want_timeseries: bool,
-                 correlations: bool, keep_records: bool, heat_samples: Optional[int],
-                 cool_samples: Optional[int]) -> EngineResult:
+                 correlations: bool, keep_records: bool) -> EngineResult:
         params = self.params
-        heat_times = _interior_times(
-            params.tau_h, DEFAULT_STROKE_SAMPLES if heat_samples is None else heat_samples,
-            params.sample_dt)
-        cool_times = _interior_times(
-            params.tau_c, DEFAULT_STROKE_SAMPLES if cool_samples is None else cool_samples,
-            params.sample_dt)
-        ts = _TimeSeriesBuilder(self, heat_times, cool_times) if want_timeseries else None
+        heat_times, cool_times = _coupling_times(
+            params, (DEFAULT_STROKE_SAMPLES,) * 2 if keep_records else _REDUCED_SAMPLES)
+        ts = (_TimeSeriesBuilder(self, heat_times, cool_times, correlations)
+              if want_timeseries else None)
         runs = _run_engines(
             self._strokes, self._sigma[None], totals=np.array([total]),
             eps_stop=np.array([eps_stop]), first_cycle=np.array([self._cycle]),
@@ -745,43 +747,25 @@ class Engine:
         self._cycle += n_counted
         self._t += n_counted * params.cycle_duration
 
-        if probe_seen:
-            stop_reason = "work_non_negative"
-        elif isinstance(params.stop, FixedCycles):
-            stop_reason = "fixed_cycles"
-        else:
-            stop_reason = "cycle_cap"
+        stop_reason = ("work_non_negative" if probe_seen else
+                       "fixed_cycles" if isinstance(params.stop, FixedCycles) else "cycle_cap")
 
         flat = runs.columns[0]
         records: list[CycleRecord] = []
-        probe: Optional[CycleRecord] = None
         if keep_records:
             w_cum = self._w_cum
             for i in range(simulated):
-                w_cum += float(flat["w_cycle"][i])
-                record = CycleRecord(
-                    index=cycle_start_index + i,
-                    w1=float(flat["w1"][i]), w2=float(flat["w2"][i]),
-                    q1=float(flat["q1"][i]), q2=float(flat["q2"][i]),
-                    du=float(flat["du"][i]),
-                    w_cycle=float(flat["w_cycle"][i]), w_cum=w_cum,
-                    eta=efficiency(float(flat["w_cycle"][i]), float(flat["du"][i]),
-                                   float(flat["q1"][i]), float(flat["q2"][i])).value,
-                    e1=float(flat["e1"][i]), e2=float(flat["e2"][i]),
-                    e3=float(flat["e3"][i]),
-                    d12_max=float(flat["disc"][i, 0]), d23_max=float(flat["disc"][i, 1]),
-                    d13_max=float(flat["disc"][i, 2]),
-                    n12_max=float(flat["neg"][i, 0]), n23_max=float(flat["neg"][i, 1]),
-                    n13_max=float(flat["neg"][i, 2]),
-                )
-                if probe_seen and i == simulated - 1:
-                    probe = record
-                else:
-                    records.append(record)
+                row = {name: float(flat[name][i]) for name in _RECORD_FLOATS}
+                w_cum += row["w_cycle"]
+                (d12, d23, d13), (n12, n23, n13) = flat["disc"][i].tolist(), flat["neg"][i].tolist()
+                records.append(CycleRecord(
+                    index=cycle_start_index + i, **row, w_cum=w_cum,
+                    eta=efficiency(row["w_cycle"], row["du"], row["q1"], row["q2"]).value,
+                    d12_max=d12, d23_max=d23, d13_max=d13, n12_max=n12, n23_max=n23, n13_max=n13))
+        probe = records.pop() if keep_records and probe_seen else None
 
         w_total = runs.w_total(0)
         self._w_cum += w_total
-        run_neg, run_disc = runs.neg_max[0], runs.disc_max[0]
 
         return EngineResult(
             params=params,
@@ -793,71 +777,57 @@ class Engine:
             timeseries=ts.finish() if ts is not None else None,
             sigma_initial=self.sigma_initial,
             sigma_final=CovarianceMatrix(self._sigma.copy()),
-            discord_max=(float(run_disc[0]), float(run_disc[1]), float(run_disc[2])),
-            negativity_max=(float(run_neg[0]), float(run_neg[1]), float(run_neg[2])),
+            discord_max=tuple(runs.disc_max[0].tolist()),
+            negativity_max=tuple(runs.neg_max[0].tolist()),
         )
 
 
 class _TimeSeriesBuilder:
     """Accumulates time-series rows chunk by chunk.
 
-    Row layout per cycle: cycle start, compression interiors, after
-    compression, heating interiors, after heating, expansion interiors,
-    after expansion, cooling interiors.  The closing edge of a cycle is the
-    next cycle's first row; finish() appends the one of the last simulated
-    cycle.
+    Each stroke of a cycle emits one row at its start, then one per interior
+    instant.  Ramp interiors keep the start's spectator energies and
+    correlations (local maps conserve both) and weigh the start state for
+    E2; coupling interiors read the kernel's interior states and scored
+    points.  A cycle's closing edge is the next cycle's first row; finish()
+    appends the newest edge, the current state if no cycle ran.
     """
 
-    def __init__(self, engine: Engine, heat_times: np.ndarray,
-                 cool_times: np.ndarray) -> None:
+    def __init__(self, engine: Engine, heat_times: np.ndarray, cool_times: np.ndarray,
+                 correlations: bool) -> None:
         params = engine.params
         w1, w3 = engine._w1, engine._w3
-        self._engine = engine
-        self._w1sq = w1**2
-        self._w3sq = w3**2
+        self._w1sq, self._w3sq = w1**2, w3**2
         self._cycle_duration = params.cycle_duration
         self._t0 = engine._t
         self._cycles_added = 0
-        if params.ramp is RampMode.LINEAR_AIRY:
-            ramp_times = _interior_times(params.tau_comp, DEFAULT_STROKE_SAMPLES,
-                                         params.sample_dt)
-            self._comp_weights = _ramp_interior_weights(
-                RampSchedule(w3, w1, params.tau_comp, params.ramp), ramp_times, w1, w3)
-            self._exp_weights = _ramp_interior_weights(
-                RampSchedule(w1, w3, params.tau_comp, params.ramp), ramp_times, w1, w3)
-        else:
-            ramp_times = np.empty(0)
-            self._comp_weights = self._exp_weights = np.empty((0, 6, 6))
-        nr, nh, nc = ramp_times.size, heat_times.size, cool_times.size
-        self._nh, self._nc = nh, nc
-        tau_r = params.ramp_duration
-        self._i_a = 0
-        self._s_comp = slice(1, 1 + nr)
-        self._i_b = 1 + nr
-        self._s_heat = slice(self._i_b + 1, self._i_b + 1 + nh)
-        self._i_c = self._i_b + 1 + nh
-        self._s_exp = slice(self._i_c + 1, self._i_c + 1 + nr)
-        self._i_d = self._i_c + 1 + nr
-        self._s_cool = slice(self._i_d + 1, self._i_d + 1 + nc)
-        self.rows_per_cycle = self._i_d + 1 + nc
-        offsets = np.empty(self.rows_per_cycle)
-        offsets[self._i_a] = 0.0
-        offsets[self._s_comp] = ramp_times
-        offsets[self._i_b] = tau_r
-        offsets[self._s_heat] = tau_r + heat_times
-        offsets[self._i_c] = tau_r + params.tau_h
-        offsets[self._s_exp] = tau_r + params.tau_h + ramp_times
-        offsets[self._i_d] = 2.0 * tau_r + params.tau_h
-        offsets[self._s_cool] = 2.0 * tau_r + params.tau_h + cool_times
-        self._offsets = offsets
-        self._parts: dict[str, list[np.ndarray]] = {
-            name: [] for name in ("t", "e1", "e2", "e3", "neg", "disc")}
-        self._closing: Optional[tuple] = None
-
-    def _mode_energies(self, states: np.ndarray) -> tuple[np.ndarray, ...]:
-        e1 = 0.5 * (states[..., 3, 3] + self._w1sq * states[..., 0, 0])
-        e3 = 0.5 * (states[..., 5, 5] + self._w3sq * states[..., 2, 2])
-        return e1, e3
+        self._correlations = correlations
+        ramp_times = (_interior_times(params.tau_comp, DEFAULT_STROKE_SAMPLES, params.sample_dt)
+                      if params.ramp is RampMode.LINEAR_AIRY else np.empty(0))
+        comp, exp = (_ramp_interior_weights(a, b, params.tau_comp, ramp_times, w1, w3)
+                     for a, b in ((w3, w1), (w1, w3)))
+        tau_r, nh = params.ramp_duration, heat_times.size
+        # Per stroke: start offset, interior offsets, ramp weights (None for a
+        # coupling stroke), the medium's squared frequency and the scored
+        # point of its start; a cycle's scored points are its start, the
+        # heating interiors, the state after heating, the cooling interiors
+        # and its end.
+        self._strokes = (
+            (0.0, ramp_times, comp, self._w3sq, 0),
+            (tau_r, heat_times, None, self._w1sq, 0),
+            (tau_r + params.tau_h, ramp_times, exp, self._w1sq, 1 + nh),
+            (2.0 * tau_r + params.tau_h, cool_times, None, self._w3sq, 1 + nh),
+        )
+        self._offsets = np.concatenate([np.append(start, start + times)
+                                        for start, times, *_ in self._strokes])
+        self._points = np.concatenate([
+            np.append(point, np.full(times.size, point) if weights is not None
+                      else point + 1 + np.arange(times.size))
+            for _, times, weights, _, point in self._strokes])
+        self.rows_per_cycle = self._offsets.size
+        self._rows: list[tuple[np.ndarray, ...]] = []
+        # (time, state, E2, scored pair correlations or None) of the newest edge
+        self._end = (self._t0, engine._sigma, _energy(engine._sigma, 1, self._w3sq), None)
 
     def add_chunk(self, chunk: _Chunk, rows: int, heat_states: np.ndarray,
                   cool_states: np.ndarray, neg: Optional[np.ndarray],
@@ -868,125 +838,65 @@ class _TimeSeriesBuilder:
         (6, 6, rows, n); neg and disc their scored points, (rows, points,
         3), or None without correlations.
         """
-        g, m, length = 0, rows, self.rows_per_cycle
+        m = rows
         t_start = self._t0 + self._cycles_added * self._cycle_duration
         self._cycles_added += m
-        sig_a, sig_b, sig_c, sig_d = (_by_matrix(st[:, :, g, :m]) for st in (
-            chunk.sig_a, chunk.sig_b, chunk.sig_c, chunk.sig_d))
-        e1 = np.empty((m, length))
-        e2 = np.empty((m, length))
-        e3 = np.empty((m, length))
-
-        e1_a, e3_a = self._mode_energies(sig_a)
-        e1_c, e3_c = self._mode_energies(sig_c)
-        e1[:, self._i_a], e2[:, self._i_a], e3[:, self._i_a] = e1_a, chunk.e_a[g, :m], e3_a
-        e1[:, self._s_comp] = e1_a[:, None]
-        e3[:, self._s_comp] = e3_a[:, None]
-        e2[:, self._s_comp] = np.einsum("nab,kab->kn", self._comp_weights, sig_a)
-        e1_b, e3_b = self._mode_energies(sig_b)
-        e1[:, self._i_b], e2[:, self._i_b], e3[:, self._i_b] = e1_b, chunk.e_b[g, :m], e3_b
-        hs = _by_matrix(heat_states)
-        e1_h, e3_h = self._mode_energies(hs)
-        e1[:, self._s_heat] = e1_h
-        e2[:, self._s_heat] = 0.5 * (hs[..., 4, 4] + self._w1sq * hs[..., 1, 1])
-        e3[:, self._s_heat] = e3_h
-        e1[:, self._i_c], e2[:, self._i_c], e3[:, self._i_c] = e1_c, chunk.e_c[g, :m], e3_c
-        e1[:, self._s_exp] = e1_c[:, None]
-        e3[:, self._s_exp] = e3_c[:, None]
-        e2[:, self._s_exp] = np.einsum("nab,kab->kn", self._exp_weights, sig_c)
-        e1_d, e3_d = self._mode_energies(sig_d)
-        e1[:, self._i_d], e2[:, self._i_d], e3[:, self._i_d] = e1_d, chunk.e_d[g, :m], e3_d
-        cs = _by_matrix(cool_states)
-        e1_k, e3_k = self._mode_energies(cs)
-        e1[:, self._s_cool] = e1_k
-        e2[:, self._s_cool] = 0.5 * (cs[..., 4, 4] + self._w3sq * cs[..., 1, 1])
-        e3[:, self._s_cool] = e3_k
-
-        nh = self._nh
-        corr_rows = {}
-        for name, src in (("neg", neg), ("disc", disc)):
-            out = np.empty((m, length, 3))
-            if src is None:
-                out.fill(np.nan)
+        starts = ((chunk.sig_a, chunk.e_a), (chunk.sig_b, chunk.e_b),
+                  (chunk.sig_c, chunk.e_c), (chunk.sig_d, chunk.e_d))
+        interiors = (None, heat_states, None, cool_states)
+        e1, e2, e3 = [], [], []
+        for (_, times, weights, wsq, _), (sig, e_start), inner in zip(
+                self._strokes, starts, interiors):
+            s = sig[:, :, 0, :m]
+            e1.append(_energy(s, 0, self._w1sq)[:, None])
+            e2.append(e_start[0, :m, None])
+            e3.append(_energy(s, 2, self._w3sq)[:, None])
+            if weights is None:
+                e1.append(_energy(inner, 0, self._w1sq))
+                e2.append(_energy(inner, 1, wsq))
+                e3.append(_energy(inner, 2, self._w3sq))
             else:
-                point_a = src[:, 0]
-                point_c = src[:, 1 + nh]
-                out[:, self._i_a] = point_a
-                out[:, self._s_comp] = point_a[:, None]
-                out[:, self._i_b] = point_a
-                out[:, self._s_heat] = src[:, 1:1 + nh]
-                out[:, self._i_c] = point_c
-                out[:, self._s_exp] = point_c[:, None]
-                out[:, self._i_d] = point_c
-                out[:, self._s_cool] = src[:, 2 + nh:2 + nh + self._nc]
-            corr_rows[name] = out
-
+                e1.append(np.repeat(e1[-1], times.size, axis=1))
+                e2.append(np.einsum("nab,kab->kn", weights, _by_matrix(s)))
+                e3.append(np.repeat(e3[-1], times.size, axis=1))
         t = t_start + self._cycle_duration * np.arange(m)[:, None] + self._offsets[None, :]
-        self._parts["t"].append(t.reshape(-1))
-        self._parts["e1"].append(e1.reshape(-1))
-        self._parts["e2"].append(e2.reshape(-1))
-        self._parts["e3"].append(e3.reshape(-1))
-        self._parts["neg"].append(corr_rows["neg"].reshape(-1, 3))
-        self._parts["disc"].append(corr_rows["disc"].reshape(-1, 3))
-
-        last = _by_matrix(chunk.sig_e[:, :, g, m - 1])
-        e1_e, e3_e = self._mode_energies(last[None])
-        self._closing = (
-            t_start + m * self._cycle_duration,
-            float(e1_e[0]), float(chunk.e_e[g, m - 1]), float(e3_e[0]),
-            neg[m - 1, -1].copy() if neg is not None else np.full(3, np.nan),
-            disc[m - 1, -1].copy() if disc is not None else np.full(3, np.nan),
-        )
+        energies = [np.concatenate(e, axis=1).reshape(-1) for e in (e1, e2, e3)]
+        corr = ([np.full((t.size, 3), np.nan)] * 2 if neg is None
+                else [src[:, self._points].reshape(-1, 3) for src in (neg, disc)])
+        self._rows.append((t.reshape(-1), *energies, *corr))
+        scored = None if neg is None else (neg[m - 1, -1], disc[m - 1, -1])
+        self._end = (t_start + m * self._cycle_duration, chunk.sig_e[:, :, 0, m - 1],
+                     chunk.e_e[0, m - 1], scored)
 
     def finish(self) -> TimeSeries:
-        if self._closing is None:
-            # Nothing simulated: a single row for the current state.
-            engine = self._engine
-            sig = engine._sigma
-            e1, e3 = self._mode_energies(sig[None])
-            neg, disc = pair_correlations(sig)
-            return TimeSeries(
-                t=np.array([engine._t]),
-                e1=np.array([float(e1[0])]),
-                e2=np.array([0.5 * (sig[4, 4] + self._w3sq * sig[1, 1])]),
-                e3=np.array([float(e3[0])]),
-                d12=np.array([disc[0]]), d23=np.array([disc[1]]), d13=np.array([disc[2]]),
-                n12=np.array([neg[0]]), n23=np.array([neg[1]]), n13=np.array([neg[2]]),
-            )
-        t_end, e1_end, e2_end, e3_end, neg_end, disc_end = self._closing
-        self._parts["t"].append(np.array([t_end]))
-        self._parts["e1"].append(np.array([e1_end]))
-        self._parts["e2"].append(np.array([e2_end]))
-        self._parts["e3"].append(np.array([e3_end]))
-        self._parts["neg"].append(neg_end[None])
-        self._parts["disc"].append(disc_end[None])
-        t = np.concatenate(self._parts["t"])
-        e1 = np.concatenate(self._parts["e1"])
-        e2 = np.concatenate(self._parts["e2"])
-        e3 = np.concatenate(self._parts["e3"])
-        neg = np.concatenate(self._parts["neg"])
-        disc = np.concatenate(self._parts["disc"])
+        t, state, e2, scored = self._end
+        if scored is None:  # correlations off, or no cycle ran
+            scored = (pair_correlations(state) if self._correlations
+                      else (np.full(3, np.nan),) * 2)
+        last = (np.array([t]), np.array([_energy(state, 0, self._w1sq)]), np.array([e2]),
+                np.array([_energy(state, 2, self._w3sq)]), scored[0][None], scored[1][None])
+        t, e1, e2, e3, neg, disc = (np.concatenate(col) for col in zip(*self._rows, last))
         return TimeSeries(t=t, e1=e1, e2=e2, e3=e3,
                           d12=disc[:, 0], d23=disc[:, 1], d13=disc[:, 2],
                           n12=neg[:, 0], n23=neg[:, 1], n13=neg[:, 2])
 
 
-def run_engine(params: EngineParams, *, want_timeseries: bool = True) -> EngineResult:
-    """Run a fresh engine to its stop rule with full tracking."""
-    return Engine(params).run(want_timeseries=want_timeseries)
+def _coupling_times(params: EngineParams,
+                    samples: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Interior sample instants of the heating and of the cooling stroke."""
+    return (_interior_times(params.tau_h, samples[0], params.sample_dt),
+            _interior_times(params.tau_c, samples[1], params.sample_dt))
 
 
-def run_reduced(params: EngineParams, *, correlations: bool = True,
-                heat_samples: int = 4, cool_samples: int = 2) -> EngineResult:
+def run_reduced(params: EngineParams, *, correlations: bool = True) -> EngineResult:
     """Run a fresh engine with sparse correlation sampling and no records.
 
     Intended for parameter scans and optimization loops: totals, cycle
     count and run-level correlation maxima survive; per-cycle records and
     the time series are dropped.
     """
-    return Engine(params).run(
-        want_timeseries=False, correlations=correlations, keep_records=False,
-        heat_samples=heat_samples, cool_samples=cool_samples)
+    return Engine(params).run(want_timeseries=False, correlations=correlations,
+                              keep_records=False)
 
 
 @dataclass(frozen=True)
@@ -999,8 +909,7 @@ class EnsembleTotals:
     negativity_max: np.ndarray  # (E, 3)
 
 
-def run_reduced_ensemble(params: Sequence[EngineParams], *, heat_samples: int = 4,
-                         cool_samples: int = 2) -> EnsembleTotals:
+def run_reduced_ensemble(params: Sequence[EngineParams]) -> EnsembleTotals:
     """run_reduced for many engines at once, stepped together in lockstep.
 
     Every engine gets exactly the numbers run_reduced gives it alone: the
@@ -1018,14 +927,12 @@ def run_reduced_ensemble(params: Sequence[EngineParams], *, heat_samples: int = 
     neg_max = np.zeros((n_eng, 3))
     for lo in range(0, n_eng, _ENSEMBLE_SIZE):
         block = range(lo, min(lo + _ENSEMBLE_SIZE, n_eng))
-        heat = {e: _interior_times(params[e].tau_h, heat_samples, params[e].sample_dt)
-                for e in block}
-        cool = {e: _interior_times(params[e].tau_c, cool_samples, params[e].sample_dt)
-                for e in block}
+        times = {e: _coupling_times(params[e], _REDUCED_SAMPLES) for e in block}
         # Engines with the same ramp mode and interior point counts share stacks.
         cohorts: dict[tuple, list[int]] = {}
         for e in block:
-            cohorts.setdefault((params[e].ramp, heat[e].size, cool[e].size), []).append(e)
+            heat, cool = times[e]
+            cohorts.setdefault((params[e].ramp, heat.size, cool.size), []).append(e)
         for rows in cohorts.values():
             group = [params[e] for e in rows]
             limits = [_stop_limits(p) for p in group]
@@ -1034,8 +941,8 @@ def run_reduced_ensemble(params: Sequence[EngineParams], *, heat_samples: int = 
                 totals=np.array([total for total, _ in limits]),
                 eps_stop=np.array([eps for _, eps in limits]),
                 first_cycle=np.zeros(len(group), dtype=int),
-                heat_times=np.stack([heat[e] for e in rows]),
-                cool_times=np.stack([cool[e] for e in rows]),
+                heat_times=np.stack([times[e][0] for e in rows]),
+                cool_times=np.stack([times[e][1] for e in rows]),
                 correlations=True, keep_records=False)
             final[rows] = runs.sigma
             n_cycles[rows] = runs.simulated - runs.probe

@@ -52,6 +52,12 @@ def _check_symplectic(mat: np.ndarray, tol: float = SYMPLECTIC_TOL, *,
     return float(defect) if defect.ndim == 0 else defect
 
 
+def _sandwich(mat: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """mat @ sigma @ mat.T, symmetrised."""
+    out = mat @ sigma @ mat.T
+    return 0.5 * (out + out.T)
+
+
 @dataclass(frozen=True)
 class SymplecticPropagator:
     """A 6x6 symplectic matrix with the stroke duration it represents."""
@@ -71,8 +77,7 @@ class SymplecticPropagator:
         object.__setattr__(self, "matrix", mat)
 
     def apply(self, sigma: np.ndarray) -> np.ndarray:
-        out = self.matrix @ sigma @ self.matrix.T
-        return 0.5 * (out + out.T)
+        return _sandwich(self.matrix, sigma)
 
 
 class RampMode(enum.Enum):

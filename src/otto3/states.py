@@ -275,7 +275,10 @@ def nbar_from_beta(beta: float, omega: float) -> float:
         raise ConfigError(f"beta must be > 0 (use math.inf for T = 0), got {beta}")
     if math.isinf(beta):
         return 0.0
-    return 1.0 / math.expm1(beta * omega)
+    try:
+        return 1.0 / math.expm1(beta * omega)
+    except OverflowError:  # beta * omega > ~709.8, where 1 / expm1 is exp(-beta * omega)
+        return math.exp(-beta * omega)
 
 
 def beta_from_nbar(nbar: float, omega: float) -> float:

@@ -165,8 +165,12 @@ REFUSED = [
     ("scan", {"scan": {"n_samples": 2, "max_cycles": "x"}}, "scan.max_cycles"),
     ("scan", {"scan": {"n_samples": 2, "max_cycles": 2.7}}, "scan.max_cycles"),
     ("simulate", {"engine": {"max_cycles": 2.7}}, "engine.max_cycles"),
-    ("optimize", {"optimize": {"omega3": 1.0, "budget": 4}}, "omega3"),
-    ("scan", {"scan": {"n_samples": 2, "beta1": -1}}, "beta must be > 0"),
+    ("optimize", {"optimize": {"omega3": 1.0, "budget": 4}}, "optimize.omega3 must lie"),
+    ("optimize", {"optimize": {"omega3_sweep": [0.1, 1.0], "budget": 4}},
+     "optimize.omega3_sweep must lie"),
+    ("scan", {"scan": {"n_samples": 2, "beta1": -1}}, "scan.beta1 must be > 0"),
+    ("optimize", {"optimize": {"omega3": 0.1, "beta1": -1, "budget": 4}},
+     "optimize.beta1 must be > 0"),
     ("simulate", {"engine": []}, "engine must be an object"),
     ("optimize", {"optimize": []}, "optimize must be an object"),
     ("scan", {"scan": {"n_samples": 2, "min_alpha23_tau_c": NAN}}, "min_alpha23_tau_c"),
@@ -527,3 +531,13 @@ class TestErgotropyFailureExit:
         assert simulate(write_cfg(tmp_path, doc), tmp_path / "o") == 3
         assert "ConvergenceError" in capsys.readouterr().err
         assert list((tmp_path / "o").iterdir()) == []
+
+
+class TestZeroTemperature:
+    def test_hot_mode_past_the_overflow_point_runs(self, tmp_path):
+        # beta1 * omega1 past expm1's overflow: an empty hot mode, not a failure
+        doc = base_config()
+        doc["preparation"]["beta1"] = 1e308
+        assert simulate(write_cfg(tmp_path, doc), tmp_path / "o") == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["ergotropy"] == 0.0

@@ -11,7 +11,7 @@ from otto3 import engine
 from otto3.cli import build_engine_params, load_config
 from otto3.energetics import mode_energies, mode_energy
 from otto3.engine import (Engine, EngineParams, FixedCycles, TimeSeries,
-                          WorkNonNegative, run_engine, run_reduced)
+                          WorkNonNegative, run_reduced)
 from otto3.errors import ConfigError, PhaseOrderError
 from otto3.engine import _BATCH_POINT_BUDGET, run_reduced_ensemble
 from otto3.propagators import RampMode
@@ -372,11 +372,14 @@ class TestTimeSeries:
         assert len(fine.timeseries) > len(coarse.timeseries)
 
     def test_disabled_tracking_leaves_nan(self):
-        p = optimized_params(stop=FixedCycles(2))
-        res = Engine(p).run(correlations=False)
-        assert math.isnan(res.records[0].d12_max)
-        assert np.all(np.isnan(res.timeseries.d12))
-        assert np.all(np.isnan(res.discord_max))
+        # zero cycles: the one row of the initial state is not scored either
+        for cycles in (2, 0):
+            res = Engine(optimized_params(stop=FixedCycles(cycles))).run(correlations=False)
+            assert len(res.records) == cycles
+            assert all(math.isnan(r.d12_max) for r in res.records)
+            for column in res.timeseries.columns()[4:]:
+                assert np.all(np.isnan(column)), cycles
+            assert np.all(np.isnan(res.discord_max))
 
     def test_want_timeseries_false(self):
         res = Engine(optimized_params(stop=FixedCycles(2))).run(
@@ -428,13 +431,6 @@ class TestPinnedTimeSeries:
 
 
 class TestModuleLevelRunners:
-    def test_run_engine_equals_engine_run(self):
-        p = optimized_params(stop=FixedCycles(6))
-        a = run_engine(p, want_timeseries=False)
-        b = Engine(p).run(want_timeseries=False)
-        assert a.w_total == b.w_total
-        assert a.n_cycles == b.n_cycles
-
     def test_run_reduced_keeps_totals_only(self):
         p = optimized_params(stop=FixedCycles(6))
         full = Engine(p).run(want_timeseries=False)

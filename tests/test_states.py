@@ -274,6 +274,15 @@ class TestOccupationConversions:
     def test_infinite_beta_is_vacuum(self):
         assert nbar_from_beta(math.inf, 1.0) == 0.0
 
+    def test_cold_mode_past_the_expm1_overflow(self):
+        # below the overflow point the value keeps its bits; past it, where
+        # expm1 would raise, the occupation is exp(-beta omega), then 0
+        for beta in (1.0, 300.0, 709.78):
+            assert nbar_from_beta(beta, 1.0) == 1.0 / math.expm1(beta)
+        for beta in (709.8, 720.0):
+            assert nbar_from_beta(beta, 1.0) == math.exp(-beta) > 0.0
+        assert nbar_from_beta(1e308, 1.0) == nbar_from_beta(1e308, 10.0) == 0.0
+
     def test_round_trip(self):
         for nbar in (0.3, 1.0, 42.0):
             assert_allclose(nbar_from_beta(beta_from_nbar(nbar, 0.7), 0.7),
