@@ -14,11 +14,18 @@ the frequency in force at that instant:
 
 Negative work is work produced, negative heat is heat absorbed by the
 medium, and W1 + W2 - Q1 - Q2 equals the medium's energy change over the
-cycle.  The engine checks that identity on every cycle it simulates.
+cycle.  The five energies are read off one chain of stroke sandwiches, so
+the balance holds by construction; the engine checks it on every cycle,
+which catches non-finite or rounding-level defects but never a wrong
+stroke map.
 
 All four stroke propagators are fixed symplectic matrices, so a whole cycle
 is a single 6x6 sandwich and long runs evaluate matrix-power batches
-instead of stepping stroke by stroke.  Many independent engines (a scan)
+instead of stepping stroke by stroke.  Cycles run in chunks that double
+from 4 to 256; a kernel call of few engines runs several consecutive
+chunks at once (a span of at most 64 engine-cycles), each starting from
+the symmetrised cursor a call per chunk would carry, so spans save fixed
+per-call cost and change no number.  Many independent engines (a scan)
 step together along an engine axis through the same cycle kernel and
 stepping loop that run one Engine; no engine's numbers depend on the
 others.  Pair correlations move only while a coupling stroke acts (ramps
@@ -30,6 +37,7 @@ exact rather than an approximation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -69,6 +77,10 @@ _CHUNK_START, _CHUNK_MAX = 4, 256
 # engine-cycles (times the points per cycle), which is one engine's largest
 # chunk, however many engines share the call.
 _STACK_CYCLES = _CHUNK_MAX
+# A kernel call takes its engines' following chunks of the schedule too (a
+# span) while it holds at most this many engine-cycles: a lone engine runs
+# 4+8+16+32 cycles in one call, a scan block keeps one chunk per call.
+_SPAN_CYCLES = 64
 # Engines per ensemble of run_reduced_ensemble; bounds the stacked stroke
 # maps and cursors of a long scan.
 _ENSEMBLE_SIZE = _CHUNK_MAX
@@ -396,10 +408,15 @@ class _Strokes:
 class _Chunk:
     """Stage states and per-cycle energies of G engines over `count` cycles each.
 
-    States are element-first: sig_b[:, :, g, k] is engine g's state after
-    compression in its k-th cycle of the chunk.
+    The cycles are the consecutive chunks `span` of the schedule.  States
+    are element-first: sig_b[:, :, g, k] is engine g's state after
+    compression in its k-th cycle.  Engine g's stop rule fires first on its
+    cycle keep[g] (stopped[g]); keep[g] = count otherwise.
     """
 
+    span: tuple[int, ...]
+    keep: np.ndarray       # (G,)
+    stopped: np.ndarray    # (G,) bool
     sig_a: np.ndarray      # (6, 6, G, count + 1); entry `count` starts the next chunk
     sig_b: np.ndarray      # (6, 6, G, count)
     sig_c: np.ndarray
@@ -418,23 +435,50 @@ class _Chunk:
     w_cycle: np.ndarray
 
 
-def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray, count: int,
-                    first_cycle: np.ndarray) -> _Chunk:
-    """The cycle kernel: evolve engines `idx` by `count` cycles from `sigma`.
+@functools.lru_cache(maxsize=64)
+def _span_layout(span: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layout of a span's cycle starts plus the closing state: the power of
+    the cycle map at each, how many of them start from each inner chunk's
+    cursor, and the cycle index that ends each chunk."""
+    ends = np.cumsum(span)
+    sizes = np.array(span)
+    sizes[-1] += 1
+    power = np.arange(ends[-1] + 1) - np.repeat(ends - span, sizes)
+    return power, sizes, ends
+
+
+def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
+                    span: tuple[int, ...], first_cycle: np.ndarray,
+                    eps_stop: np.ndarray) -> _Chunk:
+    """The cycle kernel: evolve engines `idx` from `sigma` through `span`,
+    consecutive chunks of the schedule, and return them as one chunk of
+    sum(span) cycles.
 
     Cycle starts come from powers of each engine's cycle map applied to its
-    cursor; the five stage energies of each cycle derive from one
-    consistent chain of stroke sandwiches, which keeps the first-law
-    residual at rounding level.  The first law is checked on every cycle.
+    cursor.  Every inner chunk starts from the symmetrised end of the one
+    before, the cursor a chunk per call would carry, so a span changes no
+    number.  The five stage energies of each cycle derive from one
+    consistent chain of stroke sandwiches, so that the first-law residual
+    is an identity that only a non-finite or rounding-level defect breaks.
+    It is checked on every cycle of each chunk up to and including the one
+    where the engine's stop rule (w_cycle >= -eps_stop) fires; later chunks
+    are dropped unchecked, as if never run.
     """
-    n_eng = idx.size
+    n_eng, count = idx.size, sum(span)
     cycle = strokes.cycle[idx]
-    powers = np.empty((n_eng, count + 1, 6, 6))
+    powers = np.empty((n_eng, max(span) + 1, 6, 6))
     powers[:, 0] = np.eye(6)
-    for j in range(count):
+    for j in range(max(span)):
         np.matmul(cycle, powers[:, j], out=powers[:, j + 1])
-    sig_a = _sandwich_stack(_by_element(powers),
-                            np.repeat(_by_element(sigma), count + 1, axis=2))
+    power, sizes, ends = _span_layout(span)
+    cursors = [_by_element(sigma)]
+    for size in span[:-1]:
+        end = _sandwich_stack(_by_element(powers[:, size]), cursors[-1])
+        cursors.append(0.5 * (end + end.transpose(1, 0, 2)))
+    # gather whole matrices so both stacks stay contiguous: einsum runs far
+    # slower loops on strided operands
+    sig_a = _sandwich_stack(_by_element(np.take(powers, power, axis=1)),
+                            np.repeat(np.stack(cursors, axis=3), sizes, axis=3).reshape(6, 6, -1))
     sig_a = sig_a.reshape(6, 6, n_eng, count + 1)
     starts = sig_a[:, :, :, :count].reshape(6, 6, -1)
     states = [starts]
@@ -449,10 +493,15 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray, count
     w2, q2 = e_d - e_c, e_d - e_e
     du = e_e - e_a
     w_cycle = w1 + w2
+    hit = w_cycle >= -eps_stop[:, None]
+    stopped = hit.any(axis=1)
+    keep = np.where(stopped, hit.argmax(axis=1), count)
 
     residual = np.abs(w1 + w2 - q1 - q2 - du)
     budget = FIRST_LAW_RTOL * np.maximum(1.0, np.abs(w1) + np.abs(w2))
     bad = ~(residual <= budget)
+    if bad.any():  # each engine's checks end with the chunk of its stop
+        bad &= np.arange(count) < ends[np.searchsorted(ends[:-1], keep, side="right")][:, None]
     if bad.any():
         g, k = np.argwhere(bad)[0]
         raise EnergyBalanceError(
@@ -460,7 +509,7 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray, count
             f"{residual[g, k]:.3e} exceeds {budget[g, k]:.3e}"
         )
     sig_b, sig_c, sig_d, sig_e = (st.reshape(6, 6, n_eng, count) for st in states[1:])
-    return _Chunk(sig_a, sig_b, sig_c, sig_d, sig_e,
+    return _Chunk(span, keep, stopped, sig_a, sig_b, sig_c, sig_d, sig_e,
                   e_a, e_b, e_c, e_d, e_e, w1, q1, w2, q2, du, w_cycle)
 
 
@@ -498,11 +547,16 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     -inf for no work rule).  Every engine follows the same chunk schedule,
     doubling from _CHUNK_START to _CHUNK_MAX and capped by
     _BATCH_POINT_BUDGET, so its numbers do not depend on the engines beside
-    it.  Engines sharing a chunk size are stepped together in sub-batches
-    of at most _STACK_CYCLES engine-cycles.  Correlations are scored only at
-    the kept cycles' points, batched across engines.  heat_times and
-    cool_times are (E, nh) and (E, nc); series, if given, receives every
-    chunk of a one-engine run.
+    it.  Engines at the same point of the schedule with the same chunk
+    size are stepped together in sub-batches of at most _STACK_CYCLES
+    engine-cycles.  A sub-batch whose engines share the sizes of their
+    following chunks takes those too, one kernel call for the whole span,
+    while the call holds at most _SPAN_CYCLES engine-cycles (and the point
+    budget): a lone engine runs 4+8+16+32 cycles in its first call, while a
+    scan block of 50 engines (200 engine-cycles) keeps one chunk per call.
+    Correlations are scored only at the kept cycles' points, batched across
+    engines.  heat_times and cool_times are (E, nh) and (E, nc); series, if
+    given, receives every call of a one-engine run.
     """
     n_eng = len(strokes.params)
     if series is not None and n_eng != 1:
@@ -522,6 +576,11 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     per_cycle = 3 + nh + nc if series is None else series.rows_per_cycle
     chunk_cap = max(1, min(_CHUNK_MAX, _BATCH_POINT_BUDGET // per_cycle))
     stack_cap = max(1, min(_STACK_CYCLES, chunk_cap))
+    span_cap = min(_SPAN_CYCLES, _BATCH_POINT_BUDGET // per_cycle)
+
+    def chunk_size(k: int) -> int:
+        """Cycles in chunk k of the doubling schedule."""
+        return min(_CHUNK_START << min(k, _CHUNK_MAX.bit_length()), chunk_cap)
 
     sigma = np.array(sigma0, dtype=float)
     simulated = np.zeros(n_eng, dtype=int)
@@ -531,19 +590,32 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     names = _RECORD_COLUMNS if keep_records else ("w_cycle",)
     parts: list[dict[str, list[np.ndarray]]] = [{n: [] for n in names} for _ in range(n_eng)]
 
-    chunk_size = _CHUNK_START
+    step = np.zeros(n_eng, dtype=int)  # each engine's next chunk of the schedule
     active = np.flatnonzero(totals > 0)
     while active.size:
-        counts = np.minimum(min(chunk_size, chunk_cap), totals[active] - simulated[active])
+        k = int(step[active].min())
+        now = active[step[active] == k]
+        counts = np.minimum(chunk_size(k), totals[now] - simulated[now])
         for count in sorted(set(counts.tolist())):
-            same = active[counts == count]
+            same = now[counts == count]
             per_call = max(1, stack_cap // count)
             for lo in range(0, same.size, per_call):
                 idx = same[lo:lo + per_call]
-                _step(strokes, idx, count, sigma, simulated, probe, neg_max, disc_max,
-                      parts, heat_mats, cool_mats, first_cycle, eps_stop, correlations,
-                      series)
-        chunk_size = min(chunk_size * 2, _CHUNK_MAX)
+                # Following chunks join the call while all its engines share
+                # their size and the call stays within span_cap engine-cycles.
+                span = [count]
+                left = totals[idx] - simulated[idx] - count
+                while idx.size * (sum(span) + 1) <= span_cap:
+                    size = np.minimum(chunk_size(k + len(span)), left)
+                    c = int(size[0])
+                    if c == 0 or (size != c).any() or idx.size * (sum(span) + c) > span_cap:
+                        break
+                    span.append(c)
+                    left -= c
+                _step(strokes, idx, tuple(span), sigma, simulated, probe, neg_max,
+                      disc_max, parts, heat_mats, cool_mats, first_cycle, eps_stop,
+                      correlations, series)
+                step[idx] += len(span)
         active = active[~probe[active] & (simulated[active] < totals[active])]
 
     columns = [{name: np.concatenate(p[name]) if p[name] else
@@ -561,20 +633,20 @@ def _interior_states(mats: np.ndarray, owner: np.ndarray, states: np.ndarray) ->
     return out.reshape(6, 6, owner.size, n)
 
 
-def _step(strokes: _Strokes, idx: np.ndarray, count: int, sigma: np.ndarray,
+def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], sigma: np.ndarray,
           simulated: np.ndarray, probe: np.ndarray, neg_max: np.ndarray,
           disc_max: np.ndarray, parts: list, heat_mats: Optional[np.ndarray],
           cool_mats: Optional[np.ndarray], first_cycle: np.ndarray, eps_stop: np.ndarray,
           correlations: bool, series: Optional["_TimeSeriesBuilder"]) -> None:
-    """One chunk of `count` cycles for engines `idx`; updates the loop state in place.
+    """One kernel call, the chunks `span`, for engines `idx`; updates the loop
+    state in place.
 
     Interior states are built only for the cycles each engine keeps, and
     only when correlations or a time series read them.
     """
-    chunk = _simulate_chunk(strokes, idx, sigma[idx], count, first_cycle[idx] + simulated[idx])
-    hit = chunk.w_cycle >= -eps_stop[idx, None]
-    stopped = hit.any(axis=1)
-    keep = np.where(stopped, hit.argmax(axis=1), count)
+    chunk = _simulate_chunk(strokes, idx, sigma[idx], span,
+                            first_cycle[idx] + simulated[idx], eps_stop[idx])
+    count, keep, stopped = sum(span), chunk.keep, chunk.stopped
     rows = keep + stopped
 
     heat_states = cool_states = neg = disc = None
@@ -675,27 +747,26 @@ class Engine:
         """
         maps = self._strokes
         table = {
-            "compression": (maps.comp[0], self.params.ramp_duration,
-                            self._w3, self._w1, "low", "high"),
-            "heating": (maps.heat[0], self.params.tau_h,
-                        self._w1, self._w1, "high", "high"),
-            "expansion": (maps.exp[0], self.params.ramp_duration,
-                          self._w1, self._w3, "high", "low"),
-            "cooling": (maps.cool[0], self.params.tau_c,
-                        self._w3, self._w3, "low", "low"),
+            "compression": (maps.comp[0], self.params.ramp_duration, "low", "high"),
+            "heating": (maps.heat[0], self.params.tau_h, "high", "high"),
+            "expansion": (maps.exp[0], self.params.ramp_duration, "high", "low"),
+            "cooling": (maps.cool[0], self.params.tau_c, "low", "low"),
         }
         if kind not in table:
             raise ValueError(f"unknown stroke kind {kind!r}")
-        mat, duration, w_start, w_end, needed, after = table[kind]
+        mat, duration, needed, after = table[kind]
         if self._phase != needed:
             raise PhaseOrderError(
                 f"{kind} needs the medium at "
                 f"{'omega3' if needed == 'low' else 'omega1'} but the engine is "
                 f"in the {self._phase!r} phase"
             )
-        e_start = _energy(self._sigma, 1, w_start**2)
+        # each phase's frequency and the kernel's square of it
+        medium = {"low": (self._w3, maps.w3sq[0]), "high": (self._w1, maps.w1sq[0])}
+        (w_start, wsq_start), (w_end, wsq_end) = medium[needed], medium[after]
+        e_start = _energy(self._sigma, 1, wsq_start)
         self._sigma = _sandwich(mat, self._sigma)
-        e_end = _energy(self._sigma, 1, w_end**2)
+        e_end = _energy(self._sigma, 1, wsq_end)
         self._phase = after
         self._t += duration
         return StrokeResult(kind, duration, w_start, w_end, e_start, e_end)
@@ -797,7 +868,8 @@ class _TimeSeriesBuilder:
                  correlations: bool) -> None:
         params = engine.params
         w1, w3 = engine._w1, engine._w3
-        self._w1sq, self._w3sq = w1**2, w3**2
+        # the kernel's squares, so every E1/E3 equals the cycle records' bit for bit
+        self._w1sq, self._w3sq = engine._strokes.w1sq[0], engine._strokes.w3sq[0]
         self._cycle_duration = params.cycle_duration
         self._t0 = engine._t
         self._cycles_added = 0
@@ -836,10 +908,15 @@ class _TimeSeriesBuilder:
 
         heat_states and cool_states hold those cycles' interior states,
         (6, 6, rows, n); neg and disc their scored points, (rows, points,
-        3), or None without correlations.
+        3), or None without correlations.  Row times count from the start
+        of each cycle's inner chunk of the span, so they do not depend on
+        how chunks are grouped into kernel calls.
         """
-        m = rows
-        t_start = self._t0 + self._cycles_added * self._cycle_duration
+        m, dur = rows, self._cycle_duration
+        # first cycle of each row's inner chunk; the closing edge shares the last's
+        first = np.repeat(np.cumsum(chunk.span) - chunk.span, chunk.span)[:m]
+        first = np.append(first, first[-1])
+        t_cycle = self._t0 + (self._cycles_added + first) * dur + dur * (np.arange(m + 1) - first)
         self._cycles_added += m
         starts = ((chunk.sig_a, chunk.e_a), (chunk.sig_b, chunk.e_b),
                   (chunk.sig_c, chunk.e_c), (chunk.sig_d, chunk.e_d))
@@ -859,13 +936,13 @@ class _TimeSeriesBuilder:
                 e1.append(np.repeat(e1[-1], times.size, axis=1))
                 e2.append(np.einsum("nab,kab->kn", weights, _by_matrix(s)))
                 e3.append(np.repeat(e3[-1], times.size, axis=1))
-        t = t_start + self._cycle_duration * np.arange(m)[:, None] + self._offsets[None, :]
+        t = t_cycle[:m, None] + self._offsets[None, :]
         energies = [np.concatenate(e, axis=1).reshape(-1) for e in (e1, e2, e3)]
         corr = ([np.full((t.size, 3), np.nan)] * 2 if neg is None
                 else [src[:, self._points].reshape(-1, 3) for src in (neg, disc)])
         self._rows.append((t.reshape(-1), *energies, *corr))
         scored = None if neg is None else (neg[m - 1, -1], disc[m - 1, -1])
-        self._end = (t_start + m * self._cycle_duration, chunk.sig_e[:, :, 0, m - 1],
+        self._end = (t_cycle[m], chunk.sig_e[:, :, 0, m - 1],
                      chunk.e_e[0, m - 1], scored)
 
     def finish(self) -> TimeSeries:

@@ -410,9 +410,17 @@ def _run_nelder_mead(fn, bounds, seed: int, budget: int, restarts: int,
 
 def _run_de(fn, bounds, seed: int, budget: int,
             tracker: _Tracker) -> tuple[np.ndarray, float, bool]:
-    ndim = len(bounds)
+    """Differential evolution in whole generations that fit the budget.
+
+    init="sobol" rounds the population up to a power of two (128 for five
+    free parameters), and every generation evaluates all of it once.
+    """
     popsize = 15
-    maxiter = max(1, budget // (popsize * ndim) - 1)
+    population = 1 << (max(5, popsize * len(bounds)) - 1).bit_length()
+    if budget < population:
+        raise ConfigError(f"differential evolution needs a budget of at least one "
+                          f"population, {population} evaluations, got {budget}")
+    maxiter = budget // population - 1
     res = differential_evolution(
         fn, bounds, seed=seed, maxiter=maxiter, popsize=popsize,
         polish=False, updating="deferred", init="sobol", tol=1e-8)

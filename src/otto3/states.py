@@ -247,8 +247,13 @@ def product_states(preps: Sequence[Preparation]) -> np.ndarray:
     return sigma
 
 
+@functools.lru_cache(maxsize=256)
 def product_state(prep: Preparation) -> CovarianceMatrix:
-    """The validated 6x6 covariance matrix of one initial product state."""
+    """The validated 6x6 covariance matrix of one initial product state.
+
+    Cached: an optimizer's engines share their preparation, so it is
+    validated once.  The result is read-only.
+    """
     return CovarianceMatrix(product_states([prep])[0])
 
 

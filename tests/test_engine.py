@@ -12,7 +12,7 @@ from otto3.cli import build_engine_params, load_config
 from otto3.energetics import mode_energies, mode_energy
 from otto3.engine import (Engine, EngineParams, FixedCycles, TimeSeries,
                           WorkNonNegative, run_reduced)
-from otto3.errors import ConfigError, PhaseOrderError
+from otto3.errors import ConfigError, EnergyBalanceError, PhaseOrderError
 from otto3.engine import _BATCH_POINT_BUDGET, run_reduced_ensemble
 from otto3.propagators import RampMode
 from otto3.states import (Preparation, SqueezedVacuum, Thermal,
@@ -381,6 +381,18 @@ class TestTimeSeries:
                 assert np.all(np.isnan(column)), cycles
             assert np.all(np.isnan(res.discord_max))
 
+    def test_last_row_energies_equal_the_last_record(self):
+        # x**2 and x*x differ in the last bit for this frequency
+        params = EngineParams(
+            prep=thermal_preparation(beta1=0.01, omega3=0.9503546630566793),
+            alpha12=0.038, alpha23=0.02, tau_comp=5.0, tau_h=0.59, tau_c=0.9996,
+            ramp=RampMode.QUASI_STATIC, stop=FixedCycles(2))
+        res = Engine(params).run()
+        last = res.records[-1]
+        assert res.timeseries.e1[-1] == last.e1
+        assert res.timeseries.e2[-1] == last.e2
+        assert res.timeseries.e3[-1] == last.e3
+
     def test_want_timeseries_false(self):
         res = Engine(optimized_params(stop=FixedCycles(2))).run(
             want_timeseries=False)
@@ -504,21 +516,25 @@ class TestSampleBudget:
             EngineParams(**kw, sample_dt=5e-324)
 
 
+def mixed_ensemble():
+    """Engines of different stop rules, lengths and ramps."""
+    prep = thermal_preparation(beta1=0.01, omega3=0.1)
+    return [
+        optimized_params(),
+        optimized_params(stop=FixedCycles(3)),
+        EngineParams(prep=prep, alpha12=0.02, alpha23=0.01, tau_comp=40.0,
+                     tau_h=0.0, tau_c=0.7, ramp=RampMode.QUASI_STATIC),
+        optimized_params(stop=WorkNonNegative(eps_stop=1e6)),
+        EngineParams(prep=prep, alpha12=0.038, alpha23=1e-4, tau_comp=85.02,
+                     tau_h=0.59, tau_c=0.9996, ramp=RampMode.QUASI_STATIC,
+                     max_cycles=7),
+        optimized_params(ramp=RampMode.LINEAR_AIRY, stop=FixedCycles(5)),
+    ]
+
+
 class TestReducedEnsemble:
     def test_each_engine_gets_what_run_reduced_gives_it(self, monkeypatch):
-        prep = thermal_preparation(beta1=0.01, omega3=0.1)
-        base = optimized_params()
-        params = [
-            base,
-            optimized_params(stop=FixedCycles(3)),
-            EngineParams(prep=prep, alpha12=0.02, alpha23=0.01, tau_comp=40.0,
-                         tau_h=0.0, tau_c=0.7, ramp=RampMode.QUASI_STATIC),
-            optimized_params(stop=WorkNonNegative(eps_stop=1e6)),
-            EngineParams(prep=prep, alpha12=0.038, alpha23=1e-4, tau_comp=85.02,
-                         tau_h=0.59, tau_c=0.9996, ramp=RampMode.QUASI_STATIC,
-                         max_cycles=7),
-            optimized_params(ramp=RampMode.LINEAR_AIRY, stop=FixedCycles(5)),
-        ]
+        params = mixed_ensemble()
         monkeypatch.setattr(engine, "_ENSEMBLE_SIZE", 4)
         totals = run_reduced_ensemble(params)
         for e, p in enumerate(params):
@@ -554,3 +570,91 @@ class TestSeriesChunkCap:
         assert capped.n_cycles == free.n_cycles == 12
         assert len(capped.records) == len(free.records)
         assert len(capped.timeseries) == len(free.timeseries)
+
+
+def fingerprint(res):
+    """Every number of a run, bit for bit (repr round-trips floats and NaN)."""
+    series = None if res.timeseries is None else [c.tobytes() for c in res.timeseries.columns()]
+    return (repr(res.records), repr(res.probe), res.stop_reason, res.n_cycles,
+            repr(res.w_total), repr(res.discord_max), repr(res.negativity_max),
+            res.sigma_final.matrix.tobytes(), series)
+
+
+# Bounds on the engine-cycles of one kernel call: one chunk per call, the
+# default, and none.
+SPAN_BOUNDS = {"one_chunk": 1, "default": engine._SPAN_CYCLES, "unbounded": 10**9}
+
+
+class TestSpans:
+    """A kernel call may run several consecutive chunks of the schedule (a
+    span); no number depends on how the chunks are grouped into calls."""
+
+    RUNS = {
+        "work_non_negative": optimized_params,
+        "fixed_300": lambda: optimized_params(stop=FixedCycles(300)),
+        "airy": lambda: optimized_params(ramp=RampMode.LINEAR_AIRY, stop=FixedCycles(20)),
+    }
+
+    def _by_bound(self, monkeypatch, run):
+        out = {}
+        for name, bound in SPAN_BOUNDS.items():
+            monkeypatch.setattr(engine, "_SPAN_CYCLES", bound)
+            out[name] = run()
+        return out
+
+    @pytest.mark.parametrize("correlations", [True, False])
+    @pytest.mark.parametrize("make", sorted(RUNS))
+    def test_run_reduced_is_bit_identical(self, make, correlations, monkeypatch):
+        params = self.RUNS[make]()
+        out = self._by_bound(monkeypatch, lambda: fingerprint(
+            run_reduced(params, correlations=correlations)))
+        assert out["default"] == out["one_chunk"]
+        assert out["unbounded"] == out["one_chunk"]
+
+    @pytest.mark.parametrize("make", sorted(RUNS))
+    def test_records_and_time_series_are_bit_identical(self, make, monkeypatch):
+        params = self.RUNS[make]()
+        out = self._by_bound(monkeypatch, lambda: fingerprint(Engine(params).run()))
+        assert out["default"] == out["one_chunk"]
+        assert out["unbounded"] == out["one_chunk"]
+
+    def test_ensemble_is_bit_identical(self, monkeypatch):
+        params = mixed_ensemble()
+        out = self._by_bound(monkeypatch, lambda: [
+            column.tobytes() for column in vars(run_reduced_ensemble(params)).values()])
+        assert out["default"] == out["one_chunk"]
+        assert out["unbounded"] == out["one_chunk"]
+
+    def test_a_lone_engine_spans_and_a_scan_block_does_not(self, monkeypatch):
+        spans = []
+        kernel = engine._simulate_chunk
+
+        def recording(strokes, idx, sigma, span, *args):
+            spans.append((idx.size, span))
+            return kernel(strokes, idx, sigma, span, *args)
+
+        monkeypatch.setattr(engine, "_simulate_chunk", recording)
+        run_reduced(optimized_params(stop=FixedCycles(300)), correlations=False)
+        assert spans == [(1, (4, 8, 16, 32)), (1, (64,)), (1, (128,)), (1, (48,))]
+        spans.clear()
+        run_reduced_ensemble([optimized_params(stop=FixedCycles(12))] * 50)
+        assert spans[0] == (50, (4,))
+
+    def test_chunks_after_the_stop_are_never_first_law_checked(self, monkeypatch):
+        """Stroke states of every cycle after the first chunk of a lone
+        engine's 4+8+16+32 span are poisoned with NaN, which fails the
+        first-law check wherever it looks."""
+        sandwich = engine._sandwich_stack
+
+        def poisoned(mats, states):
+            out = sandwich(mats, states)
+            if out.shape[2] == 60:  # a stroke stack of the span's 60 cycles
+                out[:, :, 4:] = np.nan
+            return out
+
+        stops_at_once = optimized_params(stop=WorkNonNegative(eps_stop=1e6))
+        clean = fingerprint(run_reduced(stops_at_once))
+        monkeypatch.setattr(engine, "_sandwich_stack", poisoned)
+        assert fingerprint(run_reduced(stops_at_once)) == clean
+        with pytest.raises(EnergyBalanceError, match="cycle 4: first-law residual nan"):
+            run_reduced(optimized_params(stop=FixedCycles(60)))

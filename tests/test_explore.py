@@ -9,7 +9,7 @@ from otto3.explore import (DIMENSIONS, Objective, OptimizeOutcome,
                            ParameterBox, PrepFamily, ScanSample, optimize,
                            random_scan)
 from otto3.states import SqueezedVacuum, Thermal
-from otto3 import engine
+from otto3 import engine, explore
 from otto3.engine import EngineParams, WorkNonNegative, run_reduced
 from otto3.explore import DEFAULT_BETA1
 from otto3.propagators import RampMode
@@ -242,6 +242,36 @@ class TestOptimize:
         assert out.evaluations >= 75
         assert out.w_total <= 0.0
 
+    @pytest.mark.parametrize("budget", [128, 255, 256, 300])
+    def test_differential_evolution_stays_within_its_budget(self, budget):
+        # init="sobol" rounds five free parameters' 75 members up to 128
+        out = optimize(omega3=0.5, method="differential-evolution",
+                       budget=budget, seed=2, max_cycles=300)
+        assert 128 <= out.evaluations <= budget
+
+    @pytest.mark.parametrize("budget", [10, 127])
+    def test_differential_evolution_refuses_a_budget_below_one_population(self, budget):
+        with pytest.raises(ConfigError, match="at least one population, 128 evaluations"):
+            optimize(omega3=0.5, method="differential-evolution", budget=budget)
+
+    @pytest.mark.parametrize("method, budget", [("nelder-mead", 60),
+                                                ("differential-evolution", 128)])
+    def test_one_run_reduced_call_per_evaluation(self, method, budget, monkeypatch):
+        """The optimizer benchmark slices its runs by counting calls of
+        explore.run_reduced: one per evaluation plus the final rerun of the
+        best point.  Batching evaluations would break that count."""
+        calls = []
+        inner = explore.run_reduced
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(explore, "run_reduced", counting)
+        out = optimize(omega3=0.5, budget=budget, restarts=2, seed=0, method=method,
+                       max_cycles=300)
+        assert len(calls) == out.evaluations + 1
+
     def test_squeezed_family_optimization_runs(self):
         out = optimize(omega3=0.1, box=published_box(),
                        family=PrepFamily.SQUEEZED)
@@ -261,6 +291,10 @@ class TestScanEnsembles:
             assert random_scan(**self.SCAN) == reference, f"ensembles of {size}"
         monkeypatch.setattr(engine, "_STACK_CYCLES", 1)
         assert random_scan(**self.SCAN) == reference, "one-engine sub-batches"
+        monkeypatch.undo()
+        for bound in (1, 10**9):
+            monkeypatch.setattr(engine, "_SPAN_CYCLES", bound)
+            assert random_scan(**self.SCAN) == reference, f"spans of {bound} engine-cycles"
         monkeypatch.undo()
         assert random_scan(**self.SCAN, workers=2) == reference, "two workers"
 
