@@ -11,18 +11,27 @@ Exit codes: 0 success, 2 for any config value the package refuses (a
 ConfigError), 3 for a numerical failure.  CSV floats are written as
 "%.12e", 13 significant digits; JSON files hold Python's shortest
 round-trip repr of each float.  An undefined efficiency becomes nan.  Every
-output is deterministic for a fixed seed.
+output is deterministic for a fixed seed, with "\\n" line endings on every
+platform.
+
+The CSV writer formats whole blocks in numpy and gives the bytes of
+Python's "%.12e" exactly: each value's 13 digits come from a double-double
+product with an error far below the distance to a rounding boundary, and
+the rare cell too close to decide (exact ties among them), nan, inf and
+magnitudes outside [1e-280, 1e280] are formatted by Python itself.  See
+_write_csv for the argument.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -218,22 +227,153 @@ def _with_omega3(box: Optional[ParameterBox]) -> ParameterBox:
 # Rows per formatted block: bounds the memory of a long time series.
 _BLOCK_ROWS = 1024
 
+# Finite |x| in this range takes the digit path: its scaled products below
+# neither overflow nor underflow.
+_DIGIT_RANGE = (1e-280, 1e280)
+_SPAN = 300              # the tables hold 10**j and "e%+03d" % j for |j| <= _SPAN
+_SPLIT = 134217729.0     # 2**27 + 1, Veltkamp's splitting constant
+_TIE_BAND = 2.0 ** -30   # a rounding fraction this close to 1/2 goes to Python
+_WORD = np.dtype("<u8")  # a cell is three of these, 24 bytes, NUL-padded
+
+
+class _Tables(NamedTuple):
+    hi: np.ndarray       # 10**j rounded to float64, j = index - _SPAN
+    lo: np.ndarray       # 10**j - hi, rounded: hi + lo is 10**j to ~2**-106
+    hi_hi: np.ndarray    # Veltkamp halves of hi, 26 bits each
+    hi_lo: np.ndarray
+    four: np.ndarray     # "%04d" % i as the low four bytes of a word
+    four_hi: np.ndarray  # the same in the high four bytes
+    head: np.ndarray     # sign, leading digit and "." for index 10 * negative + digit
+    exp: np.ndarray      # "e%+03d" % j
+
+
+def _words(strings: Sequence[str]) -> np.ndarray:
+    """Each string's bytes, NUL-padded, as one little-endian word."""
+    return np.array(strings, dtype="S8").view(_WORD)
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """Lookup tables of the digit path, built on first use."""
+    hi, lo = [], []
+    for j in range(-_SPAN, _SPAN + 1):
+        num, den = (10**j, 1) if j >= 0 else (1, 10**-j)
+        h = num / den  # int division rounds correctly
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi, lo = np.array(hi), np.array(lo)
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    four = np.pad(digits.astype(np.uint8), ((0, 0), (0, 4))).view(_WORD).ravel()
+    return _Tables(hi=hi, lo=lo, hi_hi=hi_hi, hi_lo=hi - hi_hi, four=four,
+                   four_hi=four << np.uint64(32),
+                   head=_words([f"{s}{d}." for s in ("", "-") for d in range(10)]),
+                   exp=_words([f"e{j:+03d}" for j in range(-_SPAN, _SPAN + 1)]))
+
+
+def _scaled(ax: np.ndarray, k: np.ndarray, tab: _Tables) -> tuple[np.ndarray, ...]:
+    """(p, floor(p), r) with ax * 10**(12 - k) = floor(p) + r to within 2**-50.
+
+    p = fl(ax * hi) and its rounding error are Dekker's exact TwoProduct on
+    Veltkamp halves; adding ax * lo extends hi to 10**j as a double-double.
+    """
+    j = _SPAN + 12 - k
+    c = _SPLIT * ax
+    ah = c - (c - ax)
+    al = ax - ah
+    p = ax * tab.hi[j]
+    bh, bl = tab.hi_hi[j], tab.hi_lo[j]
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    fl = np.floor(p)
+    return p, fl, (p - fl) + (err + ax * tab.lo[j])
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """(n, 3) words holding "%.12e" % v of each value, without separators.
+
+    A cell is the sign ("-" or NUL), the leading digit and "." and a NUL,
+    then twelve digits, then "e", the exponent's sign and its two or three
+    digits, NUL-padded to the last five bytes of the cell's 24.
+    """
+    tab = _tables()
+    ax = np.abs(x)
+    fast = (ax >= _DIGIT_RANGE[0]) & (ax <= _DIGIT_RANGE[1])
+    ax = np.where(fast, ax, 1.0)
+    k = np.floor(np.log10(ax)).astype(np.int64)
+    p, fl, r = _scaled(ax, k, tab)
+    # log10 can put k one off next to a power of ten: those cells scale
+    # outside [1e12, 1e13) and are scaled again with k moved by one.
+    off = np.flatnonzero((p < 1e12) | (p >= 1e13))
+    if off.size:
+        k[off] += np.where(p[off] < 1e12, -1, 1)
+        _, fl[off], r[off] = _scaled(ax[off], k[off], tab)
+    digits = fl.astype(np.int64) + (r > 0.5)
+    carry = digits == 10**13
+    digits[carry] = 10**12
+    k += carry
+    zero = x == 0   # scaled as 1.0: k = 0 and twelve zeros after the lead
+    lead = digits // 10**12
+    rest = digits - lead * 10**12
+    w1 = rest // 10**8
+    rest -= w1 * 10**8
+    w2 = rest // 10**4
+    cells = np.empty((x.size, 3), dtype=_WORD)
+    cells[:, 0] = tab.head[lead - zero + 10 * np.signbit(x)] | tab.four_hi[w1]
+    cells[:, 1] = tab.four[w2] | tab.four_hi[rest - w2 * 10**4]
+    cells[:, 2] = tab.exp[_SPAN + k]
+    slow = np.flatnonzero(~(fast | zero) | (np.abs(r - 0.5) < _TIE_BAND))
+    if slow.size:
+        _put_strings(cells, slow, [b"%.12e" % v for v in x[slow].tolist()])
+    return cells
+
+
+def _put_strings(cells: np.ndarray, where: np.ndarray, strings: list[bytes]) -> None:
+    """Overwrite the cells at the flat indices with NUL-padded strings."""
+    cells.view(np.uint8).reshape(-1, 24)[where] = (
+        np.array(strings, dtype="S24").view(np.uint8).reshape(-1, 24))
+
 
 def _write_csv(path: Path, header: str, columns: Sequence[np.ndarray]) -> None:
-    """Write equal-length columns under a header line, one row per entry.
+    """Write equal-length columns under a header line, one row per entry,
+    with "\\n" line endings on every platform.
 
-    Integer columns print with "%d", the rest with "%.12e", which gives the
-    same strings as f"{v:.12e}" (nan and inf included).  Rows are formatted
-    a block at a time with one template; integer columns pass through
-    float64 there, which is exact below 2**53.
+    Integer columns get the bytes of "%d" and the rest those of "%.12e", the
+    same strings as f"{v:.12e}" (nan and inf included).  A block of rows is
+    formatted at once into 24-byte NUL-padded cells, and the NULs are
+    dropped on writing.  Integers, and floats the digit path does not
+    decide, are formatted by Python, so their bytes match by construction.
+
+    The digit path is exact.  For finite |x| in _DIGIT_RANGE, with k =
+    floor(log10 |x|), the 13 digits are the integer nearest to y =
+    |x| * 10**(12 - k), which lies in [1e12, 1e13).  _scaled forms y as
+    floor(p) + r with an error below 2**-50: the table's hi + lo is 10**j
+    to a relative 2**-106, the TwoProduct is exact, and the three
+    roundings after it are each below 2**-53 of a value under 2.  So r >
+    1/2 + 2**-30 means round up and r < 1/2 - 2**-30 round down, as the
+    correctly rounded conversion does; a cell between those bounds (exact
+    ties among them) goes to Python.  Rounding up to 1e13 carries into
+    the exponent.  If log10 puts k one off, p falls outside [1e12, 1e13)
+    and k is moved by one; p stays inside for a wrong k only when y is
+    within one ulp of 1e12 or 1e13, where both k give the same string.
+    Zeros are written directly; nan, inf and magnitudes out of range go
+    to Python.
     """
-    template = ",".join("%d" if c.dtype.kind in "iu" else "%.12e" for c in columns) + "\n"
     n = len(columns[0])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    sep = np.array([ord(",")] * (len(columns) - 1) + [ord("\n")], dtype=_WORD) << np.uint64(40)
+    integer = [j for j, c in enumerate(columns) if c.dtype.kind in "iu"]
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for lo in range(0, n, _BLOCK_ROWS):
-            block = np.column_stack([c[lo:lo + _BLOCK_ROWS] for c in columns])
-            fh.write((template * len(block)) % tuple(block.ravel().tolist()))
+            part = [c[lo:lo + _BLOCK_ROWS] for c in columns]
+            x = np.column_stack(part).astype(np.float64, copy=False).ravel()
+            cells = _float_cells(x)
+            for j in integer:
+                _put_strings(cells, np.arange(j, x.size, len(columns)),
+                             [b"%d" % v for v in part[j].tolist()])
+            cells.reshape(-1, len(columns), 3)[:, :, 2] |= sep
+            fh.write(cells.tobytes().translate(None, b"\0"))
 
 
 def _field_columns(items: Sequence, cls: type) -> list[np.ndarray]:
@@ -286,7 +426,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     summary = _summary(result)
     _write_csv(out / "cycles.csv", CYCLES_HEADER, _field_columns(result.records, CycleRecord))
     _write_csv(out / "timeseries.csv", TIMESERIES_HEADER, result.timeseries.columns())
-    with open(out / "summary.json", "w") as fh:
+    with open(out / "summary.json", "w", newline="\n") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     print(f"simulate: {result.n_cycles} cycles ({result.stop_reason}), "
@@ -344,7 +484,7 @@ def _write_optimize_outputs(out: Path, outcome: OptimizeOutcome) -> None:
             "ramp": p.ramp.value,
         },
     }
-    with open(out / "best_params.json", "w") as fh:
+    with open(out / "best_params.json", "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     _write_csv(out / "trace.csv", "evaluation,best_value", [

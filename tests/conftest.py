@@ -2,11 +2,18 @@ import time
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from otto3.engine import Engine, EngineResult, FixedCycles
 from otto3.explore import PrepFamily, random_scan
 
 from helpers import optimized_params
+
+# Property tests draw the same examples on every run and host: examples
+# come from each test's own source, never from a stored database, and a
+# slow example is not an error.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """End-to-end runs of the console entry point, in process."""
 
+import argparse
 import contextlib
 import dataclasses
+import decimal
 import io
 import json
 import math
 import re
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from numpy.testing import assert_allclose
 from otto3 import cli
 from otto3.cli import (CYCLES_HEADER, SCAN_HEADER, TIMESERIES_HEADER,
                        load_config, main)
+from otto3.engine import CycleRecord, Engine
 from otto3.errors import ConfigError
 
 from helpers import assert_numbers_close
@@ -488,6 +492,106 @@ class TestCsvWriter:
         cols = cli._field_columns([Rec(3, None), Rec(4, 0.5)], Row)
         assert cols[0].dtype.kind == "i" and cols[0].tolist() == [3, 4]
         assert math.isnan(cols[1][0]) and cols[1][1] == 0.5
+
+    def assert_float_column(self, values):
+        """One float column, written whole, equals the f-string bytes."""
+        x = np.asarray(values, dtype=float)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            cli._write_csv(path, "x", [x])
+            got = path.read_bytes()
+        assert got == self.reference("x", [x.tolist()], set()).encode()
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_any_bit_pattern(self, bits):
+        self.assert_float_column(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_every_decimal_exponent_next_to_its_power_of_ten(self):
+        values = []
+        for k in range(-323, 309):
+            power = float(f"1e{k}")
+            for toward in (0.0, math.inf):
+                v = power
+                for _ in range(4):
+                    v = math.nextafter(v, toward)
+                    values.append(v)
+            values.append(power)
+            # up to 1e-13 below a large power, log10 can round onto the power
+            # while the 13 digits are 9999999999999 of the exponent below
+            values += [power * (1 + j * 1e-15) for j in range(-100, 101, 5)]
+        self.assert_float_column(values + [-v for v in values])
+
+    def test_exact_ties_go_to_python_and_round_half_even(self, monkeypatch):
+        # m / 2**14 for odd m in [1639, 16384) has exactly 14 significant
+        # digits ending in 5: a tie at 13
+        ties = [1234567890123.5, 1234567890124.5] + [m / 2**14 for m in range(1639, 16384, 2)]
+        for v in ties:
+            digits = decimal.Decimal(v).normalize().as_tuple().digits
+            assert len(digits) == 14 and digits[-1] == 5
+        assert [f"{v:.12e}" for v in ties[:2]] == ["1.234567890124e+12"] * 2
+        put = []
+        monkeypatch.setattr(cli, "_put_strings",
+                            lambda cells, where, strings: put.append(where.tolist()))
+        cli._float_cells(np.array(ties))
+        assert put == [list(range(len(ties)))]
+        monkeypatch.undo()
+        self.assert_float_column(ties + [-v for v in ties])
+
+    def test_special_values_raise_no_warning(self):
+        values = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                  -2.2250738585072014e-308 / 7, 1e-281, 1e281]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_float_column(values)
+
+    @pytest.mark.parametrize("rows", [1, 7, 1024])
+    def test_bytes_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch, rows):
+        rng = np.random.default_rng(11)
+        n = 60
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        floats[:len(self.EDGES)] = self.EDGES
+        columns = [np.arange(n) - 30, floats, rng.integers(-10**18, 10**18, n),
+                   np.resize(self.EDGES, n)[::-1].copy()]
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, "i,x,k,y", columns)
+        want = self.reference("i,x,k,y", [c.tolist() for c in columns], {0, 2})
+        assert path.read_bytes() == want.encode()
+
+    def test_recurrence_artifacts_equal_the_reference(self, tmp_path):
+        config = str(CONFIGS / "recurrence_140.json")
+        assert simulate(config, tmp_path) == 0
+        params = cli.build_engine_params(load_config(config),
+                                         argparse.Namespace(ramp=None, cycles=None))
+        result = Engine(params).run()
+        cycles = cli._field_columns(result.records, CycleRecord)
+        assert (tmp_path / "cycles.csv").read_bytes() == self.reference(
+            CYCLES_HEADER, [c.tolist() for c in cycles], {0}).encode()
+        series = [c.tolist() for c in result.timeseries.columns()]
+        assert (tmp_path / "timeseries.csv").read_bytes() == self.reference(
+            TIMESERIES_HEADER, series, set()).encode()
+
+
+def test_artifacts_end_lines_with_newline_only(tmp_path, monkeypatch):
+    """Text files opened without newline= would write "\\r\\n" on Windows;
+    emulated here by opening them with newline="\\r\\n"."""
+    def crlf_open(file, mode="r", *args, newline=None, **kwargs):
+        if "b" not in mode and newline is None:
+            newline = "\r\n"
+        return open(file, mode, *args, newline=newline, **kwargs)
+
+    monkeypatch.setattr(cli, "open", crlf_open, raising=False)
+    assert simulate(str(CONFIGS / "zero_coupling.json"), tmp_path / "s") == 0
+    doc = {"schema_version": 1, "seed": 0,
+           "optimize": {"omega3": 0.1, "budget": 4, "restarts": 1, "box": PUBLISHED_BOX}}
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    written = sorted((tmp_path / "s").iterdir()) + sorted((tmp_path / "o").iterdir())
+    assert [p.name for p in written] == ["cycles.csv", "summary.json", "timeseries.csv",
+                                         "best_params.json", "trace.csv"]
+    for path in written:
+        assert b"\r" not in path.read_bytes(), path.name
 
 
 FROZEN_SIMULATE = Path(__file__).resolve().parent / "data" / "simulate_frozen.json"

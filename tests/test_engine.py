@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from otto3 import engine
@@ -13,6 +14,7 @@ from otto3.energetics import mode_energies, mode_energy
 from otto3.engine import (Engine, EngineParams, FixedCycles, TimeSeries,
                           WorkNonNegative, run_reduced)
 from otto3.errors import ConfigError, EnergyBalanceError, PhaseOrderError
+from otto3.explore import DIMENSIONS, OMEGA3_RANGE, ParameterBox, PrepFamily
 from otto3.engine import _BATCH_POINT_BUDGET, run_reduced_ensemble
 from otto3.propagators import RampMode
 from otto3.states import (Preparation, SqueezedVacuum, Thermal,
@@ -532,17 +534,46 @@ def mixed_ensemble():
     ]
 
 
+def assert_ensemble_matches_lone_runs(params):
+    totals = run_reduced_ensemble(params)
+    for e, p in enumerate(params):
+        alone = run_reduced(p)
+        assert totals.n_cycles[e] == alone.n_cycles
+        assert totals.w_total[e] == alone.w_total
+        assert tuple(totals.discord_max[e]) == alone.discord_max
+        assert tuple(totals.negativity_max[e]) == alone.negativity_max
+
+
 class TestReducedEnsemble:
     def test_each_engine_gets_what_run_reduced_gives_it(self, monkeypatch):
-        params = mixed_ensemble()
         monkeypatch.setattr(engine, "_ENSEMBLE_SIZE", 4)
-        totals = run_reduced_ensemble(params)
-        for e, p in enumerate(params):
-            alone = run_reduced(p)
-            assert totals.n_cycles[e] == alone.n_cycles
-            assert totals.w_total[e] == alone.w_total
-            assert tuple(totals.discord_max[e]) == alone.discord_max
-            assert tuple(totals.negativity_max[e]) == alone.negativity_max
+        assert_ensemble_matches_lone_runs(mixed_ensemble())
+
+
+BOX = ParameterBox(omega3=OMEGA3_RANGE)
+
+
+@st.composite
+def box_engines(draw):
+    """Engines drawn over the box, every ramp and family, up to 50 cycles;
+    half run their cycles out, since most draws stop at once on their own."""
+    values = {name: draw(st.floats(*BOX.interval(name))) for name in DIMENSIONS}
+    cycles = draw(st.integers(1, 50))
+    return EngineParams(
+        prep=draw(st.sampled_from(PrepFamily)).preparation(values.pop("omega3"), 0.01),
+        ramp=draw(st.sampled_from(RampMode)),
+        stop=draw(st.sampled_from([WorkNonNegative(), FixedCycles(cycles)])),
+        max_cycles=cycles, **values)
+
+
+class TestBoxProperties:
+    @settings(max_examples=40)
+    @given(st.lists(box_engines(), min_size=1, max_size=6))
+    def test_ensemble_equals_lone_runs_and_records_keep_the_first_law(self, params):
+        assert_ensemble_matches_lone_runs(params)
+        for p in params:
+            records = Engine(p).run(want_timeseries=False).records
+            assert np.all(first_law_residuals(records) <= 1e-12)
 
 
 class TestSeriesChunkCap:
