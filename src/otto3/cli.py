@@ -43,9 +43,9 @@ from .errors import ConfigError, Otto3Error
 from .explore import (DEFAULT_BETA1, DIMENSIONS, METHODS, OMEGA3_RANGE, Objective,
                       OptimizeOutcome, ParameterBox, PrepFamily, ScanSample, optimize,
                       random_scan)
-from .propagators import (RampMode, RampSchedule, SYMPLECTIC_TOL, ode_propagator,
-                          ramp_propagator)
-from .states import Preparation, SqueezedVacuum, symplectic_form, thermal_preparation
+from .propagators import (RampMode, RampSchedule, SYMPLECTIC_TOL, _symplectic_defect,
+                          ode_propagator, ramp_propagator)
+from .states import Preparation, SqueezedVacuum, thermal_preparation
 
 SCHEMA_VERSION = 1
 
@@ -532,11 +532,9 @@ def run_validation(perturbation: float = 0.0, seed: int = 0) -> bool:
         worst = max(worst, float(np.max(np.abs(closed.matrix - numeric.matrix))))
     ok &= _check("airy ramp vs adaptive ODE", worst < 1e-8, f"max |diff| = {worst:.2e}")
 
-    omega = symplectic_form()
     sched = RampSchedule(0.2, 0.9, 5.0)
     mat = ramp_propagator(sched, spectator_omega1=1.0, spectator_omega3=0.1).matrix
-    mat = mat * (1.0 + perturbation)
-    sdef = float(np.max(np.abs(mat @ omega @ mat.T - omega)))
+    sdef = float(_symplectic_defect(mat * (1.0 + perturbation)))
     ok &= _check("ramp symplectic defect", sdef <= SYMPLECTIC_TOL,
                  f"|S Omega S^T - Omega| = {sdef:.2e}")
 
@@ -583,24 +581,27 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+_FLAGS = {"--config": dict(help="JSON config path"), "--out": dict(help="output directory"),
+          "--seed": dict(type=int), "--workers": dict(type=int, default=1),
+          "--cycles": dict(type=int, help="override: run exactly N cycles"),
+          "--ramp": dict(choices=sorted(m.value for m in RampMode)),
+          "--perturb": dict(type=float, default=0.0, help=argparse.SUPPRESS)}
+# The flags each subcommand reads; any other is an argparse error, exit 2.
+_SUBCOMMANDS = {"simulate": (cmd_simulate, ("--config", "--out", "--cycles", "--ramp")),
+                "optimize": (cmd_optimize, ("--config", "--out", "--seed")),
+                "scan": (cmd_scan, ("--config", "--out", "--seed", "--workers")),
+                "validate": (cmd_validate, ("--perturb",))}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="otto3",
         description="Three-oscillator quantum Otto engine: simulate, optimize, scan.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("simulate", cmd_simulate), ("optimize", cmd_optimize),
-                     ("scan", cmd_scan), ("validate", cmd_validate)):
+    for name, (fn, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config path")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--cycles", type=int, default=None,
-                       help="override: run exactly N cycles")
-        p.add_argument("--ramp", choices=sorted(m.value for m in RampMode), default=None)
-        p.add_argument("--workers", type=int, default=1)
-        if name == "validate":
-            p.add_argument("--perturb", type=float, default=0.0,
-                           help=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(fn=fn)
     return parser
 

@@ -15,41 +15,17 @@ can score whole time series in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import xlogy
 
 from .errors import PhysicalityError
+from .states import CovarianceMatrix, symplectic_eigenvalues
 
 H_CLIP_TOL = 1e-9
-PHYSICALITY_TOL = 1e-9
 _PURE_B_TOL = 1e-12
 
-# Pair restrictions of a 6x6 matrix, (x_i, x_j, p_i, p_j) per pair.
-PAIRS = ((1, 2), (2, 3), (1, 3))
+# Pair restrictions (1,2), (2,3), (1,3) of a 6x6 matrix, (x_i, x_j, p_i, p_j) per pair.
 _PAIR_IDX = np.array([[0, 1, 3, 4], [1, 2, 4, 5], [0, 2, 3, 5]])
-
-
-@dataclass(frozen=True)
-class TwoModeInvariants:
-    """det A, det B, det C, det sigma and the symplectic eigenvalues.
-
-    d_minus and d_plus come from an eigensolve of Omega sigma rather than the
-    invariant formula, which loses half the significant digits to
-    cancellation on nearly pure states.
-    """
-
-    i1: float
-    i2: float
-    i3: float
-    i4: float
-    d_minus: float
-    d_plus: float
-
-    @property
-    def lam(self) -> float:
-        return self.i1 + self.i2 + 2.0 * self.i3
 
 
 def _block_dets(sig: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -70,25 +46,12 @@ def _sympl_pair(i1, i2, i3, i4) -> tuple[np.ndarray, np.ndarray]:
     return d_minus, d_plus
 
 
-_OMEGA4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
-
-
-def two_mode_invariants(sigma2: np.ndarray, check: bool = True) -> TwoModeInvariants:
+def _pair_state(sigma2: np.ndarray) -> CovarianceMatrix:
+    """A 4x4 pair restriction, validated: finite, symmetric and physical."""
     mat = np.asarray(sigma2, dtype=float)
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 restriction, got {mat.shape}")
-    i1, i2, i3, i4 = _block_dets(mat)
-    d = np.sort(np.abs(np.linalg.eigvals(_OMEGA4 @ mat)))
-    inv = TwoModeInvariants(float(i1), float(i2), float(i3), float(i4),
-                            float(d[0]), float(d[-1]))
-    if check:
-        if inv.i4 <= 0.0:
-            raise PhysicalityError(f"det sigma = {inv.i4:.3e} must be positive")
-        if inv.d_minus < 0.5 - PHYSICALITY_TOL:
-            raise PhysicalityError(
-                f"smallest symplectic eigenvalue {inv.d_minus:.12f} below 1/2"
-            )
-    return inv
+    return CovarianceMatrix(mat)
 
 
 def entropy_like(x, *, strict: bool = True):
@@ -120,8 +83,7 @@ def negativity_from_invariants(i1, i2, i3, i4) -> np.ndarray:
 
 
 def log_negativity(sigma2: np.ndarray) -> float:
-    inv = two_mode_invariants(sigma2)
-    return float(negativity_from_invariants(inv.i1, inv.i2, inv.i3, inv.i4))
+    return float(negativity_from_invariants(*_block_dets(_pair_state(sigma2).matrix)))
 
 
 _PT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -131,12 +93,11 @@ def pt_smallest_eigenvalue(sigma2: np.ndarray) -> float:
     """Smallest symplectic eigenvalue of the partial transpose of a 4x4 pair
     restriction; below 1/2 signals entanglement.
 
-    Uses an eigensolve of Omega Lambda sigma Lambda, which keeps full
-    precision on nearly pure states where the invariant formula cancels.
+    Uses states.symplectic_eigenvalues of Lambda sigma Lambda, an eigensolve
+    that keeps full precision on nearly pure states where the invariant
+    formula cancels.
     """
-    mat = np.asarray(sigma2, dtype=float)
-    pt = _PT_FLIP @ mat @ _PT_FLIP
-    return float(np.sort(np.abs(np.linalg.eigvals(_OMEGA4 @ pt)))[0])
+    return float(symplectic_eigenvalues(_PT_FLIP @ np.asarray(sigma2, dtype=float) @ _PT_FLIP)[0])
 
 
 def _emin_branch1(j1, j2, j3, j4):
@@ -154,14 +115,14 @@ def _emin_branch2(j1, j2, j3, j4):
     return (j1 * j2 - j3 * j3 + j4 - rad) / (2.0 * j2)
 
 
-def discord_from_invariants(i1, i2, i3, i4, *, d_minus=None, d_plus=None,
-                            strict: bool = False) -> np.ndarray:
+def discord_from_invariants(i1, i2, i3, i4, *, d_minus=None, d_plus=None) -> np.ndarray:
     """Gaussian discord with the measurement on the second mode.
 
     Invariants are taken in the raw convention and doubled internally
     (j_k scale as det of 2 sigma).  The branch condition compares
     (j1 j2 - j4)^2 with (1 + j2) j3^2 (j1 + j4).  Precomputed symplectic
     eigenvalues may be supplied when a more accurate route is available.
+    Entropy arguments below 1 are clipped as cancellation noise.
     """
     j1, j2, j3, j4 = 4.0 * np.asarray(i1), 4.0 * np.asarray(i2), 4.0 * np.asarray(i3), 16.0 * np.asarray(i4)
     branch1 = (j1 * j2 - j4) ** 2 <= (1.0 + j2) * j3 * j3 * (j1 + j4)
@@ -170,30 +131,27 @@ def discord_from_invariants(i1, i2, i3, i4, *, d_minus=None, d_plus=None,
     emin = np.where(np.abs(j2 - 1.0) <= _PURE_B_TOL, j1, emin)
     if d_minus is None or d_plus is None:
         d_minus, d_plus = _sympl_pair(i1, i2, i3, i4)
-    val = (
-        entropy_like(np.sqrt(j2), strict=strict)
-        - entropy_like(2.0 * np.asarray(d_minus), strict=strict)
-        - entropy_like(2.0 * np.asarray(d_plus), strict=strict)
-        + entropy_like(np.sqrt(np.maximum(emin, 0.0)), strict=strict)
+    return (
+        entropy_like(np.sqrt(j2), strict=False)
+        - entropy_like(2.0 * np.asarray(d_minus), strict=False)
+        - entropy_like(2.0 * np.asarray(d_plus), strict=False)
+        + entropy_like(np.sqrt(np.maximum(emin, 0.0)), strict=False)
     )
-    return val
 
 
 def gaussian_discord(sigma2: np.ndarray, measured: int = 2) -> float:
-    """Discord of a two-mode restriction, measuring the chosen side (1 or 2)."""
+    """Discord of a two-mode restriction, measuring the chosen side (1 or 2).
+
+    d-, d+ are the validation's spectrum, not the cancelling invariant formula."""
     if measured not in (1, 2):
         raise ValueError(f"measured must be 1 or 2, got {measured}")
-    inv = two_mode_invariants(sigma2)
-    # Physicality was just verified, so any sub-1 entropy argument from here on
-    # is cancellation noise in the invariant formulas, not caller error.
+    state = _pair_state(sigma2)
+    i1, i2, i3, i4 = _block_dets(state.matrix)
     if measured == 1:
         # Swapping the modes exchanges det A and det B; det C and det sigma are unchanged.
-        raw = discord_from_invariants(inv.i2, inv.i1, inv.i3, inv.i4,
-                                      d_minus=inv.d_minus, d_plus=inv.d_plus)
-    else:
-        raw = discord_from_invariants(inv.i1, inv.i2, inv.i3, inv.i4,
-                                      d_minus=inv.d_minus, d_plus=inv.d_plus)
-    return max(0.0, float(raw))
+        i1, i2 = i2, i1
+    d = state.symplectic_eigenvalues()
+    return max(0.0, float(discord_from_invariants(i1, i2, i3, i4, d_minus=d[0], d_plus=d[1])))
 
 
 def pair_correlations(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

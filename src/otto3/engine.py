@@ -46,7 +46,7 @@ import numpy as np
 
 from .correlations import pair_correlations
 from .energetics import efficiency
-from .errors import ConfigError, EnergyBalanceError, PhaseOrderError
+from .errors import ConfigError, EnergyBalanceError, PhaseOrderError, check_count
 from .propagators import (
     CouplingSide,
     RampMode,
@@ -109,8 +109,7 @@ class FixedCycles:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ConfigError(f"cycle count must be >= 0, got {self.n}")
+        check_count("cycle count", self.n, 0)
 
 
 StopRule = Union[WorkNonNegative, FixedCycles]
@@ -163,8 +162,7 @@ class EngineParams:
                 raise ConfigError(
                     f"sample_dt={self.sample_dt} samples {points} interior points per "
                     f"cycle; at most {_BATCH_POINT_BUDGET} are allowed")
-        if self.max_cycles < 1:
-            raise ConfigError(f"max_cycles must be >= 1, got {self.max_cycles}")
+        check_count("max_cycles", self.max_cycles, 1)
         if not isinstance(self.stop, (WorkNonNegative, FixedCycles)):
             raise ConfigError(f"unknown stop rule {self.stop!r}")
         # the probe cycle past the limit must end at a finite time too

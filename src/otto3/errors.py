@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that raises one."""
 
 from __future__ import annotations
+
+import numbers
 
 
 class Otto3Error(Exception):
@@ -37,3 +39,9 @@ class ConvergenceError(Otto3Error, RuntimeError):
 
 class ConfigError(Otto3Error, ValueError):
     """A run configuration is malformed or inconsistent."""
+
+
+def check_count(name: str, value: object, minimum: int) -> None:
+    """Refuse a count unless it is an integer (numbers.Integral, not bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")

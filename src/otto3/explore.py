@@ -29,7 +29,7 @@ from scipy.optimize import differential_evolution, minimize
 from .energetics import ergotropy
 from . import engine
 from .engine import EngineParams, WorkNonNegative, run_reduced, run_reduced_ensemble
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .propagators import RampMode
 from .states import Preparation, squeezed_preparation, thermal_preparation
 
@@ -215,12 +215,9 @@ def random_scan(n_samples: int, seed: int, *, box: Optional[ParameterBox] = None
     ensemble of engines stepped together; sample i's numbers depend only on
     (seed, i), never on the blocks or the worker count.
     """
-    if n_samples < 0:
-        raise ConfigError(f"n_samples must be >= 0, got {n_samples}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_count("n_samples", n_samples, 0)
+    check_count("workers", workers, 1)
+    check_count("seed", seed, 0)
     if box is None:
         box = ParameterBox(omega3=OMEGA3_RANGE)
     if box.omega3 is None:
@@ -333,12 +330,9 @@ def optimize(*, omega3: Optional[float] = None, box: Optional[ParameterBox] = No
         box = ParameterBox()
     if (omega3 is None) == (box.omega3 is None):
         raise ConfigError("give either a scalar omega3 or an omega3 interval, not both")
-    if budget < 1:
-        raise ConfigError(f"budget must be >= 1, got {budget}")
-    if restarts < 1:
-        raise ConfigError(f"restarts must be >= 1, got {restarts}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_count("budget", budget, 1)
+    check_count("restarts", restarts, 1)
+    check_count("seed", seed, 0)
     if method not in METHODS:
         raise ConfigError(f"unknown optimizer method {method!r}")
 

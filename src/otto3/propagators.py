@@ -34,22 +34,22 @@ DEGENERATE_OMEGA_TOL = 1e-9
 _OMEGA6 = symplectic_form(3)
 
 
-def _check_symplectic(mat: np.ndarray, tol: float = SYMPLECTIC_TOL, *,
-                      name: Optional[Callable[[int], str]] = None) -> "float | np.ndarray":
-    """Defect |S Omega S^T - Omega| of a 6x6 map or of each map in an (N, 6, 6) stack.
+def _symplectic_defect(mat: np.ndarray) -> np.ndarray:
+    """Largest entry of |S Omega S^T - Omega| for a 6x6 map or each map of a stack."""
+    return np.max(np.abs(mat @ _OMEGA6 @ np.swapaxes(mat, -1, -2) - _OMEGA6), axis=(-2, -1))
 
-    Raises on the first map whose defect is not <= tol, so a NaN defect
-    fails too.  A stack's error names map k as name(k), or "map k".
-    """
-    mat = np.asarray(mat, dtype=float)
-    defect = np.max(np.abs(mat @ _OMEGA6 @ np.swapaxes(mat, -1, -2) - _OMEGA6), axis=(-2, -1))
+
+def _check_symplectic(mat: np.ndarray, tol: float = SYMPLECTIC_TOL, *,
+                      name: Optional[Callable[[int], str]] = None) -> None:
+    """Raise on the first map (of a 6x6 map or an (N, 6, 6) stack) whose defect is
+    not <= tol, so a NaN fails too; map k of a stack is named name(k) or "map k"."""
+    defect = _symplectic_defect(np.asarray(mat, dtype=float))
     bad = np.flatnonzero(~(defect <= tol))
     if bad.size:
         k = int(bad[0])
         where = "" if defect.ndim == 0 else f"{name(k) if name else f'map {k}'}: "
         raise SymplecticityError(f"{where}propagator defect |S Omega S^T - Omega| = "
                                  f"{defect.flat[k]:.3e} > {tol:.1e}")
-    return float(defect) if defect.ndim == 0 else defect
 
 
 def _sandwich(mat: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -326,24 +326,21 @@ def ode_propagator(schedule: RampSchedule, tol: float = 1e-11, *,
     if schedule.mode is RampMode.SUDDEN:
         return SymplecticPropagator(np.eye(6), duration=0.0, label="ramp-ode")
 
-    win2, wfin2, tau = schedule.omega_in**2, schedule.omega_fin**2, schedule.tau
-
     def rhs(t: float, flat: np.ndarray) -> np.ndarray:
         s = flat.reshape(6, 6)
-        omega2 = np.array([w_hi**2, win2 + (wfin2 - win2) * t / tau, w_lo**2])
+        omega2 = np.array([w_hi**2, schedule.omega_sq(t), w_lo**2])
         ds = np.empty_like(s)
         ds[:3] = s[3:]
         ds[3:] = -omega2[:, None] * s[:3]
         return ds.reshape(-1)
 
-    sol = solve_ivp(rhs, (0.0, tau), np.eye(6).reshape(-1), method="DOP853",
+    sol = solve_ivp(rhs, (0.0, schedule.tau), np.eye(6).reshape(-1), method="DOP853",
                     rtol=tol, atol=tol * 1e-3, dense_output=False)
     if not sol.success:
         raise IntegrationError(f"propagator integration failed: {sol.message}")
     mat = sol.y[:, -1].reshape(6, 6)
-    defect = float(np.max(np.abs(mat @ _OMEGA6 @ mat.T - _OMEGA6)))
+    defect = float(_symplectic_defect(mat))
     if not defect <= 10.0 * tol:
-        raise IntegrationError(
-            f"integrated propagator defect {defect:.3e} exceeds 10*tol = {10 * tol:.1e}"
-        )
-    return SymplecticPropagator(mat, duration=tau, label="ramp-ode")
+        raise IntegrationError(f"integrated propagator defect {defect:.3e} exceeds "
+                               f"10*tol = {10 * tol:.1e}")
+    return SymplecticPropagator(mat, duration=schedule.tau, label="ramp-ode")

@@ -51,10 +51,15 @@ def symplectic_eigenvalues(sigma: Union[np.ndarray, "CovarianceMatrix"]) -> np.n
     n = mat.shape[-1] // 2
     if mat.ndim < 2 or mat.shape[-2:] != (2 * n, 2 * n) or n == 0:
         raise ValueError(f"covariance matrix must be square with even dimension, got {mat.shape}")
-    scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)))
-    if np.any(np.max(np.abs(mat - np.swapaxes(mat, -1, -2)), axis=(-2, -1)) > SYMMETRY_TOL * scale):
+    if np.any(_asymmetric(mat)):
         raise PhysicalityError("covariance matrix is not symmetric")
     return _spectrum(mat)
+
+
+def _asymmetric(mat: np.ndarray) -> np.ndarray:
+    """True for each matrix of a stack asymmetric beyond SYMMETRY_TOL * max(1, largest |entry|)."""
+    scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)))
+    return np.max(np.abs(mat - np.swapaxes(mat, -1, -2)), axis=(-2, -1)) > SYMMETRY_TOL * scale
 
 
 def _spectrum(mat: np.ndarray) -> np.ndarray:
@@ -69,32 +74,32 @@ def validate_covariances(mats: np.ndarray) -> np.ndarray:
     entry, and physical: min symplectic eigenvalue >= 1/2 - 1e-9.  The
     first failing matrix is named by its stack index.
     """
+    return _validated(mats)[0]
+
+
+def _validated(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """validate_covariances, plus the (E, n) symplectic spectra it checked."""
     mat = np.array(mats, dtype=float)
     if mat.ndim != 3 or mat.shape[1] != mat.shape[2] or mat.shape[1] % 2 or mat.shape[1] == 0:
         raise PhysicalityError(f"expected a stack of 2n x 2n matrices, got {mat.shape}")
-    if mat.shape[0] == 0:
-        return mat
 
     def fail(bad: np.ndarray, what: str) -> None:
         where = f"state {int(np.flatnonzero(bad)[0])}: " if mat.shape[0] > 1 else ""
         raise PhysicalityError(f"{where}covariance matrix {what}")
 
-    flat = mat.reshape(mat.shape[0], -1)
-    finite = np.isfinite(flat).all(axis=1)
+    finite = np.isfinite(mat).all(axis=(1, 2))
     if not finite.all():
         fail(~finite, "has non-finite entries")
-    mat_t = mat.transpose(0, 2, 1)
-    scale = np.maximum(1.0, np.abs(flat).max(axis=1))
-    asym = np.abs(mat - mat_t).reshape(flat.shape).max(axis=1) > SYMMETRY_TOL * scale
+    asym = _asymmetric(mat)
     if asym.any():
         fail(asym, "is not symmetric to 1e-12")
-    mat = 0.5 * (mat + mat_t)
-    nu_min = _spectrum(mat)[:, 0]
-    low = ~(nu_min >= 0.5 - PHYSICALITY_TOL)
+    mat = 0.5 * (mat + mat.transpose(0, 2, 1))
+    nus = _spectrum(mat)
+    low = ~(nus[:, 0] >= 0.5 - PHYSICALITY_TOL)
     if low.any():
         fail(low, f"violates the uncertainty bound: min symplectic eigenvalue "
-                  f"{float(nu_min[np.flatnonzero(low)[0]])!r} < 1/2")
-    return mat
+                  f"{float(nus[np.flatnonzero(low)[0], 0])!r} < 1/2")
+    return mat, nus
 
 
 @dataclass(frozen=True)
@@ -103,19 +108,21 @@ class CovarianceMatrix:
 
     Construction checks symmetry (to 1e-12 relative to the largest entry)
     and physicality (min symplectic eigenvalue >= 1/2 - 1e-9), as
-    validate_covariances does for a stack.  The wrapped array is made
-    read-only so instances can be shared freely.
+    validate_covariances does for a stack, keeping the spectrum it computed.
+    The arrays are read-only so instances can be shared freely.
     """
 
     matrix: np.ndarray
+    _nus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=float)
         if mat.ndim != 2:
             raise PhysicalityError(f"expected a 2n x 2n matrix, got shape {mat.shape}")
-        mat = validate_covariances(mat[None])[0]
-        mat.flags.writeable = False
+        (mat,), (nus,) = _validated(mat[None])
+        mat.flags.writeable = nus.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_nus", nus)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if dtype is not None and dtype != self.matrix.dtype:
@@ -127,7 +134,7 @@ class CovarianceMatrix:
         return self.matrix.shape[0] // 2
 
     def symplectic_eigenvalues(self) -> np.ndarray:
-        return symplectic_eigenvalues(self.matrix)
+        return self._nus
 
 
 def _thermal_block(nbar: float, omega: float) -> np.ndarray:

@@ -425,6 +425,18 @@ class TestNumericalFailureExit:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "1"],
+        ["optimize", "--workers", "2"],
+        ["scan", "--ramp", "airy"],
+        ["validate", "--config", "/nonexistent"],
+    ], ids=lambda argv: argv[0])
+    def test_flag_the_subcommand_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
 
 class TestRampAndSampleRejection:
     def test_unknown_ramp_in_scan_config(self, tmp_path):

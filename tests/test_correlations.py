@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from otto3.correlations import (entropy_like, discord_from_invariants,
+from otto3.correlations import (_block_dets, entropy_like,
                                 gaussian_discord, log_negativity,
                                 negativity_from_invariants,
-                                pair_correlations, pt_smallest_eigenvalue,
-                                two_mode_invariants)
+                                pair_correlations, pt_smallest_eigenvalue)
 from otto3.errors import PhysicalityError
-from otto3.states import restrict, symplectic_eigenvalues
+from otto3.states import CovarianceMatrix, restrict, symplectic_eigenvalues
 
 from helpers import local_symplectic, random_covariance
 
@@ -37,25 +36,62 @@ def product_pair(nu_a, nu_b):
 
 class TestInvariants:
     def test_product_state_values(self):
-        inv = two_mode_invariants(product_pair(1.5, 0.5))
-        assert_allclose([inv.i1, inv.i2, inv.i3, inv.i4],
-                        [2.25, 0.25, 0.0, 2.25 * 0.25], rtol=1e-14)
-        assert_allclose([inv.d_minus, inv.d_plus], [0.5, 1.5], rtol=1e-12)
+        sigma = product_pair(1.5, 0.5)
+        assert_allclose(_block_dets(sigma), [2.25, 0.25, 0.0, 2.25 * 0.25], rtol=1e-14)
+        assert_allclose(CovarianceMatrix(sigma).symplectic_eigenvalues(), [0.5, 1.5],
+                        rtol=1e-12)
 
     def test_symplectic_pair_matches_spectrum(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             sigma, nus = random_covariance(rng)
-            inv = two_mode_invariants(sigma)
-            assert_allclose([inv.d_minus, inv.d_plus], nus, rtol=1e-9)
+            assert_allclose(CovarianceMatrix(sigma).symplectic_eigenvalues(), nus, rtol=1e-9)
+
+    def test_kept_spectrum_equals_a_fresh_eigensolve(self):
+        rng = np.random.default_rng(6)
+        for _ in range(25):
+            sigma, _ = random_covariance(rng)
+            assert_allclose(CovarianceMatrix(sigma).symplectic_eigenvalues(),
+                            symplectic_eigenvalues(sigma), rtol=0, atol=1e-14)
 
     def test_rejects_unphysical(self):
-        with pytest.raises(PhysicalityError):
-            two_mode_invariants(product_pair(0.45, 0.6))
+        for measure in (log_negativity, gaussian_discord):
+            with pytest.raises(PhysicalityError, match="uncertainty bound"):
+                measure(product_pair(0.45, 0.6))
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            two_mode_invariants(np.eye(6))
+        for measure in (log_negativity, gaussian_discord):
+            with pytest.raises(ValueError, match="4x4"):
+                measure(np.eye(6))
+
+    @pytest.mark.parametrize("measure", (log_negativity, gaussian_discord))
+    def test_rejects_asymmetric(self, measure):
+        sigma = tmsv(0.5)
+        sigma[0, 1] += 1e-6
+        with pytest.raises(PhysicalityError, match="not symmetric"):
+            measure(sigma)
+
+    @pytest.mark.parametrize("measure", (log_negativity, gaussian_discord))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_rejects_non_finite(self, measure, bad):
+        sigma = tmsv(0.5)
+        sigma[2, 3] = sigma[3, 2] = bad
+        with pytest.raises(PhysicalityError, match="non-finite"):
+            measure(sigma)
+
+    @pytest.mark.parametrize("measure", (log_negativity, gaussian_discord,
+                                         pt_smallest_eigenvalue))
+    def test_one_eigensolve_per_call(self, measure, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        measure(tmsv(0.5))
+        assert len(calls) == 1
 
 
 class TestEntropyLike:
@@ -113,8 +149,7 @@ class TestLogNegativity:
         rng = np.random.default_rng(9)
         for _ in range(50):
             sigma, _ = random_covariance(rng)
-            inv = two_mode_invariants(sigma)
-            via_inv = negativity_from_invariants(inv.i1, inv.i2, inv.i3, inv.i4)
+            via_inv = negativity_from_invariants(*_block_dets(sigma))
             nu = pt_smallest_eigenvalue(sigma)
             via_eig = max(0.0, -math.log(2.0 * nu))
             assert_allclose(via_inv, via_eig, atol=1e-10)
@@ -175,8 +210,8 @@ class TestBranchHandOff:
         return (j1 * j2 - j4) ** 2 - (1.0 + j2) * j3 * j3 * (j1 + j4)
 
     def _doubled_invariants(self, sigma):
-        inv = two_mode_invariants(sigma)
-        return np.array([4 * inv.i1, 4 * inv.i2, 4 * inv.i3, 16 * inv.i4])
+        i1, i2, i3, i4 = _block_dets(sigma)
+        return np.array([4 * i1, 4 * i2, 4 * i3, 16 * i4])
 
     def _find_boundary_pairs(self, n_pairs=4, max_trials=4000):
         rng = np.random.default_rng(7)
@@ -217,13 +252,19 @@ class TestPairCorrelations:
         assert disc.shape == (3,)
 
     def test_matches_restrict_route(self):
+        # pair_correlations measures mode j of pair (i, j): the second slot of
+        # restrict(sigma, i, j) and the first of restrict(sigma, j, i)
         rng = np.random.default_rng(14)
-        sigma, _ = random_covariance(rng, n_modes=3)
-        neg, disc = pair_correlations(sigma)
-        for k, (i, j) in enumerate(((1, 2), (2, 3), (1, 3))):
-            pair = restrict(sigma, i, j)
-            assert_allclose(neg[k], log_negativity(np.asarray(pair)), atol=1e-12)
-            assert_allclose(disc[k], gaussian_discord(np.asarray(pair)), atol=1e-12)
+        for _ in range(10):
+            sigma, _ = random_covariance(rng, n_modes=3)
+            neg, disc = pair_correlations(sigma)
+            for k, (i, j) in enumerate(((1, 2), (2, 3), (1, 3))):
+                pair = np.asarray(restrict(sigma, i, j))
+                swapped = np.asarray(restrict(sigma, j, i))
+                assert_allclose(neg[k], log_negativity(pair), atol=1e-12)
+                assert_allclose(neg[k], log_negativity(swapped), atol=1e-12)
+                assert_allclose(disc[k], gaussian_discord(pair, measured=2), atol=1e-12)
+                assert_allclose(disc[k], gaussian_discord(swapped, measured=1), atol=1e-12)
 
     def test_batched_stack(self):
         rng = np.random.default_rng(15)

@@ -320,3 +320,32 @@ class TestScanEnsembles:
 def test_parameter_box_rejects_non_finite_endpoints(name, interval):
     with pytest.raises(ConfigError, match=f"{name} interval .* has a non-finite endpoint"):
         ParameterBox(**{name: interval})
+
+
+def _engine_with(**kwargs):
+    return EngineParams(prep=PrepFamily.THERMAL.preparation(0.1, DEFAULT_BETA1), alpha12=0.01,
+                        alpha23=0.0, tau_comp=1.0, tau_h=0.5, tau_c=0.5, **kwargs)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: engine.FixedCycles(2.5), id="FixedCycles-float"),
+    pytest.param(lambda: engine.FixedCycles(float("nan")), id="FixedCycles-nan"),
+    pytest.param(lambda: engine.FixedCycles(True), id="FixedCycles-bool"),
+    pytest.param(lambda: _engine_with(max_cycles=2.5), id="max_cycles-float"),
+    pytest.param(lambda: _engine_with(max_cycles=True), id="max_cycles-bool"),
+    pytest.param(lambda: random_scan(2.5, 0), id="n_samples"),
+    pytest.param(lambda: random_scan(3, 1.5), id="scan-seed"),
+    pytest.param(lambda: random_scan(3, 0, workers=1.5), id="workers"),
+    pytest.param(lambda: optimize(omega3=0.1, budget=2.5), id="budget"),
+    pytest.param(lambda: optimize(omega3=0.1, restarts=1.5), id="restarts"),
+    pytest.param(lambda: optimize(omega3=0.1, seed=1.5), id="optimize-seed"),
+])
+def test_counts_are_refused_unless_integers(make):
+    # a count that is not an integer fails where it enters, never deep inside a run
+    with pytest.raises(ConfigError, match="must be an integer"):
+        make()
+
+
+def test_numpy_integer_counts_are_accepted():
+    params = _engine_with(stop=engine.FixedCycles(np.int64(2)), max_cycles=np.int32(5))
+    assert run_reduced(params).n_cycles == 2

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import sys
@@ -32,3 +33,36 @@ def test_every_traced_layer_target_exists():
             assert callable(original), target
     finally:
         del sys.modules[spec.name]
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Every bare name read in a module: loads, attribute bases, string
+    annotations, and the names a module re-exports through __all__."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            used |= _names_used(ast.parse(annotation.value, mode="eval"))
+        if (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                 for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def test_no_unused_imports():
+    # a name imported into a package module and never used is dead weight
+    unused = []
+    for path in sorted((ROOT / "src" / "otto3").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert not unused, unused
