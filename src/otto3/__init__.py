@@ -15,7 +15,6 @@ from .engine import (
     EngineParams,
     EngineResult,
     FixedCycles,
-    StrokeResult,
     TimeSeries,
     WorkNonNegative,
     run_reduced,
@@ -27,7 +26,6 @@ from .errors import (
     EnergyBalanceError,
     IntegrationError,
     Otto3Error,
-    PhaseOrderError,
     PhysicalityError,
     SymplecticityError,
 )
@@ -73,12 +71,12 @@ __all__ = [
     "coupling_propagator", "harmonic_propagator", "ode_propagator",
     "ramp_propagator",
     "CycleRecord", "Engine", "EngineParams", "EngineResult", "FixedCycles",
-    "StrokeResult", "TimeSeries", "WorkNonNegative", "run_reduced",
+    "TimeSeries", "WorkNonNegative", "run_reduced",
     "EfficiencyResult", "efficiency", "ergotropy", "mode_energies", "mode_energy",
     "gaussian_discord", "log_negativity", "pt_smallest_eigenvalue",
     "Objective", "OptimizeOutcome", "ParameterBox", "PrepFamily", "ScanSample",
     "optimize", "random_scan",
     "Otto3Error", "PhysicalityError", "SymplecticityError", "DegenerateRampError",
-    "PhaseOrderError", "EnergyBalanceError", "IntegrationError",
+    "EnergyBalanceError", "IntegrationError",
     "ConvergenceError", "ConfigError",
 ]

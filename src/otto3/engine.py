@@ -46,13 +46,12 @@ import numpy as np
 
 from .correlations import pair_correlations
 from .energetics import efficiency
-from .errors import ConfigError, EnergyBalanceError, PhaseOrderError, check_count
+from .errors import ConfigError, EnergyBalanceError, check_count
 from .propagators import (
     CouplingSide,
     RampMode,
     RampSchedule,
     _check_symplectic,
-    _sandwich,
     coupling_propagators_at,
     ramp_propagators,
     ramp_propagators_at,
@@ -177,26 +176,6 @@ class EngineParams:
     @property
     def cycle_duration(self) -> float:
         return 2.0 * self.ramp_duration + self.tau_h + self.tau_c
-
-
-@dataclass(frozen=True)
-class StrokeResult:
-    """Edge energies of a single stroke.
-
-    energy_change is e2_end - e2_start: the work supplied by a ramp, or
-    minus the heat taken up by the medium during a coupling stroke.
-    """
-
-    kind: str
-    duration: float
-    omega_start: float
-    omega_end: float
-    e2_start: float
-    e2_end: float
-
-    @property
-    def energy_change(self) -> float:
-        return self.e2_end - self.e2_start
 
 
 @dataclass(frozen=True)
@@ -365,7 +344,8 @@ _STROKE_NAMES = ("compression", "heating", "expansion", "cooling")
 
 
 class _Strokes:
-    """The four stroke maps and the cycle map of E engines, each (E, 6, 6).
+    """The stroke maps, element-first (6, 6, E), and the cycle map, (E, 6, 6),
+    of E engines.
 
     Every map of every engine is checked to be symplectic when built.  ids
     name the engines in errors (default: their positions).
@@ -384,19 +364,16 @@ class _Strokes:
         self.alpha12 = np.array([p.alpha12 for p in params])
         self.alpha23 = np.array([p.alpha23 for p in params])
         tau = np.array([p.ramp_duration for p in params])
-        self.comp, self.exp = ramp_propagators(mode, np.stack((w3, w1)), np.stack((w1, w3)),
-                                               tau, tau, w1, w3)
-        self.heat = coupling_propagators_at(self.alpha12, w1, w3,
-                                            np.array([p.tau_h for p in params]),
-                                            CouplingSide.HOT_PAIR)
-        self.cool = coupling_propagators_at(self.alpha23, w3, w1,
-                                            np.array([p.tau_c for p in params]),
-                                            CouplingSide.COLD_PAIR)
-        maps = np.stack((self.comp, self.heat, self.exp, self.cool), axis=1)
+        comp, exp = ramp_propagators(mode, np.stack((w3, w1)), np.stack((w1, w3)),
+                                     tau, tau, w1, w3)
+        heat = coupling_propagators_at(self.alpha12, w1, w3, np.array([p.tau_h for p in params]),
+                                       CouplingSide.HOT_PAIR)
+        cool = coupling_propagators_at(self.alpha23, w3, w1, np.array([p.tau_c for p in params]),
+                                       CouplingSide.COLD_PAIR)
+        maps = np.stack((comp, heat, exp, cool), axis=1)
         _check_symplectic(maps.reshape(-1, 6, 6), name=lambda k: (
             f"{_STROKE_NAMES[k % 4]} map of engine {self.ids[k // 4]}"))
-        self.cycle = self.cool @ self.exp @ self.heat @ self.comp
-        # (6, 6, E) copies for the kernel; run_stroke reads the (E, 6, 6) maps.
+        self.cycle = cool @ exp @ heat @ comp
         self.comp_el, self.heat_el, self.exp_el, self.cool_el = (
             np.ascontiguousarray(x) for x in _by_element(maps).reshape(6, 6, -1, 4)
             .transpose(3, 0, 1, 2))
@@ -535,7 +512,7 @@ class _Runs:
 
 
 def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
-                 eps_stop: np.ndarray, first_cycle: np.ndarray, heat_times: np.ndarray,
+                 eps_stop: np.ndarray, heat_times: np.ndarray,
                  cool_times: np.ndarray, correlations: bool, keep_records: bool,
                  series: Optional["_TimeSeriesBuilder"] = None) -> _Runs:
     """The stepping loop: run E engines in lockstep until each one stops.
@@ -611,8 +588,7 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
                     span.append(c)
                     left -= c
                 _step(strokes, idx, tuple(span), sigma, simulated, probe, neg_max,
-                      disc_max, parts, heat_mats, cool_mats, first_cycle, eps_stop,
-                      correlations, series)
+                      disc_max, parts, heat_mats, cool_mats, eps_stop, correlations, series)
                 step[idx] += len(span)
         active = active[~probe[active] & (simulated[active] < totals[active])]
 
@@ -634,16 +610,15 @@ def _interior_states(mats: np.ndarray, owner: np.ndarray, states: np.ndarray) ->
 def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], sigma: np.ndarray,
           simulated: np.ndarray, probe: np.ndarray, neg_max: np.ndarray,
           disc_max: np.ndarray, parts: list, heat_mats: Optional[np.ndarray],
-          cool_mats: Optional[np.ndarray], first_cycle: np.ndarray, eps_stop: np.ndarray,
-          correlations: bool, series: Optional["_TimeSeriesBuilder"]) -> None:
+          cool_mats: Optional[np.ndarray], eps_stop: np.ndarray, correlations: bool,
+          series: Optional["_TimeSeriesBuilder"]) -> None:
     """One kernel call, the chunks `span`, for engines `idx`; updates the loop
     state in place.
 
     Interior states are built only for the cycles each engine keeps, and
     only when correlations or a time series read them.
     """
-    chunk = _simulate_chunk(strokes, idx, sigma[idx], span,
-                            first_cycle[idx] + simulated[idx], eps_stop[idx])
+    chunk = _simulate_chunk(strokes, idx, sigma[idx], span, simulated[idx], eps_stop[idx])
     count, keep, stopped = sum(span), chunk.keep, chunk.stopped
     rows = keep + stopped
 
@@ -697,155 +672,69 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], sigma: np.n
 
 
 class Engine:
-    """Stateful driver holding the covariance state, phase and clocks.
+    """One engine configuration and its validated initial state.
 
-    The phase is the medium's current frequency slot, "low" (omega3) or
-    "high" (omega1); strokes check it instead of trusting call order, so a
-    heating stroke cannot act on an uncompressed medium.  Whole runs go
-    through the same cycle kernel and stepping loop as an ensemble of
-    engines, here an ensemble of one.
+    Every run starts from sigma_initial and goes through the same cycle
+    kernel and stepping loop as an ensemble of engines, here an ensemble of
+    one, so repeated runs give the same result.
     """
 
     def __init__(self, params: EngineParams) -> None:
         self.params = params
-        self._w1 = params.prep.omega1
-        self._w3 = params.prep.omega3
         self._strokes = _Strokes([params])
         self.sigma_initial = product_state(params.prep)
-        self._sigma = np.array(self.sigma_initial.matrix)
-        self._phase = "low"
-        self._t = 0.0
-        self._cycle = 0
-        self._w_cum = 0.0
-
-    @property
-    def sigma(self) -> CovarianceMatrix:
-        return CovarianceMatrix(self._sigma.copy())
-
-    @property
-    def phase(self) -> str:
-        return self._phase
-
-    @property
-    def time(self) -> float:
-        return self._t
-
-    @property
-    def cycles_run(self) -> int:
-        return self._cycle
-
-    # -- stroke-level interface -------------------------------------------
-
-    def run_stroke(self, kind: str) -> StrokeResult:
-        """Advance by one named stroke and return its edge energies.
-
-        Ramps require the matching phase and flip it; coupling strokes keep
-        it.  A sudden compression changes e2 without touching the state,
-        because the energy is re-evaluated at the new frequency.
-        """
-        maps = self._strokes
-        table = {
-            "compression": (maps.comp[0], self.params.ramp_duration, "low", "high"),
-            "heating": (maps.heat[0], self.params.tau_h, "high", "high"),
-            "expansion": (maps.exp[0], self.params.ramp_duration, "high", "low"),
-            "cooling": (maps.cool[0], self.params.tau_c, "low", "low"),
-        }
-        if kind not in table:
-            raise ValueError(f"unknown stroke kind {kind!r}")
-        mat, duration, needed, after = table[kind]
-        if self._phase != needed:
-            raise PhaseOrderError(
-                f"{kind} needs the medium at "
-                f"{'omega3' if needed == 'low' else 'omega1'} but the engine is "
-                f"in the {self._phase!r} phase"
-            )
-        # each phase's frequency and the kernel's square of it
-        medium = {"low": (self._w3, maps.w3sq[0]), "high": (self._w1, maps.w1sq[0])}
-        (w_start, wsq_start), (w_end, wsq_end) = medium[needed], medium[after]
-        e_start = _energy(self._sigma, 1, wsq_start)
-        self._sigma = _sandwich(mat, self._sigma)
-        e_end = _energy(self._sigma, 1, wsq_end)
-        self._phase = after
-        self._t += duration
-        return StrokeResult(kind, duration, w_start, w_end, e_start, e_end)
-
-    # -- whole runs ----------------------------------------------------------
 
     def run(self, *, want_timeseries: bool = True, correlations: bool = True,
             keep_records: bool = True) -> EngineResult:
-        """Repeat cycles from the current state until the stop rule fires.
+        """Repeat cycles from sigma_initial until the stop rule fires.
 
         correlations=False reduces the run to pure energy bookkeeping, the
         fastest mode, leaving NaN in every correlation field.  A run without
         records samples the coupling strokes sparsely, at 4 heating and 2
         cooling interior instants per cycle, unless sample_dt is set.
         """
-        if self._phase != "low":
-            raise PhaseOrderError("a run must start with the medium at omega3")
-        return self._advance(*_stop_limits(self.params), want_timeseries, correlations,
-                             keep_records)
-
-    def run_cycle(self) -> CycleRecord:
-        """Execute one full cycle from the current state and record it.
-
-        Unlike a run, a single cycle is always counted, whatever its work
-        balance.
-        """
-        if self._phase != "low":
-            raise PhaseOrderError("a cycle must start with the medium at omega3")
-        return self._advance(1, -math.inf, False, True, True).records[0]
-
-    def _advance(self, total: int, eps_stop: float, want_timeseries: bool,
-                 correlations: bool, keep_records: bool) -> EngineResult:
         params = self.params
+        total, eps_stop = _stop_limits(params)
+        sigma0 = self.sigma_initial.matrix
         heat_times, cool_times = _coupling_times(
             params, (DEFAULT_STROKE_SAMPLES,) * 2 if keep_records else _REDUCED_SAMPLES)
-        ts = (_TimeSeriesBuilder(self, heat_times, cool_times, correlations)
-              if want_timeseries else None)
+        ts = (_TimeSeriesBuilder(params, self._strokes, sigma0, heat_times, cool_times,
+                                 correlations) if want_timeseries else None)
         runs = _run_engines(
-            self._strokes, self._sigma[None], totals=np.array([total]),
-            eps_stop=np.array([eps_stop]), first_cycle=np.array([self._cycle]),
-            heat_times=heat_times[None], cool_times=cool_times[None],
-            correlations=correlations, keep_records=keep_records, series=ts)
+            self._strokes, sigma0[None], totals=np.array([total]),
+            eps_stop=np.array([eps_stop]), heat_times=heat_times[None],
+            cool_times=cool_times[None], correlations=correlations,
+            keep_records=keep_records, series=ts)
 
         simulated = int(runs.simulated[0])
         probe_seen = bool(runs.probe[0])
-        n_counted = simulated - int(probe_seen)
-        cycle_start_index = self._cycle
-        self._sigma = runs.sigma[0]
-        self._cycle += n_counted
-        self._t += n_counted * params.cycle_duration
-
         stop_reason = ("work_non_negative" if probe_seen else
                        "fixed_cycles" if isinstance(params.stop, FixedCycles) else "cycle_cap")
 
         flat = runs.columns[0]
         records: list[CycleRecord] = []
         if keep_records:
-            w_cum = self._w_cum
+            w_cum = 0.0
             for i in range(simulated):
                 row = {name: float(flat[name][i]) for name in _RECORD_FLOATS}
                 w_cum += row["w_cycle"]
                 (d12, d23, d13), (n12, n23, n13) = flat["disc"][i].tolist(), flat["neg"][i].tolist()
                 records.append(CycleRecord(
-                    index=cycle_start_index + i, **row, w_cum=w_cum,
+                    index=i, **row, w_cum=w_cum,
                     eta=efficiency(row["w_cycle"], row["du"], row["q1"], row["q2"]).value,
                     d12_max=d12, d23_max=d23, d13_max=d13, n12_max=n12, n23_max=n23, n13_max=n13))
         probe = records.pop() if keep_records and probe_seen else None
-
-        w_total = runs.w_total(0)
-        self._w_cum += w_total
 
         return EngineResult(
             params=params,
             records=tuple(records),
             probe=probe,
             stop_reason=stop_reason,
-            n_cycles=n_counted,
-            w_total=w_total,
+            n_cycles=simulated - int(probe_seen),
+            w_total=runs.w_total(0),
             timeseries=ts.finish() if ts is not None else None,
             sigma_initial=self.sigma_initial,
-            sigma_final=CovarianceMatrix(self._sigma.copy()),
+            sigma_final=CovarianceMatrix(runs.sigma[0]),
             discord_max=tuple(runs.disc_max[0].tolist()),
             negativity_max=tuple(runs.neg_max[0].tolist()),
         )
@@ -859,17 +748,15 @@ class _TimeSeriesBuilder:
     correlations (local maps conserve both) and weigh the start state for
     E2; coupling interiors read the kernel's interior states and scored
     points.  A cycle's closing edge is the next cycle's first row; finish()
-    appends the newest edge, the current state if no cycle ran.
+    appends the newest edge, the initial state sigma0 if no cycle ran.
     """
 
-    def __init__(self, engine: Engine, heat_times: np.ndarray, cool_times: np.ndarray,
-                 correlations: bool) -> None:
-        params = engine.params
-        w1, w3 = engine._w1, engine._w3
+    def __init__(self, params: EngineParams, strokes: _Strokes, sigma0: np.ndarray,
+                 heat_times: np.ndarray, cool_times: np.ndarray, correlations: bool) -> None:
+        w1, w3 = params.prep.omega1, params.prep.omega3
         # the kernel's squares, so every E1/E3 equals the cycle records' bit for bit
-        self._w1sq, self._w3sq = engine._strokes.w1sq[0], engine._strokes.w3sq[0]
+        self._w1sq, self._w3sq = strokes.w1sq[0], strokes.w3sq[0]
         self._cycle_duration = params.cycle_duration
-        self._t0 = engine._t
         self._cycles_added = 0
         self._correlations = correlations
         ramp_times = (_interior_times(params.tau_comp, DEFAULT_STROKE_SAMPLES, params.sample_dt)
@@ -897,7 +784,7 @@ class _TimeSeriesBuilder:
         self.rows_per_cycle = self._offsets.size
         self._rows: list[tuple[np.ndarray, ...]] = []
         # (time, state, E2, scored pair correlations or None) of the newest edge
-        self._end = (self._t0, engine._sigma, _energy(engine._sigma, 1, self._w3sq), None)
+        self._end = (0.0, sigma0, _energy(sigma0, 1, self._w3sq), None)
 
     def add_chunk(self, chunk: _Chunk, rows: int, heat_states: np.ndarray,
                   cool_states: np.ndarray, neg: Optional[np.ndarray],
@@ -914,7 +801,7 @@ class _TimeSeriesBuilder:
         # first cycle of each row's inner chunk; the closing edge shares the last's
         first = np.repeat(np.cumsum(chunk.span) - chunk.span, chunk.span)[:m]
         first = np.append(first, first[-1])
-        t_cycle = self._t0 + (self._cycles_added + first) * dur + dur * (np.arange(m + 1) - first)
+        t_cycle = (self._cycles_added + first) * dur + dur * (np.arange(m + 1) - first)
         self._cycles_added += m
         starts = ((chunk.sig_a, chunk.e_a), (chunk.sig_b, chunk.e_b),
                   (chunk.sig_c, chunk.e_c), (chunk.sig_d, chunk.e_d))
@@ -1015,7 +902,6 @@ def run_reduced_ensemble(params: Sequence[EngineParams]) -> EnsembleTotals:
                 _Strokes(group, ids=rows), sigma0[rows],
                 totals=np.array([total for total, _ in limits]),
                 eps_stop=np.array([eps for _, eps in limits]),
-                first_cycle=np.zeros(len(group), dtype=int),
                 heat_times=np.stack([times[e][0] for e in rows]),
                 cool_times=np.stack([times[e][1] for e in rows]),
                 correlations=True, keep_records=False)

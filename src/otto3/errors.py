@@ -21,10 +21,6 @@ class DegenerateRampError(Otto3Error, ValueError):
     """Ramp endpoints too close for the frequency-sweep solution."""
 
 
-class PhaseOrderError(Otto3Error, RuntimeError):
-    """An engine stroke was requested out of cycle order."""
-
-
 class EnergyBalanceError(Otto3Error, RuntimeError):
     """Per-cycle bookkeeping violated the first law beyond tolerance."""
 

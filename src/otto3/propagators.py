@@ -270,6 +270,15 @@ def ramp_propagators(mode: RampMode, omega_in, omega_fin, tau, t, omega_hi, omeg
     return out
 
 
+def _spectators(schedule: RampSchedule, omega1: float | None,
+                omega3: float | None) -> tuple[float, float]:
+    """Spectator frequencies of a ramp stroke: omega1 and omega3 if given,
+    else the hot oscillator at the larger sweep end and the cold one at the
+    smaller."""
+    return (max(schedule.omega_in, schedule.omega_fin) if omega1 is None else omega1,
+            min(schedule.omega_in, schedule.omega_fin) if omega3 is None else omega3)
+
+
 def ramp_propagator(schedule: RampSchedule, *, spectator_omega1: float | None = None,
                     spectator_omega3: float | None = None,
                     t: float | None = None) -> SymplecticPropagator:
@@ -281,8 +290,7 @@ def ramp_propagator(schedule: RampSchedule, *, spectator_omega1: float | None = 
     the full duration and must equal it for the idealised quasi-static map,
     which is an endpoint-only construction.
     """
-    w_hi = spectator_omega1 if spectator_omega1 is not None else max(schedule.omega_in, schedule.omega_fin)
-    w_lo = spectator_omega3 if spectator_omega3 is not None else min(schedule.omega_in, schedule.omega_fin)
+    w_hi, w_lo = _spectators(schedule, spectator_omega1, spectator_omega3)
     if t is None:
         t = schedule.tau
     if t < 0 or t > schedule.tau:
@@ -303,8 +311,7 @@ def ramp_propagators_at(schedule: RampSchedule, times: np.ndarray, *,
     """
     if schedule.mode is not RampMode.LINEAR_AIRY:
         raise ValueError("interior ramp maps exist only for the finite-time sweep")
-    w_hi = spectator_omega1 if spectator_omega1 is not None else max(schedule.omega_in, schedule.omega_fin)
-    w_lo = spectator_omega3 if spectator_omega3 is not None else min(schedule.omega_in, schedule.omega_fin)
+    w_hi, w_lo = _spectators(schedule, spectator_omega1, spectator_omega3)
     return ramp_propagators(RampMode.LINEAR_AIRY, schedule.omega_in, schedule.omega_fin,
                             schedule.tau, np.asarray(times, dtype=float).reshape(-1), w_hi, w_lo)
 
@@ -321,8 +328,7 @@ def ode_propagator(schedule: RampSchedule, tol: float = 1e-11, *,
     """
     if not (1e-12 <= tol <= 1e-6):
         raise ValueError(f"tol must lie in [1e-12, 1e-6], got {tol}")
-    w_hi = spectator_omega1 if spectator_omega1 is not None else max(schedule.omega_in, schedule.omega_fin)
-    w_lo = spectator_omega3 if spectator_omega3 is not None else min(schedule.omega_in, schedule.omega_fin)
+    w_hi, w_lo = _spectators(schedule, spectator_omega1, spectator_omega3)
     if schedule.mode is RampMode.SUDDEN:
         return SymplecticPropagator(np.eye(6), duration=0.0, label="ramp-ode")
 

@@ -23,10 +23,10 @@ from otto3.energetics import ergotropy, mode_energy
 from otto3.engine import Engine, EngineParams, FixedCycles
 from otto3.explore import Objective, optimize
 from otto3.propagators import (CouplingSide, RampMode, RampSchedule,
-                               coupling_propagators_at, ode_propagator,
-                               ramp_propagator)
+                               coupling_propagator, coupling_propagators_at,
+                               ode_propagator, ramp_propagator)
 from otto3.states import (Preparation, SqueezedVacuum, Thermal,
-                          matched_squeezing, nbar_from_beta,
+                          matched_squeezing, nbar_from_beta, product_state,
                           squeezed_preparation, symplectic_form,
                           thermal_preparation)
 
@@ -234,14 +234,12 @@ def test_c08_squeezed_mid_stroke_pair_eigenvalue():
         prep = Preparation((SqueezedVacuum(r1), SqueezedVacuum(0.0),
                             SqueezedVacuum(0.0)), omega3=0.5)
         for x in (0.01, 0.03):
-            params = EngineParams(prep=prep, alpha12=alpha, alpha23=0.0,
-                                  tau_comp=10.0, tau_h=x / alpha, tau_c=0.1,
-                                  ramp=RampMode.QUASI_STATIC,
-                                  stop=FixedCycles(1))
-            eng = Engine(params)
-            eng.run_stroke("compression")
-            eng.run_stroke("heating")
-            nu_sim = pt_smallest_eigenvalue(np.asarray(eng.sigma)[PAIR12])
+            w1, w3 = prep.omega1, prep.omega3
+            compress = ramp_propagator(RampSchedule(w3, w1, 10.0, RampMode.QUASI_STATIC),
+                                       spectator_omega1=w1, spectator_omega3=w3)
+            heat = coupling_propagator(alpha, w1, w3, x / alpha, CouplingSide.HOT_PAIR)
+            sigma = heat.apply(compress.apply(np.asarray(product_state(prep))))
+            nu_sim = pt_smallest_eigenvalue(sigma[PAIR12])
             u = x * math.sinh(r1)
             err = abs(nu_sim - (0.5 - u + u * u))
             budget = math.sinh(r1) * x**3

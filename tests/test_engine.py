@@ -10,10 +10,10 @@ from numpy.testing import assert_allclose
 
 from otto3 import engine
 from otto3.cli import build_engine_params, load_config
-from otto3.energetics import mode_energies, mode_energy
+from otto3.energetics import mode_energy
 from otto3.engine import (Engine, EngineParams, FixedCycles, TimeSeries,
                           WorkNonNegative, run_reduced)
-from otto3.errors import ConfigError, EnergyBalanceError, PhaseOrderError
+from otto3.errors import ConfigError, EnergyBalanceError
 from otto3.explore import DIMENSIONS, OMEGA3_RANGE, ParameterBox, PrepFamily
 from otto3.engine import _BATCH_POINT_BUDGET, run_reduced_ensemble
 from otto3.propagators import RampMode
@@ -97,73 +97,44 @@ class TestParamsValidation:
         assert sudden_params(tau_h=0.5).cycle_duration == 0.5
 
 
+def first_record(params):
+    """The record of a one-cycle run, counted whatever its work balance."""
+    return Engine(params).run(want_timeseries=False).records[0]
+
+
 class TestStrokes:
+    """Stroke energies of a first cycle, read off its record."""
+
     def test_sudden_compression_work_on_vacuum_medium(self):
-        eng = Engine(sudden_params())
-        res = eng.run_stroke("compression")
-        assert_allclose(res.energy_change, 2.475, rtol=1e-14)
-        assert (res.omega_start, res.omega_end) == (0.1, 1.0)
-        assert eng.phase == "high"
+        # the first stroke acts on the preparation, whatever the couplings
+        rec = first_record(sudden_params(alpha12=0.05, alpha23=0.03, tau_h=0.4, tau_c=0.3))
+        assert_allclose(rec.w1, 2.475, rtol=1e-14)
 
     def test_quasistatic_compression_work_on_vacuum_medium(self):
-        eng = Engine(optimized_params())
-        res = eng.run_stroke("compression")
-        assert_allclose(res.energy_change, 0.45, rtol=1e-14)
-
-    def test_phase_order_enforced(self):
-        eng = Engine(sudden_params())
-        with pytest.raises(PhaseOrderError):
-            eng.run_stroke("heating")
-        eng.run_stroke("compression")
-        with pytest.raises(PhaseOrderError):
-            eng.run_stroke("compression")
-        with pytest.raises(PhaseOrderError):
-            eng.run_cycle()
-
-    def test_unknown_stroke_kind(self):
-        with pytest.raises(ValueError):
-            Engine(sudden_params()).run_stroke("quenching")
+        rec = first_record(optimized_params(stop=FixedCycles(1)))
+        assert_allclose(rec.w1, 0.45, rtol=1e-14)
 
     def test_uncoupled_heating_leaves_medium_alone(self):
-        eng = Engine(sudden_params(alpha12=0.0, tau_h=0.7))
-        eng.run_stroke("compression")
-        res = eng.run_stroke("heating")
-        assert abs(res.energy_change) <= 1e-15 * max(1.0, res.e2_start)
-
-    def test_ramp_stroke_work_equals_total_energy_change(self):
-        prep = thermal_preparation(beta1=0.05, omega3=0.25)
-        p = EngineParams(prep=prep, alpha12=0.02, alpha23=0.01, tau_comp=9.0,
-                         tau_h=0.5, tau_c=0.5, ramp=RampMode.LINEAR_AIRY)
-        eng = Engine(p)
-        before = np.sum(mode_energies(np.asarray(eng.sigma), (1.0, 0.25, 0.25)))
-        res = eng.run_stroke("compression")
-        after = np.sum(mode_energies(np.asarray(eng.sigma), (1.0, 1.0, 0.25)))
-        assert_allclose(after - before, res.energy_change,
-                        atol=1e-10 * max(1.0, abs(res.energy_change)))
+        rec = first_record(sudden_params(alpha12=0.0, tau_h=0.7))
+        assert abs(rec.q1) <= 1e-15 * max(1.0, rec.e2 + rec.q2)
 
     def test_coupling_stroke_conserves_total_energy(self):
+        # every sampled instant of the heating stroke, read off the time
+        # series, carries the energy the stroke started with
         prep = thermal_preparation(beta1=0.05, omega3=0.25)
         p = EngineParams(prep=prep, alpha12=0.04, alpha23=0.02, tau_comp=9.0,
-                         tau_h=2.0, tau_c=2.0, ramp=RampMode.LINEAR_AIRY)
-        eng = Engine(p)
-        eng.run_stroke("compression")
-        freqs = (1.0, 1.0, 0.25)
-        before = np.sum(mode_energies(np.asarray(eng.sigma), freqs))
-        eng.run_stroke("heating")
-        after = np.sum(mode_energies(np.asarray(eng.sigma), freqs))
-        assert_allclose(after, before, rtol=1e-10)
-
-    def test_stroke_clock(self):
-        eng = Engine(optimized_params())
-        for kind in ("compression", "heating", "expansion", "cooling"):
-            eng.run_stroke(kind)
-        assert_allclose(eng.time, eng.params.cycle_duration, rtol=1e-15)
-        assert eng.cycles_run == 0  # strokes do not count cycles
+                         tau_h=2.0, tau_c=2.0, ramp=RampMode.LINEAR_AIRY,
+                         stop=FixedCycles(1))
+        ts = Engine(p).run().timeseries
+        heating = (ts.t >= p.tau_comp) & (ts.t <= p.tau_comp + p.tau_h)
+        assert np.count_nonzero(heating) >= 3
+        total = (ts.e1 + ts.e2 + ts.e3)[heating]
+        assert_allclose(total, total[0], rtol=1e-10)
 
 
 class TestSingleCycles:
     def test_zero_coupling_sudden_instant_strokes(self):
-        rec = Engine(sudden_params()).run_cycle()
+        rec = first_record(sudden_params())
         assert_allclose(rec.w1, 2.475, rtol=1e-14)
         assert rec.w1 == -rec.w2
         assert rec.q1 == 0.0 and rec.q2 == 0.0
@@ -192,7 +163,7 @@ class TestSingleCycles:
         # for a ground-state medium
         w3 = 0.1
         for tau_h in (0.3, 0.59, 1.7):
-            rec = Engine(sudden_params(tau_h=tau_h)).run_cycle()
+            rec = first_record(sudden_params(tau_h=tau_h))
             expected = math.sin(tau_h) ** 2 * (1.0 - w3**2) ** 2 / (4.0 * w3)
             assert_allclose(rec.w_cycle, expected, rtol=1e-12)
 
@@ -219,30 +190,34 @@ class TestSingleCycles:
         p = EngineParams(prep=prep, alpha12=0.5, alpha23=alpha23,
                          tau_comp=0.0, tau_h=1.0, tau_c=tau_c,
                          ramp=RampMode.SUDDEN, stop=FixedCycles(1))
-        eng = Engine(p)
-        for kind in ("compression", "heating", "expansion"):
-            eng.run_stroke(kind)
-        sigma = np.asarray(eng.sigma)
-        e2, e3 = (mode_energy(sigma, k, 0.1) for k in (2, 3))
-        res = eng.run_stroke("cooling")
-        sigma = np.asarray(eng.sigma)
+        res = Engine(p).run(want_timeseries=False)
+        rec = res.records[0]
+        # entering the cooling stroke: the medium holds its energy after
+        # cooling plus the heat it gives off there, and the cold spectator
+        # still holds its initial energy
+        e2 = rec.e2 + rec.q2
+        e3 = mode_energy(res.sigma_initial, 3, 0.1)
         mix = math.sin(alpha23 * tau_c) ** 2
-        assert_allclose(mode_energy(sigma, 2, 0.1),
-                        (1 - mix) * e2 + mix * e3, rtol=1e-10)
-        assert_allclose(res.e2_end - res.e2_start, res.energy_change, atol=0)
+        assert_allclose(rec.e2, (1 - mix) * e2 + mix * e3, rtol=1e-10)
+        assert_allclose(rec.e3, mix * e2 + (1 - mix) * e3, rtol=1e-10)
 
 
 class TestRunBookkeeping:
-    def test_records_match_cycle_by_cycle_execution(self):
-        p = optimized_params(stop=FixedCycles(30))
-        res = Engine(p).run(want_timeseries=False)
-        eng = Engine(optimized_params(stop=FixedCycles(30)))
-        for rec in res.records:
-            single = eng.run_cycle()
-            assert single.index == rec.index
-            assert_allclose(single.w_cycle, rec.w_cycle, rtol=1e-9, atol=1e-12)
-            assert_allclose(single.e2, rec.e2, rtol=1e-9, atol=1e-12)
-            assert_allclose(single.w_cum, rec.w_cum, rtol=1e-9, atol=1e-12)
+    @pytest.mark.parametrize("ramp", list(RampMode), ids=lambda mode: mode.value)
+    def test_shorter_runs_are_prefixes_of_longer_ones(self, ramp):
+        full = Engine(optimized_params(stop=FixedCycles(30), ramp=ramp)).run(
+            want_timeseries=False).records
+        for n in (1, 3, 5, 13, 29):
+            res = Engine(optimized_params(stop=FixedCycles(n), ramp=ramp)).run(
+                want_timeseries=False)
+            assert repr(res.records) == repr(full[:n]), n
+
+    @pytest.mark.parametrize("want_timeseries", [True, False],
+                             ids=["with_series", "without_series"])
+    def test_repeated_runs_start_from_the_initial_state(self, want_timeseries):
+        eng = Engine(optimized_params(stop=FixedCycles(3)))
+        first = fingerprint(eng.run(want_timeseries=want_timeseries))
+        assert fingerprint(eng.run(want_timeseries=want_timeseries)) == first
 
     def test_w_total_is_the_cumulative_work(self):
         p = optimized_params(stop=FixedCycles(25))
@@ -286,12 +261,6 @@ class TestRunBookkeeping:
         assert res.stop_reason == "fixed_cycles"
         assert res.w_total == 0.0
 
-    def test_run_requires_low_phase(self):
-        eng = Engine(sudden_params())
-        eng.run_stroke("compression")
-        with pytest.raises(PhaseOrderError):
-            eng.run(want_timeseries=False)
-
     def test_final_record_energies_match_final_state(self):
         p = optimized_params(stop=FixedCycles(8))
         res = Engine(p).run(want_timeseries=False)
@@ -321,7 +290,7 @@ class TestRunBookkeeping:
 
 class TestEfficiencyClaim:
     def test_eta_none_without_absorption(self):
-        rec = Engine(sudden_params(tau_h=0.4)).run_cycle()
+        rec = first_record(sudden_params(tau_h=0.4))
         assert rec.q1 == 0.0
         assert rec.eta is None
 

@@ -19,6 +19,13 @@ def test_version_matches_pyproject():
     assert otto3.__version__ == declared
 
 
+def test_every_export_resolves_once():
+    # a name deleted from the package but left in __all__ breaks `import *`
+    assert len(set(otto3.__all__)) == len(otto3.__all__)
+    missing = [name for name in otto3.__all__ if not hasattr(otto3, name)]
+    assert not missing, missing
+
+
 def test_every_traced_layer_target_exists():
     # perfbench's span tracer wraps these by name; a deleted or renamed
     # function would otherwise surface only when a traced benchmark runs

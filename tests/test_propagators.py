@@ -15,8 +15,8 @@ from otto3.propagators import (CouplingSide, RampMode, RampSchedule,
                                coupling_propagators_at, harmonic_propagator,
                                ode_propagator, ramp_phase_integral, ramp_propagator,
                                ramp_propagators_at, ramp_xy)
-from otto3.states import (Preparation, Thermal, product_state, symplectic_form,
-                          thermal_preparation)
+from otto3.states import (Preparation, SqueezedVacuum, Thermal, product_state,
+                          symplectic_form, thermal_preparation)
 
 OMEGA6 = symplectic_form(3)
 
@@ -100,11 +100,13 @@ class TestCouplingPropagator:
         alpha, w = 0.05, 1.0
         prep = Preparation((Thermal(2.0), Thermal(0.5), Thermal(0.1)), omega3=1.0 - 1e-9)
         sigma = np.asarray(product_state(prep))
-        start = mode_energy(sigma, 1, w) + mode_energy(sigma, 2, w)
-        for t in np.linspace(0.0, 40.0, 17):
-            out = coupling_propagator(alpha, w, 1.0 - 1e-9, t, CouplingSide.HOT_PAIR).apply(sigma)
-            assert_allclose(mode_energy(out, 1, w) + mode_energy(out, 2, w),
-                            start, rtol=1e-10)
+        for side, pair, omega_spec in ((CouplingSide.HOT_PAIR, (1, 2), 1.0 - 1e-9),
+                                       (CouplingSide.COLD_PAIR, (2, 3), 1.0)):
+            start = sum(mode_energy(sigma, k, w) for k in pair)
+            for t in np.linspace(0.0, 40.0, 17):
+                out = coupling_propagator(alpha, w, omega_spec, t, side).apply(sigma)
+                assert_allclose(sum(mode_energy(out, k, w) for k in pair), start,
+                                rtol=1e-10, err_msg=side.value)
 
     def test_exchange_follows_sin_squared(self):
         alpha, w = 0.03, 0.4
@@ -216,6 +218,18 @@ class TestRampPropagator:
             p = ramp_propagator(sched)
             assert_allclose(np.linalg.det(p.matrix), 1.0, rtol=1e-9)
             assert symplectic_defect(p.matrix) <= 1e-10
+
+    @pytest.mark.parametrize("mode", list(RampMode), ids=lambda mode: mode.value)
+    def test_outer_oscillator_energies_unchanged(self, mode):
+        # the ramp drives the medium alone; the outer oscillators, squeezed
+        # so their states are not stationary, rotate at their own frequencies
+        prep = Preparation((SqueezedVacuum(0.7), SqueezedVacuum(0.3), SqueezedVacuum(0.4)),
+                           omega3=0.25)
+        sigma = np.asarray(product_state(prep))
+        tau = 0.0 if mode is RampMode.SUDDEN else 9.0
+        out = ramp_propagator(RampSchedule(0.25, 1.0, tau, mode=mode)).apply(sigma)
+        for k, w in ((1, 1.0), (3, 0.25)):
+            assert_allclose(mode_energy(out, k, w), mode_energy(sigma, k, w), rtol=1e-12)
 
     def test_rejects_interior_time_outside_stroke(self):
         sched = RampSchedule(1.0, 0.1, 5.0)
