@@ -93,11 +93,13 @@ def pt_smallest_eigenvalue(sigma2: np.ndarray) -> float:
     """Smallest symplectic eigenvalue of the partial transpose of a 4x4 pair
     restriction; below 1/2 signals entanglement.
 
-    Uses states.symplectic_eigenvalues of Lambda sigma Lambda, an eigensolve
+    The input is validated like log_negativity's.  Uses
+    states.symplectic_eigenvalues of Lambda sigma Lambda, an eigensolve
     that keeps full precision on nearly pure states where the invariant
     formula cancels.
     """
-    return float(symplectic_eigenvalues(_PT_FLIP @ np.asarray(sigma2, dtype=float) @ _PT_FLIP)[0])
+    mat = _pair_state(sigma2).matrix
+    return float(symplectic_eigenvalues(_PT_FLIP @ mat @ _PT_FLIP)[0])
 
 
 def _emin_branch1(j1, j2, j3, j4):

@@ -15,29 +15,33 @@ the frequency in force at that instant:
 Negative work is work produced, negative heat is heat absorbed by the
 medium, and W1 + W2 - Q1 - Q2 equals the medium's energy change over the
 cycle.  The five energies are read off one chain of stroke sandwiches, so
-the balance holds by construction; the engine checks it on every cycle,
-which catches non-finite or rounding-level defects but never a wrong
-stroke map.
+the balance holds by construction; the engine checks it on every cycle it
+computes up to the one where it stops, which catches non-finite or
+rounding-level defects but never a wrong stroke map.
 
 All four stroke propagators are fixed symplectic matrices, so a whole cycle
 is a single 6x6 sandwich and long runs evaluate matrix-power batches
 instead of stepping stroke by stroke.  Cycles run in chunks that double
-from 4 to 256; a kernel call of few engines runs several consecutive
-chunks at once (a span of at most 64 engine-cycles), each starting from
-the symmetrised cursor a call per chunk would carry, so spans save fixed
-per-call cost and change no number.  Many independent engines (a scan)
-step together along an engine axis through the same cycle kernel and
-stepping loop that run one Engine; no engine's numbers depend on the
-others.  Pair correlations move only while a coupling stroke acts (ramps
-drive each oscillator separately, and local maps cannot change a two-mode
-correlation measure), so interior sampling effort goes to the coupling
-strokes; ramp interiors reuse stroke-start correlation values, which is
-exact rather than an approximation.
+from 4 to 256, each starting from the symmetrised end of the one before.
+A kernel call may run several consecutive chunks (a span) and may cut its
+last chunk short; either way it computes the same cycles from the same
+cursors, so the grouping changes no number.  Calls are planned from a
+probe cycle predicted off the cycle map: a lone engine that stops on its
+own runs in one call that ends at its stop, and a wrong prediction costs
+time, never a number, because the kernel's own w_cycle decides every
+stop.  Many independent engines (a scan) step together along an engine
+axis through the same cycle kernel and stepping loop that run one Engine;
+no engine's numbers depend on the others.  Pair correlations move only
+while a coupling stroke acts (ramps drive each oscillator separately, and
+local maps cannot change a two-mode correlation measure), so interior
+sampling effort goes to the coupling strokes; ramp interiors reuse
+stroke-start correlation values, which is exact rather than an
+approximation.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -74,11 +78,13 @@ _BATCH_POINT_BUDGET = 200_000
 _CHUNK_START, _CHUNK_MAX = 4, 256
 # Engines stepped together: one kernel call holds at most this many
 # engine-cycles (times the points per cycle), which is one engine's largest
-# chunk, however many engines share the call.
+# chunk, however many engines share the call.  A call planned to end at its
+# engines' predicted probes takes following chunks up to this bound too.
 _STACK_CYCLES = _CHUNK_MAX
-# A kernel call takes its engines' following chunks of the schedule too (a
-# span) while it holds at most this many engine-cycles: a lone engine runs
-# 4+8+16+32 cycles in one call, a scan block keeps one chunk per call.
+# Without a prediction, a kernel call takes its engines' following chunks
+# of the schedule (a span) while it holds at most this many engine-cycles:
+# a lone engine runs 4+8+16+32 cycles in one call, a scan block keeps one
+# chunk per call.
 _SPAN_CYCLES = 64
 # Engines per ensemble of run_reduced_ensemble; bounds the stacked stroke
 # maps and cursors of a long scan.
@@ -370,13 +376,70 @@ class _Strokes:
                                        CouplingSide.HOT_PAIR)
         cool = coupling_propagators_at(self.alpha23, w3, w1, np.array([p.tau_c for p in params]),
                                        CouplingSide.COLD_PAIR)
-        maps = np.stack((comp, heat, exp, cool), axis=1)
+        self.maps = maps = np.stack((comp, heat, exp, cool), axis=1)
         _check_symplectic(maps.reshape(-1, 6, 6), name=lambda k: (
             f"{_STROKE_NAMES[k % 4]} map of engine {self.ids[k // 4]}"))
         self.cycle = cool @ exp @ heat @ comp
         self.comp_el, self.heat_el, self.exp_el, self.cool_el = (
             np.ascontiguousarray(x) for x in _by_element(maps).reshape(6, 6, -1, 4)
             .transpose(3, 0, 1, 2))
+
+    def probe_cycles(self, idx: np.ndarray, sigma0: np.ndarray, eps_stop: np.ndarray,
+                     horizon: int) -> np.ndarray:
+        """Predicted probe cycle of engines idx run from states sigma0: the
+        first cycle below `horizon` whose w_cycle >= -eps_stop, or -1 where
+        there is none or a value is not finite.
+
+        Cycle k starts from M^k sigma0 M^kT, M the cycle map, and w_cycle is
+        the linear functional tr(W sigma) of that state, W the medium's
+        energies pulled back stroke by stroke.  With k = 16 a + b,
+        w(k) = tr((M^16a)^T W M^16a  M^b sigma0 M^bT), read off two tables
+        of powers built by repeated squaring.  They round differently from
+        the kernel's chained powers: the prediction only plans the kernel's
+        calls, whose own w_cycle decides every stop.
+        """
+        n = idx.size
+        maps = self.maps[idx]
+        comp, heat, exp = maps[:, 0], maps[:, 1], maps[:, 2]
+        # quadratic forms of the medium's energy at the hot and cold frequency
+        q = np.zeros((2, n, 6, 6))
+        q[:, :, 4, 4] = 0.5
+        q[0, :, 1, 1], q[1, :, 1, 1] = 0.5 * self.w1sq[idx], 0.5 * self.w3sq[idx]
+        # w = E(after expansion) - E(after heating) + E(after compression) - E(start)
+        form = exp.transpose(0, 2, 1) @ q[1] @ exp - q[0]
+        form = heat.transpose(0, 2, 1) @ form @ heat + q[0]
+        form = comp.transpose(0, 2, 1) @ form @ comp - q[1]
+        with np.errstate(all="ignore"):  # an overflow leaves w non-finite: no prediction
+            cycle = step = self.cycle[idx]
+            for _ in range(4):
+                step = step @ step  # M^16
+            blocks = -(-horizon // 16)
+            # M^b and M^16a, engine by engine, as one flat stack
+            tables = _powers(np.concatenate((cycle, step), axis=1).reshape(-1, 6, 6),
+                             max(16, blocks))
+            low, high = tables[0::2, :16], tables[1::2, :blocks]
+            starts = low @ sigma0[:, None] @ low.transpose(0, 1, 3, 2)
+            forms = high.transpose(0, 1, 3, 2) @ form[:, None] @ high
+            w = (forms.reshape(n, -1, 36) @ starts.reshape(n, 16, 36).transpose(0, 2, 1))
+            w = w.reshape(n, -1)[:, :horizon]
+            finite = np.isfinite(w.sum(axis=1))
+        hit = w >= -eps_stop[:, None]
+        return np.where(finite & hit.any(axis=1), hit.argmax(axis=1), -1)
+
+
+def _powers(mats: np.ndarray, count: int) -> np.ndarray:
+    """Powers 0 .. count - 1 of a (n, 6, 6) stack, (n, count, 6, 6), by
+    repeated squaring."""
+    out = np.empty((len(mats), count, 6, 6))
+    out[:, 0] = np.eye(6)
+    have = 1
+    while have < count:
+        top = min(2 * have, count)
+        np.matmul(mats[:, None], out[:, :top - have], out=out[:, have:top])
+        have = top
+        if have < count:
+            mats = mats @ mats
+    return out
 
 
 @dataclass
@@ -396,7 +459,7 @@ class _Chunk:
     sig_b: np.ndarray      # (6, 6, G, count)
     sig_c: np.ndarray
     sig_d: np.ndarray
-    sig_e: np.ndarray
+    sig_e: Optional[np.ndarray]  # None unless the caller asked for the ends
     e_a: np.ndarray        # (G, count)
     e_b: np.ndarray
     e_c: np.ndarray
@@ -410,60 +473,72 @@ class _Chunk:
     w_cycle: np.ndarray
 
 
-@functools.lru_cache(maxsize=64)
-def _span_layout(span: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Layout of a span's cycle starts plus the closing state: the power of
-    the cycle map at each, how many of them start from each inner chunk's
-    cursor, and the cycle index that ends each chunk."""
-    ends = np.cumsum(span)
-    sizes = np.array(span)
-    sizes[-1] += 1
-    power = np.arange(ends[-1] + 1) - np.repeat(ends - span, sizes)
-    return power, sizes, ends
-
-
 def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
                     span: tuple[int, ...], first_cycle: np.ndarray,
-                    eps_stop: np.ndarray) -> _Chunk:
+                    eps_stop: np.ndarray, ends: bool) -> _Chunk:
     """The cycle kernel: evolve engines `idx` from `sigma` through `span`,
     consecutive chunks of the schedule, and return them as one chunk of
     sum(span) cycles.
 
     Cycle starts come from powers of each engine's cycle map applied to its
     cursor.  Every inner chunk starts from the symmetrised end of the one
-    before, the cursor a chunk per call would carry, so a span changes no
-    number.  The five stage energies of each cycle derive from one
-    consistent chain of stroke sandwiches, so that the first-law residual
-    is an identity that only a non-finite or rounding-level defect breaks.
-    It is checked on every cycle of each chunk up to and including the one
-    where the engine's stop rule (w_cycle >= -eps_stop) fires; later chunks
-    are dropped unchecked, as if never run.
+    before, the cursor a chunk per call would carry, and the last chunk
+    may be cut short, which computes a prefix of the same cycles, so no
+    number depends on how the schedule is grouped into calls.  The five
+    stage energies of each cycle derive from one consistent chain of
+    stroke sandwiches, so that the first-law residual is an identity that
+    only a non-finite or rounding-level defect breaks.  It is checked on
+    every computed cycle of each chunk up to and including the one where
+    the engine's stop rule (w_cycle >= -eps_stop) fires; later chunks are
+    dropped unchecked, as if never run.  Without `ends`, the chunk holds
+    no states after cooling (sig_e), only the medium's energy there.
     """
     n_eng, count = idx.size, sum(span)
+    offsets = [0, *itertools.accumulate(span)]
+    # Each cycle start's power of the cycle map and its chunk's cursor, laid
+    # out in whole contiguous matrices (einsum runs far slower loops on
+    # strided operands) with the closing state last.  The powers chain once
+    # through the last of the largest chunks' slots, running on into the
+    # next slot's first entry when that chunk is not the last; the other
+    # slots copy prefixes of it once every cursor has read its power.
+    top = max(span)
+    big = len(span) - 1 - span[::-1].index(top)
+    powers = np.empty((n_eng, count + 1, 6, 6))
+    base = offsets[big]
+    powers[:, base] = np.eye(6)
     cycle = strokes.cycle[idx]
-    powers = np.empty((n_eng, max(span) + 1, 6, 6))
-    powers[:, 0] = np.eye(6)
-    for j in range(max(span)):
-        np.matmul(cycle, powers[:, j], out=powers[:, j + 1])
-    power, sizes, ends = _span_layout(span)
-    cursors = [_by_element(sigma)]
-    for size in span[:-1]:
-        end = _sandwich_stack(_by_element(powers[:, size]), cursors[-1])
-        cursors.append(0.5 * (end + end.transpose(1, 0, 2)))
-    # gather whole matrices so both stacks stay contiguous: einsum runs far
-    # slower loops on strided operands
-    sig_a = _sandwich_stack(_by_element(np.take(powers, power, axis=1)),
-                            np.repeat(np.stack(cursors, axis=3), sizes, axis=3).reshape(6, 6, -1))
+    chain = list(powers[:, base:base + top + 1].swapaxes(0, 1))  # views made in one go
+    for j in range(top):
+        np.matmul(cycle, chain[j], out=chain[j + 1])
+    slots = [size + (i + 1 == len(span)) for i, size in enumerate(span)]
+    cursors = np.empty((6, 6, n_eng, count + 1))
+    cursor = _by_element(sigma)
+    for i, size in enumerate(span):
+        cursors[:, :, :, offsets[i]:offsets[i] + slots[i]] = cursor[..., None]
+        if i + 1 < len(span):
+            end = _sandwich_stack(_by_element(powers[:, base + size]), cursor)
+            cursor = 0.5 * (end + end.transpose(1, 0, 2))
+    for i, slot in enumerate(slots):
+        if i != big:
+            powers[:, offsets[i]:offsets[i] + slot] = powers[:, base:base + slot]
+    sig_a = _sandwich_stack(_by_element(powers), cursors.reshape(6, 6, -1))
     sig_a = sig_a.reshape(6, 6, n_eng, count + 1)
     starts = sig_a[:, :, :, :count].reshape(6, 6, -1)
+    # Unless the caller reads the states at the cycles' ends, the cooling
+    # sandwich computes only the medium's rows and columns (x2, p2), each
+    # entry as the whole sandwich would.
+    medium = slice(None) if ends else [1, 4]
     states = [starts]
-    for maps in (strokes.comp_el, strokes.heat_el, strokes.exp_el, strokes.cool_el):
-        states.append(_sandwich_stack(np.repeat(maps[:, :, idx], count, axis=2), states[-1]))
+    for maps in (strokes.comp_el, strokes.heat_el, strokes.exp_el, strokes.cool_el[medium]):
+        states.append(_sandwich_stack(maps[:, :, idx].repeat(count, axis=2), states[-1]))
 
-    w1sq = np.repeat(strokes.w1sq[idx], count)
-    w3sq = np.repeat(strokes.w3sq[idx], count)
-    e_a, e_b, e_c, e_d, e_e = (_energy(st, 1, wsq).reshape(n_eng, count)
-                               for st, wsq in zip(states, (w3sq, w1sq, w1sq, w3sq, w3sq)))
+    w1sq = strokes.w1sq[idx].repeat(count)
+    w3sq = strokes.w3sq[idx].repeat(count)
+    e_a, e_b, e_c, e_d = (_energy(st, 1, wsq).reshape(n_eng, count)
+                          for st, wsq in zip(states, (w3sq, w1sq, w1sq, w3sq)))
+    last = states[-1]
+    e_e = (_energy(last, 1, w3sq) if ends else 0.5 * (last[1, 1] + w3sq * last[0, 0]))
+    e_e = e_e.reshape(n_eng, count)
     w1, q1 = e_b - e_a, e_b - e_c
     w2, q2 = e_d - e_c, e_d - e_e
     du = e_e - e_a
@@ -472,18 +547,20 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
     stopped = hit.any(axis=1)
     keep = np.where(stopped, hit.argmax(axis=1), count)
 
-    residual = np.abs(w1 + w2 - q1 - q2 - du)
+    residual = np.abs(w_cycle - q1 - q2 - du)
     budget = FIRST_LAW_RTOL * np.maximum(1.0, np.abs(w1) + np.abs(w2))
     bad = ~(residual <= budget)
     if bad.any():  # each engine's checks end with the chunk of its stop
-        bad &= np.arange(count) < ends[np.searchsorted(ends[:-1], keep, side="right")][:, None]
+        closes = np.array(offsets[1:])  # the cycle that ends each inner chunk
+        bad &= np.arange(count) < closes[np.searchsorted(closes[:-1], keep, side="right")][:, None]
     if bad.any():
         g, k = np.argwhere(bad)[0]
         raise EnergyBalanceError(
             f"engine {strokes.ids[idx[g]]}, cycle {first_cycle[g] + k}: first-law residual "
             f"{residual[g, k]:.3e} exceeds {budget[g, k]:.3e}"
         )
-    sig_b, sig_c, sig_d, sig_e = (st.reshape(6, 6, n_eng, count) for st in states[1:])
+    sig_b, sig_c, sig_d = (st.reshape(6, 6, n_eng, count) for st in states[1:4])
+    sig_e = last.reshape(6, 6, n_eng, count) if ends else None
     return _Chunk(span, keep, stopped, sig_a, sig_b, sig_c, sig_d, sig_e,
                   e_a, e_b, e_c, e_d, e_e, w1, q1, w2, q2, du, w_cycle)
 
@@ -527,11 +604,24 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     engine-cycles.  A sub-batch whose engines share the sizes of their
     following chunks takes those too, one kernel call for the whole span,
     while the call holds at most _SPAN_CYCLES engine-cycles (and the point
-    budget): a lone engine runs 4+8+16+32 cycles in its first call, while a
-    scan block of 50 engines (200 engine-cycles) keeps one chunk per call.
-    Correlations are scored only at the kept cycles' points, batched across
-    engines.  heat_times and cool_times are (E, nh) and (E, nc); series, if
-    given, receives every call of a one-engine run.
+    budget): 4+8+16+32 cycles for a lone engine, one chunk for a scan block
+    of 50 engines.
+
+    Before a call past a work-rule engine's first chunk, or a first call
+    with room for the second chunk too, the engine's probe is predicted
+    from its cycle map (_Strokes.probe_cycles).  When every engine of the call has a
+    predicted probe, the call ends with the latest of them, cutting its
+    last chunk short, and takes following chunks while it holds at most
+    _STACK_CYCLES engine-cycles, so a lone engine computes no cycle past
+    its probe.  The sub-batches stay those above.  An engine that outlives
+    a cut chunk drops it and runs it again in full, from the same cursor,
+    with no prediction; any cycle it keeps is computed exactly as without
+    predictions.  The kernel's first chunk is the cheaper predictor for
+    the engines that stop within it, which is most of a scan.
+
+    Correlations are scored only at the kept cycles' points, batched
+    across engines.  heat_times and cool_times are (E, nh) and (E, nc);
+    series, if given, receives every call of a one-engine run.
     """
     n_eng = len(strokes.params)
     if series is not None and n_eng != 1:
@@ -552,44 +642,86 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     chunk_cap = max(1, min(_CHUNK_MAX, _BATCH_POINT_BUDGET // per_cycle))
     stack_cap = max(1, min(_STACK_CYCLES, chunk_cap))
     span_cap = min(_SPAN_CYCLES, _BATCH_POINT_BUDGET // per_cycle)
+    planned_cap = min(_STACK_CYCLES, _BATCH_POINT_BUDGET // per_cycle)
 
     def chunk_size(k: int) -> int:
         """Cycles in chunk k of the doubling schedule."""
         return min(_CHUNK_START << min(k, _CHUNK_MAX.bit_length()), chunk_cap)
 
+    def span_of(k: int, count: int, n: int, left: tuple[int, int], cap: int,
+                reach: float) -> list[int]:
+        """Chunks k, k+1, ... for one call of n engines, chunk k of count
+        cycles: following chunks join while the engines share their size
+        (left: the fewest and the most cycles an engine has left after
+        chunk k), the call holds at most cap engine-cycles and the span
+        falls short of reach cycles."""
+        span, total = [count], count
+        fewest, most = left
+        while total < reach and n * (total + 1) <= cap:
+            size = chunk_size(k + len(span))
+            c = min(size, fewest)
+            if c == 0 or c != min(size, most) or n * (total + c) > cap:
+                break
+            span.append(c)
+            total += c
+            fewest, most = fewest - c, most - c
+        return span
+
     sigma = np.array(sigma0, dtype=float)
     simulated = np.zeros(n_eng, dtype=int)
     probe = np.zeros(n_eng, dtype=bool)
     fill = 0.0 if correlations else np.nan
-    neg_max, disc_max = np.full((n_eng, 3), fill), np.full((n_eng, 3), fill)
+    neg_max, disc_max = np.full((2, n_eng, 3), fill)
     names = _RECORD_COLUMNS if keep_records else ("w_cycle",)
     parts: list[dict[str, list[np.ndarray]]] = [{n: [] for n in names} for _ in range(n_eng)]
+    # Cycles each engine is planned to simulate, probe included: NaN until
+    # predicted, inf without a prediction (and without a work rule).
+    planned = np.where(eps_stop > -np.inf, np.nan, np.inf)
+    ends = correlations or keep_records or series is not None  # read the states after cooling
 
     step = np.zeros(n_eng, dtype=int)  # each engine's next chunk of the schedule
-    active = np.flatnonzero(totals > 0)
+    active = (totals > 0).nonzero()[0]
     while active.size:
         k = int(step[active].min())
         now = active[step[active] == k]
-        counts = np.minimum(chunk_size(k), totals[now] - simulated[now])
+        # engines at one point of the schedule have simulated the same cycles
+        done = int(simulated[now[0]])
+        left = totals[now] - done
+        counts = np.minimum(chunk_size(k), left)
         for count in sorted(set(counts.tolist())):
-            same = now[counts == count]
+            sel = counts == count
+            same, rest = now[sel], left[sel] - count
             per_call = max(1, stack_cap // count)
             for lo in range(0, same.size, per_call):
                 idx = same[lo:lo + per_call]
-                # Following chunks join the call while all its engines share
-                # their size and the call stays within span_cap engine-cycles.
-                span = [count]
-                left = totals[idx] - simulated[idx] - count
-                while idx.size * (sum(span) + 1) <= span_cap:
-                    size = np.minimum(chunk_size(k + len(span)), left)
-                    c = int(size[0])
-                    if c == 0 or (size != c).any() or idx.size * (sum(span) + c) > span_cap:
-                        break
-                    span.append(c)
-                    left -= c
-                _step(strokes, idx, tuple(span), sigma, simulated, probe, neg_max,
-                      disc_max, parts, heat_mats, cool_mats, eps_stop, correlations, series)
+                sub = rest[lo:lo + per_call]
+                bounds = int(sub.min()), int(sub.max())
+                fresh = idx[np.isnan(planned[idx])]
+                # predict before a call past the first chunk, or a first call
+                # with room for the second chunk too
+                if fresh.size and (k > 0 or idx.size * (count + chunk_size(1)) <= span_cap):
+                    horizon = int(min(_STACK_CYCLES, totals[fresh].max()))
+                    cycle = strokes.probe_cycles(fresh, sigma0[fresh], eps_stop[fresh], horizon)
+                    planned[fresh] = np.where(cycle >= 0, cycle + 1.0, np.inf)
+                # Cycles to the latest planned end: NaN or inf while an engine
+                # has no prediction, <= 0 once every engine outlived its own.
+                reach = float(planned[idx].max()) - done
+                cut = False
+                if 0 < reach < math.inf:
+                    span = span_of(k, count, idx.size, bounds, planned_cap, reach)
+                    cut = sum(span) > reach
+                    if cut:
+                        span[-1] -= sum(span) - int(reach)
+                else:
+                    span = span_of(k, count, idx.size, bounds, span_cap, math.inf)
+                _step(strokes, idx, tuple(span), cut, sigma, simulated, probe, neg_max,
+                      disc_max, parts, heat_mats, cool_mats, eps_stop, correlations, series,
+                      ends)
                 step[idx] += len(span)
+                if cut:  # engines that outlive the cut chunk run it again, in full
+                    missed = idx[~probe[idx]]
+                    step[missed] -= 1
+                    planned[missed] = np.inf
         active = active[~probe[active] & (simulated[active] < totals[active])]
 
     columns = [{name: np.concatenate(p[name]) if p[name] else
@@ -602,25 +734,32 @@ def _interior_states(mats: np.ndarray, owner: np.ndarray, states: np.ndarray) ->
     """Interior states (6, 6, R, n) of R kept cycles: mats[:, :, owner[r], i]
     sandwiching states[:, :, r], for element-first (6, 6, E, n) maps."""
     n = mats.shape[3]
-    out = _sandwich_stack(mats[:, :, owner].reshape(6, 6, -1),
-                          np.repeat(states, n, axis=2))
+    out = _sandwich_stack(mats[:, :, owner].reshape(6, 6, -1), states.repeat(n, axis=2))
     return out.reshape(6, 6, owner.size, n)
 
 
-def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], sigma: np.ndarray,
-          simulated: np.ndarray, probe: np.ndarray, neg_max: np.ndarray,
+def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], cut: bool,
+          sigma: np.ndarray, simulated: np.ndarray, probe: np.ndarray, neg_max: np.ndarray,
           disc_max: np.ndarray, parts: list, heat_mats: Optional[np.ndarray],
           cool_mats: Optional[np.ndarray], eps_stop: np.ndarray, correlations: bool,
-          series: Optional["_TimeSeriesBuilder"]) -> None:
+          series: Optional["_TimeSeriesBuilder"], ends: bool) -> None:
     """One kernel call, the chunks `span`, for engines `idx`; updates the loop
-    state in place.
+    state in place.  ends: whether correlations, records or a time series
+    read the states at the cycles' ends.
 
-    Interior states are built only for the cycles each engine keeps, and
-    only when correlations or a time series read them.
+    When the last chunk is cut short, an engine that did not stop keeps
+    only the chunks before it.  Interior states are built only for the
+    cycles each engine keeps, and only when correlations or a time series
+    read them.
     """
-    chunk = _simulate_chunk(strokes, idx, sigma[idx], span, simulated[idx], eps_stop[idx])
+    chunk = _simulate_chunk(strokes, idx, sigma[idx], span, simulated[idx], eps_stop[idx], ends)
     count, keep, stopped = sum(span), chunk.keep, chunk.stopped
-    rows = keep + stopped
+    rows = np.where(stopped, keep + 1, count - span[-1] if cut else count)
+    has = slice(None)  # the engines that keep cycles of this call
+    if cut and not rows.all():
+        if not rows.any():
+            return
+        has = rows > 0
 
     heat_states = cool_states = neg = disc = None
     if heat_mats is not None:
@@ -642,8 +781,11 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], sigma: np.n
         ], axis=3)
         neg, disc = pair_correlations(np.moveaxis(pts, (0, 1), (-2, -1)))
         cyc_neg, cyc_disc = neg.max(axis=1), disc.max(axis=1)
-        neg_max[idx] = np.maximum(neg_max[idx], np.maximum.reduceat(cyc_neg, first, axis=0))
-        disc_max[idx] = np.maximum(disc_max[idx], np.maximum.reduceat(cyc_disc, first, axis=0))
+        live = idx[has]
+        neg_max[live] = np.maximum(neg_max[live],
+                                   np.maximum.reduceat(cyc_neg, first[has], axis=0))
+        disc_max[live] = np.maximum(disc_max[live],
+                                    np.maximum.reduceat(cyc_disc, first[has], axis=0))
 
     for g, e in enumerate(idx):
         m = int(rows[g])
@@ -665,8 +807,9 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], sigma: np.n
     if series is not None:
         series.add_chunk(chunk, int(rows[0]), heat_states, cool_states, neg, disc)
 
-    final = _by_matrix(chunk.sig_a[:, :, np.arange(idx.size), keep])
-    sigma[idx] = 0.5 * (final + np.swapaxes(final, -1, -2))
+    # the state after each engine's last kept cycle, the probe excluded
+    final = chunk.sig_a[:, :, np.arange(idx.size), rows - stopped]
+    sigma[idx[has]] = (0.5 * (final + final.transpose(1, 0, 2))).transpose(2, 0, 1)[has]
     simulated[idx] += rows
     probe[idx] = stopped
 

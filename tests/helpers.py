@@ -8,13 +8,15 @@ inputs are pinned here; they guard against silent regressions.
 import heapq
 import math
 
+import mpmath
 import numpy as np
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from otto3 import engine
 from otto3.engine import Engine, EngineParams, FixedCycles, WorkNonNegative
 from otto3.propagators import RampMode
-from otto3.states import SqueezedVacuum, symplectic_form, thermal_preparation
+from otto3.states import SqueezedVacuum, product_state, symplectic_form, thermal_preparation
 
 # coth(1/200): occupation factor of the hot mode at beta1 = 0.01, omega1 = 1
 C1_BETA_001 = 200.001666663888895502628968296
@@ -94,6 +96,42 @@ def first_law_residuals(records):
         scale = max(1.0, abs(r.w1) + abs(r.w2))
         out.append(abs(r.w1 + r.w2 - r.q1 - r.q2 - r.du) / scale)
     return np.asarray(out)
+
+
+def spectral_cycle_work(params, cycles, dps=50):
+    """Work w(0), ..., w(cycles - 1) of the cycles of a run under params, from
+    the spectral form of its cycle map at dps digits (mpmath).
+
+    Cycle k starts from M^k sigma0 M^kT, and its work is a linear functional
+    W of that state; with M = V diag(lam) V^-1,
+    w(k) = sum_ij (V^T W V)_ij (V^-1 sigma0 V^-T)_ij (lam_i lam_j)^k.
+    The engine's own float64 stroke maps, squared frequencies and initial
+    state are the exact inputs, so the oracle measures the kernel's chunked
+    powers, not the stroke maps.  Returns mpf values; raises
+    ZeroDivisionError for a defective cycle map.
+    """
+    strokes = engine._Strokes([params])
+    comp, heat, exp = (mpmath.matrix(m.tolist()) for m in strokes.maps[0, :3])
+    cycle = mpmath.matrix(strokes.cycle[0].tolist())
+    sigma0 = mpmath.matrix(product_state(params.prep).matrix.tolist())
+    with mpmath.workdps(dps):
+        q_hot, q_cold = mpmath.zeros(6), mpmath.zeros(6)
+        for q, wsq in ((q_hot, strokes.w1sq[0]), (q_cold, strokes.w3sq[0])):
+            q[1, 1], q[4, 4] = mpmath.mpf(wsq) / 2, mpmath.mpf(1) / 2
+        # W = E(after expansion) - E(after heating) + E(after compression) - E(start)
+        form = exp.T * q_cold * exp - q_hot
+        form = heat.T * form * heat + q_hot
+        form = comp.T * form * comp - q_cold
+        lam, vec = mpmath.eig(cycle)
+        inv = mpmath.inverse(vec)
+        g, s = vec.T * form * vec, inv * sigma0 * inv.T
+        coef = [g[i, j] * s[i, j] for i in range(6) for j in range(6)]
+        ratio = [lam[i] * lam[j] for i in range(6) for j in range(6)]
+        out = []
+        for _ in range(cycles):
+            out.append(mpmath.re(mpmath.fsum(coef)))
+            coef = [c * r for c, r in zip(coef, ratio)]
+    return out
 
 
 def assert_numbers_close(got, want, where="", rtol=1e-10, atol=1e-12):

@@ -34,6 +34,20 @@ def product_pair(nu_a, nu_b):
     return np.diag([nu_a, nu_b, nu_a, nu_b])
 
 
+def _eigensolves(measure, monkeypatch):
+    """np.linalg.eigvals calls made by one call of measure."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    measure(tmsv(0.5))
+    return len(calls)
+
+
 class TestInvariants:
     def test_product_state_values(self):
         sigma = product_pair(1.5, 0.5)
@@ -79,19 +93,23 @@ class TestInvariants:
         with pytest.raises(PhysicalityError, match="non-finite"):
             measure(sigma)
 
-    @pytest.mark.parametrize("measure", (log_negativity, gaussian_discord,
-                                         pt_smallest_eigenvalue))
+    @pytest.mark.parametrize("measure", (log_negativity, gaussian_discord))
     def test_one_eigensolve_per_call(self, measure, monkeypatch):
-        calls = []
-        eigvals = np.linalg.eigvals
+        assert _eigensolves(measure, monkeypatch) == 1
 
-        def counted(a):
-            calls.append(np.shape(a))
-            return eigvals(a)
+    def test_pt_smallest_eigenvalue_takes_a_second_eigensolve(self, monkeypatch):
+        """One validates the pair, one finds the partial transpose's spectrum."""
+        assert _eigensolves(pt_smallest_eigenvalue, monkeypatch) == 2
 
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
-        measure(tmsv(0.5))
-        assert len(calls) == 1
+    def test_pt_smallest_eigenvalue_validates_its_input(self):
+        with pytest.raises(PhysicalityError, match="uncertainty bound"):
+            pt_smallest_eigenvalue(np.diag([0.1, 0.1, 0.1, 0.1]))
+        sigma = tmsv(0.5)
+        sigma[1, 1] = math.nan
+        with pytest.raises(PhysicalityError, match="non-finite"):
+            pt_smallest_eigenvalue(sigma)
+        with pytest.raises(ValueError, match="4x4"):
+            pt_smallest_eigenvalue(np.eye(6))
 
 
 class TestEntropyLike:

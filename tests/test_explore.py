@@ -272,6 +272,29 @@ class TestOptimize:
                        max_cycles=300)
         assert len(calls) == out.evaluations + 1
 
+    def test_the_kernel_computes_few_cycles_past_each_stop(self, monkeypatch):
+        """Predicted probes end each run's kernel call at its stop: the
+        engine-cycles the kernel computes stay within 5% of those the runs
+        simulate, probe included."""
+        computed, simulated = [], []
+        kernel, inner = engine._simulate_chunk, explore.run_reduced
+
+        def counting_kernel(strokes, idx, sigma, span, *args):
+            computed.append(idx.size * sum(span))
+            return kernel(strokes, idx, sigma, span, *args)
+
+        def counting_run(*args, **kwargs):
+            res = inner(*args, **kwargs)
+            simulated.append(res.n_cycles + (res.stop_reason == "work_non_negative"))
+            return res
+
+        monkeypatch.setattr(engine, "_simulate_chunk", counting_kernel)
+        monkeypatch.setattr(explore, "run_reduced", counting_run)
+        out = optimize(omega3=0.1, budget=300)
+        assert len(simulated) == out.evaluations + 1
+        assert sum(simulated) > 10 * len(simulated)  # runs of many cycles
+        assert sum(computed) <= 1.05 * sum(simulated)
+
     def test_squeezed_family_optimization_runs(self):
         out = optimize(omega3=0.1, box=published_box(),
                        family=PrepFamily.SQUEEZED)
