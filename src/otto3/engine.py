@@ -50,7 +50,7 @@ import numpy as np
 
 from .correlations import pair_correlations
 from .energetics import efficiency
-from .errors import ConfigError, EnergyBalanceError, check_count
+from .errors import ConfigError, EnergyBalanceError, PhysicalityError, check_count
 from .propagators import (
     CouplingSide,
     RampMode,
@@ -346,6 +346,17 @@ def _interior_times(tau: float, fallback_n: int, dt: Optional[float]) -> np.ndar
     return times[times < tau * (1.0 - 1e-12)]
 
 
+def _interior_count(tau: float, fallback_n: int, dt: Optional[float]) -> int:
+    """len(_interior_times(tau, fallback_n, dt)), computed without building the instants."""
+    if tau <= 0.0 or fallback_n <= 0:
+        return 0
+    if dt is None:
+        return fallback_n
+    n = _points_within(tau, dt)
+    # np.arange's last instant is dt + (n - 1) * dt, dropped within 1e-12 of tau
+    return n - int(n > 0 and dt + (n - 1) * dt >= tau * (1.0 - 1e-12))
+
+
 _STROKE_NAMES = ("compression", "heating", "expansion", "cooling")
 
 
@@ -589,9 +600,9 @@ class _Runs:
 
 
 def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
-                 eps_stop: np.ndarray, heat_times: np.ndarray,
-                 cool_times: np.ndarray, correlations: bool, keep_records: bool,
-                 series: Optional["_TimeSeriesBuilder"] = None) -> _Runs:
+                 eps_stop: np.ndarray, interior: tuple[int, int],
+                 times: Optional[tuple[np.ndarray, np.ndarray]], correlations: bool,
+                 keep_records: bool, series: Optional["_TimeSeriesBuilder"] = None) -> _Runs:
     """The stepping loop: run E engines in lockstep until each one stops.
 
     Engine e runs at most totals[e] cycles and stops before its first cycle
@@ -620,13 +631,17 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     the engines that stop within it, which is most of a scan.
 
     Correlations are scored only at the kept cycles' points, batched
-    across engines.  heat_times and cool_times are (E, nh) and (E, nc);
+    across engines; a score that is not finite raises PhysicalityError.
+    interior holds the heating and cooling strokes' interior points per
+    cycle, (nh, nc); times, their instants, (E, nh) and (E, nc), is read
+    only with correlations or a series and may be None without them.
     series, if given, receives every call of a one-engine run.
     """
     n_eng = len(strokes.params)
     if series is not None and n_eng != 1:
         raise ValueError("a time series follows exactly one engine")
     if correlations or series is not None:
+        heat_times, cool_times = times
         heat_mats = _by_element(coupling_propagators_at(
             strokes.alpha12[:, None], strokes.w1[:, None], strokes.w3[:, None], heat_times,
             CouplingSide.HOT_PAIR)).reshape(6, 6, *heat_times.shape)
@@ -635,7 +650,7 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
             CouplingSide.COLD_PAIR)).reshape(6, 6, *cool_times.shape)
     else:
         heat_mats = cool_mats = None
-    nh, nc = heat_times.shape[1], cool_times.shape[1]
+    nh, nc = interior
     # Points held per cycle: the kernel's, or the rows of a time series,
     # which add the ramp interiors.
     per_cycle = 3 + nh + nc if series is None else series.rows_per_cycle
@@ -781,6 +796,14 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], cut: bool,
         ], axis=3)
         neg, disc = pair_correlations(np.moveaxis(pts, (0, 1), (-2, -1)))
         cyc_neg, cyc_disc = neg.max(axis=1), disc.max(axis=1)
+        finite = np.isfinite(cyc_neg).all(axis=1) & np.isfinite(cyc_disc).all(axis=1)
+        if not finite.all():
+            r = int(np.argmin(finite))
+            g = int(np.searchsorted(first, r, side="right")) - 1
+            raise PhysicalityError(
+                f"engine {strokes.ids[idx[g]]}, cycle {simulated[idx[g]] + r - first[g]}: "
+                f"pair correlations are not finite (negativity {cyc_neg[r].tolist()}, "
+                f"discord {cyc_disc[r].tolist()})")
         live = idx[has]
         neg_max[live] = np.maximum(neg_max[live],
                                    np.maximum.reduceat(cyc_neg, first[has], axis=0))
@@ -839,15 +862,20 @@ class Engine:
         params = self.params
         total, eps_stop = _stop_limits(params)
         sigma0 = self.sigma_initial.matrix
-        heat_times, cool_times = _coupling_times(
-            params, (DEFAULT_STROKE_SAMPLES,) * 2 if keep_records else _REDUCED_SAMPLES)
-        ts = (_TimeSeriesBuilder(params, self._strokes, sigma0, heat_times, cool_times,
-                                 correlations) if want_timeseries else None)
+        samples = (DEFAULT_STROKE_SAMPLES,) * 2 if keep_records else _REDUCED_SAMPLES
+        ts = times = None
+        if correlations or want_timeseries:  # the interior instants are read
+            heat_times, cool_times = _coupling_times(params, samples)
+            times = heat_times[None], cool_times[None]
+            if want_timeseries:
+                ts = _TimeSeriesBuilder(params, self._strokes, sigma0, heat_times, cool_times,
+                                        correlations)
+        interior = (_interior_count(params.tau_h, samples[0], params.sample_dt),
+                    _interior_count(params.tau_c, samples[1], params.sample_dt))
         runs = _run_engines(
             self._strokes, sigma0[None], totals=np.array([total]),
-            eps_stop=np.array([eps_stop]), heat_times=heat_times[None],
-            cool_times=cool_times[None], correlations=correlations,
-            keep_records=keep_records, series=ts)
+            eps_stop=np.array([eps_stop]), interior=interior, times=times,
+            correlations=correlations, keep_records=keep_records, series=ts)
 
         simulated = int(runs.simulated[0])
         probe_seen = bool(runs.probe[0])
@@ -1045,8 +1073,9 @@ def run_reduced_ensemble(params: Sequence[EngineParams]) -> EnsembleTotals:
                 _Strokes(group, ids=rows), sigma0[rows],
                 totals=np.array([total for total, _ in limits]),
                 eps_stop=np.array([eps for _, eps in limits]),
-                heat_times=np.stack([times[e][0] for e in rows]),
-                cool_times=np.stack([times[e][1] for e in rows]),
+                interior=(times[rows[0]][0].size, times[rows[0]][1].size),
+                times=(np.stack([times[e][0] for e in rows]),
+                       np.stack([times[e][1] for e in rows])),
                 correlations=True, keep_records=False)
             final[rows] = runs.sigma
             n_cycles[rows] = runs.simulated - runs.probe

@@ -10,11 +10,14 @@ import math
 
 import mpmath
 import numpy as np
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from otto3 import engine
+from otto3.correlations import _PURE_B_TOL
 from otto3.engine import Engine, EngineParams, FixedCycles, WorkNonNegative
+from otto3.explore import DIMENSIONS, OMEGA3_RANGE, ParameterBox, PrepFamily
 from otto3.propagators import RampMode
 from otto3.states import SqueezedVacuum, product_state, symplectic_form, thermal_preparation
 
@@ -132,6 +135,67 @@ def spectral_cycle_work(params, cycles, dps=50):
             out.append(mpmath.re(mpmath.fsum(coef)))
             coef = [c * r for c, r in zip(coef, ratio)]
     return out
+
+
+BOX = ParameterBox(omega3=OMEGA3_RANGE)
+
+
+@st.composite
+def box_engines(draw):
+    """Engines drawn over the box, every ramp and family, up to 50 cycles;
+    half run their cycles out, since most draws stop at once on their own."""
+    values = {name: draw(st.floats(*BOX.interval(name))) for name in DIMENSIONS}
+    cycles = draw(st.integers(1, 50))
+    return EngineParams(
+        prep=draw(st.sampled_from(PrepFamily)).preparation(values.pop("omega3"), 0.01),
+        ramp=draw(st.sampled_from(RampMode)),
+        stop=draw(st.sampled_from([WorkNonNegative(), FixedCycles(cycles)])),
+        max_cycles=cycles, **values)
+
+
+def pair_oracle(block, dps=50):
+    """(i1, i2, i3, i4, log-negativity, discord) of a 4x4 pair block ordered
+    (x_i, x_j, p_i, p_j), discord measuring mode j, at dps digits (mpmath).
+
+    The ten entries otto3.correlations reads (A's and B's xx, xp, pp and
+    C's xx, xp, px, pp) are the exact inputs of a symmetric matrix; i4 is
+    mpmath's determinant of it and the rest follow the textbook closed
+    forms (Adesso and Datta, PRL 105, 030501 (2010)) with the module's
+    conventions: a measured mode with |4 i2 - 1| <= _PURE_B_TOL counts as
+    pure (emin = 4 i1), entropy arguments below 1 count as 1, and a
+    negative discord as 0.  Returns mpf values.
+    """
+    with mpmath.workdps(dps):
+        s = [[mpmath.mpf(float(block[min(r, c), max(r, c)])) for c in range(4)] for r in range(4)]
+        s[1][2] = s[2][1] = mpmath.mpf(float(block[2, 1]))  # C's px entry
+        i1 = s[0][0] * s[2][2] - s[0][2] ** 2
+        i2 = s[1][1] * s[3][3] - s[1][3] ** 2
+        i3 = s[0][1] * s[2][3] - s[0][3] * s[2][1]
+        i4 = mpmath.det(mpmath.matrix(s))
+
+        def spectrum(lam):
+            root = mpmath.sqrt(max(lam * lam - 4 * i4, 0))
+            return max((lam - root) / 2, 0), (lam + root) / 2
+
+        def h(x):
+            x = max(x, 1)
+            return (x + 1) / 2 * mpmath.log((x + 1) / 2) - (
+                (x - 1) / 2 * mpmath.log((x - 1) / 2) if x > 1 else 0)
+
+        nu_sq = spectrum(i1 + i2 - 2 * i3)[0]
+        neg = max(0, -mpmath.log(4 * nu_sq) / 2) if nu_sq > 0 else mpmath.inf
+        j1, j2, j3, j4 = 4 * i1, 4 * i2, 4 * i3, 16 * i4
+        if abs(j2 - 1) <= _PURE_B_TOL:
+            emin = j1
+        elif (j1 * j2 - j4) ** 2 <= (1 + j2) * j3 ** 2 * (j1 + j4):
+            emin = ((abs(j3) + mpmath.sqrt(max(j3 ** 2 + (j2 - 1) * (j4 - j1), 0))) / (j2 - 1)) ** 2
+        else:
+            s2 = j1 * j2 + j4 - j3 ** 2
+            emin = (s2 - mpmath.sqrt(max(s2 * s2 - 4 * j1 * j2 * j4, 0))) / (2 * j2)
+        d_minus, d_plus = spectrum(i1 + i2 + 2 * i3)
+        disc = (h(mpmath.sqrt(j2)) - h(2 * mpmath.sqrt(d_minus)) - h(2 * mpmath.sqrt(d_plus))
+                + h(mpmath.sqrt(max(emin, 0))))
+        return i1, i2, i3, i4, neg, max(disc, 0)
 
 
 def assert_numbers_close(got, want, where="", rtol=1e-10, atol=1e-12):

@@ -637,6 +637,19 @@ class TestPinnedSimulateContents:
         assert_numbers_close(artifact_digest(tmp_path), frozen, config)
 
 
+class TestProductStateCorrelations:
+    def test_zero_coupling_scores_exactly_zero(self, tmp_path):
+        # no coupling keeps the three modes a product state: C = 0 in every pair
+        assert simulate(str(CONFIGS / "zero_coupling.json"), tmp_path) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert set(summary["discord_max"].values()) == {0.0}
+        assert set(summary["negativity_max"].values()) == {0.0}
+        for name, first in (("cycles", "D12max"), ("timeseries", "D12")):
+            header, *rows = (tmp_path / f"{name}.csv").read_text().splitlines()
+            col = header.split(",").index(first)
+            assert {float(v) for row in rows for v in row.split(",")[col:col + 6]} == {0.0}
+
+
 class TestErgotropyFailureExit:
     def test_flat_spectrum_exits_3_with_convergence_error(self, tmp_path, capsys):
         # nbar = 1e17: nbar / (1 + nbar) rounds to 1, and the summary's

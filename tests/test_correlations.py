@@ -6,19 +6,23 @@ large random families to pin down positivity and invariance.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
+from otto3 import engine
 from otto3.correlations import (_block_dets, entropy_like,
                                 gaussian_discord, log_negativity,
                                 negativity_from_invariants,
                                 pair_correlations, pt_smallest_eigenvalue)
+from otto3.engine import Engine
 from otto3.errors import PhysicalityError
 from otto3.states import CovarianceMatrix, restrict, symplectic_eigenvalues
 
-from helpers import local_symplectic, random_covariance
+from helpers import box_engines, local_symplectic, pair_oracle, random_covariance
 
 
 def tmsv(r):
@@ -51,7 +55,8 @@ def _eigensolves(measure, monkeypatch):
 class TestInvariants:
     def test_product_state_values(self):
         sigma = product_pair(1.5, 0.5)
-        assert_allclose(_block_dets(sigma), [2.25, 0.25, 0.0, 2.25 * 0.25], rtol=1e-14)
+        # a product state's invariants are exact: t = 0 and i4 = i1 * i2
+        assert np.array_equal(_block_dets(sigma), [2.25, 0.25, 0.0, 2.25 * 0.25, 0.0])
         assert_allclose(CovarianceMatrix(sigma).symplectic_eigenvalues(), [0.5, 1.5],
                         rtol=1e-12)
 
@@ -228,7 +233,7 @@ class TestBranchHandOff:
         return (j1 * j2 - j4) ** 2 - (1.0 + j2) * j3 * j3 * (j1 + j4)
 
     def _doubled_invariants(self, sigma):
-        i1, i2, i3, i4 = _block_dets(sigma)
+        i1, i2, i3, i4, _ = _block_dets(sigma)
         return np.array([4 * i1, 4 * i2, 4 * i3, 16 * i4])
 
     def _find_boundary_pairs(self, n_pairs=4, max_trials=4000):
@@ -290,11 +295,84 @@ class TestPairCorrelations:
         neg, disc = pair_correlations(stack)
         assert neg.shape == (6, 3)
         single_neg, single_disc = pair_correlations(stack[2])
-        assert_allclose(neg[2], single_neg, atol=1e-13)
-        assert_allclose(disc[2], single_disc, atol=1e-13)
+        assert np.array_equal(neg[2], single_neg)
+        assert np.array_equal(disc[2], single_disc)
+
+    def test_element_first_view_scores_like_its_copy(self):
+        # the engine scores np.moveaxis of an element-first (6, 6, R, n) stack
+        rng = np.random.default_rng(16)
+        stack = np.stack([random_covariance(rng, n_modes=3)[0] for _ in range(12)])
+        element_first = np.ascontiguousarray(np.moveaxis(stack.reshape(3, 4, 6, 6), (2, 3), (0, 1)))
+        view = np.moveaxis(element_first, (0, 1), (-2, -1))
+        assert not view.flags.c_contiguous
+        for got, want in zip(pair_correlations(view), pair_correlations(np.ascontiguousarray(view))):
+            assert got.shape == (3, 4, 3)
+            assert np.array_equal(got, want)
 
     def test_product_three_mode_state_has_no_correlations(self):
         sigma = np.diag([1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
         neg, disc = pair_correlations(sigma)
         assert np.all(neg == 0.0)
         assert np.all(disc == 0.0)
+
+
+# Largest gaps to pair_oracle over the 458 scored states below ORACLE_SCALE
+# of this test's 40 box engines: i4 5.5e-9 relative, negativity 4.6e-11 and
+# discord 2.6e-5 absolute (2.5e-8, 1.4e-6 and 0.73 by LAPACK's det and the
+# textbook discriminants, the route before the closed forms).  The bounds
+# keep a factor of 10.  Above ORACLE_SCALE (parametrically unstable Airy
+# engines) the entries' own rounding leaves both measures undetermined at
+# float64.
+ORACLE_SCALE = 1e4
+I4_RTOL = 6e-8
+NEG_ATOL = 5e-10
+DISC_ATOL = 3e-4
+_PAIRS = ((0, 1, 3, 4), (1, 2, 4, 5), (0, 2, 3, 5))
+
+
+def scored_states(params, keep=12):
+    """Up to `keep` of the states a run of params scores, evenly spaced."""
+    seen = []
+    score = engine.pair_correlations
+
+    def record(sigmas):
+        seen.append(np.array(sigmas).reshape(-1, 6, 6))
+        return score(sigmas)
+
+    with mock.patch.object(engine, "pair_correlations", record):
+        try:
+            Engine(params).run(want_timeseries=False)
+        except PhysicalityError:  # an unstable engine's refused run; its scored states count
+            pass
+    states = np.concatenate(seen) if seen else np.empty((0, 6, 6))
+    return states[np.linspace(0, len(states) - 1, min(keep, len(states))).astype(int)]
+
+
+class TestOracle:
+    """The closed forms against a 50-digit evaluation of the same formulas
+    on engine states across the parameter box."""
+
+    @settings(max_examples=40)
+    @given(box_engines())
+    def test_engine_states_match_the_oracle(self, params):
+        states = scored_states(params)
+        states = states[np.abs(states).max(axis=(1, 2)) < ORACLE_SCALE]
+        neg, disc = pair_correlations(states)
+        for n, state in enumerate(states):
+            for k, idx in enumerate(_PAIRS):
+                block = state[np.ix_(idx, idx)]
+                i4 = _block_dets(block)[3]
+                _, _, _, o_i4, o_neg, o_disc = pair_oracle(block)
+                assert abs(i4 - o_i4) <= I4_RTOL * abs(o_i4)
+                assert abs(neg[n, k] - o_neg) <= NEG_ATOL
+                assert abs(disc[n, k] - o_disc) <= DISC_ATOL
+
+    def test_product_states_score_exactly_zero(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            modes = [random_covariance(rng, n_modes=1)[0] for _ in range(3)]
+            sigma = np.zeros((6, 6))
+            for m, block in enumerate(modes):
+                sigma[np.ix_((m, m + 3), (m, m + 3))] = block
+            neg, disc = pair_correlations(sigma)
+            assert np.all(neg == 0.0) and np.all(disc == 0.0)

@@ -15,14 +15,14 @@ from otto3.cli import build_engine_params, load_config
 from otto3.energetics import mode_energy
 from otto3.engine import (Engine, EngineParams, FixedCycles, TimeSeries,
                           WorkNonNegative, run_reduced)
-from otto3.errors import ConfigError, EnergyBalanceError
-from otto3.explore import DIMENSIONS, OMEGA3_RANGE, ParameterBox, PrepFamily, random_scan
+from otto3.errors import ConfigError, EnergyBalanceError, PhysicalityError
+from otto3.explore import PrepFamily, random_scan
 from otto3.engine import _BATCH_POINT_BUDGET, run_reduced_ensemble
 from otto3.propagators import SYMPLECTIC_TOL, RampMode, _symplectic_defect
 from otto3.states import (PHYSICALITY_TOL, Preparation, SqueezedVacuum, Thermal,
                           squeezed_preparation, thermal_preparation)
 
-from helpers import (C1_BETA_001, assert_numbers_close, first_law_residuals,
+from helpers import (C1_BETA_001, assert_numbers_close, box_engines, first_law_residuals,
                      optimized_params, spectral_cycle_work, sudden_cycle_work)
 
 
@@ -489,6 +489,59 @@ class TestSampleBudget:
             EngineParams(**kw, sample_dt=5e-324)
 
 
+class TestInteriorCounts:
+    def test_counts_equal_the_instants(self):
+        rng = np.random.default_rng(3)
+        taus = np.concatenate([rng.uniform(0.0, 3.0, 300), [0.0, 0.5, 0.59, 0.9996, 1.0, 3.0]])
+        for tau in taus:
+            for dt in (None, 0.05, 0.1, 0.5, tau / 7, tau / 3, tau, 2.0 * tau,
+                       rng.uniform(1e-3, 1.0)):
+                if dt is not None and not dt > 0.0:
+                    continue
+                for n in (0, 2, 4, 20):
+                    assert (engine._interior_count(tau, n, dt)
+                            == engine._interior_times(tau, n, dt).size), (tau, n, dt)
+
+    @pytest.mark.parametrize("sample_dt", [None, 0.05])
+    def test_a_run_read_by_neither_correlations_nor_a_series_builds_no_instants(
+            self, sample_dt, monkeypatch):
+        params = dataclasses.replace(optimized_params(stop=FixedCycles(12)), sample_dt=sample_dt)
+        want = [fingerprint(Engine(params).run(want_timeseries=False, correlations=False,
+                                               keep_records=keep)) for keep in (True, False)]
+
+        def refuse(*args):
+            raise AssertionError("interior instants built")
+
+        monkeypatch.setattr(engine, "_coupling_times", refuse)
+        assert [fingerprint(Engine(params).run(want_timeseries=False, correlations=False,
+                                               keep_records=keep))
+                for keep in (True, False)] == want
+
+
+# A parametrically unstable Airy draw: its entries pass 1e10 by cycle 17 and
+# reach about 1e93 by cycle 161, where the pair scores overflow.
+UNSTABLE_AIRY = EngineParams(
+    prep=thermal_preparation(beta1=0.01, omega3=0.10591284932289952),
+    alpha12=0.01910751023014956, alpha23=0.02262126351955793, tau_h=0.6850724371510978,
+    tau_c=0.7286986689303567, tau_comp=1.322798073661256, ramp=RampMode.LINEAR_AIRY,
+    stop=FixedCycles(161))
+
+
+class TestNonFiniteScores:
+    def test_a_run_is_refused_at_its_first_non_finite_score(self):
+        with pytest.raises(PhysicalityError,
+                           match=r"engine 0, cycle 17: pair correlations are not finite"):
+            Engine(UNSTABLE_AIRY).run()
+
+    def test_an_ensemble_names_the_engine_by_its_position(self):
+        with pytest.raises(PhysicalityError,
+                           match=r"engine 1, cycle 21: pair correlations are not finite"):
+            run_reduced_ensemble([optimized_params(stop=FixedCycles(3)), UNSTABLE_AIRY])
+
+    def test_a_run_without_correlations_scores_nothing(self):
+        assert Engine(UNSTABLE_AIRY).run(correlations=False).n_cycles == 161
+
+
 def mixed_ensemble():
     """Engines of different stop rules, lengths and ramps."""
     prep = thermal_preparation(beta1=0.01, omega3=0.1)
@@ -519,22 +572,6 @@ class TestReducedEnsemble:
     def test_each_engine_gets_what_run_reduced_gives_it(self, monkeypatch):
         monkeypatch.setattr(engine, "_ENSEMBLE_SIZE", 4)
         assert_ensemble_matches_lone_runs(mixed_ensemble())
-
-
-BOX = ParameterBox(omega3=OMEGA3_RANGE)
-
-
-@st.composite
-def box_engines(draw):
-    """Engines drawn over the box, every ramp and family, up to 50 cycles;
-    half run their cycles out, since most draws stop at once on their own."""
-    values = {name: draw(st.floats(*BOX.interval(name))) for name in DIMENSIONS}
-    cycles = draw(st.integers(1, 50))
-    return EngineParams(
-        prep=draw(st.sampled_from(PrepFamily)).preparation(values.pop("omega3"), 0.01),
-        ramp=draw(st.sampled_from(RampMode)),
-        stop=draw(st.sampled_from([WorkNonNegative(), FixedCycles(cycles)])),
-        max_cycles=cycles, **values)
 
 
 class TestBoxProperties:
