@@ -27,24 +27,28 @@ A kernel call may run several consecutive chunks (a span) and may cut its
 last chunk short; either way it computes the same cycles from the same
 cursors, so the grouping changes no number.  Calls are planned from a
 probe cycle predicted off the cycle map: a lone engine that stops on its
-own runs in one call that ends at its stop, and a wrong prediction costs
-time, never a number, because the kernel's own w_cycle decides every
-stop.  Many independent engines (a scan) step together along an engine
-axis through the same cycle kernel and stepping loop that run one Engine;
-no engine's numbers depend on the others.  Pair correlations move only
-while a coupling stroke acts (ramps drive each oscillator separately, and
-local maps cannot change a two-mode correlation measure), so interior
-sampling effort goes to the coupling strokes; ramp interiors reuse
-stroke-start correlation values, which is exact rather than an
-approximation.
+own runs in one call that ends at its stop, each engine of a shared call
+computes no cycle past its own, and a wrong prediction costs time, never
+a number, because the kernel's own w_cycle decides every stop.  Many
+independent engines (a scan) step together along an engine axis through
+the same cycle kernel and stepping loop that run one Engine; no engine's
+numbers depend on the others.  run_lanes gathers the run_reduced calls of
+threads that each run alone (the optimizer's restarts) into such
+ensembles.  Pair correlations move only while a coupling stroke acts
+(ramps drive each oscillator separately, and local maps cannot change a
+two-mode correlation measure), so interior sampling effort goes to the
+coupling strokes; ramp interiors reuse stroke-start correlation values,
+which is exact rather than an approximation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -81,6 +85,10 @@ _CHUNK_START, _CHUNK_MAX = 4, 256
 # chunk, however many engines share the call.  A call planned to end at its
 # engines' predicted probes takes following chunks up to this bound too.
 _STACK_CYCLES = _CHUNK_MAX
+# The same bound for a call that holds no states past the cycle starts (no
+# records, correlations or time series): it holds a few states per
+# engine-cycle, not a few per sampled point.
+_LEAN_STACK_CYCLES = 2 * _STACK_CYCLES
 # Without a prediction, a kernel call takes its engines' following chunks
 # of the schedule (a span) while it holds at most this many engine-cycles:
 # a lone engine runs 4+8+16+32 cycles in one call, a scan block keeps one
@@ -89,6 +97,8 @@ _SPAN_CYCLES = 64
 # Engines per ensemble of run_reduced_ensemble; bounds the stacked stroke
 # maps and cursors of a long scan.
 _ENSEMBLE_SIZE = _CHUNK_MAX
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -398,8 +408,8 @@ class _Strokes:
     def probe_cycles(self, idx: np.ndarray, sigma0: np.ndarray, eps_stop: np.ndarray,
                      horizon: int) -> np.ndarray:
         """Predicted probe cycle of engines idx run from states sigma0: the
-        first cycle below `horizon` whose w_cycle >= -eps_stop, or -1 where
-        there is none or a value is not finite.
+        first cycle below `horizon` whose w_cycle >= -eps_stop, `horizon`
+        where there is none, or -1 where a value is not finite.
 
         Cycle k starts from M^k sigma0 M^kT, M the cycle map, and w_cycle is
         the linear functional tr(W sigma) of that state, W the medium's
@@ -435,7 +445,7 @@ class _Strokes:
             w = w.reshape(n, -1)[:, :horizon]
             finite = np.isfinite(w.sum(axis=1))
         hit = w >= -eps_stop[:, None]
-        return np.where(finite & hit.any(axis=1), hit.argmax(axis=1), -1)
+        return np.where(finite, np.where(hit.any(axis=1), hit.argmax(axis=1), horizon), -1)
 
 
 def _powers(mats: np.ndarray, count: int) -> np.ndarray:
@@ -455,22 +465,30 @@ def _powers(mats: np.ndarray, count: int) -> np.ndarray:
 
 @dataclass
 class _Chunk:
-    """Stage states and per-cycle energies of G engines over `count` cycles each.
+    """Stage states and per-cycle energies of G engines over a span of `count` cycles.
 
-    The cycles are the consecutive chunks `span` of the schedule.  States
-    are element-first: sig_b[:, :, g, k] is engine g's state after
-    compression in its k-th cycle.  Engine g's stop rule fires first on its
-    cycle keep[g] (stopped[g]); keep[g] = count otherwise.
+    The cycles are the consecutive chunks `span` of the schedule; engine g
+    computes the first lengths[g] of them (live[g]).  States are
+    element-first and flat, engine by engine: sig_b[:, :, first[g] + c] is
+    engine g's state after compression in its cycle c.  sig_a holds the
+    cycle starts the same way, then each engine's closing state, the start
+    of its cycle lengths[g] (see start()).  Energies are (G, count), NaN
+    past an engine's cycles.  Engine g's stop rule fires first on its cycle
+    keep[g] (stopped[g]); keep[g] = count otherwise.
     """
 
     span: tuple[int, ...]
+    lengths: np.ndarray    # (G,)
+    live: np.ndarray       # (G, count) bool: the cycles each engine computed
+    first: np.ndarray      # (G,) each engine's first flat position
     keep: np.ndarray       # (G,)
     stopped: np.ndarray    # (G,) bool
-    sig_a: np.ndarray      # (6, 6, G, count + 1); entry `count` starts the next chunk
-    sig_b: np.ndarray      # (6, 6, G, count)
-    sig_c: np.ndarray
-    sig_d: np.ndarray
-    sig_e: Optional[np.ndarray]  # None unless the caller asked for the ends
+    sig_a: np.ndarray      # (6, 6, R + G), R = lengths.sum()
+    # (6, 6, R) each; None unless the caller asked for the ends
+    sig_b: Optional[np.ndarray]
+    sig_c: Optional[np.ndarray]
+    sig_d: Optional[np.ndarray]
+    sig_e: Optional[np.ndarray]
     e_a: np.ndarray        # (G, count)
     e_b: np.ndarray
     e_c: np.ndarray
@@ -483,73 +501,93 @@ class _Chunk:
     du: np.ndarray
     w_cycle: np.ndarray
 
+    def start(self, cycle: np.ndarray) -> np.ndarray:
+        """(6, 6, G): engine g's state at the start of its cycle cycle[g],
+        where cycle[g] = lengths[g] reads its closing state."""
+        closing = self.sig_a.shape[2] - self.lengths.size + np.arange(self.lengths.size)
+        return self.sig_a[:, :, np.where(cycle < self.lengths, self.first + cycle, closing)]
+
 
 def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
-                    span: tuple[int, ...], first_cycle: np.ndarray,
+                    span: tuple[int, ...], lengths: np.ndarray, first_cycle: np.ndarray,
                     eps_stop: np.ndarray, ends: bool) -> _Chunk:
     """The cycle kernel: evolve engines `idx` from `sigma` through `span`,
     consecutive chunks of the schedule, and return them as one chunk of
-    sum(span) cycles.
+    sum(span) cycles, of which engine g computes the first lengths[g].
 
     Cycle starts come from powers of each engine's cycle map applied to its
     cursor.  Every inner chunk starts from the symmetrised end of the one
-    before, the cursor a chunk per call would carry, and the last chunk
-    may be cut short, which computes a prefix of the same cycles, so no
-    number depends on how the schedule is grouped into calls.  The five
-    stage energies of each cycle derive from one consistent chain of
-    stroke sandwiches, so that the first-law residual is an identity that
-    only a non-finite or rounding-level defect breaks.  It is checked on
-    every computed cycle of each chunk up to and including the one where
-    the engine's stop rule (w_cycle >= -eps_stop) fires; later chunks are
-    dropped unchecked, as if never run.  Without `ends`, the chunk holds
-    no states after cooling (sig_e), only the medium's energy there.
+    before, the cursor a chunk per call would carry, and an engine's last
+    chunk may be cut short, which computes a prefix of the same cycles, so
+    no number depends on how the schedule is grouped into calls or on the
+    lengths of the other engines.  The five stage energies of each cycle
+    derive from one consistent chain of stroke sandwiches, so that the
+    first-law residual is an identity that only a non-finite or
+    rounding-level defect breaks.  It is checked on every computed cycle of
+    each chunk up to and including the one where the engine's stop rule
+    (w_cycle >= -eps_stop) fires; later chunks are dropped unchecked, as if
+    never run.  Without `ends`, the chunk holds no states past the cycle
+    starts (sig_a), only the medium's energies.
     """
     n_eng, count = idx.size, sum(span)
-    offsets = [0, *itertools.accumulate(span)]
-    # Each cycle start's power of the cycle map and its chunk's cursor, laid
-    # out in whole contiguous matrices (einsum runs far slower loops on
-    # strided operands) with the closing state last.  The powers chain once
-    # through the last of the largest chunks' slots, running on into the
-    # next slot's first entry when that chunk is not the last; the other
-    # slots copy prefixes of it once every cursor has read its power.
-    top = max(span)
-    big = len(span) - 1 - span[::-1].index(top)
-    powers = np.empty((n_eng, count + 1, 6, 6))
-    base = offsets[big]
-    powers[:, base] = np.eye(6)
+    offsets = np.array([0, *itertools.accumulate(span)])
+    rows = int(lengths.sum())
+    # Every computed cycle start, engine by engine, then each engine's
+    # closing state: its chunk, and its power of the cycle map applied to
+    # that chunk's cursor.  The closing state ends its last cycle's chunk.
+    owner = np.repeat(np.arange(n_eng), lengths)
+    first = np.cumsum(lengths) - lengths
+    cycles = np.concatenate((np.arange(rows) - first[owner], lengths))
+    owner = np.concatenate((owner, np.arange(n_eng)))
+    chunk = np.searchsorted(offsets[1:], np.minimum(cycles, lengths[owner] - 1), side="right")
+    exponent = cycles - offsets[chunk]
+    # A cursor past chunk i needs chunk i's whole power.
+    last = int(chunk.max())
+    top = max([int(exponent.max()), *span[:last]])
+    powers = np.empty((n_eng, top + 1, 6, 6))
+    powers[:, 0] = np.eye(6)
     cycle = strokes.cycle[idx]
-    chain = list(powers[:, base:base + top + 1].swapaxes(0, 1))  # views made in one go
+    chain = list(powers.swapaxes(0, 1))  # views made in one go
     for j in range(top):
         np.matmul(cycle, chain[j], out=chain[j + 1])
-    slots = [size + (i + 1 == len(span)) for i, size in enumerate(span)]
-    cursors = np.empty((6, 6, n_eng, count + 1))
+    cursors = np.empty((n_eng, last + 1, 6, 6))
+    cursors[:, 0] = sigma
     cursor = _by_element(sigma)
-    for i, size in enumerate(span):
-        cursors[:, :, :, offsets[i]:offsets[i] + slots[i]] = cursor[..., None]
-        if i + 1 < len(span):
-            end = _sandwich_stack(_by_element(powers[:, base + size]), cursor)
-            cursor = 0.5 * (end + end.transpose(1, 0, 2))
-    for i, slot in enumerate(slots):
-        if i != big:
-            powers[:, offsets[i]:offsets[i] + slot] = powers[:, base:base + slot]
-    sig_a = _sandwich_stack(_by_element(powers), cursors.reshape(6, 6, -1))
-    sig_a = sig_a.reshape(6, 6, n_eng, count + 1)
-    starts = sig_a[:, :, :, :count].reshape(6, 6, -1)
-    # Unless the caller reads the states at the cycles' ends, the cooling
-    # sandwich computes only the medium's rows and columns (x2, p2), each
-    # entry as the whole sandwich would.
-    medium = slice(None) if ends else [1, 4]
-    states = [starts]
-    for maps in (strokes.comp_el, strokes.heat_el, strokes.exp_el, strokes.cool_el[medium]):
-        states.append(_sandwich_stack(maps[:, :, idx].repeat(count, axis=2), states[-1]))
+    for i in range(last):
+        end = _sandwich_stack(_by_element(chain[span[i]]), cursor)
+        cursor = 0.5 * (end + end.transpose(1, 0, 2))
+        cursors[:, i + 1] = _by_matrix(cursor)
+    sig_a = _sandwich_stack(_by_element(powers[owner, exponent]),
+                            _by_element(cursors[owner, chunk]))
+    live = np.arange(count) < lengths[:, None]
+    uniform = rows == live.size
 
-    w1sq = strokes.w1sq[idx].repeat(count)
-    w3sq = strokes.w3sq[idx].repeat(count)
-    e_a, e_b, e_c, e_d = (_energy(st, 1, wsq).reshape(n_eng, count)
-                          for st, wsq in zip(states, (w3sq, w1sq, w1sq, w3sq)))
-    last = states[-1]
-    e_e = (_energy(last, 1, w3sq) if ends else 0.5 * (last[1, 1] + w3sq * last[0, 0]))
-    e_e = e_e.reshape(n_eng, count)
+    def by_engine(flat: np.ndarray) -> np.ndarray:
+        """(rows,) -> (G, count), NaN past each engine's cycles."""
+        if uniform:
+            return flat.reshape(n_eng, count)
+        out = np.full((n_eng, count), np.nan)
+        out[live] = flat
+        return out
+
+    w1sq = strokes.w1sq[idx].repeat(lengths)
+    w3sq = strokes.w3sq[idx].repeat(lengths)
+    # The states after each stroke and the medium's energy before it.
+    # Unless the caller reads the states (ends), only the newest is held,
+    # and the cooling sandwich computes only the medium's rows and columns
+    # (x2, p2), each entry as the whole sandwich would.
+    medium = slice(None) if ends else [1, 4]
+    states, energies = [sig_a[:, :, :rows]], []
+    for maps, wsq in zip((strokes.comp_el, strokes.heat_el, strokes.exp_el,
+                          strokes.cool_el[medium]), (w3sq, w1sq, w1sq, w3sq)):
+        energies.append(by_engine(_energy(states[-1], 1, wsq)))
+        states.append(_sandwich_stack(np.repeat(maps[:, :, idx], lengths, axis=2), states[-1]))
+        if not ends:
+            states[-2] = None
+    e_a, e_b, e_c, e_d = energies
+    end_states = states[-1]
+    e_e = by_engine(_energy(end_states, 1, w3sq) if ends
+                    else 0.5 * (end_states[1, 1] + w3sq * end_states[0, 0]))
     w1, q1 = e_b - e_a, e_b - e_c
     w2, q2 = e_d - e_c, e_d - e_e
     du = e_e - e_a
@@ -560,9 +598,9 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
 
     residual = np.abs(w_cycle - q1 - q2 - du)
     budget = FIRST_LAW_RTOL * np.maximum(1.0, np.abs(w1) + np.abs(w2))
-    bad = ~(residual <= budget)
+    bad = ~(residual <= budget) & live
     if bad.any():  # each engine's checks end with the chunk of its stop
-        closes = np.array(offsets[1:])  # the cycle that ends each inner chunk
+        closes = offsets[1:]  # the cycle that ends each inner chunk
         bad &= np.arange(count) < closes[np.searchsorted(closes[:-1], keep, side="right")][:, None]
     if bad.any():
         g, k = np.argwhere(bad)[0]
@@ -570,9 +608,8 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
             f"engine {strokes.ids[idx[g]]}, cycle {first_cycle[g] + k}: first-law residual "
             f"{residual[g, k]:.3e} exceeds {budget[g, k]:.3e}"
         )
-    sig_b, sig_c, sig_d = (st.reshape(6, 6, n_eng, count) for st in states[1:4])
-    sig_e = last.reshape(6, 6, n_eng, count) if ends else None
-    return _Chunk(span, keep, stopped, sig_a, sig_b, sig_c, sig_d, sig_e,
+    return _Chunk(span, lengths, live, first, keep, stopped, sig_a, *states[1:4],
+                  end_states if ends else None,
                   e_a, e_b, e_c, e_d, e_e, w1, q1, w2, q2, du, w_cycle)
 
 
@@ -612,22 +649,26 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     _BATCH_POINT_BUDGET, so its numbers do not depend on the engines beside
     it.  Engines at the same point of the schedule with the same chunk
     size are stepped together in sub-batches of at most _STACK_CYCLES
-    engine-cycles.  A sub-batch whose engines share the sizes of their
+    engine-cycles (_LEAN_STACK_CYCLES when no records, correlations or
+    series read the states), counting the cycles each engine computes.
+    A sub-batch whose engines share the sizes of their
     following chunks takes those too, one kernel call for the whole span,
     while the call holds at most _SPAN_CYCLES engine-cycles (and the point
     budget): 4+8+16+32 cycles for a lone engine, one chunk for a scan block
     of 50 engines.
 
-    Before a call past a work-rule engine's first chunk, or a first call
-    with room for the second chunk too, the engine's probe is predicted
-    from its cycle map (_Strokes.probe_cycles).  When every engine of the call has a
+    Before a call past a work-rule engine's first chunk, before any call
+    without correlations, or before a first call with room for the second
+    chunk too, the engine's probe is predicted from its cycle map
+    (_Strokes.probe_cycles).  When every engine of the call has a
     predicted probe, the call ends with the latest of them, cutting its
     last chunk short, and takes following chunks while it holds at most
-    _STACK_CYCLES engine-cycles, so a lone engine computes no cycle past
-    its probe.  The sub-batches stay those above.  An engine that outlives
-    a cut chunk drops it and runs it again in full, from the same cursor,
-    with no prediction; any cycle it keeps is computed exactly as without
-    predictions.  The kernel's first chunk is the cheaper predictor for
+    _STACK_CYCLES engine-cycles.  Within the call, each engine with a
+    prediction computes no cycle past its own probe.  The sub-batches stay
+    those above.  An engine that outlives its cut chunk drops it and runs
+    it again in full, from the same cursor, with no prediction; any cycle
+    it keeps is computed exactly as without predictions.  With
+    correlations, the kernel's first chunk is the cheaper predictor for
     the engines that stop within it, which is most of a scan.
 
     Correlations are scored only at the kept cycles' points, batched
@@ -654,28 +695,33 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     # Points held per cycle: the kernel's, or the rows of a time series,
     # which add the ramp interiors.
     per_cycle = 3 + nh + nc if series is None else series.rows_per_cycle
+    ends = correlations or keep_records or series is not None  # read the states after cooling
+    stack_cycles = _STACK_CYCLES if ends else _LEAN_STACK_CYCLES
     chunk_cap = max(1, min(_CHUNK_MAX, _BATCH_POINT_BUDGET // per_cycle))
-    stack_cap = max(1, min(_STACK_CYCLES, chunk_cap))
+    stack_cap = max(1, min(stack_cycles, _BATCH_POINT_BUDGET // per_cycle))
     span_cap = min(_SPAN_CYCLES, _BATCH_POINT_BUDGET // per_cycle)
-    planned_cap = min(_STACK_CYCLES, _BATCH_POINT_BUDGET // per_cycle)
 
     def chunk_size(k: int) -> int:
         """Cycles in chunk k of the doubling schedule."""
         return min(_CHUNK_START << min(k, _CHUNK_MAX.bit_length()), chunk_cap)
 
-    def span_of(k: int, count: int, n: int, left: tuple[int, int], cap: int,
-                reach: float) -> list[int]:
-        """Chunks k, k+1, ... for one call of n engines, chunk k of count
-        cycles: following chunks join while the engines share their size
-        (left: the fewest and the most cycles an engine has left after
-        chunk k), the call holds at most cap engine-cycles and the span
-        falls short of reach cycles."""
+    def span_of(k: int, count: int, reach: np.ndarray, left: tuple[int, int], cap: int,
+                latest: float) -> list[int]:
+        """Chunks k, k+1, ... for one call, chunk k of count cycles:
+        following chunks join while the engines share their size (left:
+        the fewest and the most cycles an engine has left after chunk k),
+        the call holds at most cap engine-cycles, an engine none past its
+        planned end (reach: cycles to it, NaN or inf without one), and the
+        span falls short of latest cycles."""
+        def held(cycles: int) -> float:
+            return float(np.fmin(reach, cycles).sum())
+
         span, total = [count], count
         fewest, most = left
-        while total < reach and n * (total + 1) <= cap:
+        while total < latest and held(total + 1) <= cap:
             size = chunk_size(k + len(span))
             c = min(size, fewest)
-            if c == 0 or c != min(size, most) or n * (total + c) > cap:
+            if c == 0 or c != min(size, most) or held(total + c) > cap:
                 break
             span.append(c)
             total += c
@@ -689,10 +735,10 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     neg_max, disc_max = np.full((2, n_eng, 3), fill)
     names = _RECORD_COLUMNS if keep_records else ("w_cycle",)
     parts: list[dict[str, list[np.ndarray]]] = [{n: [] for n in names} for _ in range(n_eng)]
-    # Cycles each engine is planned to simulate, probe included: NaN until
+    # Cycles each engine is planned to simulate, probe included (at least,
+    # where no probe falls below the prediction's horizon): NaN until
     # predicted, inf without a prediction (and without a work rule).
     planned = np.where(eps_stop > -np.inf, np.nan, np.inf)
-    ends = correlations or keep_records or series is not None  # read the states after cooling
 
     step = np.zeros(n_eng, dtype=int)  # each engine's next chunk of the schedule
     active = (totals > 0).nonzero()[0]
@@ -706,37 +752,47 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
         for count in sorted(set(counts.tolist())):
             sel = counts == count
             same, rest = now[sel], left[sel] - count
-            per_call = max(1, stack_cap // count)
-            for lo in range(0, same.size, per_call):
-                idx = same[lo:lo + per_call]
-                sub = rest[lo:lo + per_call]
+            # Sub-batches of consecutive engines that hold at most stack_cap
+            # engine-cycles of chunk k, an engine none past its planned end.
+            batches, load = [[]], 0.0
+            for g, cycles in enumerate(np.fmin(planned[same] - done, count).tolist()):
+                if batches[-1] and load + cycles > stack_cap:
+                    batches.append([])
+                    load = 0.0
+                batches[-1].append(g)
+                load += cycles
+            for rows in batches:
+                idx, sub = same[rows], rest[rows]
                 bounds = int(sub.min()), int(sub.max())
                 fresh = idx[np.isnan(planned[idx])]
-                # predict before a call past the first chunk, or a first call
-                # with room for the second chunk too
-                if fresh.size and (k > 0 or idx.size * (count + chunk_size(1)) <= span_cap):
-                    horizon = int(min(_STACK_CYCLES, totals[fresh].max()))
+                if fresh.size and (k > 0 or not correlations
+                                   or idx.size * (count + chunk_size(1)) <= span_cap):
+                    horizon = int(min(stack_cycles, totals[fresh].max()))
                     cycle = strokes.probe_cycles(fresh, sigma0[fresh], eps_stop[fresh], horizon)
-                    planned[fresh] = np.where(cycle >= 0, cycle + 1.0, np.inf)
-                # Cycles to the latest planned end: NaN or inf while an engine
-                # has no prediction, <= 0 once every engine outlived its own.
-                reach = float(planned[idx].max()) - done
+                    # A probe among the cycles run already was missed; an
+                    # engine with no probe below the horizon runs to it at least.
+                    planned[fresh] = np.where(cycle >= done, np.minimum(cycle + 1.0, horizon),
+                                              np.inf)
+                # Cycles to each engine's planned end: NaN or inf without a
+                # prediction.  The call reaches the latest of them.
+                reach = planned[idx] - done
+                latest = float(reach.max())
                 cut = False
-                if 0 < reach < math.inf:
-                    span = span_of(k, count, idx.size, bounds, planned_cap, reach)
-                    cut = sum(span) > reach
+                if latest < math.inf:
+                    span = span_of(k, count, reach, bounds, stack_cap, latest)
+                    cut = sum(span) > latest
                     if cut:
-                        span[-1] -= sum(span) - int(reach)
+                        span[-1] -= sum(span) - int(latest)
                 else:
-                    span = span_of(k, count, idx.size, bounds, span_cap, math.inf)
-                _step(strokes, idx, tuple(span), cut, sigma, simulated, probe, neg_max,
-                      disc_max, parts, heat_mats, cool_mats, eps_stop, correlations, series,
-                      ends)
-                step[idx] += len(span)
-                if cut:  # engines that outlive the cut chunk run it again, in full
-                    missed = idx[~probe[idx]]
-                    step[missed] -= 1
-                    planned[missed] = np.inf
+                    span = span_of(k, count, reach, bounds, span_cap, math.inf)
+                total = sum(span)
+                lengths = np.where(reach < total, reach, total).astype(int)
+                kept = _step(strokes, idx, tuple(span), lengths, cut, sigma, simulated, probe,
+                             neg_max, disc_max, parts, heat_mats, cool_mats, eps_stop,
+                             correlations, series, ends)
+                step[idx] += kept
+                # engines that outlive their planned end run its chunk again, in full
+                planned[idx[~probe[idx] & (reach <= total)]] = np.inf
         active = active[~probe[active] & (simulated[active] < totals[active])]
 
     columns = [{name: np.concatenate(p[name]) if p[name] else
@@ -753,34 +809,39 @@ def _interior_states(mats: np.ndarray, owner: np.ndarray, states: np.ndarray) ->
     return out.reshape(6, 6, owner.size, n)
 
 
-def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], cut: bool,
-          sigma: np.ndarray, simulated: np.ndarray, probe: np.ndarray, neg_max: np.ndarray,
-          disc_max: np.ndarray, parts: list, heat_mats: Optional[np.ndarray],
-          cool_mats: Optional[np.ndarray], eps_stop: np.ndarray, correlations: bool,
-          series: Optional["_TimeSeriesBuilder"], ends: bool) -> None:
-    """One kernel call, the chunks `span`, for engines `idx`; updates the loop
-    state in place.  ends: whether correlations, records or a time series
+def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], lengths: np.ndarray,
+          cut: bool, sigma: np.ndarray, simulated: np.ndarray, probe: np.ndarray,
+          neg_max: np.ndarray, disc_max: np.ndarray, parts: list,
+          heat_mats: Optional[np.ndarray], cool_mats: Optional[np.ndarray],
+          eps_stop: np.ndarray, correlations: bool, series: Optional["_TimeSeriesBuilder"],
+          ends: bool) -> np.ndarray:
+    """One kernel call, the chunks `span`, for engines `idx`, engine g
+    computing the first lengths[g] cycles (cut: the last chunk is cut
+    short); updates the loop state in place and returns the whole chunks
+    each engine kept.  ends: whether correlations, records or a time series
     read the states at the cycles' ends.
 
-    When the last chunk is cut short, an engine that did not stop keeps
-    only the chunks before it.  Interior states are built only for the
-    cycles each engine keeps, and only when correlations or a time series
-    read them.
+    An engine that did not stop keeps only the whole chunks it computed.
+    Interior states are built only for the cycles each engine keeps, and
+    only when correlations or a time series read them.
     """
-    chunk = _simulate_chunk(strokes, idx, sigma[idx], span, simulated[idx], eps_stop[idx], ends)
+    chunk = _simulate_chunk(strokes, idx, sigma[idx], span, lengths, simulated[idx],
+                            eps_stop[idx], ends)
     count, keep, stopped = sum(span), chunk.keep, chunk.stopped
-    rows = np.where(stopped, keep + 1, count - span[-1] if cut else count)
+    closes = np.cumsum(span[:len(span) - cut], dtype=int)  # the ends of the whole chunks
+    whole = np.searchsorted(closes, lengths, side="right")
+    rows = np.where(stopped, keep + 1, np.append(0, closes)[whole])
     has = slice(None)  # the engines that keep cycles of this call
-    if cut and not rows.all():
+    if not rows.all():
         if not rows.any():
-            return
+            return whole
         has = rows > 0
 
     heat_states = cool_states = neg = disc = None
     if heat_mats is not None:
         # Kept cycles, engine by engine, as one row axis.
         first = np.cumsum(rows) - rows
-        kept = np.arange(count) < rows[:, None]
+        kept = (np.arange(count) < rows[:, None])[chunk.live]
         owner = idx[np.repeat(np.arange(idx.size), rows)]
         heat_states = _interior_states(heat_mats, owner, chunk.sig_b[:, :, kept])
         cool_states = _interior_states(cool_mats, owner, chunk.sig_d[:, :, kept])
@@ -788,7 +849,7 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], cut: bool,
         # Points per cycle: start, heating interiors, after heating, cooling
         # interiors, end.  Ramp interiors carry no new correlation values.
         pts = np.concatenate([
-            chunk.sig_a[:, :, :, :count][:, :, kept][..., None],
+            chunk.sig_a[:, :, :kept.size][:, :, kept][..., None],
             heat_states,
             chunk.sig_c[:, :, kept][..., None],
             cool_states,
@@ -804,11 +865,11 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], cut: bool,
                 f"engine {strokes.ids[idx[g]]}, cycle {simulated[idx[g]] + r - first[g]}: "
                 f"pair correlations are not finite (negativity {cyc_neg[r].tolist()}, "
                 f"discord {cyc_disc[r].tolist()})")
-        live = idx[has]
-        neg_max[live] = np.maximum(neg_max[live],
-                                   np.maximum.reduceat(cyc_neg, first[has], axis=0))
-        disc_max[live] = np.maximum(disc_max[live],
-                                    np.maximum.reduceat(cyc_disc, first[has], axis=0))
+        scored = idx[has]
+        neg_max[scored] = np.maximum(neg_max[scored],
+                                     np.maximum.reduceat(cyc_neg, first[has], axis=0))
+        disc_max[scored] = np.maximum(disc_max[scored],
+                                      np.maximum.reduceat(cyc_disc, first[has], axis=0))
 
     for g, e in enumerate(idx):
         m = int(rows[g])
@@ -817,7 +878,7 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], cut: bool,
         if "w1" in cols:
             for name in ("w1", "q1", "w2", "q2", "du"):
                 cols[name].append(getattr(chunk, name)[g, :m])
-            ends = chunk.sig_e[:, :, g, :m]
+            ends = chunk.sig_e[:, :, chunk.first[g]:chunk.first[g] + m]
             cols["e1"].append(_energy(ends, 0, strokes.w1sq[e]))
             cols["e2"].append(chunk.e_e[g, :m])
             cols["e3"].append(_energy(ends, 2, strokes.w3sq[e]))
@@ -831,10 +892,11 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], cut: bool,
         series.add_chunk(chunk, int(rows[0]), heat_states, cool_states, neg, disc)
 
     # the state after each engine's last kept cycle, the probe excluded
-    final = chunk.sig_a[:, :, np.arange(idx.size), rows - stopped]
+    final = chunk.start(rows - stopped)
     sigma[idx[has]] = (0.5 * (final + final.transpose(1, 0, 2))).transpose(2, 0, 1)[has]
     simulated[idx] += rows
     probe[idx] = stopped
+    return whole
 
 
 class Engine:
@@ -870,23 +932,17 @@ class Engine:
             if want_timeseries:
                 ts = _TimeSeriesBuilder(params, self._strokes, sigma0, heat_times, cool_times,
                                         correlations)
-        interior = (_interior_count(params.tau_h, samples[0], params.sample_dt),
-                    _interior_count(params.tau_c, samples[1], params.sample_dt))
         runs = _run_engines(
             self._strokes, sigma0[None], totals=np.array([total]),
-            eps_stop=np.array([eps_stop]), interior=interior, times=times,
+            eps_stop=np.array([eps_stop]), interior=_interior_counts(params, samples),
+            times=times,
             correlations=correlations, keep_records=keep_records, series=ts)
-
-        simulated = int(runs.simulated[0])
-        probe_seen = bool(runs.probe[0])
-        stop_reason = ("work_non_negative" if probe_seen else
-                       "fixed_cycles" if isinstance(params.stop, FixedCycles) else "cycle_cap")
 
         flat = runs.columns[0]
         records: list[CycleRecord] = []
         if keep_records:
             w_cum = 0.0
-            for i in range(simulated):
+            for i in range(int(runs.simulated[0])):
                 row = {name: float(flat[name][i]) for name in _RECORD_FLOATS}
                 w_cum += row["w_cycle"]
                 (d12, d23, d13), (n12, n23, n13) = flat["disc"][i].tolist(), flat["neg"][i].tolist()
@@ -894,21 +950,31 @@ class Engine:
                     index=i, **row, w_cum=w_cum,
                     eta=efficiency(row["w_cycle"], row["du"], row["q1"], row["q2"]).value,
                     d12_max=d12, d23_max=d23, d13_max=d13, n12_max=n12, n23_max=n23, n13_max=n13))
-        probe = records.pop() if keep_records and probe_seen else None
+        probe = records.pop() if keep_records and runs.probe[0] else None
+        return _result(params, runs, 0, self.sigma_initial, CovarianceMatrix(runs.sigma[0]),
+                       records, probe, ts.finish() if ts is not None else None)
 
-        return EngineResult(
-            params=params,
-            records=tuple(records),
-            probe=probe,
-            stop_reason=stop_reason,
-            n_cycles=simulated - int(probe_seen),
-            w_total=runs.w_total(0),
-            timeseries=ts.finish() if ts is not None else None,
-            sigma_initial=self.sigma_initial,
-            sigma_final=CovarianceMatrix(runs.sigma[0]),
-            discord_max=tuple(runs.disc_max[0].tolist()),
-            negativity_max=tuple(runs.neg_max[0].tolist()),
-        )
+
+def _result(params: EngineParams, runs: _Runs, e: int, sigma_initial: CovarianceMatrix,
+            sigma_final: CovarianceMatrix, records: Sequence[CycleRecord] = (),
+            probe: Optional[CycleRecord] = None,
+            timeseries: Optional[TimeSeries] = None) -> EngineResult:
+    """The EngineResult of engine e of the stepping loop's outcome."""
+    probe_seen = bool(runs.probe[e])
+    return EngineResult(
+        params=params,
+        records=tuple(records),
+        probe=probe,
+        stop_reason=("work_non_negative" if probe_seen else
+                     "fixed_cycles" if isinstance(params.stop, FixedCycles) else "cycle_cap"),
+        n_cycles=int(runs.simulated[e]) - probe_seen,
+        w_total=runs.w_total(e),
+        timeseries=timeseries,
+        sigma_initial=sigma_initial,
+        sigma_final=sigma_final,
+        discord_max=tuple(runs.disc_max[e].tolist()),
+        negativity_max=tuple(runs.neg_max[e].tolist()),
+    )
 
 
 class _TimeSeriesBuilder:
@@ -980,7 +1046,7 @@ class _TimeSeriesBuilder:
         e1, e2, e3 = [], [], []
         for (_, times, weights, wsq, _), (sig, e_start), inner in zip(
                 self._strokes, starts, interiors):
-            s = sig[:, :, 0, :m]
+            s = sig[:, :, :m]
             e1.append(_energy(s, 0, self._w1sq)[:, None])
             e2.append(e_start[0, :m, None])
             e3.append(_energy(s, 2, self._w3sq)[:, None])
@@ -998,7 +1064,7 @@ class _TimeSeriesBuilder:
                 else [src[:, self._points].reshape(-1, 3) for src in (neg, disc)])
         self._rows.append((t.reshape(-1), *energies, *corr))
         scored = None if neg is None else (neg[m - 1, -1], disc[m - 1, -1])
-        self._end = (t_cycle[m], chunk.sig_e[:, :, 0, m - 1],
+        self._end = (t_cycle[m], chunk.sig_e[:, :, m - 1],
                      chunk.e_e[0, m - 1], scored)
 
     def finish(self) -> TimeSeries:
@@ -1014,6 +1080,12 @@ class _TimeSeriesBuilder:
                           n12=neg[:, 0], n23=neg[:, 1], n13=neg[:, 2])
 
 
+def _interior_counts(params: EngineParams, samples: tuple[int, int]) -> tuple[int, int]:
+    """Interior sample points of the heating and of the cooling stroke."""
+    return (_interior_count(params.tau_h, samples[0], params.sample_dt),
+            _interior_count(params.tau_c, samples[1], params.sample_dt))
+
+
 def _coupling_times(params: EngineParams,
                     samples: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Interior sample instants of the heating and of the cooling stroke."""
@@ -1026,8 +1098,12 @@ def run_reduced(params: EngineParams, *, correlations: bool = True) -> EngineRes
 
     Intended for parameter scans and optimization loops: totals, cycle
     count and run-level correlation maxima survive; per-cycle records and
-    the time series are dropped.
+    the time series are dropped.  On a lane of run_lanes, the engine joins
+    its lanes' next ensemble, with the same result.
     """
+    submit = getattr(_lane, "submit", None)
+    if submit is not None:
+        return submit(params, correlations)
     return Engine(params).run(want_timeseries=False, correlations=correlations,
                               keep_records=False)
 
@@ -1042,7 +1118,33 @@ class EnsembleTotals:
     negativity_max: np.ndarray  # (E, 3)
 
 
-def run_reduced_ensemble(params: Sequence[EngineParams]) -> EnsembleTotals:
+def _cohorts(params: Sequence[EngineParams], sigma0: np.ndarray,
+             correlations: bool) -> Iterator[tuple[list[int], _Runs]]:
+    """Run run_reduced's engines together, _ENSEMBLE_SIZE at a time; yields
+    the positions and the outcome of each cohort, engines with the same
+    ramp mode and interior point counts, which share stacks."""
+    for lo in range(0, len(params), _ENSEMBLE_SIZE):
+        cohorts: dict[tuple, list[int]] = {}
+        for e in range(lo, min(lo + _ENSEMBLE_SIZE, len(params))):
+            interior = _interior_counts(params[e], _REDUCED_SAMPLES)
+            cohorts.setdefault((params[e].ramp, interior), []).append(e)
+        for (_, interior), rows in cohorts.items():
+            group = [params[e] for e in rows]
+            limits = [_stop_limits(p) for p in group]
+            times = None
+            if correlations:  # the interior instants are read
+                times = tuple(np.stack(t) for t in
+                              zip(*(_coupling_times(p, _REDUCED_SAMPLES) for p in group)))
+            yield rows, _run_engines(
+                _Strokes(group, ids=rows), sigma0[rows],
+                totals=np.array([total for total, _ in limits]),
+                eps_stop=np.array([eps for _, eps in limits]),
+                interior=interior, times=times, correlations=correlations,
+                keep_records=False)
+
+
+def run_reduced_ensemble(params: Sequence[EngineParams], *,
+                         correlations: bool = True) -> EnsembleTotals:
     """run_reduced for many engines at once, stepped together in lockstep.
 
     Every engine gets exactly the numbers run_reduced gives it alone: the
@@ -1058,29 +1160,135 @@ def run_reduced_ensemble(params: Sequence[EngineParams]) -> EnsembleTotals:
     w_total = np.zeros(n_eng)
     disc_max = np.zeros((n_eng, 3))
     neg_max = np.zeros((n_eng, 3))
-    for lo in range(0, n_eng, _ENSEMBLE_SIZE):
-        block = range(lo, min(lo + _ENSEMBLE_SIZE, n_eng))
-        times = {e: _coupling_times(params[e], _REDUCED_SAMPLES) for e in block}
-        # Engines with the same ramp mode and interior point counts share stacks.
-        cohorts: dict[tuple, list[int]] = {}
-        for e in block:
-            heat, cool = times[e]
-            cohorts.setdefault((params[e].ramp, heat.size, cool.size), []).append(e)
-        for rows in cohorts.values():
-            group = [params[e] for e in rows]
-            limits = [_stop_limits(p) for p in group]
-            runs = _run_engines(
-                _Strokes(group, ids=rows), sigma0[rows],
-                totals=np.array([total for total, _ in limits]),
-                eps_stop=np.array([eps for _, eps in limits]),
-                interior=(times[rows[0]][0].size, times[rows[0]][1].size),
-                times=(np.stack([times[e][0] for e in rows]),
-                       np.stack([times[e][1] for e in rows])),
-                correlations=True, keep_records=False)
-            final[rows] = runs.sigma
-            n_cycles[rows] = runs.simulated - runs.probe
-            w_total[rows] = [runs.w_total(k) for k in range(len(rows))]
-            disc_max[rows] = runs.disc_max
-            neg_max[rows] = runs.neg_max
+    for rows, runs in _cohorts(params, sigma0, correlations):
+        final[rows] = runs.sigma
+        n_cycles[rows] = runs.simulated - runs.probe
+        w_total[rows] = [runs.w_total(k) for k in range(len(rows))]
+        disc_max[rows] = runs.disc_max
+        neg_max[rows] = runs.neg_max
     validate_covariances(final)
     return EnsembleTotals(n_cycles, w_total, disc_max, neg_max)
+
+
+# The run_reduced calls of a lane thread go to its lanes (run_lanes).
+_lane = threading.local()
+
+
+class _Cancelled(BaseException):
+    """Unwinds a lane whose pending engine will never run."""
+
+
+class _Lanes:
+    """Lane threads that run one at a time, handing over at each run_reduced
+    call; the calling thread runs the pending engines of a round together.
+
+    Only the thread holding the turn touches this state.  A thread waits
+    for the turn on a lock of its own, held until the turn comes: the
+    turn passes from each lane to the next live one and from the last to
+    the caller.
+    """
+
+    def __init__(self, jobs: Sequence[Sequence[Callable[[], T]]]) -> None:
+        self.jobs = jobs
+        self.results: list[list[T]] = [[] for _ in jobs]
+        self.done = [False] * len(jobs)
+        self.error: list[Optional[BaseException]] = [None] * len(jobs)
+        self.pending: list[Optional[tuple[EngineParams, bool]]] = [None] * len(jobs)
+        self.reply: list[Union[EngineResult, type[_Cancelled], None]] = [None] * len(jobs)
+        self.turn = [_held_lock() for _ in jobs]
+        self.caller = _held_lock()
+
+    def pass_turn(self, i: int) -> None:
+        """Hand the turn from lane i to the next live lane, or to the caller."""
+        for j in range(i + 1, len(self.jobs)):
+            if not self.done[j]:
+                self.turn[j].release()
+                return
+        self.caller.release()
+
+    def lane(self, i: int) -> None:
+        _lane.submit = functools.partial(self.submit, i)
+        self.turn[i].acquire()
+        try:
+            for job in self.jobs[i]:
+                self.results[i].append(job())
+        except _Cancelled:
+            pass
+        except BaseException as exc:  # raised again on the calling thread
+            self.error[i] = exc
+        finally:
+            self.done[i] = True
+            self.pass_turn(i)
+
+    def submit(self, i: int, params: EngineParams, correlations: bool) -> EngineResult:
+        self.pending[i] = (params, correlations)
+        self.pass_turn(i)
+        self.turn[i].acquire()
+        reply, self.reply[i] = self.reply[i], None
+        if reply is _Cancelled:
+            raise _Cancelled
+        return reply
+
+    def run_round(self, live: list[int]) -> None:
+        """Run the pending engines of lanes `live`, grouped by correlations."""
+        for flag in (False, True):
+            group = [i for i in live if self.pending[i][1] is flag]
+            if not group:
+                continue
+            params = [self.pending[i][0] for i in group]
+            initial = [product_state(p.prep) for p in params]
+            sigma0 = np.array([s.matrix for s in initial])
+            for rows, runs in _cohorts(params, sigma0, flag):
+                final = CovarianceMatrix.stack(runs.sigma)
+                for k, e in enumerate(rows):
+                    self.reply[group[e]] = _result(params[e], runs, k, initial[e], final[k])
+
+
+def _held_lock() -> threading.Lock:
+    lock = threading.Lock()
+    lock.acquire()
+    return lock
+
+
+def run_lanes(jobs: Sequence[Sequence[Callable[[], T]]]) -> list[list[T]]:
+    """Run each lane's jobs in order, each lane on a thread of its own;
+    returns each lane's results.
+
+    The lanes run one at a time, in rounds: each lane runs until its next
+    run_reduced call, then hands over to the next lane.  When every lane
+    still running waits on an engine, the calling thread runs those engines
+    together as one ensemble (run_reduced_ensemble's stepping), hands each
+    its EngineResult and starts the next round.  So a lane sees exactly
+    what it would running alone, and the heavy arrays are all made on the
+    calling thread.  The first error of a round, a lane's (in lane order)
+    or the ensemble's, unwinds every lane and is raised here once no lane
+    thread is left.
+    """
+    lanes = _Lanes(jobs)
+    threads = [threading.Thread(target=lanes.lane, args=(i,), name=f"otto3-lane-{i}",
+                                daemon=True) for i in range(len(jobs))]
+    for t in threads:
+        t.start()
+    live = list(range(len(jobs)))
+    while live:
+        lanes.turn[live[0]].release()
+        lanes.caller.acquire()
+        live = [i for i in live if not lanes.done[i]]
+        try:
+            error = next((e for e in lanes.error if e is not None), None)
+            if error is not None:
+                raise error
+            if live:
+                lanes.run_round(live)
+        except BaseException:
+            if live:
+                for i in live:
+                    lanes.reply[i] = _Cancelled
+                lanes.turn[live[0]].release()
+                lanes.caller.acquire()
+            for t in threads:
+                t.join()
+            raise
+    for t in threads:
+        t.join()
+    return lanes.results

@@ -11,7 +11,11 @@ Nelder-Mead from several seeded starting points, or optionally with
 differential evolution.  The landscape oscillates strongly along tau_comp,
 whose value sets the medium's dynamical phase between coupling strokes, so
 restarts are spread over the best of a coarse seeded presample rather than
-blind uniform draws.
+blind uniform draws.  The restarts that the evaluation budget cannot cut
+run side by side, each on a thread of its own (engine.run_lanes), and
+their evaluations run as one ensemble per round; every restart sees what
+it would see alone, and the trace records the restarts' values in restart
+order, so the outcome is that of running them one after another.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ OMEGA3_RANGE = (0.01, 0.99)
 # one draw in four.
 MAX_DRAWS = 10_000
 METHODS = ("nelder-mead", "differential-evolution")
+# Nelder-Mead restarts run side by side, as lanes of engine.run_lanes: an
+# ensemble of this many engines per round.
+_RESTART_THREADS = 16
 
 # Draw order within one sample's substream; omega3 comes last when boxed.
 DIMENSIONS = ("alpha12", "alpha23", "tau_h", "tau_c", "tau_comp", "omega3")
@@ -294,10 +301,22 @@ class _Tracker:
             self.trace.append((self.count, value))
 
 
+Fn = Callable[[np.ndarray], float]
+
+
+def _recorded(fn: Fn, record: Callable[[float], None]) -> Fn:
+    """fn, passing every value it returns to record."""
+    def evaluate(x: np.ndarray) -> float:
+        value = fn(x)
+        record(value)
+        return value
+
+    return evaluate
+
+
 def _objective_fn(box: ParameterBox, free: list[str], fixed: dict[str, float],
                   family: PrepFamily, beta1: float, ramp: RampMode,
-                  max_cycles: int, objective: Objective,
-                  tracker: Optional[_Tracker]) -> Callable[[np.ndarray], float]:
+                  max_cycles: int, objective: Objective) -> Fn:
     def evaluate(x: np.ndarray) -> float:
         values = dict(fixed)
         for name, xi in zip(free, x):
@@ -306,8 +325,6 @@ def _objective_fn(box: ParameterBox, free: list[str], fixed: dict[str, float],
         value = run_reduced(params, correlations=False).w_total
         if objective is Objective.WORK_ERGOTROPY_RATIO:
             value /= _ergotropy_cached(params.prep)
-        if tracker is not None:
-            tracker.record(value)
         return value
 
     return evaluate
@@ -349,8 +366,8 @@ def optimize(*, omega3: Optional[float] = None, box: Optional[ParameterBox] = No
             free.append(name)
 
     tracker = _Tracker()
-    fn = _objective_fn(box, free, fixed, family, beta1, ramp, max_cycles,
-                       objective, tracker)
+    value_of = _objective_fn(box, free, fixed, family, beta1, ramp, max_cycles, objective)
+    fn = _recorded(value_of, tracker.record)
     bounds = [box.interval(name) for name in free]
 
     if not free:
@@ -360,7 +377,7 @@ def optimize(*, omega3: Optional[float] = None, box: Optional[ParameterBox] = No
         x_best, value, converged = _run_de(fn, bounds, seed, budget, tracker)
     else:
         x_best, value, converged = _run_nelder_mead(
-            fn, bounds, seed, budget, restarts, tracker)
+            value_of, bounds, seed, budget, restarts, tracker)
 
     values = dict(fixed)
     for name, xi in zip(free, x_best):
@@ -374,9 +391,22 @@ def optimize(*, omega3: Optional[float] = None, box: Optional[ParameterBox] = No
         trace=tuple(tracker.trace))
 
 
-def _run_nelder_mead(fn, bounds, seed: int, budget: int, restarts: int,
+def _run_nelder_mead(value_of: Fn, bounds, seed: int, budget: int, restarts: int,
                      tracker: _Tracker) -> tuple[np.ndarray, float, bool]:
-    """Presample the box, then polish the best candidates with Nelder-Mead."""
+    """Presample the box, then polish the best candidates with Nelder-Mead.
+
+    Restart k starts from the k-th best candidate with at most per_restart
+    evaluations, fewer when the budget has less left.  The restarts that
+    the budget cannot cut, n_pre + (k + 1) * per_restart <= budget (scipy's
+    Nelder-Mead never exceeds maxfev), depend on nothing another restart
+    does, so they run as the lanes of engine.run_lanes, at most
+    _RESTART_THREADS of them, lane t taking restarts t,
+    t + _RESTART_THREADS, ... in turn; their evaluations run as ensembles.
+    Each restart's values are then recorded in restart order, exactly as
+    running the restarts one after another records them.  Later restarts
+    run one after another.
+    """
+    fn = _recorded(value_of, tracker.record)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     n_pre = min(max(4 * restarts, 64), max(1, budget // 2))
@@ -386,16 +416,31 @@ def _run_nelder_mead(fn, bounds, seed: int, budget: int, restarts: int,
     order = np.argsort(scores)
 
     per_restart = max(len(bounds) + 2, (budget - n_pre) // restarts)
+    tolerances = {"xatol": 1e-6, "fatol": 1e-10}
+
+    def polish(k: int, fn: Fn, maxfev: int):
+        return minimize(fn, candidates[order[k % n_pre]], method="Nelder-Mead",
+                        bounds=bounds, options={"maxfev": maxfev, **tolerances})
+
+    uncut = min(restarts, (budget - n_pre) // per_restart)
+    values: list[list[float]] = [[] for _ in range(uncut)]
+    lanes = [[functools.partial(polish, k, _recorded(value_of, values[k].append), per_restart)
+              for k in range(t, uncut, _RESTART_THREADS)]
+             for t in range(min(uncut, _RESTART_THREADS))]
+    polished = engine.run_lanes(lanes)
+    results = [polished[k % _RESTART_THREADS][k // _RESTART_THREADS] for k in range(uncut)]
+    for k in range(uncut):
+        for value in values[k]:
+            tracker.record(value)
+    for k in range(uncut, restarts):
+        if tracker.count >= budget:
+            break
+        results.append(polish(k, fn, min(per_restart, budget - tracker.count)))
+
     best_x = candidates[order[0]]
     best_v = float(scores[order[0]])
     converged = False
-    for k in range(restarts):
-        if tracker.count >= budget:
-            break
-        x0 = candidates[order[k % n_pre]]
-        res = minimize(fn, x0, method="Nelder-Mead", bounds=bounds,
-                       options={"maxfev": min(per_restart, budget - tracker.count),
-                                "xatol": 1e-6, "fatol": 1e-10})
+    for res in results:
         if res.fun < best_v:
             best_v, best_x = float(res.fun), np.asarray(res.x)
         converged = converged or bool(res.success)

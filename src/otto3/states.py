@@ -124,6 +124,20 @@ class CovarianceMatrix:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "_nus", nus)
 
+    @classmethod
+    def stack(cls, mats: np.ndarray) -> list[CovarianceMatrix]:
+        """One instance per matrix of a (E, 2n, 2n) stack, validated as a
+        stack (validate_covariances) rather than one by one."""
+        mats, nus = _validated(mats)
+        mats.flags.writeable = nus.flags.writeable = False
+        out = []
+        for mat, nu in zip(mats, nus):
+            instance = object.__new__(cls)
+            object.__setattr__(instance, "matrix", mat)
+            object.__setattr__(instance, "_nus", nu)
+            out.append(instance)
+        return out
+
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if dtype is not None and dtype != self.matrix.dtype:
             return self.matrix.astype(dtype)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import settings
 
 from otto3.engine import Engine, EngineResult, FixedCycles
-from otto3.explore import PrepFamily, random_scan
+from otto3.explore import PrepFamily, optimize, random_scan
 
-from helpers import optimized_params
+from helpers import SWEEP_OMEGA3, SWEEP_OPTIMIZE, optimized_params
 
 # Property tests draw the same examples on every run and host: examples
 # come from each test's own source, never from a stored database, and a
@@ -54,3 +54,9 @@ def thermal_scan_10k():
 @pytest.fixture(scope="session")
 def squeezed_scan_10k():
     return random_scan(10_000, 12345, family=PrepFamily.SQUEEZED, beta1=0.01)
+
+
+@pytest.fixture(scope="session")
+def sweep_outcomes():
+    """optimize() at every point of configs/ratio_sweep.json."""
+    return tuple(optimize(omega3=w3, **SWEEP_OPTIMIZE) for w3 in SWEEP_OMEGA3)

@@ -6,7 +6,9 @@ inputs are pinned here; they guard against silent regressions.
 """
 
 import heapq
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -17,7 +19,7 @@ from scipy.linalg import expm
 from otto3 import engine
 from otto3.correlations import _PURE_B_TOL
 from otto3.engine import Engine, EngineParams, FixedCycles, WorkNonNegative
-from otto3.explore import DIMENSIONS, OMEGA3_RANGE, ParameterBox, PrepFamily
+from otto3.explore import DIMENSIONS, OMEGA3_RANGE, Objective, ParameterBox, PrepFamily
 from otto3.propagators import RampMode
 from otto3.states import SqueezedVacuum, product_state, symplectic_form, thermal_preparation
 
@@ -47,6 +49,38 @@ OPT_TAU_COMP = 85.02
 OPT_TAU_H = 0.59
 OPT_TAU_C = 0.9996
 OPT_BETA1 = 0.01
+
+
+# omega3 points of configs/ratio_sweep.json and the optimize() arguments of each
+SWEEP_OMEGA3 = (0.1, 0.3, 0.5, 0.7, 0.9)
+SWEEP_OPTIMIZE = dict(objective=Objective.WORK_ERGOTROPY_RATIO, budget=3000, restarts=16, seed=0)
+
+# optimize() outcomes of the sweep points and of two smaller runs, frozen
+# from the code that ran the Nelder-Mead restarts one after another
+FROZEN_OPTIMIZE = Path(__file__).resolve().parent / "data" / "optimize_frozen.json"
+
+
+def frozen_optimize_runs():
+    """[(optimize() keyword arguments, frozen outcome digest)] of FROZEN_OPTIMIZE."""
+    with open(FROZEN_OPTIMIZE) as fh:
+        runs = json.load(fh)
+    out = []
+    for run in runs:
+        kwargs = dict(run.pop("kwargs"))
+        if "objective" in kwargs:
+            kwargs["objective"] = Objective(kwargs["objective"])
+        out.append((kwargs, run))
+    return out
+
+
+def optimize_digest(outcome):
+    """What FROZEN_OPTIMIZE keeps of an OptimizeOutcome, exactly."""
+    return {
+        "evaluations": outcome.evaluations, "converged": outcome.converged,
+        "value": outcome.value, "w_total": outcome.w_total, "cycles": outcome.cycles,
+        "best_params": {name: getattr(outcome.best_params, name) for name in DIMENSIONS[:5]},
+        "trace": [list(point) for point in outcome.trace],
+    }
 
 
 def optimized_params(stop=None, alpha23=OPT_ALPHA23, ramp=RampMode.QUASI_STATIC):

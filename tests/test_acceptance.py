@@ -21,7 +21,6 @@ from otto3.analytics import (WeakCouplingInput, extraction_threshold,
 from otto3.correlations import pair_correlations, pt_smallest_eigenvalue
 from otto3.energetics import ergotropy, mode_energy
 from otto3.engine import Engine, EngineParams, FixedCycles
-from otto3.explore import Objective, optimize
 from otto3.propagators import (CouplingSide, RampMode, RampSchedule,
                                coupling_propagator, coupling_propagators_at,
                                ode_propagator, ramp_propagator)
@@ -35,7 +34,6 @@ from helpers import (C1_BETA_001, ERGOTROPY_BASELINE, W_TOTAL_BASELINE,
 
 PAIR12 = np.ix_((0, 1, 3, 4), (0, 1, 3, 4))
 
-SWEEP_OMEGA3 = (0.1, 0.3, 0.5, 0.7, 0.9)
 SWEEP_RATIOS = (0.9099, 0.7189, 0.5198, 0.3151, 0.1060)
 
 
@@ -50,13 +48,8 @@ def thermal_prep(c1: float, omega3: float) -> Preparation:
 
 
 @pytest.fixture(scope="module")
-def ratio_sweep():
-    ratios = []
-    for w3 in SWEEP_OMEGA3:
-        out = optimize(omega3=w3, objective=Objective.WORK_ERGOTROPY_RATIO,
-                       budget=3000, restarts=16, seed=0)
-        ratios.append(-out.ratio)
-    return tuple(ratios)
+def ratio_sweep(sweep_outcomes):
+    return tuple(-out.ratio for out in sweep_outcomes)
 
 
 def test_c01_pinned_operating_point(optimized_run):

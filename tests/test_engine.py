@@ -558,20 +558,25 @@ def mixed_ensemble():
     ]
 
 
-def assert_ensemble_matches_lone_runs(params):
-    totals = run_reduced_ensemble(params)
+def assert_ensemble_matches_lone_runs(params, correlations=True):
+    totals = run_reduced_ensemble(params, correlations=correlations)
     for e, p in enumerate(params):
-        alone = run_reduced(p)
+        alone = run_reduced(p, correlations=correlations)
         assert totals.n_cycles[e] == alone.n_cycles
         assert totals.w_total[e] == alone.w_total
-        assert tuple(totals.discord_max[e]) == alone.discord_max
-        assert tuple(totals.negativity_max[e]) == alone.negativity_max
+        # NaN maxima without correlations: compare them as bytes
+        assert totals.discord_max[e].tobytes() == np.array(alone.discord_max).tobytes()
+        assert totals.negativity_max[e].tobytes() == np.array(alone.negativity_max).tobytes()
 
 
 class TestReducedEnsemble:
     def test_each_engine_gets_what_run_reduced_gives_it(self, monkeypatch):
         monkeypatch.setattr(engine, "_ENSEMBLE_SIZE", 4)
         assert_ensemble_matches_lone_runs(mixed_ensemble())
+
+    def test_each_engine_gets_what_run_reduced_gives_it_without_correlations(self, monkeypatch):
+        monkeypatch.setattr(engine, "_ENSEMBLE_SIZE", 4)
+        assert_ensemble_matches_lone_runs(mixed_ensemble(), correlations=False)
 
 
 class TestBoxProperties:
@@ -582,6 +587,13 @@ class TestBoxProperties:
         for p in params:
             records = Engine(p).run(want_timeseries=False).records
             assert np.all(first_law_residuals(records) <= 1e-12)
+
+    @settings(max_examples=40)
+    @given(st.lists(box_engines(), min_size=2, max_size=8))
+    def test_correlation_free_ensemble_equals_lone_runs(self, params):
+        # every work-rule engine is predicted before its first call, and each
+        # engine of a shared call computes only up to its own planned probe
+        assert_ensemble_matches_lone_runs(params, correlations=False)
 
     @settings(max_examples=40)
     @given(box_engines())
@@ -834,6 +846,7 @@ class TestPredictedCalls:
     def test_ensemble_and_scan(self, predictor, monkeypatch):
         params = mixed_ensemble() + [make() for make in self.RUNS.values()]
         plain, planned = self._unpredicted_and(predictor, monkeypatch, lambda: (
-            [column.tobytes() for column in vars(run_reduced_ensemble(params)).values()],
+            [column.tobytes() for correlations in (True, False) for column in
+             vars(run_reduced_ensemble(params, correlations=correlations)).values()],
             repr(random_scan(40, 7, family=PrepFamily.THERMAL, beta1=0.01))))
         assert planned == plain

@@ -1,10 +1,12 @@
 """Seeded-scan determinism and optimizer bookkeeping."""
 
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from otto3.errors import ConfigError
+from otto3.errors import ConfigError, EnergyBalanceError
 from otto3.explore import (DIMENSIONS, Objective, OptimizeOutcome,
                            ParameterBox, PrepFamily, ScanSample, optimize,
                            random_scan)
@@ -15,7 +17,8 @@ from otto3.explore import DEFAULT_BETA1
 from otto3.propagators import RampMode
 
 from helpers import (MATCHED_R1, NBAR_BETA_001, OPT_ALPHA12, OPT_ALPHA23,
-                     OPT_TAU_C, OPT_TAU_COMP, OPT_TAU_H, W_TOTAL_BASELINE)
+                     OPT_TAU_C, OPT_TAU_COMP, OPT_TAU_H, SWEEP_OMEGA3, SWEEP_OPTIMIZE,
+                     W_TOTAL_BASELINE, frozen_optimize_runs, optimize_digest)
 
 RATIO_BASELINE = 0.9098591162635316
 
@@ -279,9 +282,9 @@ class TestOptimize:
         computed, simulated = [], []
         kernel, inner = engine._simulate_chunk, explore.run_reduced
 
-        def counting_kernel(strokes, idx, sigma, span, *args):
-            computed.append(idx.size * sum(span))
-            return kernel(strokes, idx, sigma, span, *args)
+        def counting_kernel(strokes, idx, sigma, span, lengths, *args):
+            computed.append(int(lengths.sum()))
+            return kernel(strokes, idx, sigma, span, lengths, *args)
 
         def counting_run(*args, **kwargs):
             res = inner(*args, **kwargs)
@@ -300,6 +303,111 @@ class TestOptimize:
                        family=PrepFamily.SQUEEZED)
         assert isinstance(out.best_params.prep.modes[0], SqueezedVacuum)
         assert out.w_total < 0.0
+
+
+FROZEN_RUNS = frozen_optimize_runs()
+
+
+class TestRestartLanes:
+    """The Nelder-Mead restarts that the budget cannot cut run side by side,
+    as lanes whose evaluations run as ensembles; no outcome may notice."""
+
+    def test_sweep_points_match_the_frozen_outcomes(self, sweep_outcomes):
+        for w3, out, (kwargs, frozen) in zip(SWEEP_OMEGA3, sweep_outcomes, FROZEN_RUNS):
+            assert kwargs == dict(omega3=w3, **SWEEP_OPTIMIZE)
+            assert optimize_digest(out) == frozen, f"omega3 = {w3}"
+
+    # budget 100: n_pre = 50 and per_restart = 7, so restarts 0-6 run as
+    # lanes and the budget cuts restart 7, which runs after them alone;
+    # restarts 40: three restarts per lane
+    @pytest.mark.parametrize("index, lanes", [(5, 7), (6, explore._RESTART_THREADS)],
+                             ids=["cut-restart", "more-restarts-than-lanes"])
+    def test_small_runs_match_the_frozen_outcomes(self, index, lanes, monkeypatch):
+        kwargs, frozen = FROZEN_RUNS[index]  # after the five sweep points
+        threads = []
+        inner = explore.run_reduced
+
+        def counting(*args, **kw):
+            threads.append(threading.active_count())
+            return inner(*args, **kw)
+
+        monkeypatch.setattr(explore, "run_reduced", counting)
+        before = threading.active_count()
+        out = optimize(**kwargs)
+        assert optimize_digest(out) == frozen
+        assert len(threads) == out.evaluations + 1
+        assert max(threads) - before == lanes
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where, nth", [("ensemble", 1), ("ensemble", 25), ("lane", 300)])
+    def test_a_failure_unwinds_every_lane(self, where, nth, monkeypatch):
+        """The nth kernel call of an ensemble, or the nth evaluation made
+        on a lane, raises: optimize raises that error, with every lane
+        thread gone and none ended by an unhandled exception, and never
+        more than _RESTART_THREADS lanes alive.  (The other lanes of a
+        round still make their evaluations.)  optimize runs on a thread of
+        its own, so that a lane left waiting fails the test instead of
+        hanging it."""
+        calls, caller, raised, threads = 0, None, [], []
+
+        def fail_on_nth():
+            nonlocal calls
+            calls += 1
+            if calls == nth:
+                raise EnergyBalanceError("injected")
+
+        if where == "ensemble":
+            kernel, run_round = engine._simulate_chunk, engine._Lanes.run_round
+            rounds = []
+
+            def in_round(self, live):
+                rounds.append(live)
+                try:
+                    return run_round(self, live)
+                finally:
+                    rounds.pop()
+
+            def failing_kernel(*args):
+                if rounds:
+                    fail_on_nth()
+                return kernel(*args)
+
+            monkeypatch.setattr(engine._Lanes, "run_round", in_round)
+            monkeypatch.setattr(engine, "_simulate_chunk", failing_kernel)
+        inner = explore.run_reduced
+
+        def counting_run(*args, **kwargs):
+            threads.append(threading.active_count())
+            if where == "lane" and threading.current_thread() is not caller:
+                fail_on_nth()
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(explore, "run_reduced", counting_run)
+
+        def run():
+            nonlocal caller
+            caller = threading.current_thread()
+            try:
+                optimize(omega3=0.3, budget=600, restarts=40, seed=1)
+            except EnergyBalanceError as exc:
+                raised.append(exc)
+
+        unhandled = []
+        excepthook, threading.excepthook = threading.excepthook, unhandled.append
+        before = threading.active_count()
+        try:
+            worker = threading.Thread(target=run, daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            threading.excepthook = excepthook
+        assert not worker.is_alive()
+        assert [str(exc) for exc in raised] == ["injected"]
+        assert calls >= nth
+        # the optimizing thread and the lanes besides the threads running before
+        assert max(threads) - before <= 1 + explore._RESTART_THREADS
+        assert threading.active_count() == before
+        assert unhandled == []
 
 
 class TestScanEnsembles:
