@@ -32,23 +32,23 @@ computes no cycle past its own, and a wrong prediction costs time, never
 a number, because the kernel's own w_cycle decides every stop.  Many
 independent engines (a scan) step together along an engine axis through
 the same cycle kernel and stepping loop that run one Engine; no engine's
-numbers depend on the others.  run_lanes gathers the run_reduced calls of
-threads that each run alone (the optimizer's restarts) into such
-ensembles.  Pair correlations move only while a coupling stroke acts
-(ramps drive each oscillator separately, and local maps cannot change a
-two-mode correlation measure), so interior sampling effort goes to the
-coupling strokes; ramp interiors reuse stroke-start correlation values,
-which is exact rather than an approximation.
+numbers depend on the others.  prepared() runs such an ensemble ahead of
+run_reduced calls that each evaluate one of its engines (the optimizer's
+rounds).  Pair correlations move only while a coupling stroke acts (ramps
+drive each oscillator separately, and local maps cannot change a two-mode
+correlation measure), so interior sampling effort goes to the coupling
+strokes; ramp interiors reuse stroke-start correlation values, which is
+exact rather than an approximation.
 """
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import itertools
 import math
-import threading
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -97,8 +97,6 @@ _SPAN_CYCLES = 64
 # Engines per ensemble of run_reduced_ensemble; bounds the stacked stroke
 # maps and cursors of a long scan.
 _ENSEMBLE_SIZE = _CHUNK_MAX
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -1098,14 +1096,22 @@ def run_reduced(params: EngineParams, *, correlations: bool = True) -> EngineRes
 
     Intended for parameter scans and optimization loops: totals, cycle
     count and run-level correlation maxima survive; per-cycle records and
-    the time series are dropped.  On a lane of run_lanes, the engine joins
-    its lanes' next ensemble, with the same result.
+    the time series are dropped.  Inside a prepared(...) block that holds
+    params, the correlation-free result comes from that block's ensemble.
     """
-    submit = getattr(_lane, "submit", None)
-    if submit is not None:
-        return submit(params, correlations)
+    table = _prepared.get()
+    if table is not None and not correlations:
+        result = table.pop(id(params), None)
+        if result is not None:
+            return result
     return Engine(params).run(want_timeseries=False, correlations=correlations,
                               keep_records=False)
+
+
+# The results of the innermost prepared(...) block, by id of their params;
+# each result holds its params, so no id is reused while it is listed.
+_prepared: ContextVar[Optional[dict[int, EngineResult]]] = ContextVar(
+    "otto3_prepared", default=None)
 
 
 @dataclass(frozen=True)
@@ -1170,125 +1176,34 @@ def run_reduced_ensemble(params: Sequence[EngineParams], *,
     return EnsembleTotals(n_cycles, w_total, disc_max, neg_max)
 
 
-# The run_reduced calls of a lane thread go to its lanes (run_lanes).
-_lane = threading.local()
+def _reduced_results(params: Sequence[EngineParams]) -> list[EngineResult]:
+    """run_reduced(p, correlations=False) of every p in params, run as one
+    correlation-free ensemble (run_reduced_ensemble's stepping)."""
+    initial = [product_state(p.prep) for p in params]
+    sigma0 = np.array([s.matrix for s in initial])
+    results: list[Optional[EngineResult]] = [None] * len(params)
+    for rows, runs in _cohorts(params, sigma0, False):
+        final = CovarianceMatrix.stack(runs.sigma)
+        for k, e in enumerate(rows):
+            results[e] = _result(params[e], runs, k, initial[e], final[k])
+    return results
 
 
-class _Cancelled(BaseException):
-    """Unwinds a lane whose pending engine will never run."""
+@contextlib.contextmanager
+def prepared(params: Sequence[EngineParams]) -> Iterator[None]:
+    """Run params as one correlation-free ensemble on entry; inside the
+    block, run_reduced(p, correlations=False) of each of these very objects
+    returns its result, once, with the numbers it computes alone.
 
-
-class _Lanes:
-    """Lane threads that run one at a time, handing over at each run_reduced
-    call; the calling thread runs the pending engines of a round together.
-
-    Only the thread holding the turn touches this state.  A thread waits
-    for the turn on a lock of its own, held until the turn comes: the
-    turn passes from each lane to the next live one and from the last to
-    the caller.
+    Callers that evaluate many points one call at a time (the optimizer)
+    get ensemble throughput this way while still making one run_reduced
+    call per evaluation.  The results are local to the calling context and
+    are dropped when the block ends, normally or by an error.
     """
-
-    def __init__(self, jobs: Sequence[Sequence[Callable[[], T]]]) -> None:
-        self.jobs = jobs
-        self.results: list[list[T]] = [[] for _ in jobs]
-        self.done = [False] * len(jobs)
-        self.error: list[Optional[BaseException]] = [None] * len(jobs)
-        self.pending: list[Optional[tuple[EngineParams, bool]]] = [None] * len(jobs)
-        self.reply: list[Union[EngineResult, type[_Cancelled], None]] = [None] * len(jobs)
-        self.turn = [_held_lock() for _ in jobs]
-        self.caller = _held_lock()
-
-    def pass_turn(self, i: int) -> None:
-        """Hand the turn from lane i to the next live lane, or to the caller."""
-        for j in range(i + 1, len(self.jobs)):
-            if not self.done[j]:
-                self.turn[j].release()
-                return
-        self.caller.release()
-
-    def lane(self, i: int) -> None:
-        _lane.submit = functools.partial(self.submit, i)
-        self.turn[i].acquire()
-        try:
-            for job in self.jobs[i]:
-                self.results[i].append(job())
-        except _Cancelled:
-            pass
-        except BaseException as exc:  # raised again on the calling thread
-            self.error[i] = exc
-        finally:
-            self.done[i] = True
-            self.pass_turn(i)
-
-    def submit(self, i: int, params: EngineParams, correlations: bool) -> EngineResult:
-        self.pending[i] = (params, correlations)
-        self.pass_turn(i)
-        self.turn[i].acquire()
-        reply, self.reply[i] = self.reply[i], None
-        if reply is _Cancelled:
-            raise _Cancelled
-        return reply
-
-    def run_round(self, live: list[int]) -> None:
-        """Run the pending engines of lanes `live`, grouped by correlations."""
-        for flag in (False, True):
-            group = [i for i in live if self.pending[i][1] is flag]
-            if not group:
-                continue
-            params = [self.pending[i][0] for i in group]
-            initial = [product_state(p.prep) for p in params]
-            sigma0 = np.array([s.matrix for s in initial])
-            for rows, runs in _cohorts(params, sigma0, flag):
-                final = CovarianceMatrix.stack(runs.sigma)
-                for k, e in enumerate(rows):
-                    self.reply[group[e]] = _result(params[e], runs, k, initial[e], final[k])
-
-
-def _held_lock() -> threading.Lock:
-    lock = threading.Lock()
-    lock.acquire()
-    return lock
-
-
-def run_lanes(jobs: Sequence[Sequence[Callable[[], T]]]) -> list[list[T]]:
-    """Run each lane's jobs in order, each lane on a thread of its own;
-    returns each lane's results.
-
-    The lanes run one at a time, in rounds: each lane runs until its next
-    run_reduced call, then hands over to the next lane.  When every lane
-    still running waits on an engine, the calling thread runs those engines
-    together as one ensemble (run_reduced_ensemble's stepping), hands each
-    its EngineResult and starts the next round.  So a lane sees exactly
-    what it would running alone, and the heavy arrays are all made on the
-    calling thread.  The first error of a round, a lane's (in lane order)
-    or the ensemble's, unwinds every lane and is raised here once no lane
-    thread is left.
-    """
-    lanes = _Lanes(jobs)
-    threads = [threading.Thread(target=lanes.lane, args=(i,), name=f"otto3-lane-{i}",
-                                daemon=True) for i in range(len(jobs))]
-    for t in threads:
-        t.start()
-    live = list(range(len(jobs)))
-    while live:
-        lanes.turn[live[0]].release()
-        lanes.caller.acquire()
-        live = [i for i in live if not lanes.done[i]]
-        try:
-            error = next((e for e in lanes.error if e is not None), None)
-            if error is not None:
-                raise error
-            if live:
-                lanes.run_round(live)
-        except BaseException:
-            if live:
-                for i in live:
-                    lanes.reply[i] = _Cancelled
-                lanes.turn[live[0]].release()
-                lanes.caller.acquire()
-            for t in threads:
-                t.join()
-            raise
-    for t in threads:
-        t.join()
-    return lanes.results
+    table = {id(r.params): r for r in _reduced_results(params)}
+    token = _prepared.set(table)
+    try:
+        yield
+    finally:
+        table.clear()
+        _prepared.reset(token)

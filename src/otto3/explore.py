@@ -12,23 +12,27 @@ differential evolution.  The landscape oscillates strongly along tau_comp,
 whose value sets the medium's dynamical phase between coupling strokes, so
 restarts are spread over the best of a coarse seeded presample rather than
 blind uniform draws.  The restarts that the evaluation budget cannot cut
-run side by side, each on a thread of its own (engine.run_lanes), and
-their evaluations run as one ensemble per round; every restart sees what
-it would see alone, and the trace records the restarts' values in restart
-order, so the outcome is that of running them one after another.
+run side by side on the calling thread, in rounds: each restart is an
+ask/tell port of scipy's bounded Nelder-Mead (_nelder_mead), and the
+points of a round, one per live restart, run as one ensemble
+(engine.prepared).  The presample and each differential-evolution
+generation run as one ensemble too.  Every restart sees what it would see
+alone, and the trace records the restarts' values in restart order, so
+the outcome is that of running them one after another.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Callable, Optional
+from typing import Generator, Optional
 
 import numpy as np
-from scipy.optimize import differential_evolution, minimize
+from scipy.optimize import differential_evolution
 
 from .energetics import ergotropy
 from . import engine
@@ -46,9 +50,6 @@ OMEGA3_RANGE = (0.01, 0.99)
 # one draw in four.
 MAX_DRAWS = 10_000
 METHODS = ("nelder-mead", "differential-evolution")
-# Nelder-Mead restarts run side by side, as lanes of engine.run_lanes: an
-# ensemble of this many engines per round.
-_RESTART_THREADS = 16
 
 # Draw order within one sample's substream; omega3 comes last when boxed.
 DIMENSIONS = ("alpha12", "alpha23", "tau_h", "tau_c", "tau_comp", "omega3")
@@ -301,33 +302,38 @@ class _Tracker:
             self.trace.append((self.count, value))
 
 
-Fn = Callable[[np.ndarray], float]
+@dataclass(frozen=True)
+class _Problem:
+    """The engine and the objective value of each optimizer point."""
 
+    box: ParameterBox
+    free: list[str]
+    fixed: dict[str, float]
+    family: PrepFamily
+    beta1: float
+    ramp: RampMode
+    max_cycles: int
+    objective: Objective
 
-def _recorded(fn: Fn, record: Callable[[float], None]) -> Fn:
-    """fn, passing every value it returns to record."""
-    def evaluate(x: np.ndarray) -> float:
-        value = fn(x)
-        record(value)
-        return value
+    def params(self, x: np.ndarray) -> EngineParams:
+        values = dict(self.fixed)
+        for name, xi in zip(self.free, x):
+            values[name] = self.box.clip(name, float(xi))
+        return _engine_params(values, self.family, self.beta1, self.ramp, self.max_cycles)
 
-    return evaluate
-
-
-def _objective_fn(box: ParameterBox, free: list[str], fixed: dict[str, float],
-                  family: PrepFamily, beta1: float, ramp: RampMode,
-                  max_cycles: int, objective: Objective) -> Fn:
-    def evaluate(x: np.ndarray) -> float:
-        values = dict(fixed)
-        for name, xi in zip(free, x):
-            values[name] = box.clip(name, float(xi))
-        params = _engine_params(values, family, beta1, ramp, max_cycles)
+    def value(self, params: EngineParams) -> float:
+        """The objective of one engine: one run_reduced call."""
         value = run_reduced(params, correlations=False).w_total
-        if objective is Objective.WORK_ERGOTROPY_RATIO:
+        if self.objective is Objective.WORK_ERGOTROPY_RATIO:
             value /= _ergotropy_cached(params.prep)
         return value
 
-    return evaluate
+    def values(self, points) -> list[float]:
+        """The objective at each point, in order; their engines run as one
+        ensemble, and each point still makes its own run_reduced call."""
+        params = [self.params(x) for x in points]
+        with engine.prepared(params):
+            return [self.value(p) for p in params]
 
 
 def optimize(*, omega3: Optional[float] = None, box: Optional[ParameterBox] = None,
@@ -366,23 +372,20 @@ def optimize(*, omega3: Optional[float] = None, box: Optional[ParameterBox] = No
             free.append(name)
 
     tracker = _Tracker()
-    value_of = _objective_fn(box, free, fixed, family, beta1, ramp, max_cycles, objective)
-    fn = _recorded(value_of, tracker.record)
+    problem = _Problem(box, free, fixed, family, beta1, ramp, max_cycles, objective)
     bounds = [box.interval(name) for name in free]
 
     if not free:
-        value = fn(np.empty(0))
+        value, = problem.values([np.empty(0)])
+        tracker.record(value)
         x_best, converged = np.empty(0), True
     elif method == "differential-evolution":
-        x_best, value, converged = _run_de(fn, bounds, seed, budget, tracker)
+        x_best, value, converged = _run_de(problem, bounds, seed, budget, tracker)
     else:
         x_best, value, converged = _run_nelder_mead(
-            value_of, bounds, seed, budget, restarts, tracker)
+            problem, bounds, seed, budget, restarts, tracker)
 
-    values = dict(fixed)
-    for name, xi in zip(free, x_best):
-        values[name] = box.clip(name, float(xi))
-    best_params = _engine_params(values, family, beta1, ramp, max_cycles)
+    best_params = problem.params(x_best)
     final = run_reduced(best_params, correlations=False)
     return OptimizeOutcome(
         best_params=best_params, value=value, w_total=final.w_total,
@@ -391,69 +394,188 @@ def optimize(*, omega3: Optional[float] = None, box: Optional[ParameterBox] = No
         trace=tuple(tracker.trace))
 
 
-def _run_nelder_mead(value_of: Fn, bounds, seed: int, budget: int, restarts: int,
+class _MaxFev(Exception):
+    """A Nelder-Mead search asked for an evaluation past its maxfev."""
+
+
+# An ask/tell search: yields points, is sent their values, returns
+# (x, fun, success).
+_Search = Generator[np.ndarray, float, tuple[np.ndarray, float, bool]]
+
+
+def _nelder_mead(x0: np.ndarray, lower: np.ndarray, upper: np.ndarray, maxfev: int,
+                 xatol: float, fatol: float) -> _Search:
+    """Bounded Nelder-Mead as an ask/tell generator: yields each point to
+    evaluate, is sent its value, and returns (x, fun, success).
+
+    A port of scipy 1.17.1's _minimize_neldermead with bounds, maxfev,
+    xatol and fatol (adaptive=False, no maxiter), operation for operation,
+    so it evaluates the same points and returns the same numbers as
+    scipy.optimize.minimize(method="Nelder-Mead"): the initial simplex
+    steps each coordinate by 5% (0.00025 from zero), reflects vertices past
+    the upper bound back inside and clips; every trial point is clipped to
+    the bounds; the evaluation count is checked against maxfev before each
+    evaluation, and a refused evaluation ends the current step.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+    sim = np.where(sim > upper, 2 * upper - sim, sim)
+    sim = np.clip(sim, lower, upper)
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    calls = 0
+
+    def f(x: np.ndarray):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _MaxFev
+        calls += 1
+        return (yield np.copy(x))
+
+    try:
+        for k in range(N + 1):
+            fsim[k] = yield from f(sim[k])
+    except _MaxFev:
+        pass
+    # sorted twice, as scipy does: argsort is not stable
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    while calls < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = np.clip((1 + rho) * xbar - rho * sim[-1], lower, upper)
+            fxr = yield from f(xr)
+            if fxr < fsim[0]:
+                xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lower, upper)
+                fxe = yield from f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lower, upper)
+                    fxc = yield from f(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:  # inside contraction
+                    xcc = np.clip((1 - psi) * xbar + psi * sim[-1], lower, upper)
+                    fxcc = yield from f(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, N + 1):
+                        sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lower, upper)
+                        fsim[j] = yield from f(sim[j])
+        except _MaxFev:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), calls < maxfev
+
+
+def _side_by_side(searches: list[_Search],
+                  problem: _Problem) -> tuple[list, list[list[float]]]:
+    """Run ask/tell searches side by side, in rounds: a round evaluates the
+    pending point of every live search, the points' engines as one
+    ensemble.  Returns each search's result and the values it was sent."""
+    results: list = [None] * len(searches)
+    values: list[list[float]] = [[] for _ in searches]
+    asked = {k: next(search) for k, search in enumerate(searches)}
+    while asked:
+        live = list(asked)
+        for k, value in zip(live, problem.values([asked[k] for k in live])):
+            values[k].append(value)
+            try:
+                asked[k] = searches[k].send(value)
+            except StopIteration as stop:
+                del asked[k]
+                results[k] = stop.value
+    return results, values
+
+
+def _run_nelder_mead(problem: _Problem, bounds, seed: int, budget: int, restarts: int,
                      tracker: _Tracker) -> tuple[np.ndarray, float, bool]:
     """Presample the box, then polish the best candidates with Nelder-Mead.
 
-    Restart k starts from the k-th best candidate with at most per_restart
-    evaluations, fewer when the budget has less left.  The restarts that
-    the budget cannot cut, n_pre + (k + 1) * per_restart <= budget (scipy's
-    Nelder-Mead never exceeds maxfev), depend on nothing another restart
-    does, so they run as the lanes of engine.run_lanes, at most
-    _RESTART_THREADS of them, lane t taking restarts t,
-    t + _RESTART_THREADS, ... in turn; their evaluations run as ensembles.
-    Each restart's values are then recorded in restart order, exactly as
-    running the restarts one after another records them.  Later restarts
-    run one after another.
+    The presample runs as one ensemble.  Restart k starts from the k-th
+    best candidate with at most per_restart evaluations, fewer when the
+    budget has less left.  The restarts that the budget cannot cut,
+    n_pre + (k + 1) * per_restart <= budget (Nelder-Mead never exceeds its
+    maxfev), depend on nothing another restart does, so they run side by
+    side (_side_by_side); each restart's values are then recorded in
+    restart order, exactly as running the restarts one after another
+    records them.  Later restarts run one after another.
     """
-    fn = _recorded(value_of, tracker.record)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     n_pre = min(max(4 * restarts, 64), max(1, budget // 2))
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     candidates = rng.uniform(lo, hi, size=(n_pre, len(bounds)))
-    scores = np.array([fn(c) for c in candidates])
+    scores = np.array(problem.values(candidates))
+    for value in scores.tolist():
+        tracker.record(value)
     order = np.argsort(scores)
 
     per_restart = max(len(bounds) + 2, (budget - n_pre) // restarts)
-    tolerances = {"xatol": 1e-6, "fatol": 1e-10}
-
-    def polish(k: int, fn: Fn, maxfev: int):
-        return minimize(fn, candidates[order[k % n_pre]], method="Nelder-Mead",
-                        bounds=bounds, options={"maxfev": maxfev, **tolerances})
-
     uncut = min(restarts, (budget - n_pre) // per_restart)
-    values: list[list[float]] = [[] for _ in range(uncut)]
-    lanes = [[functools.partial(polish, k, _recorded(value_of, values[k].append), per_restart)
-              for k in range(t, uncut, _RESTART_THREADS)]
-             for t in range(min(uncut, _RESTART_THREADS))]
-    polished = engine.run_lanes(lanes)
-    results = [polished[k % _RESTART_THREADS][k // _RESTART_THREADS] for k in range(uncut)]
-    for k in range(uncut):
-        for value in values[k]:
-            tracker.record(value)
-    for k in range(uncut, restarts):
+    results = []
+    for batch in [range(uncut), *([k] for k in range(uncut, restarts))]:
         if tracker.count >= budget:
             break
-        results.append(polish(k, fn, min(per_restart, budget - tracker.count)))
+        maxfev = min(per_restart, budget - tracker.count)
+        found, values = _side_by_side(
+            [_nelder_mead(candidates[order[k % n_pre]], lo, hi, maxfev, xatol=1e-6, fatol=1e-10)
+             for k in batch], problem)
+        results += found
+        for value in itertools.chain(*values):
+            tracker.record(value)
 
     best_x = candidates[order[0]]
     best_v = float(scores[order[0]])
     converged = False
-    for res in results:
-        if res.fun < best_v:
-            best_v, best_x = float(res.fun), np.asarray(res.x)
-        converged = converged or bool(res.success)
+    for x, fun, success in results:
+        if fun < best_v:
+            best_v, best_x = float(fun), np.asarray(x)
+        converged = converged or bool(success)
     return best_x, best_v, converged
 
 
-def _run_de(fn, bounds, seed: int, budget: int,
+def _run_de(problem: _Problem, bounds, seed: int, budget: int,
             tracker: _Tracker) -> tuple[np.ndarray, float, bool]:
     """Differential evolution in whole generations that fit the budget.
 
     init="sobol" rounds the population up to a power of two (128 for five
-    free parameters), and every generation evaluates all of it once.
+    free parameters), and every generation evaluates all of it once, as
+    one ensemble (vectorized=True hands over the (N, S) member array).
     """
+    def members(xs: np.ndarray) -> np.ndarray:
+        values = problem.values(xs.T)
+        for value in values:
+            tracker.record(value)
+        return np.array(values)
+
     popsize = 15
     population = 1 << (max(5, popsize * len(bounds)) - 1).bit_length()
     if budget < population:
@@ -461,6 +583,6 @@ def _run_de(fn, bounds, seed: int, budget: int,
                           f"population, {population} evaluations, got {budget}")
     maxiter = budget // population - 1
     res = differential_evolution(
-        fn, bounds, seed=seed, maxiter=maxiter, popsize=popsize,
-        polish=False, updating="deferred", init="sobol", tol=1e-8)
+        members, bounds, seed=seed, maxiter=maxiter, popsize=popsize,
+        polish=False, updating="deferred", vectorized=True, init="sobol", tol=1e-8)
     return np.asarray(res.x), float(res.fun), bool(res.success)

@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import pytest
 from hypothesis import settings
+from hypothesis.internal.conjecture import providers as _providers
 
 from otto3.engine import Engine, EngineResult, FixedCycles
 from otto3.explore import PrepFamily, optimize, random_scan
@@ -14,6 +15,14 @@ from helpers import SWEEP_OMEGA3, SWEEP_OPTIMIZE, optimized_params
 # slow example is not an error.
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
+# Hypothesis 6.155 also draws literals that it reads from every loaded
+# module outside site-packages, which would make a test's examples change
+# with any literal in src/ or in another test file, and with which files a
+# run has imported.  Keep the examples a function of the test's own source
+# (releases without that feature need nothing).
+if hasattr(_providers, "_get_local_constants"):
+    _NO_SOURCE_CONSTANTS = _providers.Constants()
+    _providers._get_local_constants = lambda: _NO_SOURCE_CONSTANTS
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import threading
 from pathlib import Path
 
 import mpmath
@@ -577,6 +578,88 @@ class TestReducedEnsemble:
     def test_each_engine_gets_what_run_reduced_gives_it_without_correlations(self, monkeypatch):
         monkeypatch.setattr(engine, "_ENSEMBLE_SIZE", 4)
         assert_ensemble_matches_lone_runs(mixed_ensemble(), correlations=False)
+
+
+def result_bytes(res):
+    """An EngineResult's reduced-run fields, NaN-safe."""
+    return (res.n_cycles, res.stop_reason, np.float64(res.w_total).tobytes(),
+            res.sigma_initial.matrix.tobytes(), res.sigma_final.matrix.tobytes(),
+            np.array(res.discord_max).tobytes(), np.array(res.negativity_max).tobytes())
+
+
+class TestPrepared:
+    """engine.prepared: run_reduced answers from one ensemble inside the block."""
+
+    def test_each_engine_is_served_once_with_its_lone_numbers(self, monkeypatch):
+        params = mixed_ensemble()
+        lone = [result_bytes(run_reduced(p, correlations=False)) for p in params]
+        calls, kernel = [], engine._simulate_chunk
+
+        def counting(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(engine, "_simulate_chunk", counting)
+        with engine.prepared(params):
+            del calls[:]
+            served = [result_bytes(run_reduced(p, correlations=False)) for p in params]
+            assert calls == [], "a prepared engine was run again"
+            for again in (lambda: run_reduced(params[0], correlations=False),
+                          lambda: run_reduced(params[1]),
+                          lambda: run_reduced(dataclasses.replace(params[2]),
+                                              correlations=False)):
+                del calls[:]
+                again()
+                assert calls, "served twice, with correlations or to an equal copy"
+        assert served == lone
+        assert engine._prepared.get() is None
+
+    def test_the_results_are_local_to_the_calling_context(self):
+        params = mixed_ensemble()[:2]
+        seen = []
+        with engine.prepared(params):
+            worker = threading.Thread(target=lambda: seen.append(engine._prepared.get()))
+            worker.start()
+            worker.join()
+            assert seen == [None]
+            assert len(engine._prepared.get()) == 2
+
+    def test_an_error_in_the_block_drops_the_results(self):
+        params = mixed_ensemble()[:2]
+        with pytest.raises(KeyError):
+            with engine.prepared(params):
+                table = engine._prepared.get()
+                raise KeyError("in the block")
+        assert table == {} and engine._prepared.get() is None
+
+
+# Box draws on which both box properties below fail, by the refusals of
+# parametrically unstable Airy engines (CHANGES.md FOUND): a physical final
+# state refused by the scale-blind uncertainty check, and pair scores that
+# are not finite once the entries pass about 1e9.
+UNSTABLE_BOX_DRAWS = {
+    "uncertainty-check": ([
+        EngineParams(prep=thermal_preparation(beta1=0.01, omega3=0.5), alpha12=0.03125,
+                     alpha23=0.03125, tau_comp=1.0, tau_h=1.0, tau_c=1.0,
+                     ramp=RampMode.SUDDEN, stop=WorkNonNegative(), max_cycles=1),
+        EngineParams(prep=thermal_preparation(beta1=0.01, omega3=0.5), alpha12=0.0234375,
+                     alpha23=0.0390625, tau_comp=1.5, tau_h=0.5, tau_c=1.0,
+                     ramp=RampMode.LINEAR_AIRY, stop=FixedCycles(38), max_cycles=38),
+    ], False),
+    "non-finite-scores": ([
+        EngineParams(prep=thermal_preparation(beta1=0.01, omega3=0.125), alpha12=0.03125,
+                     alpha23=0.03125, tau_comp=2.0, tau_h=0.5, tau_c=1.0,
+                     ramp=RampMode.LINEAR_AIRY, stop=FixedCycles(16), max_cycles=16),
+    ], True),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=PhysicalityError,
+                   reason="unstable Airy engines are refused (CHANGES.md FOUND)")
+@pytest.mark.parametrize("draw", list(UNSTABLE_BOX_DRAWS))
+def test_unstable_airy_box_draws_match_their_lone_runs(draw):
+    params, correlations = UNSTABLE_BOX_DRAWS[draw]
+    assert_ensemble_matches_lone_runs(params, correlations=correlations)
 
 
 class TestBoxProperties:

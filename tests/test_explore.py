@@ -309,105 +309,101 @@ FROZEN_RUNS = frozen_optimize_runs()
 
 
 class TestRestartLanes:
-    """The Nelder-Mead restarts that the budget cannot cut run side by side,
-    as lanes whose evaluations run as ensembles; no outcome may notice."""
+    """The Nelder-Mead restarts that the budget cannot cut run side by side
+    on the calling thread, each a lane of one ensemble per round, as does
+    each differential-evolution generation; no outcome may notice."""
 
     def test_sweep_points_match_the_frozen_outcomes(self, sweep_outcomes):
         for w3, out, (kwargs, frozen) in zip(SWEEP_OMEGA3, sweep_outcomes, FROZEN_RUNS):
             assert kwargs == dict(omega3=w3, **SWEEP_OPTIMIZE)
             assert optimize_digest(out) == frozen, f"omega3 = {w3}"
 
-    # budget 100: n_pre = 50 and per_restart = 7, so restarts 0-6 run as
-    # lanes and the budget cuts restart 7, which runs after them alone;
-    # restarts 40: three restarts per lane
-    @pytest.mark.parametrize("index, lanes", [(5, 7), (6, explore._RESTART_THREADS)],
-                             ids=["cut-restart", "more-restarts-than-lanes"])
-    def test_small_runs_match_the_frozen_outcomes(self, index, lanes, monkeypatch):
+    # budget 100: n_pre = 50 and per_restart = 7, so restarts 0-6 run in
+    # rounds and the budget cuts restart 7, which runs after them alone;
+    # restarts 40: forty lanes per round; budget 384: three generations
+    @pytest.mark.parametrize("index", [5, 6, 7],
+                             ids=["cut-restart", "forty-restarts", "differential-evolution"])
+    def test_small_runs_match_the_frozen_outcomes(self, index, monkeypatch):
         kwargs, frozen = FROZEN_RUNS[index]  # after the five sweep points
-        threads = []
-        inner = explore.run_reduced
+        threads, started = [], []
+        inner, start = explore.run_reduced, threading.Thread.start
 
         def counting(*args, **kw):
             threads.append(threading.active_count())
             return inner(*args, **kw)
 
+        def starting(thread):
+            started.append(thread.name)
+            return start(thread)
+
         monkeypatch.setattr(explore, "run_reduced", counting)
+        monkeypatch.setattr(threading.Thread, "start", starting)
         before = threading.active_count()
         out = optimize(**kwargs)
         assert optimize_digest(out) == frozen
         assert len(threads) == out.evaluations + 1
-        assert max(threads) - before == lanes
-        assert threading.active_count() == before
+        assert started == [], "optimize starts no thread"
+        assert set(threads) == {before}
 
-    @pytest.mark.parametrize("where, nth", [("ensemble", 1), ("ensemble", 25), ("lane", 300)])
-    def test_a_failure_unwinds_every_lane(self, where, nth, monkeypatch):
-        """The nth kernel call of an ensemble, or the nth evaluation made
-        on a lane, raises: optimize raises that error, with every lane
-        thread gone and none ended by an unhandled exception, and never
-        more than _RESTART_THREADS lanes alive.  (The other lanes of a
-        round still make their evaluations.)  optimize runs on a thread of
-        its own, so that a lane left waiting fails the test instead of
-        hanging it."""
-        calls, caller, raised, threads = 0, None, [], []
+    @pytest.mark.parametrize("where, nth", [("ensemble", 1), ("ensemble", 25),
+                                            ("evaluation", 300)])
+    def test_a_failure_leaves_no_prepared_result(self, where, nth, monkeypatch):
+        """The nth kernel call of a round's ensemble, or the nth
+        evaluation, raises: optimize raises that very error, and only it,
+        no prepared result survives, and a later run_reduced of a params
+        the failed round prepared computes it afresh."""
+        calls, injected, rounds, in_round = 0, [], [], []
 
         def fail_on_nth():
             nonlocal calls
             calls += 1
             if calls == nth:
-                raise EnergyBalanceError("injected")
+                injected.append(EnergyBalanceError("injected"))
+                raise injected[-1]
 
-        if where == "ensemble":
-            kernel, run_round = engine._simulate_chunk, engine._Lanes.run_round
-            rounds = []
+        kernel, results, inner = (engine._simulate_chunk, engine._reduced_results,
+                                  explore.run_reduced)
 
-            def in_round(self, live):
-                rounds.append(live)
-                try:
-                    return run_round(self, live)
-                finally:
-                    rounds.pop()
+        def round_results(params):
+            rounds.append(list(params))
+            in_round.append(True)
+            try:
+                return results(params)
+            finally:
+                in_round.pop()
 
-            def failing_kernel(*args):
-                if rounds:
-                    fail_on_nth()
-                return kernel(*args)
+        def failing_kernel(*args):
+            if where == "ensemble" and in_round:
+                fail_on_nth()
+            return kernel(*args)
 
-            monkeypatch.setattr(engine._Lanes, "run_round", in_round)
-            monkeypatch.setattr(engine, "_simulate_chunk", failing_kernel)
-        inner = explore.run_reduced
-
-        def counting_run(*args, **kwargs):
-            threads.append(threading.active_count())
-            if where == "lane" and threading.current_thread() is not caller:
+        def failing_run(*args, **kwargs):
+            if where == "evaluation":
                 fail_on_nth()
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(explore, "run_reduced", counting_run)
+        monkeypatch.setattr(engine, "_reduced_results", round_results)
+        monkeypatch.setattr(engine, "_simulate_chunk", failing_kernel)
+        monkeypatch.setattr(explore, "run_reduced", failing_run)
+        with pytest.raises(EnergyBalanceError) as raised:
+            optimize(omega3=0.3, budget=600, restarts=40, seed=1)
+        assert len(injected) == 1 and raised.value is injected[0]
+        assert engine._prepared.get() is None
 
-        def run():
-            nonlocal caller
-            caller = threading.current_thread()
-            try:
-                optimize(omega3=0.3, budget=600, restarts=40, seed=1)
-            except EnergyBalanceError as exc:
-                raised.append(exc)
+        computed = []
 
-        unhandled = []
-        excepthook, threading.excepthook = threading.excepthook, unhandled.append
-        before = threading.active_count()
-        try:
-            worker = threading.Thread(target=run, daemon=True)
-            worker.start()
-            worker.join(timeout=120)
-        finally:
-            threading.excepthook = excepthook
-        assert not worker.is_alive()
-        assert [str(exc) for exc in raised] == ["injected"]
-        assert calls >= nth
-        # the optimizing thread and the lanes besides the threads running before
-        assert max(threads) - before <= 1 + explore._RESTART_THREADS
-        assert threading.active_count() == before
-        assert unhandled == []
+        def counting_kernel(*args):
+            computed.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(engine, "_simulate_chunk", counting_kernel)
+        for p in rounds[-1]:  # the round that failed
+            del computed[:]
+            again = engine.run_reduced(p, correlations=False)
+            assert computed, "a prepared result survived the failure"
+            alone = engine.Engine(p).run(want_timeseries=False, correlations=False,
+                                         keep_records=False)
+            assert again.w_total == alone.w_total and again.n_cycles == alone.n_cycles
 
 
 class TestScanEnsembles:
