@@ -32,13 +32,19 @@ computes no cycle past its own, and a wrong prediction costs time, never
 a number, because the kernel's own w_cycle decides every stop.  Many
 independent engines (a scan) step together along an engine axis through
 the same cycle kernel and stepping loop that run one Engine; no engine's
-numbers depend on the others.  prepared() runs such an ensemble ahead of
-run_reduced calls that each evaluate one of its engines (the optimizer's
-rounds).  Pair correlations move only while a coupling stroke acts (ramps
-drive each oscillator separately, and local maps cannot change a two-mode
-correlation measure), so interior sampling effort goes to the coupling
-strokes; ramp interiors reuse stroke-start correlation values, which is
-exact rather than an approximation.
+numbers depend on the others.  Their inputs are an EngineBatch, one array
+per parameter, checked in one pass: the stroke maps, the initial states
+and the stepping loop read its columns, and an engine's record columns
+stay arrays, engine by engine.  EngineParams is one row at the API
+boundary; Engine and run_reduced_ensemble turn params into batches
+(EngineBatch.of), and a scan builds its batch from its draws.
+prepared() runs an ensemble ahead of run_reduced calls that each evaluate
+one of its engines (the optimizer's rounds).  Pair correlations move only
+while a coupling stroke acts (ramps drive each oscillator separately, and
+local maps cannot change a two-mode correlation measure), so interior
+sampling effort goes to the coupling strokes; ramp interiors reuse
+stroke-start correlation values, which is exact rather than an
+approximation.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import contextlib
 import itertools
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -64,7 +70,7 @@ from .propagators import (
     ramp_propagators,
     ramp_propagators_at,
 )
-from .states import (CovarianceMatrix, Preparation, product_state, product_states,
+from .states import (CovarianceMatrix, Preparation, Thermal, product_state, product_states,
                      validate_covariances)
 
 FIRST_LAW_RTOL = 1e-12
@@ -128,16 +134,36 @@ class FixedCycles:
 StopRule = Union[WorkNonNegative, FixedCycles]
 
 
-def _points_within(tau: float, dt: float) -> float:
-    """Length of np.arange(dt, tau, dt), computed without allocating it."""
-    span = (tau - dt) / dt
-    if not math.isfinite(span):
-        return math.inf
-    return max(0, math.ceil(span))
+def _points_within(tau, dt):
+    """Length of np.arange(dt, tau, dt), elementwise, computed without
+    allocating it; inf where it is not finite."""
+    with np.errstate(all="ignore"):
+        span = np.divide(np.subtract(tau, dt), dt)
+    return np.where(np.isfinite(span), np.maximum(0.0, np.ceil(span)), math.inf)
+
+
+class _Durations:
+    """Stroke durations of EngineParams (floats) or an EngineBatch (columns)."""
+
+    @property
+    def ramp_duration(self):
+        """Wall-clock length of one ramp stroke."""
+        return 0.0 * self.tau_comp if self.ramp is RampMode.SUDDEN else self.tau_comp
+
+    @property
+    def cycle_duration(self):
+        return 2.0 * self.ramp_duration + self.tau_h + self.tau_c
+
+    def _points_per_cycle(self, dt):
+        """Interior points per cycle that a sample_dt dt takes."""
+        strokes = [self.tau_h, self.tau_c]
+        if self.ramp is RampMode.LINEAR_AIRY:
+            strokes += [self.tau_comp, self.tau_comp]
+        return sum(_points_within(tau, dt) for tau in strokes)
 
 
 @dataclass(frozen=True)
-class EngineParams:
+class EngineParams(_Durations):
     """Static description of one engine configuration.
 
     The cold frequency omega3 is the preparation's.  tau_comp is the
@@ -167,13 +193,10 @@ class EngineParams:
         if self.sample_dt is not None:
             if not (math.isfinite(self.sample_dt) and self.sample_dt > 0):
                 raise ConfigError(f"sample_dt must be finite and > 0, got {self.sample_dt}")
-            strokes = [self.tau_h, self.tau_c]
-            if self.ramp is RampMode.LINEAR_AIRY:
-                strokes += [self.tau_comp, self.tau_comp]
-            points = sum(_points_within(tau, self.sample_dt) for tau in strokes)
+            points = self._points_per_cycle(self.sample_dt)
             if points > _BATCH_POINT_BUDGET:
                 raise ConfigError(
-                    f"sample_dt={self.sample_dt} samples {points} interior points per "
+                    f"sample_dt={self.sample_dt} samples {points:.0f} interior points per "
                     f"cycle; at most {_BATCH_POINT_BUDGET} are allowed")
         check_count("max_cycles", self.max_cycles, 1)
         if not isinstance(self.stop, (WorkNonNegative, FixedCycles)):
@@ -182,14 +205,95 @@ class EngineParams:
         if not math.isfinite((_stop_limits(self)[0] + 1) * self.cycle_duration):
             raise ConfigError(f"the run's clock overflows at {self.cycle_duration} per cycle")
 
-    @property
-    def ramp_duration(self) -> float:
-        """Wall-clock length of one ramp stroke."""
-        return 0.0 if self.ramp is RampMode.SUDDEN else self.tau_comp
+
+_FLOAT_PARAMS = ("alpha12", "alpha23", "tau_comp", "tau_h", "tau_c")
+_FLOAT_COLUMNS = ("omega1", "omega3", *_FLOAT_PARAMS, "sample_dt", "eps_stop")
+
+
+@dataclass(frozen=True)
+class EngineBatch(_Durations):
+    """The inputs of E engines that share a ramp mode, one column per
+    parameter, row e for engine e: what the stroke maps (_Strokes), the
+    initial states (states.product_states) and the stepping loop read.
+    EngineParams is one row at the API boundary; EngineBatch.of turns
+    params into a batch.
+
+    modes holds each engine's initial state as the (a, b) factors of its
+    oscillators (Preparation.factors).  sample_dt is NaN for fixed sample
+    counts, totals the cycle limit (FixedCycles.n, else max_cycles) and
+    eps_stop the work threshold, -inf under FixedCycles.  A column shared
+    by every engine may be given as one value.  Unless check=False, the
+    batch refuses the first engine that Preparation or EngineParams would
+    refuse, with their error, prefixed "engine {id}: " when E > 1; ids
+    name engines in every error (default: their positions).
+    """
+
+    ramp: RampMode
+    omega1: np.ndarray
+    omega3: np.ndarray
+    modes: np.ndarray      # (E, 3, 2)
+    alpha12: np.ndarray
+    alpha23: np.ndarray
+    tau_comp: np.ndarray
+    tau_h: np.ndarray
+    tau_c: np.ndarray
+    sample_dt: np.ndarray
+    totals: np.ndarray
+    eps_stop: np.ndarray
+    ids: Optional[np.ndarray] = None
+    check: InitVar[bool] = True
+
+    def __post_init__(self, check: bool) -> None:
+        cols = {name: np.asarray(getattr(self, name), dtype=float) for name in _FLOAT_COLUMNS}
+        cols["totals"] = np.asarray(self.totals)
+        n_eng = max(col.size for col in cols.values())
+        cols["modes"] = np.broadcast_to(np.asarray(self.modes, dtype=float), (n_eng, 3, 2))
+        cols["ids"] = np.arange(n_eng) if self.ids is None else np.asarray(self.ids)
+        for name, col in cols.items():
+            object.__setattr__(self, name, col if col.ndim else np.full(n_eng, col))
+        if not check:
+            return
+        values = np.array([getattr(self, name) for name in _FLOAT_PARAMS])
+        dt, eps = self.sample_dt, self.eps_stop
+        with np.errstate(all="ignore"):
+            ok = ((0 < self.omega3) & (self.omega3 < self.omega1) & np.isfinite(self.omega1)
+                  & (np.isfinite(values) & (values >= 0)).all(axis=0)
+                  & ((self.ramp is RampMode.SUDDEN) | (self.tau_comp > 0))
+                  & (np.isnan(dt) | ((dt > 0) & (dt < math.inf)
+                                     & (self._points_per_cycle(dt) <= _BATCH_POINT_BUDGET)))
+                  & ~np.isnan(eps) & (eps < math.inf)
+                  & np.issubdtype(self.totals.dtype, np.integer)
+                  & (self.totals >= (eps > -math.inf))
+                  & np.isfinite((self.totals + 1) * self.cycle_duration))
+        for k in np.flatnonzero(~ok).tolist():
+            v = {name: getattr(self, name)[k].item() for name in (*_FLOAT_COLUMNS, "totals")}
+            work, dt_k = v["eps_stop"] != -math.inf, v["sample_dt"]
+            try:  # row k as a lone engine
+                EngineParams(Preparation((Thermal(0.0),) * 3, v["omega3"], v["omega1"]),
+                             *(v[name] for name in _FLOAT_PARAMS), self.ramp,
+                             WorkNonNegative(v["eps_stop"]) if work else FixedCycles(v["totals"]),
+                             None if math.isnan(dt_k) else dt_k, v["totals"] if work else 1)
+            except ConfigError as exc:
+                raise ConfigError(f"engine {self.ids[k]}: {exc}" if n_eng > 1
+                                  else str(exc)) from None
+
+    @classmethod
+    def of(cls, params: Sequence[EngineParams], ids: Optional[Sequence[int]] = None) -> EngineBatch:
+        """The batch of params, engines that share one ramp mode; EngineParams
+        checked each of them already."""
+        ramp = params[0].ramp
+        if any(p.ramp is not ramp for p in params):
+            raise ValueError("the engines of one batch share their ramp mode")
+        totals, eps_stop = zip(*(_stop_limits(p) for p in params))
+        return cls(ramp, [p.prep.omega1 for p in params], [p.prep.omega3 for p in params],
+                   [p.prep.factors() for p in params],
+                   *([getattr(p, name) for p in params] for name in _FLOAT_PARAMS),
+                   [math.nan if p.sample_dt is None else p.sample_dt for p in params],
+                   totals, eps_stop, ids, check=False)
 
     @property
-    def cycle_duration(self) -> float:
-        return 2.0 * self.ramp_duration + self.tau_h + self.tau_c
+    def size(self) -> int:
+        return self.omega1.size
 
 
 @dataclass(frozen=True)
@@ -344,25 +448,28 @@ def _ramp_interior_weights(omega_in: float, omega_fin: float, tau: float, times:
                   + wsq[:, None, None] * xx[:, :, None] * xx[:, None, :])
 
 
-def _interior_times(tau: float, fallback_n: int, dt: Optional[float]) -> np.ndarray:
-    """Strictly interior sample instants of one stroke."""
-    if tau <= 0.0 or fallback_n <= 0:
-        return np.empty(0)
-    if dt is None:
-        return tau * np.arange(1, fallback_n + 1) / (fallback_n + 1)
-    times = np.arange(dt, tau, dt)
-    return times[times < tau * (1.0 - 1e-12)]
+def _interior(tau: np.ndarray, n: int, dt: np.ndarray,
+              instants: bool = False) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Strictly interior sample points of one stroke of E engines, of
+    durations tau (E,): n evenly spaced instants where dt (E,) is NaN, else
+    np.arange(dt, tau, dt) less a last instant within 1e-12 of tau; none
+    for tau = 0 or n = 0.
 
-
-def _interior_count(tau: float, fallback_n: int, dt: Optional[float]) -> int:
-    """len(_interior_times(tau, fallback_n, dt)), computed without building the instants."""
-    if tau <= 0.0 or fallback_n <= 0:
-        return 0
-    if dt is None:
-        return fallback_n
-    n = _points_within(tau, dt)
-    # np.arange's last instant is dt + (n - 1) * dt, dropped within 1e-12 of tau
-    return n - int(n > 0 and dt + (n - 1) * dt >= tau * (1.0 - 1e-12))
+    Returns the (E,) counts and, with instants, the (E, count) instants of
+    engines that share one count (else None).  The counts are computed
+    without building the instants.
+    """
+    with np.errstate(all="ignore"):
+        m = _points_within(tau, dt)
+        # np.arange's last instant is dt + (m - 1) * dt, dropped within 1e-12 of tau
+        m = m - ((m > 0) & (dt + (m - 1) * dt >= tau * (1.0 - 1e-12)))
+    counts = np.where((tau <= 0.0) | (n <= 0), 0, np.where(np.isnan(dt), n, m)).astype(int)
+    if not instants:
+        return counts, None
+    count = int(counts[0]) if counts.size else 0
+    return counts, np.where(np.isnan(dt)[:, None],
+                            tau[:, None] * np.arange(1, count + 1) / (count + 1),
+                            dt[:, None] + np.arange(count) * dt[:, None])
 
 
 _STROKE_NAMES = ("compression", "heating", "expansion", "cooling")
@@ -370,30 +477,25 @@ _STROKE_NAMES = ("compression", "heating", "expansion", "cooling")
 
 class _Strokes:
     """The stroke maps, element-first (6, 6, E), and the cycle map, (E, 6, 6),
-    of E engines.
+    of the engines `rows` of a batch, read off its columns.
 
-    Every map of every engine is checked to be symplectic when built.  ids
-    name the engines in errors (default: their positions).
+    Every map of every engine is checked to be symplectic when built; errors
+    name engines by their batch ids.
     """
 
-    def __init__(self, params: Sequence[EngineParams],
-                 ids: Optional[Sequence[int]] = None) -> None:
-        mode = params[0].ramp
-        if any(p.ramp is not mode for p in params):
-            raise ValueError("the engines of one ensemble share their ramp mode")
-        self.params = tuple(params)
-        self.ids = range(len(params)) if ids is None else ids
-        self.w1 = w1 = np.array([p.prep.omega1 for p in params])
-        self.w3 = w3 = np.array([p.prep.omega3 for p in params])
+    def __init__(self, batch: EngineBatch, rows: Union[slice, np.ndarray] = slice(None)) -> None:
+        self.ids = batch.ids[rows]
+        self.w1 = w1 = batch.omega1[rows]
+        self.w3 = w3 = batch.omega3[rows]
+        self.size = w1.size
         self.w1sq, self.w3sq = w1**2, w3**2
-        self.alpha12 = np.array([p.alpha12 for p in params])
-        self.alpha23 = np.array([p.alpha23 for p in params])
-        tau = np.array([p.ramp_duration for p in params])
-        comp, exp = ramp_propagators(mode, np.stack((w3, w1)), np.stack((w1, w3)),
+        self.alpha12, self.alpha23 = batch.alpha12[rows], batch.alpha23[rows]
+        tau = batch.ramp_duration[rows]
+        comp, exp = ramp_propagators(batch.ramp, np.stack((w3, w1)), np.stack((w1, w3)),
                                      tau, tau, w1, w3)
-        heat = coupling_propagators_at(self.alpha12, w1, w3, np.array([p.tau_h for p in params]),
+        heat = coupling_propagators_at(self.alpha12, w1, w3, batch.tau_h[rows],
                                        CouplingSide.HOT_PAIR)
-        cool = coupling_propagators_at(self.alpha23, w3, w1, np.array([p.tau_c for p in params]),
+        cool = coupling_propagators_at(self.alpha23, w3, w1, batch.tau_c[rows],
                                        CouplingSide.COLD_PAIR)
         self.maps = maps = np.stack((comp, heat, exp, cool), axis=1)
         _check_symplectic(maps.reshape(-1, 6, 6), name=lambda k: (
@@ -619,8 +721,9 @@ _RECORD_COLUMNS = _RECORD_FLOATS + ("neg", "disc")
 class _Runs:
     """Per-engine outcome of the stepping loop, row e for engine e.
 
-    columns[e] maps each record column to its values over every simulated
-    cycle, probe included (w_cycle alone unless records were kept).
+    columns maps each record column to its values over every simulated
+    cycle, probe included, engine by engine (w_cycle alone unless records
+    were kept).  w_total sums each engine's counted cycles (np.sum).
     """
 
     simulated: np.ndarray   # (E,) cycles simulated, probe included
@@ -628,10 +731,8 @@ class _Runs:
     sigma: np.ndarray       # (E, 6, 6) cursor after the last counted cycle
     neg_max: np.ndarray     # (E, 3) run-level maxima; NaN without correlations
     disc_max: np.ndarray
-    columns: list[dict[str, np.ndarray]]
-
-    def w_total(self, e: int) -> float:
-        return float(np.sum(self.columns[e]["w_cycle"][:self.simulated[e] - self.probe[e]]))
+    columns: dict[str, np.ndarray]
+    w_total: np.ndarray     # (E,)
 
 
 def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
@@ -676,7 +777,7 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     only with correlations or a series and may be None without them.
     series, if given, receives every call of a one-engine run.
     """
-    n_eng = len(strokes.params)
+    n_eng = strokes.size
     if series is not None and n_eng != 1:
         raise ValueError("a time series follows exactly one engine")
     if correlations or series is not None:
@@ -732,7 +833,9 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     fill = 0.0 if correlations else np.nan
     neg_max, disc_max = np.full((2, n_eng, 3), fill)
     names = _RECORD_COLUMNS if keep_records else ("w_cycle",)
-    parts: list[dict[str, list[np.ndarray]]] = [{n: [] for n in names} for _ in range(n_eng)]
+    # (engines, columns) of each call's kept cycles, engine by engine
+    parts: list[tuple[np.ndarray, dict[str, np.ndarray]]] = [(np.empty(0, dtype=int), {
+        n: np.empty((0, 3) if n in ("neg", "disc") else 0) for n in names})]
     # Cycles each engine is planned to simulate, probe included (at least,
     # where no probe falls below the prediction's horizon): NaN until
     # predicted, inf without a prediction (and without a work rule).
@@ -787,16 +890,18 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
                 lengths = np.where(reach < total, reach, total).astype(int)
                 kept = _step(strokes, idx, tuple(span), lengths, cut, sigma, simulated, probe,
                              neg_max, disc_max, parts, heat_mats, cool_mats, eps_stop,
-                             correlations, series, ends)
+                             correlations, keep_records, series, ends)
                 step[idx] += kept
                 # engines that outlive their planned end run its chunk again, in full
                 planned[idx[~probe[idx] & (reach <= total)]] = np.inf
         active = active[~probe[active] & (simulated[active] < totals[active])]
 
-    columns = [{name: np.concatenate(p[name]) if p[name] else
-                np.empty((0, 3) if name in ("neg", "disc") else 0) for name in names}
-               for p in parts]
-    return _Runs(simulated, probe, sigma, neg_max, disc_max, columns)
+    order = np.argsort(np.concatenate([owner for owner, _ in parts]), kind="stable")
+    columns = {name: np.concatenate([cols[name] for _, cols in parts])[order] for name in names}
+    w, ends = columns["w_cycle"], np.cumsum(simulated)
+    w_total = np.array([np.add.reduce(w[a:b]) for a, b in
+                        zip((ends - simulated).tolist(), (ends - probe).tolist())], dtype=float)
+    return _Runs(simulated, probe, sigma, neg_max, disc_max, columns, w_total)
 
 
 def _interior_states(mats: np.ndarray, owner: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -811,13 +916,14 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], lengths: np
           cut: bool, sigma: np.ndarray, simulated: np.ndarray, probe: np.ndarray,
           neg_max: np.ndarray, disc_max: np.ndarray, parts: list,
           heat_mats: Optional[np.ndarray], cool_mats: Optional[np.ndarray],
-          eps_stop: np.ndarray, correlations: bool, series: Optional["_TimeSeriesBuilder"],
-          ends: bool) -> np.ndarray:
+          eps_stop: np.ndarray, correlations: bool, records: bool,
+          series: Optional["_TimeSeriesBuilder"], ends: bool) -> np.ndarray:
     """One kernel call, the chunks `span`, for engines `idx`, engine g
     computing the first lengths[g] cycles (cut: the last chunk is cut
-    short); updates the loop state in place and returns the whole chunks
-    each engine kept.  ends: whether correlations, records or a time series
-    read the states at the cycles' ends.
+    short); updates the loop state in place, appends the kept cycles'
+    record columns (w_cycle alone without records) to parts, and returns
+    the whole chunks each engine kept.  ends: whether correlations, records
+    or a time series read the states at the cycles' ends.
 
     An engine that did not stop keeps only the whole chunks it computed.
     Interior states are built only for the cycles each engine keeps, and
@@ -836,11 +942,13 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], lengths: np
         has = rows > 0
 
     heat_states = cool_states = neg = disc = None
+    # Kept cycles, engine by engine, as one row axis: of the (G, count)
+    # cycles, and of the computed ones.
+    first = np.cumsum(rows) - rows
+    keeps = np.arange(count) < rows[:, None]
+    kept = keeps[chunk.live]
+    owner = idx.repeat(rows)
     if heat_mats is not None:
-        # Kept cycles, engine by engine, as one row axis.
-        first = np.cumsum(rows) - rows
-        kept = (np.arange(count) < rows[:, None])[chunk.live]
-        owner = idx[np.repeat(np.arange(idx.size), rows)]
         heat_states = _interior_states(heat_mats, owner, chunk.sig_b[:, :, kept])
         cool_states = _interior_states(cool_mats, owner, chunk.sig_d[:, :, kept])
     if correlations:
@@ -869,23 +977,17 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], lengths: np
         disc_max[scored] = np.maximum(disc_max[scored],
                                       np.maximum.reduceat(cyc_disc, first[has], axis=0))
 
-    for g, e in enumerate(idx):
-        m = int(rows[g])
-        cols = parts[e]
-        cols["w_cycle"].append(chunk.w_cycle[g, :m])
-        if "w1" in cols:
-            for name in ("w1", "q1", "w2", "q2", "du"):
-                cols[name].append(getattr(chunk, name)[g, :m])
-            ends = chunk.sig_e[:, :, chunk.first[g]:chunk.first[g] + m]
-            cols["e1"].append(_energy(ends, 0, strokes.w1sq[e]))
-            cols["e2"].append(chunk.e_e[g, :m])
-            cols["e3"].append(_energy(ends, 2, strokes.w3sq[e]))
-            if correlations:
-                cols["neg"].append(cyc_neg[first[g]:first[g] + m])
-                cols["disc"].append(cyc_disc[first[g]:first[g] + m])
-            else:
-                cols["neg"].append(np.full((m, 3), np.nan))
-                cols["disc"].append(np.full((m, 3), np.nan))
+    cols = {"w_cycle": chunk.w_cycle[keeps]}
+    if records:
+        for name in ("w1", "q1", "w2", "q2", "du"):
+            cols[name] = getattr(chunk, name)[keeps]
+        end_states = chunk.sig_e[:, :, kept]
+        cols["e1"] = _energy(end_states, 0, strokes.w1sq[owner])
+        cols["e2"] = chunk.e_e[keeps]
+        cols["e3"] = _energy(end_states, 2, strokes.w3sq[owner])
+        cols["neg"], cols["disc"] = ((cyc_neg, cyc_disc) if correlations
+                                     else np.full((2, owner.size, 3), np.nan))
+    parts.append((owner, cols))
     if series is not None:
         series.add_chunk(chunk, int(rows[0]), heat_states, cool_states, neg, disc)
 
@@ -907,7 +1009,8 @@ class Engine:
 
     def __init__(self, params: EngineParams) -> None:
         self.params = params
-        self._strokes = _Strokes([params])
+        self._batch = EngineBatch.of([params])
+        self._strokes = _Strokes(self._batch)
         self.sigma_initial = product_state(params.prep)
 
     def run(self, *, want_timeseries: bool = True, correlations: bool = True,
@@ -919,24 +1022,23 @@ class Engine:
         records samples the coupling strokes sparsely, at 4 heating and 2
         cooling interior instants per cycle, unless sample_dt is set.
         """
-        params = self.params
-        total, eps_stop = _stop_limits(params)
+        params, batch = self.params, self._batch
         sigma0 = self.sigma_initial.matrix
         samples = (DEFAULT_STROKE_SAMPLES,) * 2 if keep_records else _REDUCED_SAMPLES
-        ts = times = None
-        if correlations or want_timeseries:  # the interior instants are read
-            heat_times, cool_times = _coupling_times(params, samples)
-            times = heat_times[None], cool_times[None]
-            if want_timeseries:
-                ts = _TimeSeriesBuilder(params, self._strokes, sigma0, heat_times, cool_times,
-                                        correlations)
+        read = correlations or want_timeseries  # the interior instants are read
+        (nh, heat_times), (nc, cool_times) = (
+            _interior(tau, n, batch.sample_dt, instants=read)
+            for tau, n in zip((batch.tau_h, batch.tau_c), samples))
+        ts = None
+        if want_timeseries:
+            ts = _TimeSeriesBuilder(params, self._strokes, sigma0, heat_times[0], cool_times[0],
+                                    correlations)
         runs = _run_engines(
-            self._strokes, sigma0[None], totals=np.array([total]),
-            eps_stop=np.array([eps_stop]), interior=_interior_counts(params, samples),
-            times=times,
+            self._strokes, sigma0[None], totals=batch.totals, eps_stop=batch.eps_stop,
+            interior=(int(nh[0]), int(nc[0])), times=(heat_times, cool_times) if read else None,
             correlations=correlations, keep_records=keep_records, series=ts)
 
-        flat = runs.columns[0]
+        flat = runs.columns
         records: list[CycleRecord] = []
         if keep_records:
             w_cum = 0.0
@@ -966,7 +1068,7 @@ def _result(params: EngineParams, runs: _Runs, e: int, sigma_initial: Covariance
         stop_reason=("work_non_negative" if probe_seen else
                      "fixed_cycles" if isinstance(params.stop, FixedCycles) else "cycle_cap"),
         n_cycles=int(runs.simulated[e]) - probe_seen,
-        w_total=runs.w_total(e),
+        w_total=float(runs.w_total[e]),
         timeseries=timeseries,
         sigma_initial=sigma_initial,
         sigma_final=sigma_final,
@@ -994,7 +1096,9 @@ class _TimeSeriesBuilder:
         self._cycle_duration = params.cycle_duration
         self._cycles_added = 0
         self._correlations = correlations
-        ramp_times = (_interior_times(params.tau_comp, DEFAULT_STROKE_SAMPLES, params.sample_dt)
+        ramp_times = (_interior(np.array([params.tau_comp]), DEFAULT_STROKE_SAMPLES,
+                                np.array([math.nan if params.sample_dt is None
+                                          else params.sample_dt]), instants=True)[1][0]
                       if params.ramp is RampMode.LINEAR_AIRY else np.empty(0))
         comp, exp = (_ramp_interior_weights(a, b, params.tau_comp, ramp_times, w1, w3)
                      for a, b in ((w3, w1), (w1, w3)))
@@ -1078,19 +1182,6 @@ class _TimeSeriesBuilder:
                           n12=neg[:, 0], n23=neg[:, 1], n13=neg[:, 2])
 
 
-def _interior_counts(params: EngineParams, samples: tuple[int, int]) -> tuple[int, int]:
-    """Interior sample points of the heating and of the cooling stroke."""
-    return (_interior_count(params.tau_h, samples[0], params.sample_dt),
-            _interior_count(params.tau_c, samples[1], params.sample_dt))
-
-
-def _coupling_times(params: EngineParams,
-                    samples: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Interior sample instants of the heating and of the cooling stroke."""
-    return (_interior_times(params.tau_h, samples[0], params.sample_dt),
-            _interior_times(params.tau_c, samples[1], params.sample_dt))
-
-
 def run_reduced(params: EngineParams, *, correlations: bool = True) -> EngineResult:
     """Run a fresh engine with sparse correlation sampling and no records.
 
@@ -1124,68 +1215,78 @@ class EnsembleTotals:
     negativity_max: np.ndarray  # (E, 3)
 
 
-def _cohorts(params: Sequence[EngineParams], sigma0: np.ndarray,
-             correlations: bool) -> Iterator[tuple[list[int], _Runs]]:
-    """Run run_reduced's engines together, _ENSEMBLE_SIZE at a time; yields
-    the positions and the outcome of each cohort, engines with the same
-    ramp mode and interior point counts, which share stacks."""
-    for lo in range(0, len(params), _ENSEMBLE_SIZE):
-        cohorts: dict[tuple, list[int]] = {}
-        for e in range(lo, min(lo + _ENSEMBLE_SIZE, len(params))):
-            interior = _interior_counts(params[e], _REDUCED_SAMPLES)
-            cohorts.setdefault((params[e].ramp, interior), []).append(e)
-        for (_, interior), rows in cohorts.items():
-            group = [params[e] for e in rows]
-            limits = [_stop_limits(p) for p in group]
+def _batches(params: Sequence[EngineParams]) -> Iterator[tuple[np.ndarray, EngineBatch]]:
+    """The engines of params by ramp mode: each mode's positions in params
+    and its batch, which names engines by those positions."""
+    by_ramp: dict[RampMode, list[int]] = {}
+    for e, p in enumerate(params):
+        by_ramp.setdefault(p.ramp, []).append(e)
+    for rows in by_ramp.values():
+        yield np.array(rows), EngineBatch.of([params[e] for e in rows], ids=rows)
+
+
+def _cohorts(batch: EngineBatch, sigma0: np.ndarray,
+             correlations: bool) -> Iterator[tuple[np.ndarray, _Runs]]:
+    """Run run_reduced's engines of a batch together, _ENSEMBLE_SIZE at a
+    time; yields the rows and the outcome of each cohort, engines with the
+    same interior point counts, which share stacks."""
+    strokes = (batch.tau_h, batch.tau_c)
+    for lo in range(0, batch.size, _ENSEMBLE_SIZE):
+        block = np.arange(lo, min(lo + _ENSEMBLE_SIZE, batch.size))
+        nh, nc = (_interior(tau[block], n, batch.sample_dt[block])[0]
+                  for tau, n in zip(strokes, _REDUCED_SAMPLES))
+        _, first, cohort = np.unique(nh * (_BATCH_POINT_BUDGET + 1) + nc,
+                                     return_index=True, return_inverse=True)
+        for c in np.argsort(first):
+            rows = block[cohort == c]
             times = None
             if correlations:  # the interior instants are read
-                times = tuple(np.stack(t) for t in
-                              zip(*(_coupling_times(p, _REDUCED_SAMPLES) for p in group)))
+                times = tuple(_interior(tau[rows], n, batch.sample_dt[rows], instants=True)[1]
+                              for tau, n in zip(strokes, _REDUCED_SAMPLES))
             yield rows, _run_engines(
-                _Strokes(group, ids=rows), sigma0[rows],
-                totals=np.array([total for total, _ in limits]),
-                eps_stop=np.array([eps for _, eps in limits]),
-                interior=interior, times=times, correlations=correlations,
-                keep_records=False)
+                _Strokes(batch, rows), sigma0[rows], totals=batch.totals[rows],
+                eps_stop=batch.eps_stop[rows], interior=(int(nh[first[c]]), int(nc[first[c]])),
+                times=times, correlations=correlations, keep_records=False)
 
 
-def run_reduced_ensemble(params: Sequence[EngineParams], *,
+def run_reduced_ensemble(params: Union[EngineBatch, Sequence[EngineParams]], *,
                          correlations: bool = True) -> EnsembleTotals:
     """run_reduced for many engines at once, stepped together in lockstep.
 
+    params is a batch, or EngineParams that run as one batch per ramp mode.
     Every engine gets exactly the numbers run_reduced gives it alone: the
     engines share one cycle kernel and stepping loop, never their
     arithmetic.  Engines are taken _ENSEMBLE_SIZE at a time.  Every initial
     and final state is checked for physicality once; errors name engines by
-    their position in `params`.
+    their batch ids, by default their position in `params`.
     """
-    n_eng = len(params)
-    sigma0 = validate_covariances(product_states([p.prep for p in params]))
-    final = np.empty_like(sigma0)
-    n_cycles = np.zeros(n_eng, dtype=int)
-    w_total = np.zeros(n_eng)
-    disc_max = np.zeros((n_eng, 3))
-    neg_max = np.zeros((n_eng, 3))
-    for rows, runs in _cohorts(params, sigma0, correlations):
-        final[rows] = runs.sigma
-        n_cycles[rows] = runs.simulated - runs.probe
-        w_total[rows] = [runs.w_total(k) for k in range(len(rows))]
-        disc_max[rows] = runs.disc_max
-        neg_max[rows] = runs.neg_max
-    validate_covariances(final)
-    return EnsembleTotals(n_cycles, w_total, disc_max, neg_max)
+    if isinstance(params, EngineBatch):
+        n_eng, batches = params.size, [(np.arange(params.size), params)]
+    else:
+        n_eng, batches = len(params), _batches(params)
+    out = EnsembleTotals(np.zeros(n_eng, dtype=int), np.zeros(n_eng), *np.zeros((2, n_eng, 3)))
+    for positions, batch in batches:
+        sigma0 = validate_covariances(product_states(batch.modes, batch.omega1, batch.omega3),
+                                      batch.ids)
+        for rows, runs in _cohorts(batch, sigma0, correlations):
+            validate_covariances(runs.sigma, batch.ids[rows])
+            at = positions[rows]
+            out.n_cycles[at], out.w_total[at] = runs.simulated - runs.probe, runs.w_total
+            out.discord_max[at], out.negativity_max[at] = runs.disc_max, runs.neg_max
+    return out
 
 
 def _reduced_results(params: Sequence[EngineParams]) -> list[EngineResult]:
     """run_reduced(p, correlations=False) of every p in params, run as one
     correlation-free ensemble (run_reduced_ensemble's stepping)."""
     initial = [product_state(p.prep) for p in params]
-    sigma0 = np.array([s.matrix for s in initial])
     results: list[Optional[EngineResult]] = [None] * len(params)
-    for rows, runs in _cohorts(params, sigma0, False):
-        final = CovarianceMatrix.stack(runs.sigma)
-        for k, e in enumerate(rows):
-            results[e] = _result(params[e], runs, k, initial[e], final[k])
+    for positions, batch in _batches(params):
+        sigma0 = np.array([initial[e].matrix for e in positions])
+        for rows, runs in _cohorts(batch, sigma0, False):
+            final = CovarianceMatrix.stack(runs.sigma)
+            for k, e in enumerate(positions[rows].tolist()):
+                results[e] = _result(params[e], runs, k, initial[e], final[k])
     return results
 
 

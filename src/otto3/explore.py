@@ -4,7 +4,9 @@ Scans draw engine parameters uniformly from a box, run each engine to its
 stop rule, and record total work next to the run's correlation maxima.
 Sample i always uses the random substream spawned as (seed, spawn_key=(i,)),
 so results are bit-identical however the samples are distributed over
-workers.
+workers.  A block of samples is drawn into one array, one column per
+sample, run as one engine.EngineBatch and read back from its result
+arrays; no sample becomes an EngineParams.
 
 The optimizer minimizes total work (most negative is best) with bounded
 Nelder-Mead from several seeded starting points, or optionally with
@@ -157,51 +159,44 @@ class ScanSettings:
     min_alpha23_tau_c: float
 
 
-def _engine_params(values: dict[str, float], family: PrepFamily, beta1: float,
-                   ramp: RampMode, max_cycles: int) -> EngineParams:
-    """The engine of one scan draw or optimizer point."""
-    return EngineParams(prep=family.preparation(values["omega3"], beta1), ramp=ramp,
-                        stop=WorkNonNegative(), max_cycles=max_cycles,
-                        **{name: values[name] for name in DIMENSIONS[:5]})
-
-
-def _draw(index: int, box: ParameterBox, rng: np.random.Generator,
-          min_alpha23_tau_c: float) -> dict[str, float]:
-    """One parameter draw; resamples within the substream until the
-    weak-cold-contact filter passes, so the filter cannot break determinism.
-    A filter that MAX_DRAWS draws do not meet is refused."""
-    for _ in range(MAX_DRAWS):
-        values = {name: rng.uniform(*box.interval(name))
-                  for name in DIMENSIONS if getattr(box, name) is not None}
-        if values["alpha23"] * values["tau_c"] >= min_alpha23_tau_c:
-            return values
-    raise ConfigError(f"sample {index}: no draw in {MAX_DRAWS} met "
-                      f"min_alpha23_tau_c = {min_alpha23_tau_c}")
+def _draws(indices: range, settings: ScanSettings) -> np.ndarray:
+    """(len(DIMENSIONS), n) parameter draws of the samples indices, one
+    column per sample.  Sample i draws from its own substream: one
+    uniform draw over the box, lo + (hi - lo) * U, per attempt, redrawn
+    until the weak-cold-contact filter passes, so the filter cannot break
+    determinism.  A filter that MAX_DRAWS draws do not meet is refused."""
+    lo, hi = np.array([settings.box.interval(name) for name in DIMENSIONS]).T
+    span = hi - lo
+    (a_lo, t_lo), (a_span, t_span) = lo[[1, 3]].tolist(), span[[1, 3]].tolist()
+    u = np.empty((len(indices), len(DIMENSIONS)))
+    for row, index in zip(u, indices):
+        rng = np.random.default_rng(np.random.SeedSequence(settings.seed, spawn_key=(index,)))
+        for _ in range(MAX_DRAWS):
+            rng.random(out=row)
+            # alpha23 * tau_c, as the rows below compute them
+            if (a_lo + a_span * row[1]) * (t_lo + t_span * row[3]) >= settings.min_alpha23_tau_c:
+                break
+        else:
+            raise ConfigError(f"sample {index}: no draw in {MAX_DRAWS} met "
+                              f"min_alpha23_tau_c = {settings.min_alpha23_tau_c}")
+    return lo[:, None] + span[:, None] * u.T
 
 
 def scan_samples(indices: range, settings: ScanSettings) -> list[ScanSample]:
-    """Draw and run the samples of a contiguous index range as one ensemble."""
-    draws, params = [], []
-    for index in indices:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(settings.seed, spawn_key=(index,)))
-        values = _draw(index, settings.box, rng, settings.min_alpha23_tau_c)
-        params.append(_engine_params(values, settings.family, settings.beta1,
-                                     settings.ramp, settings.max_cycles))
-        draws.append(values)
-    totals = run_reduced_ensemble(params)
-    samples = []
-    for e, (index, values) in enumerate(zip(indices, draws)):
-        d12, d23, d13 = (float(v) for v in totals.discord_max[e])
-        n12, n23, n13 = (float(v) for v in totals.negativity_max[e])
-        samples.append(ScanSample(
-            index=index, alpha12=values["alpha12"], alpha23=values["alpha23"],
-            tau_h=values["tau_h"], tau_c=values["tau_c"], tau_comp=values["tau_comp"],
-            omega3=values["omega3"], cycles=int(totals.n_cycles[e]),
-            w_total=float(totals.w_total[e]),
-            d12_max=d12, d23_max=d23, d13_max=d13,
-            n12_max=n12, n23_max=n23, n13_max=n13))
-    return samples
+    """Draw and run the samples of a contiguous index range as one batch."""
+    if not indices:
+        return []
+    draws = _draws(indices, settings)
+    # the family's mode factors do not depend on omega3
+    modes = settings.family.preparation(OMEGA3_RANGE[0], settings.beta1).factors()
+    params = dict(zip(DIMENSIONS, draws))
+    omega3 = params.pop("omega3")
+    batch = engine.EngineBatch(settings.ramp, 1.0, omega3, modes, **params, sample_dt=math.nan,
+                               totals=settings.max_cycles, eps_stop=0.0, ids=np.array(indices))
+    totals = run_reduced_ensemble(batch)
+    return [ScanSample(*row) for row in zip(
+        indices, *draws.tolist(), totals.n_cycles.tolist(), totals.w_total.tolist(),
+        *totals.discord_max.T.tolist(), *totals.negativity_max.T.tolist())]
 
 
 def scan_sample(index: int, settings: ScanSettings) -> ScanSample:
@@ -226,6 +221,7 @@ def random_scan(n_samples: int, seed: int, *, box: Optional[ParameterBox] = None
     check_count("n_samples", n_samples, 0)
     check_count("workers", workers, 1)
     check_count("seed", seed, 0)
+    check_count("max_cycles", max_cycles, 1)
     if box is None:
         box = ParameterBox(omega3=OMEGA3_RANGE)
     if box.omega3 is None:
@@ -266,12 +262,12 @@ def _ergotropy_cached(prep: Preparation) -> float:
 class OptimizeOutcome:
     """Best point found, with provenance.
 
-    value is the objective at best_params; ratio is w_total over the
-    preparation's ergotropy regardless of the objective used.  converged is
-    False when every restart ran out of its evaluation budget before
-    meeting the simplex tolerances.  trace holds (evaluation_count,
-    best_value_so_far) at every improvement, merged across restarts in
-    evaluation order.
+    value is the objective at best_params, the best value evaluated (so
+    the last value of trace); ratio is w_total over the preparation's
+    ergotropy regardless of the objective used.  converged is False when
+    every restart ran out of its evaluation budget before meeting the
+    simplex tolerances.  trace holds (evaluation_count, best_value_so_far)
+    at every improvement, merged across restarts in evaluation order.
     """
 
     best_params: EngineParams
@@ -287,18 +283,20 @@ class OptimizeOutcome:
 
 @dataclass
 class _Tracker:
-    """Shared evaluation counter and improvement trace."""
+    """Shared evaluation counter, improvement trace and best point: the
+    first one evaluated at the lowest value."""
 
     count: int = 0
     best: float = math.inf
+    best_x: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.trace: list[tuple[int, float]] = []
 
-    def record(self, value: float) -> None:
+    def record(self, value: float, x: Optional[np.ndarray] = None) -> None:
         self.count += 1
         if value < self.best:
-            self.best = value
+            self.best, self.best_x = value, x
             self.trace.append((self.count, value))
 
 
@@ -319,7 +317,9 @@ class _Problem:
         values = dict(self.fixed)
         for name, xi in zip(self.free, x):
             values[name] = self.box.clip(name, float(xi))
-        return _engine_params(values, self.family, self.beta1, self.ramp, self.max_cycles)
+        return EngineParams(prep=self.family.preparation(values.pop("omega3"), self.beta1),
+                            ramp=self.ramp, stop=WorkNonNegative(), max_cycles=self.max_cycles,
+                            **values)
 
     def value(self, params: EngineParams) -> float:
         """The objective of one engine: one run_reduced call."""
@@ -496,17 +496,18 @@ def _nelder_mead(x0: np.ndarray, lower: np.ndarray, upper: np.ndarray, maxfev: i
 
 
 def _side_by_side(searches: list[_Search],
-                  problem: _Problem) -> tuple[list, list[list[float]]]:
+                  problem: _Problem) -> tuple[list, list[list[tuple[np.ndarray, float]]]]:
     """Run ask/tell searches side by side, in rounds: a round evaluates the
     pending point of every live search, the points' engines as one
-    ensemble.  Returns each search's result and the values it was sent."""
+    ensemble.  Returns each search's result and the (point, value) pairs
+    it evaluated."""
     results: list = [None] * len(searches)
-    values: list[list[float]] = [[] for _ in searches]
+    values: list[list[tuple[np.ndarray, float]]] = [[] for _ in searches]
     asked = {k: next(search) for k, search in enumerate(searches)}
     while asked:
         live = list(asked)
         for k, value in zip(live, problem.values([asked[k] for k in live])):
-            values[k].append(value)
+            values[k].append((asked[k], value))
             try:
                 asked[k] = searches[k].send(value)
             except StopIteration as stop:
@@ -526,7 +527,10 @@ def _run_nelder_mead(problem: _Problem, bounds, seed: int, budget: int, restarts
     maxfev), depend on nothing another restart does, so they run side by
     side (_side_by_side); each restart's values are then recorded in
     restart order, exactly as running the restarts one after another
-    records them.  Later restarts run one after another.
+    records them.  Later restarts run one after another.  Returns the best
+    point evaluated (_Tracker), which a restart's own result can miss: a
+    reflection better than every vertex enters the simplex only if the
+    expansion that follows it may still be evaluated.
     """
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
@@ -534,32 +538,24 @@ def _run_nelder_mead(problem: _Problem, bounds, seed: int, budget: int, restarts
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     candidates = rng.uniform(lo, hi, size=(n_pre, len(bounds)))
     scores = np.array(problem.values(candidates))
-    for value in scores.tolist():
-        tracker.record(value)
+    for x, value in zip(candidates, scores.tolist()):
+        tracker.record(value, x)
     order = np.argsort(scores)
 
     per_restart = max(len(bounds) + 2, (budget - n_pre) // restarts)
     uncut = min(restarts, (budget - n_pre) // per_restart)
-    results = []
+    converged = False
     for batch in [range(uncut), *([k] for k in range(uncut, restarts))]:
         if tracker.count >= budget:
             break
         maxfev = min(per_restart, budget - tracker.count)
-        found, values = _side_by_side(
+        found, evaluated = _side_by_side(
             [_nelder_mead(candidates[order[k % n_pre]], lo, hi, maxfev, xatol=1e-6, fatol=1e-10)
              for k in batch], problem)
-        results += found
-        for value in itertools.chain(*values):
-            tracker.record(value)
-
-    best_x = candidates[order[0]]
-    best_v = float(scores[order[0]])
-    converged = False
-    for x, fun, success in results:
-        if fun < best_v:
-            best_v, best_x = float(fun), np.asarray(x)
-        converged = converged or bool(success)
-    return best_x, best_v, converged
+        converged = converged or any(success for _, _, success in found)
+        for x, value in itertools.chain(*evaluated):
+            tracker.record(value, x)
+    return tracker.best_x, tracker.best, converged
 
 
 def _run_de(problem: _Problem, bounds, seed: int, budget: int,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -67,24 +67,27 @@ def _spectrum(mat: np.ndarray) -> np.ndarray:
     return ev[..., ::2]
 
 
-def validate_covariances(mats: np.ndarray) -> np.ndarray:
+def validate_covariances(mats: np.ndarray, ids: Optional[Sequence[int]] = None) -> np.ndarray:
     """Check a (E, 2n, 2n) stack of covariance matrices; return it symmetrised.
 
     Each matrix must be finite, symmetric to 1e-12 relative to its largest
     entry, and physical: min symplectic eigenvalue >= 1/2 - 1e-9.  The
-    first failing matrix is named by its stack index.
+    first failing matrix is named by ids[its stack index] (default: the
+    index).
     """
-    return _validated(mats)[0]
+    return _validated(mats, ids)[0]
 
 
-def _validated(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _validated(mats: np.ndarray,
+               ids: Optional[Sequence[int]] = None) -> tuple[np.ndarray, np.ndarray]:
     """validate_covariances, plus the (E, n) symplectic spectra it checked."""
     mat = np.array(mats, dtype=float)
     if mat.ndim != 3 or mat.shape[1] != mat.shape[2] or mat.shape[1] % 2 or mat.shape[1] == 0:
         raise PhysicalityError(f"expected a stack of 2n x 2n matrices, got {mat.shape}")
 
     def fail(bad: np.ndarray, what: str) -> None:
-        where = f"state {int(np.flatnonzero(bad)[0])}: " if mat.shape[0] > 1 else ""
+        k = int(np.flatnonzero(bad)[0])
+        where = f"state {k if ids is None else ids[k]}: " if mat.shape[0] > 1 else ""
         raise PhysicalityError(f"{where}covariance matrix {what}")
 
     finite = np.isfinite(mat).all(axis=(1, 2))
@@ -151,35 +154,22 @@ class CovarianceMatrix:
         return self._nus
 
 
-def _thermal_block(nbar: float, omega: float) -> np.ndarray:
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
+def _block(mode: "ModeSpec", omega: float) -> CovarianceMatrix:
+    """The validated block diag(a / (2 omega), b omega / 2) of one mode, (a, b) = its factors."""
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    c = 2.0 * nbar + 1.0
-    return np.diag([c / (2.0 * omega), c * omega / 2.0])
-
-
-def _squeezed_block(r: float, omega: float) -> np.ndarray:
-    if omega <= 0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    try:
-        mat = np.diag([math.exp(-2.0 * r) / (2.0 * omega), omega * math.exp(2.0 * r) / 2.0])
-    except OverflowError as exc:
-        raise PhysicalityError(f"squeezing r={r} overflows double precision") from exc
-    if not np.isfinite(mat).all():
-        raise PhysicalityError(f"squeezing r={r} overflows double precision")
-    return mat
+    a, b = mode.factors()
+    return CovarianceMatrix(np.diag([a / (2.0 * omega), b * omega / 2.0]))
 
 
 def thermal_covariance(nbar: float, omega: float) -> CovarianceMatrix:
     """Single-mode thermal block diag(c/(2 omega), c omega/2) with c = 2 nbar + 1."""
-    return CovarianceMatrix(_thermal_block(nbar, omega))
+    return _block(Thermal(nbar), omega)
 
 
 def squeezed_vacuum_covariance(r: float, omega: float) -> CovarianceMatrix:
     """Single-mode squeezed vacuum block diag(e^{-2r}/(2 omega), omega e^{2r}/2)."""
-    return CovarianceMatrix(_squeezed_block(r, omega))
+    return _block(SqueezedVacuum(r), omega)
 
 
 @dataclass(frozen=True)
@@ -192,9 +182,10 @@ class Thermal:
         if self.nbar < 0 or not math.isfinite(self.nbar):
             raise ConfigError(f"nbar must be finite and >= 0, got {self.nbar}")
 
-    def block(self, omega: float) -> np.ndarray:
-        """Unvalidated 2x2 block; thermal_covariance gives the validated one."""
-        return _thermal_block(self.nbar, omega)
+    def factors(self) -> tuple[float, float]:
+        """(a, b) of the mode's block diag(a / (2 omega), b omega / 2)."""
+        c = 2.0 * self.nbar + 1.0
+        return c, c
 
     def energy_above_ground(self, omega: float) -> float:
         return self.nbar * omega
@@ -213,9 +204,12 @@ class SqueezedVacuum:
         if not math.isfinite(self.r):
             raise ConfigError(f"r must be finite, got {self.r}")
 
-    def block(self, omega: float) -> np.ndarray:
-        """Unvalidated 2x2 block; squeezed_vacuum_covariance gives the validated one."""
-        return _squeezed_block(self.r, omega)
+    def factors(self) -> tuple[float, float]:
+        """(a, b) of the mode's block diag(a / (2 omega), b omega / 2)."""
+        try:
+            return math.exp(-2.0 * self.r), math.exp(2.0 * self.r)
+        except OverflowError as exc:
+            raise PhysicalityError(f"squeezing r={self.r} overflows double precision") from exc
 
     def energy_above_ground(self, omega: float) -> float:
         return omega * math.sinh(self.r) ** 2
@@ -250,21 +244,25 @@ class Preparation:
     def frequencies(self) -> tuple[float, float, float]:
         return (self.omega1, self.omega3, self.omega3)
 
+    def factors(self) -> tuple[tuple[float, float], ...]:
+        """Each oscillator's (a, b), its block diag(a / (2 omega), b omega / 2)."""
+        return tuple(mode.factors() for mode in self.modes)
 
-def product_states(preps: Sequence[Preparation]) -> np.ndarray:
-    """Unvalidated (E, 6, 6) stack of initial product states, one per preparation.
+
+def product_states(factors: np.ndarray, omega1: np.ndarray, omega3: np.ndarray) -> np.ndarray:
+    """Unvalidated (E, 6, 6) stack of product states, oscillator i of state e
+    in the block diag(a / (2 omega), b omega / 2), (a, b) = factors[e, i],
+    at the frequencies (omega1[e], omega3[e], omega3[e]).
 
     Pass the stack through validate_covariances before trusting it; its
     symplectic spectrum is the union of the blocks' spectra, so checking
     each block first adds nothing.
     """
-    sigma = np.zeros((len(preps), 6, 6))
-    for e, prep in enumerate(preps):
-        for i, (mode, omega) in enumerate(zip(prep.modes, prep.frequencies)):
-            b = mode.block(omega)
-            sigma[e, i, i] = b[0, 0]
-            sigma[e, i + 3, i + 3] = b[1, 1]
-            sigma[e, i, i + 3] = sigma[e, i + 3, i] = b[0, 1]
+    omega = np.stack((omega1, omega3, omega3), axis=1)
+    sigma = np.zeros((omega.shape[0], 6, 6))
+    diag = sigma.reshape(-1, 36)[:, ::7]
+    diag[:, :3] = factors[..., 0] / (2.0 * omega)
+    diag[:, 3:] = factors[..., 1] * omega / 2.0
     return sigma
 
 
@@ -275,7 +273,8 @@ def product_state(prep: Preparation) -> CovarianceMatrix:
     Cached: an optimizer's engines share their preparation, so it is
     validated once.  The result is read-only.
     """
-    return CovarianceMatrix(product_states([prep])[0])
+    return CovarianceMatrix(product_states(np.array([prep.factors()]), np.array([prep.omega1]),
+                                           np.array([prep.omega3]))[0])
 
 
 def restrict(sigma: Union[np.ndarray, CovarianceMatrix], i: int, j: int) -> CovarianceMatrix:

@@ -5,6 +5,7 @@ the closed forms, or by an independent run of the routine under test whose
 inputs are pinned here; they guard against silent regressions.
 """
 
+import hashlib
 import heapq
 import json
 import math
@@ -16,10 +17,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from otto3 import engine
+from otto3 import cli, engine
 from otto3.correlations import _PURE_B_TOL
 from otto3.engine import Engine, EngineParams, FixedCycles, WorkNonNegative
-from otto3.explore import DIMENSIONS, OMEGA3_RANGE, Objective, ParameterBox, PrepFamily
+from otto3.explore import (DIMENSIONS, OMEGA3_RANGE, Objective, ParameterBox, PrepFamily,
+                           ScanSample)
 from otto3.propagators import RampMode
 from otto3.states import SqueezedVacuum, product_state, symplectic_form, thermal_preparation
 
@@ -81,6 +83,30 @@ def optimize_digest(outcome):
         "best_params": {name: getattr(outcome.best_params, name) for name in DIMENSIONS[:5]},
         "trace": [list(point) for point in outcome.trace],
     }
+
+
+# sha256 of the scan.csv bytes of seeded random_scan runs, frozen from the
+# code that drew every scan sample into a dict of its own
+FROZEN_SCANS = Path(__file__).resolve().parent / "data" / "scan_frozen.json"
+
+
+def frozen_scan_runs():
+    """[(random_scan() keyword arguments, frozen sha256)] of FROZEN_SCANS."""
+    with open(FROZEN_SCANS) as fh:
+        runs = json.load(fh)
+    out = []
+    for run in runs:
+        kwargs = dict(run["kwargs"], family=PrepFamily(run["kwargs"]["family"]),
+                      ramp=RampMode(run["kwargs"]["ramp"]))
+        out.append((kwargs, run["sha256"]))
+    return out
+
+
+def scan_csv_sha256(samples, directory):
+    """sha256 of the scan.csv that `otto3 scan` writes for these samples."""
+    path = Path(directory) / "scan.csv"
+    cli._write_csv(path, cli.SCAN_HEADER, cli._field_columns(samples, ScanSample))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def optimized_params(stop=None, alpha23=OPT_ALPHA23, ramp=RampMode.QUASI_STATIC):
@@ -147,7 +173,7 @@ def spectral_cycle_work(params, cycles, dps=50):
     powers, not the stroke maps.  Returns mpf values; raises
     ZeroDivisionError for a defective cycle map.
     """
-    strokes = engine._Strokes([params])
+    strokes = engine._Strokes(engine.EngineBatch.of([params]))
     comp, heat, exp = (mpmath.matrix(m.tolist()) for m in strokes.maps[0, :3])
     cycle = mpmath.matrix(strokes.cycle[0].tolist())
     sigma0 = mpmath.matrix(product_state(params.prep).matrix.tolist())

@@ -183,6 +183,10 @@ REFUSED = [
      "eps_stop"),
     ("scan", {"scan": {"n_samples": 2, "box": {"tau_h": [0.0, INF]}}},
      "tau_h interval .* non-finite endpoint"),
+    # a box that draws tau_comp = 0 under a finite-time ramp: the batch of
+    # draws refuses its first engine with the lone engine's text
+    ("scan", {"scan": {"n_samples": 3, "ramp": "airy", "box": {"tau_comp": [0.0, 0.0]}}},
+     "finite-time ramps need tau_comp > 0"),
 ]
 
 

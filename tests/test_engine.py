@@ -17,7 +17,7 @@ from otto3.energetics import mode_energy
 from otto3.engine import (Engine, EngineParams, FixedCycles, TimeSeries,
                           WorkNonNegative, run_reduced)
 from otto3.errors import ConfigError, EnergyBalanceError, PhysicalityError
-from otto3.explore import PrepFamily, random_scan
+from otto3.explore import ParameterBox, PrepFamily, random_scan
 from otto3.engine import _BATCH_POINT_BUDGET, run_reduced_ensemble
 from otto3.propagators import SYMPLECTIC_TOL, RampMode, _symplectic_defect
 from otto3.states import (PHYSICALITY_TOL, Preparation, SqueezedVacuum, Thermal,
@@ -490,6 +490,16 @@ class TestSampleBudget:
             EngineParams(**kw, sample_dt=5e-324)
 
 
+def _reference_instants(tau, n, dt):
+    """The interior instants of one stroke as np.arange builds them."""
+    if tau <= 0.0 or n <= 0:
+        return np.empty(0)
+    if dt is None:
+        return tau * np.arange(1, n + 1) / (n + 1)
+    times = np.arange(dt, tau, dt)
+    return times[times < tau * (1.0 - 1e-12)]
+
+
 class TestInteriorCounts:
     def test_counts_equal_the_instants(self):
         rng = np.random.default_rng(3)
@@ -500,8 +510,22 @@ class TestInteriorCounts:
                 if dt is not None and not dt > 0.0:
                     continue
                 for n in (0, 2, 4, 20):
-                    assert (engine._interior_count(tau, n, dt)
-                            == engine._interior_times(tau, n, dt).size), (tau, n, dt)
+                    want = _reference_instants(tau, n, dt)
+                    args = np.array([tau]), n, np.array([math.nan if dt is None else dt])
+                    (count,), none = engine._interior(*args)
+                    (again,), (times,) = engine._interior(*args, instants=True)
+                    assert none is None
+                    assert count == again == want.size, (tau, n, dt)
+                    assert times.tobytes() == want.tobytes(), (tau, n, dt)
+
+    def test_engines_that_share_a_count_get_their_own_instants(self):
+        # one count, three ways: four evenly spaced, and dt = 0.2 or 0.25 short of tau
+        tau, dt = np.array([0.7, 1.0, 1.2]), np.array([math.nan, 0.2, 0.25])
+        counts, times = engine._interior(tau, 4, dt, instants=True)
+        assert counts.tolist() == [4, 4, 4]
+        for row, t, step in zip(times, tau.tolist(), dt.tolist()):
+            want = _reference_instants(t, 4, None if math.isnan(step) else step)
+            assert row.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("sample_dt", [None, 0.05])
     def test_a_run_read_by_neither_correlations_nor_a_series_builds_no_instants(
@@ -509,14 +533,19 @@ class TestInteriorCounts:
         params = dataclasses.replace(optimized_params(stop=FixedCycles(12)), sample_dt=sample_dt)
         want = [fingerprint(Engine(params).run(want_timeseries=False, correlations=False,
                                                keep_records=keep)) for keep in (True, False)]
+        interior = engine._interior
 
-        def refuse(*args):
-            raise AssertionError("interior instants built")
+        def refuse(*args, instants=False):
+            if instants:
+                raise AssertionError("interior instants built")
+            return interior(*args)
 
-        monkeypatch.setattr(engine, "_coupling_times", refuse)
+        monkeypatch.setattr(engine, "_interior", refuse)
         assert [fingerprint(Engine(params).run(want_timeseries=False, correlations=False,
                                                keep_records=keep))
                 for keep in (True, False)] == want
+        assert run_reduced_ensemble([params, params], correlations=False).n_cycles.tolist() == [
+            12, 12]
 
 
 # A parametrically unstable Airy draw: its entries pass 1e10 by cycle 17 and
@@ -578,6 +607,86 @@ class TestReducedEnsemble:
     def test_each_engine_gets_what_run_reduced_gives_it_without_correlations(self, monkeypatch):
         monkeypatch.setattr(engine, "_ENSEMBLE_SIZE", 4)
         assert_ensemble_matches_lone_runs(mixed_ensemble(), correlations=False)
+
+
+def squeezed_mixed_ensemble():
+    """mixed_ensemble plus squeezed engines: both families, three ramps."""
+    prep = squeezed_preparation(beta1=0.01, omega3=0.3)
+    return mixed_ensemble() + [
+        EngineParams(prep=prep, alpha12=0.03, alpha23=0.02, tau_comp=0.0, tau_h=0.4,
+                     tau_c=0.6, ramp=RampMode.SUDDEN, stop=FixedCycles(4)),
+        EngineParams(prep=prep, alpha12=0.04, alpha23=0.03, tau_comp=20.0, tau_h=0.8,
+                     tau_c=0.3, ramp=RampMode.LINEAR_AIRY, max_cycles=30),
+        optimized_params(stop=FixedCycles(6)),
+    ]
+
+
+class TestEngineBatch:
+    """A batch checks its columns at once and refuses as a lone engine would."""
+
+    N = 4
+
+    def columns(self, **changed):
+        cols = dict(omega1=1.0, omega3=0.1, alpha12=0.01, alpha23=0.02, tau_comp=10.0,
+                    tau_h=0.5, tau_c=0.5, sample_dt=math.nan, totals=100, eps_stop=0.0)
+        for name, (k, value) in changed.items():
+            col = np.full(self.N, cols[name])
+            col[k] = value
+            cols[name] = col
+        return cols
+
+    def batch(self, ramp=RampMode.LINEAR_AIRY, **changed):
+        cols = self.columns(**changed)
+        return engine.EngineBatch(ramp, cols.pop("omega1"), cols.pop("omega3"),
+                                  thermal_preparation(0.01, 0.1).factors(), **cols)
+
+    @pytest.mark.parametrize("name, value", [
+        ("alpha12", math.nan), ("alpha23", -1e-3), ("tau_h", math.inf), ("tau_c", -0.5),
+        ("tau_comp", 0.0), ("omega3", 1.5), ("omega1", math.inf), ("sample_dt", 0.0),
+        ("sample_dt", 1e-9), ("eps_stop", math.nan), ("totals", 0), ("tau_comp", 1e308)])
+    def test_engine_k_is_refused_with_its_lone_error(self, name, value):
+        cols = self.columns(**{name: (2, value)})
+        lone = {n: (c[2] if np.ndim(c) else c).item() if hasattr(c, "item") else c
+                for n, c in cols.items()}
+        dt = lone["sample_dt"]
+        with pytest.raises(ConfigError) as alone:
+            EngineParams(prep=Preparation((Thermal(0.0),) * 3, lone["omega3"], lone["omega1"]),
+                         alpha12=lone["alpha12"], alpha23=lone["alpha23"],
+                         tau_comp=lone["tau_comp"], tau_h=lone["tau_h"], tau_c=lone["tau_c"],
+                         ramp=RampMode.LINEAR_AIRY, stop=WorkNonNegative(lone["eps_stop"]),
+                         sample_dt=None if math.isnan(dt) else dt, max_cycles=lone["totals"])
+        with pytest.raises(ConfigError) as batch:
+            self.batch(**{name: (2, value)})
+        assert str(batch.value) == f"engine 2: {alone.value}"
+
+    def test_the_first_bad_engine_is_named_by_its_id(self):
+        cols = self.columns(alpha12=(3, math.nan), tau_h=(1, -1.0))
+        with pytest.raises(ConfigError, match=r"^engine 11: tau_h must be finite"):
+            engine.EngineBatch(RampMode.QUASI_STATIC, cols.pop("omega1"), cols.pop("omega3"),
+                               thermal_preparation(0.01, 0.1).factors(), **cols,
+                               ids=[10, 11, 12, 13])
+
+    def test_a_lone_engine_batch_gives_the_bare_text(self):
+        with pytest.raises(ConfigError, match=r"^finite-time ramps need tau_comp > 0$"):
+            engine.EngineBatch(RampMode.QUASI_STATIC, 1.0, 0.1, thermal_preparation(0.01, 0.1)
+                               .factors(), 0.01, 0.02, 0.0, 0.5, 0.5, math.nan, 100, 0.0)
+
+    def test_fixed_cycles_and_a_sudden_ramp_pass(self):
+        batch = self.batch(ramp=RampMode.SUDDEN, tau_comp=(0, 0.0), eps_stop=(1, -math.inf),
+                           totals=(1, 0))
+        assert batch.size == self.N and batch.ids.tolist() == list(range(self.N))
+
+    def test_a_mixed_list_equals_lone_runs(self):
+        params = squeezed_mixed_ensemble()
+        assert len({p.ramp for p in params}) == 3
+        assert_ensemble_matches_lone_runs(params)
+        assert_ensemble_matches_lone_runs(params, correlations=False)
+
+    def test_a_scan_box_that_draws_tau_comp_zero_is_refused(self):
+        box = ParameterBox(tau_comp=(0.0, 0.0), omega3=(0.1, 0.5))
+        with pytest.raises(ConfigError, match=r"^engine 0: finite-time ramps need tau_comp > 0$"):
+            random_scan(5, 0, box=box, ramp=RampMode.LINEAR_AIRY)
+        assert len(random_scan(5, 0, box=box, ramp=RampMode.SUDDEN)) == 5
 
 
 def result_bytes(res):
@@ -681,7 +790,7 @@ class TestBoxProperties:
     @settings(max_examples=40)
     @given(box_engines())
     def test_stroke_maps_are_symplectic(self, params):
-        maps = engine._Strokes([params]).maps.reshape(-1, 6, 6)
+        maps = engine._Strokes(engine.EngineBatch.of([params])).maps.reshape(-1, 6, 6)
         assert np.all(_symplectic_defect(maps) <= SYMPLECTIC_TOL)
 
     @settings(max_examples=40)

@@ -18,7 +18,8 @@ from otto3.propagators import RampMode
 
 from helpers import (MATCHED_R1, NBAR_BETA_001, OPT_ALPHA12, OPT_ALPHA23,
                      OPT_TAU_C, OPT_TAU_COMP, OPT_TAU_H, SWEEP_OMEGA3, SWEEP_OPTIMIZE,
-                     W_TOTAL_BASELINE, frozen_optimize_runs, optimize_digest)
+                     W_TOTAL_BASELINE, frozen_optimize_runs, frozen_scan_runs,
+                     optimize_digest, scan_csv_sha256)
 
 RATIO_BASELINE = 0.9098591162635316
 
@@ -308,6 +309,23 @@ class TestOptimize:
 FROZEN_RUNS = frozen_optimize_runs()
 
 
+class TestBestEvaluated:
+    """optimize returns the best point it evaluated, so its value is the
+    last value of its own trace."""
+
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param(dict(omega3=0.1, budget=100, seed=0), id="omega3-0.1-budget-100"),
+        pytest.param(dict(omega3=0.3, budget=600, restarts=40, seed=1), id="forty-restarts"),
+        pytest.param(dict(omega3=0.5, budget=384, seed=1, method="differential-evolution"),
+                     id="differential-evolution"),
+    ])
+    def test_value_is_the_last_trace_value(self, kwargs):
+        outcome = optimize(objective=Objective.WORK_ERGOTROPY_RATIO, **kwargs)
+        assert outcome.value == outcome.trace[-1][1]
+        # best_params evaluates to that value
+        assert outcome.ratio == outcome.value
+
+
 class TestRestartLanes:
     """The Nelder-Mead restarts that the budget cannot cut run side by side
     on the calling thread, each a lane of one ensemble per round, as does
@@ -439,6 +457,23 @@ class TestScanEnsembles:
             assert s.w_total == alone.w_total
             assert (s.d12_max, s.d23_max, s.d13_max) == alone.discord_max
             assert (s.n12_max, s.n23_max, s.n13_max) == alone.negativity_max
+
+
+_FROZEN_SCANS = frozen_scan_runs()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kwargs, digest", _FROZEN_SCANS, ids=[
+    f"{kw['family'].value}-{kw['ramp'].value}-min{kw['min_alpha23_tau_c']}"
+    for kw, _ in _FROZEN_SCANS])
+def test_scan_csv_matches_the_frozen_bytes(kwargs, digest, workers, tmp_path):
+    """scan.csv of four 200-sample scans, one of them redrawing samples
+    under the weak-cold-contact filter, is byte-identical to the frozen
+    file, with one worker and with two."""
+    kwargs = dict(kwargs)
+    n_samples, seed = kwargs.pop("n_samples"), kwargs.pop("seed")
+    samples = random_scan(n_samples, seed, workers=workers, **kwargs)
+    assert scan_csv_sha256(samples, tmp_path) == digest
 
 
 @pytest.mark.parametrize("name, interval", [

@@ -299,7 +299,9 @@ class TestStackedStates:
     def test_product_states_match_singles(self):
         preps = [thermal_preparation(beta1=0.01, omega3=0.1),
                  squeezed_preparation(beta1=0.05, omega3=0.4)]
-        stack = validate_covariances(product_states(preps))
+        stack = validate_covariances(product_states(
+            np.array([p.factors() for p in preps]), np.array([p.omega1 for p in preps]),
+            np.array([p.omega3 for p in preps])))
         for prep, sigma in zip(preps, stack):
             assert np.array_equal(sigma, product_state(prep).matrix)
 
