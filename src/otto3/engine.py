@@ -285,11 +285,12 @@ class EngineBatch(_Durations):
         if any(p.ramp is not ramp for p in params):
             raise ValueError("the engines of one batch share their ramp mode")
         totals, eps_stop = zip(*(_stop_limits(p) for p in params))
-        return cls(ramp, [p.prep.omega1 for p in params], [p.prep.omega3 for p in params],
-                   [p.prep.factors() for p in params],
-                   *([getattr(p, name) for p in params] for name in _FLOAT_PARAMS),
-                   [math.nan if p.sample_dt is None else p.sample_dt for p in params],
-                   totals, eps_stop, ids, check=False)
+        omega1, omega3, *floats, dt = np.array([
+            (p.prep.omega1, p.prep.omega3, *(getattr(p, name) for name in _FLOAT_PARAMS),
+             math.nan if p.sample_dt is None else p.sample_dt) for p in params], dtype=float).T
+        modes = np.array([f for p in params for mode in p.prep.modes for f in mode.factors()])
+        return cls(ramp, omega1, omega3, modes.reshape(-1, 3, 2), *floats, dt, totals, eps_stop,
+                   ids, check=False)
 
     @property
     def size(self) -> int:
@@ -1235,17 +1236,16 @@ def _cohorts(batch: EngineBatch, sigma0: np.ndarray,
         block = np.arange(lo, min(lo + _ENSEMBLE_SIZE, batch.size))
         nh, nc = (_interior(tau[block], n, batch.sample_dt[block])[0]
                   for tau, n in zip(strokes, _REDUCED_SAMPLES))
-        _, first, cohort = np.unique(nh * (_BATCH_POINT_BUDGET + 1) + nc,
-                                     return_index=True, return_inverse=True)
-        for c in np.argsort(first):
-            rows = block[cohort == c]
+        key = nh * (_BATCH_POINT_BUDGET + 1) + nc
+        for k in dict.fromkeys(key.tolist()):  # in order of first appearance
+            rows = block[key == k]
             times = None
             if correlations:  # the interior instants are read
                 times = tuple(_interior(tau[rows], n, batch.sample_dt[rows], instants=True)[1]
                               for tau, n in zip(strokes, _REDUCED_SAMPLES))
             yield rows, _run_engines(
                 _Strokes(batch, rows), sigma0[rows], totals=batch.totals[rows],
-                eps_stop=batch.eps_stop[rows], interior=(int(nh[first[c]]), int(nc[first[c]])),
+                eps_stop=batch.eps_stop[rows], interior=divmod(k, _BATCH_POINT_BUDGET + 1),
                 times=times, correlations=correlations, keep_records=False)
 
 
