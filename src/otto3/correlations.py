@@ -170,8 +170,13 @@ def entropy_like(x, *, strict: bool = True):
 
     Arguments within H_CLIP_TOL below 1 are clipped to 1 (pure-mode limit);
     anything lower is rejected in strict mode and clipped otherwise.
+    Strict mode rejects non-finite arguments too; otherwise they pass
+    through for the caller to refuse.
     """
     arr = np.asarray(x, dtype=float)
+    if strict and not np.isfinite(arr).all():
+        bad = float(arr[~np.isfinite(arr)][0])
+        raise PhysicalityError(f"entropy argument {bad!r} is not finite")
     if strict and np.any(arr < 1.0 - H_CLIP_TOL):
         bad = float(np.min(arr))
         raise PhysicalityError(f"entropy argument {bad!r} below the pure-state value 1")

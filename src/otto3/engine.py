@@ -25,12 +25,13 @@ instead of stepping stroke by stroke.  Cycles run in chunks that double
 from 4 to 256, each starting from the symmetrised end of the one before.
 A kernel call may run several consecutive chunks (a span) and may cut its
 last chunk short; either way it computes the same cycles from the same
-cursors, so the grouping changes no number.  Calls are planned from a
-probe cycle predicted off the cycle map: a lone engine that stops on its
-own runs in one call that ends at its stop, each engine of a shared call
-computes no cycle past its own, and a wrong prediction costs time, never
-a number, because the kernel's own w_cycle decides every stop.  Many
-independent engines (a scan) step together along an engine axis through
+cursors, so the grouping changes no number.  A call ends where its
+engines end (a FixedCycles count, else a probe cycle predicted off the
+cycle map), within a bound on the states it holds: a lone engine that
+stops on its own runs in one call that ends at its stop, each engine of a
+shared call computes no cycle past its own, and a wrong prediction costs
+time, never a number, because the kernel's own w_cycle decides every
+stop.  Many independent engines (a scan) step together along an engine axis through
 the same cycle kernel and stepping loop that run one Engine; no engine's
 numbers depend on the others.  Their inputs are an EngineBatch, one array
 per parameter, checked in one pass: the stroke maps, the initial states
@@ -87,19 +88,18 @@ _BATCH_POINT_BUDGET = 200_000
 # cycles, while each chunk carries a fixed correlation-scoring cost.
 _CHUNK_START, _CHUNK_MAX = 4, 256
 # Engines stepped together: one kernel call holds at most this many
-# engine-cycles (times the points per cycle), which is one engine's largest
-# chunk, however many engines share the call.  A call planned to end at its
-# engines' predicted probes takes following chunks up to this bound too.
+# engine-cycles, which is one engine's largest chunk, however many engines
+# share the call.  A call takes its engines' following chunks of the
+# schedule (a span) up to this bound too.
 _STACK_CYCLES = _CHUNK_MAX
 # The same bound for a call that holds no states past the cycle starts (no
 # records, correlations or time series): it holds a few states per
 # engine-cycle, not a few per sampled point.
 _LEAN_STACK_CYCLES = 2 * _STACK_CYCLES
-# Without a prediction, a kernel call takes its engines' following chunks
-# of the schedule (a span) while it holds at most this many engine-cycles:
-# a lone engine runs 4+8+16+32 cycles in one call, a scan block keeps one
-# chunk per call.
-_SPAN_CYCLES = 64
+# A call that keeps states holds at most this many kernel points
+# (engine-cycles x (3 + interior points per cycle)): a tracked run takes
+# about 95 cycles per call, a scan block of 50 engines one chunk.
+_CALL_POINTS = 4096
 # Engines per ensemble of run_reduced_ensemble; bounds the stacked stroke
 # maps and cursors of a long scan.
 _ENSEMBLE_SIZE = _CHUNK_MAX
@@ -222,7 +222,8 @@ class EngineBatch(_Durations):
     oscillators (Preparation.factors).  sample_dt is NaN for fixed sample
     counts, totals the cycle limit (FixedCycles.n, else max_cycles) and
     eps_stop the work threshold, -inf under FixedCycles.  A column shared
-    by every engine may be given as one value.  Unless check=False, the
+    by every engine may be given as one value; the others must have one row
+    per engine, or the batch refuses them.  Unless check=False, the
     batch refuses the first engine that Preparation or EngineParams would
     refuse, with their error, prefixed "engine {id}: " when E > 1; ids
     name engines in every error (default: their positions).
@@ -246,9 +247,16 @@ class EngineBatch(_Durations):
     def __post_init__(self, check: bool) -> None:
         cols = {name: np.asarray(getattr(self, name), dtype=float) for name in _FLOAT_COLUMNS}
         cols["totals"] = np.asarray(self.totals)
-        n_eng = max(col.size for col in cols.values())
-        cols["modes"] = np.broadcast_to(np.asarray(self.modes, dtype=float), (n_eng, 3, 2))
+        longest = max(cols, key=lambda name: cols[name].size)
+        n_eng = cols[longest].size
+        cols["modes"] = np.asarray(self.modes, dtype=float)
         cols["ids"] = np.arange(n_eng) if self.ids is None else np.asarray(self.ids)
+        for name, col in cols.items():
+            shared = col.ndim < (3 if name == "modes" else 1)
+            if not shared and len(col) != n_eng:
+                raise ConfigError(f"column {name} has {len(col)} rows where column "
+                                  f"{longest} has {n_eng}")
+        cols["modes"] = np.broadcast_to(cols["modes"], (n_eng, 3, 2))
         for name, col in cols.items():
             object.__setattr__(self, name, col if col.ndim else np.full(n_eng, col))
         if not check:
@@ -749,27 +757,23 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     _BATCH_POINT_BUDGET, so its numbers do not depend on the engines beside
     it.  Engines at the same point of the schedule with the same chunk
     size are stepped together in sub-batches of at most _STACK_CYCLES
-    engine-cycles (_LEAN_STACK_CYCLES when no records, correlations or
-    series read the states), counting the cycles each engine computes.
-    A sub-batch whose engines share the sizes of their
-    following chunks takes those too, one kernel call for the whole span,
-    while the call holds at most _SPAN_CYCLES engine-cycles (and the point
-    budget): 4+8+16+32 cycles for a lone engine, one chunk for a scan block
-    of 50 engines.
+    engine-cycles and _CALL_POINTS kernel points (_LEAN_STACK_CYCLES
+    engine-cycles when no records, correlations or series read the
+    states), counting the cycles each engine computes.
 
-    Before a call past a work-rule engine's first chunk, before any call
-    without correlations, or before a first call with room for the second
-    chunk too, the engine's probe is predicted from its cycle map
-    (_Strokes.probe_cycles).  When every engine of the call has a
-    predicted probe, the call ends with the latest of them, cutting its
-    last chunk short, and takes following chunks while it holds at most
-    _STACK_CYCLES engine-cycles.  Within the call, each engine with a
-    prediction computes no cycle past its own probe.  The sub-batches stay
-    those above.  An engine that outlives its cut chunk drops it and runs
-    it again in full, from the same cursor, with no prediction; any cycle
-    it keeps is computed exactly as without predictions.  With
-    correlations, the kernel's first chunk is the cheaper predictor for
-    the engines that stop within it, which is most of a scan.
+    One rule sizes every kernel call.  Each engine has a planned end:
+    totals[e] without a work rule, else its probe, predicted from its cycle
+    map (_Strokes.probe_cycles) before a call past its first chunk, before
+    any call without correlations, or before a first call with room for
+    the second chunk too.  A sub-batch takes its following chunks while
+    they share their sizes, within the bound above and short of the latest
+    planned end, and cuts its last chunk at that end; each engine computes
+    no cycle past its own.  An engine that outlives its cut chunk drops it
+    and runs it again in full, from the same cursor, with no planned end;
+    any cycle it keeps is computed exactly as without predictions.  A call
+    with an engine not yet predicted runs one chunk: with correlations, the
+    kernel's first chunk is the cheaper predictor for the engines that stop
+    within it, which is most of a scan.
 
     Correlations are scored only at the kept cycles' points, batched
     across engines; a score that is not finite raises PhysicalityError.
@@ -798,8 +802,8 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     ends = correlations or keep_records or series is not None  # read the states after cooling
     stack_cycles = _STACK_CYCLES if ends else _LEAN_STACK_CYCLES
     chunk_cap = max(1, min(_CHUNK_MAX, _BATCH_POINT_BUDGET // per_cycle))
-    stack_cap = max(1, min(stack_cycles, _BATCH_POINT_BUDGET // per_cycle))
-    span_cap = min(_SPAN_CYCLES, _BATCH_POINT_BUDGET // per_cycle)
+    stack_cap = max(1, min(stack_cycles, _BATCH_POINT_BUDGET // per_cycle,
+                           _CALL_POINTS // (3 + nh + nc) if ends else stack_cycles))
 
     def chunk_size(k: int) -> int:
         """Cycles in chunk k of the doubling schedule."""
@@ -811,8 +815,9 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
         following chunks join while the engines share their size (left:
         the fewest and the most cycles an engine has left after chunk k),
         the call holds at most cap engine-cycles, an engine none past its
-        planned end (reach: cycles to it, NaN or inf without one), and the
-        span falls short of latest cycles."""
+        planned end (reach: cycles to it, inf without one, NaN until
+        predicted), and the span falls short of latest cycles (NaN: chunk
+        k alone)."""
         def held(cycles: int) -> float:
             return float(np.fmin(reach, cycles).sum())
 
@@ -838,9 +843,9 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     parts: list[tuple[np.ndarray, dict[str, np.ndarray]]] = [(np.empty(0, dtype=int), {
         n: np.empty((0, 3) if n in ("neg", "disc") else 0) for n in names})]
     # Cycles each engine is planned to simulate, probe included (at least,
-    # where no probe falls below the prediction's horizon): NaN until
-    # predicted, inf without a prediction (and without a work rule).
-    planned = np.where(eps_stop > -np.inf, np.nan, np.inf)
+    # where no probe falls below the prediction's horizon): totals without
+    # a work rule, else NaN until predicted and inf without a prediction.
+    planned = np.where(eps_stop > -np.inf, np.nan, totals)
 
     step = np.zeros(n_eng, dtype=int)  # each engine's next chunk of the schedule
     active = (totals > 0).nonzero()[0]
@@ -868,25 +873,22 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
                 bounds = int(sub.min()), int(sub.max())
                 fresh = idx[np.isnan(planned[idx])]
                 if fresh.size and (k > 0 or not correlations
-                                   or idx.size * (count + chunk_size(1)) <= span_cap):
+                                   or idx.size * (count + chunk_size(1)) <= stack_cap):
                     horizon = int(min(stack_cycles, totals[fresh].max()))
                     cycle = strokes.probe_cycles(fresh, sigma0[fresh], eps_stop[fresh], horizon)
                     # A probe among the cycles run already was missed; an
                     # engine with no probe below the horizon runs to it at least.
                     planned[fresh] = np.where(cycle >= done, np.minimum(cycle + 1.0, horizon),
                                               np.inf)
-                # Cycles to each engine's planned end: NaN or inf without a
-                # prediction.  The call reaches the latest of them.
+                # Cycles to each engine's planned end, inf without a
+                # prediction.  The call reaches the latest of them; an
+                # engine still unpredicted (NaN) keeps it to one chunk.
                 reach = planned[idx] - done
                 latest = float(reach.max())
-                cut = False
-                if latest < math.inf:
-                    span = span_of(k, count, reach, bounds, stack_cap, latest)
-                    cut = sum(span) > latest
-                    if cut:
-                        span[-1] -= sum(span) - int(latest)
-                else:
-                    span = span_of(k, count, reach, bounds, span_cap, math.inf)
+                span = span_of(k, count, reach, bounds, stack_cap, latest)
+                cut = sum(span) > latest
+                if cut:
+                    span[-1] -= sum(span) - int(latest)
                 total = sum(span)
                 lengths = np.where(reach < total, reach, total).astype(int)
                 kept = _step(strokes, idx, tuple(span), lengths, cut, sigma, simulated, probe,

@@ -51,6 +51,8 @@ def symplectic_eigenvalues(sigma: Union[np.ndarray, "CovarianceMatrix"]) -> np.n
     n = mat.shape[-1] // 2
     if mat.ndim < 2 or mat.shape[-2:] != (2 * n, 2 * n) or n == 0:
         raise ValueError(f"covariance matrix must be square with even dimension, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise PhysicalityError("covariance matrix has non-finite entries")
     if np.any(_asymmetric(mat)):
         raise PhysicalityError("covariance matrix is not symmetric")
     return _spectrum(mat)

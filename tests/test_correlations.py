@@ -128,6 +128,16 @@ class TestEntropyLike:
         with pytest.raises(ValueError):
             entropy_like(0.9)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_strict_rejects_non_finite(self, value):
+        with pytest.raises(PhysicalityError, match="is not finite"):
+            entropy_like(value)
+        with pytest.raises(PhysicalityError, match="is not finite"):
+            entropy_like(np.array([2.0, value]))
+
+    def test_non_strict_passes_nan_through(self):
+        assert math.isnan(entropy_like(math.nan, strict=False))
+
     def test_non_strict_clamps(self):
         assert entropy_like(0.9, strict=False) == 0.0
 

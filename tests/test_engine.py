@@ -666,6 +666,16 @@ class TestEngineBatch:
                                thermal_preparation(0.01, 0.1).factors(), **cols,
                                ids=[10, 11, 12, 13])
 
+    @pytest.mark.parametrize("name, rows", [("alpha12", 2), ("ids", 3), ("ids", 5),
+                                            ("modes", 2)])
+    def test_columns_of_unequal_lengths_are_refused(self, name, rows):
+        cols = dict(self.columns(omega3=(0, 0.1)), modes=thermal_preparation(0.01, 0.1).factors())
+        cols[name] = {"alpha12": np.full(rows, 0.01), "ids": np.arange(rows),
+                      "modes": np.broadcast_to(cols["modes"], (rows, 3, 2))}[name]
+        with pytest.raises(ConfigError, match=rf"^column {name} has {rows} rows where "
+                                              rf"column omega3 has {self.N}$"):
+            engine.EngineBatch(RampMode.QUASI_STATIC, **cols)
+
     def test_a_lone_engine_batch_gives_the_bare_text(self):
         with pytest.raises(ConfigError, match=r"^finite-time ramps need tau_comp > 0$"):
             engine.EngineBatch(RampMode.QUASI_STATIC, 1.0, 0.1, thermal_preparation(0.01, 0.1)
@@ -883,12 +893,13 @@ def fingerprint(res):
             res.sigma_final.matrix.tobytes(), series)
 
 
-# Bounds on the engine-cycles of one kernel call, planned from a predicted
-# probe (_STACK_CYCLES) or not (_SPAN_CYCLES): one chunk per call, the
-# defaults, and none.
-CALL_BOUNDS = {"one_chunk": (1, 1),
-               "default": (engine._SPAN_CYCLES, engine._STACK_CYCLES),
-               "unbounded": (10**9, 10**9)}
+# Bounds on one kernel call: its kernel points when it keeps states
+# (_CALL_POINTS), its engine-cycles (_STACK_CYCLES), and those of a call
+# that keeps none (_LEAN_STACK_CYCLES): one chunk per call, the defaults,
+# and none.
+CALL_BOUNDS = {"one_chunk": (1, 1, 1),
+               "default": (engine._CALL_POINTS, engine._STACK_CYCLES, engine._LEAN_STACK_CYCLES),
+               "unbounded": (10**9, 10**9, 10**9)}
 
 
 def _no_prediction(self, idx, sigma0, eps_stop, horizon):
@@ -907,9 +918,10 @@ class TestSpans:
 
     def _by_bound(self, monkeypatch, run):
         out = {}
-        for name, (span, stack) in CALL_BOUNDS.items():
-            monkeypatch.setattr(engine, "_SPAN_CYCLES", span)
+        for name, (points, stack, lean) in CALL_BOUNDS.items():
+            monkeypatch.setattr(engine, "_CALL_POINTS", points)
             monkeypatch.setattr(engine, "_STACK_CYCLES", stack)
+            monkeypatch.setattr(engine, "_LEAN_STACK_CYCLES", lean)
             out[name] = run()
         return out
 
@@ -945,10 +957,9 @@ class TestSpans:
             return kernel(strokes, idx, sigma, span, *args)
 
         monkeypatch.setattr(engine, "_simulate_chunk", recording)
-        # no work rule, no prediction: the doubling chunks, spanned up to
-        # _SPAN_CYCLES engine-cycles
+        # no work rule: the doubling chunks, spanned to the run's known end
         run_reduced(optimized_params(stop=FixedCycles(300)), correlations=False)
-        assert spans == [(1, (4, 8, 16, 32)), (1, (64,)), (1, (128,)), (1, (48,))]
+        assert spans == [(1, (4, 8, 16, 32, 64, 128, 48))]
         spans.clear()
         # a predicted probe at cycle 70: one call that cuts its last chunk there
         run_reduced(optimized_params(), correlations=False)
@@ -959,11 +970,12 @@ class TestSpans:
 
     def test_chunks_after_the_stop_are_never_first_law_checked(self, monkeypatch):
         """Stroke states of every cycle after the first chunk of a lone
-        engine's 4+8+16+32 span are poisoned with NaN, which fails the
-        first-law check wherever it looks.  Without a prediction, the span
-        runs on past the stop; with one, the call ends at the stop and
-        computes no later cycle at all."""
+        engine's 4+8+16+32 span (calls held to 60 cycles) are poisoned
+        with NaN, which fails the first-law check wherever it looks.
+        Without a prediction, the span runs on past the stop; with one,
+        the call ends at the stop and computes no later cycle at all."""
         monkeypatch.setattr(engine._Strokes, "probe_cycles", _no_prediction)
+        monkeypatch.setattr(engine, "_STACK_CYCLES", 60)
         sandwich = engine._sandwich_stack
 
         def poisoned(mats, states):
@@ -1033,6 +1045,24 @@ class TestPredictedCalls:
             plain, planned = self._unpredicted_and(
                 predictor, monkeypatch, lambda: fingerprint(Engine(params).run()))
             assert planned == plain
+
+    def test_fixed_cycles_engines_are_never_predicted(self, monkeypatch):
+        """A FixedCycles engine's end is its cycle count; only work-rule
+        engines reach the predictor."""
+        predicted = []
+
+        def probe_cycles(self, idx, sigma0, eps_stop, horizon):
+            predicted.append(eps_stop)
+            return _PREDICT(self, idx, sigma0, eps_stop, horizon)
+
+        monkeypatch.setattr(engine._Strokes, "probe_cycles", probe_cycles)
+        fixed = optimized_params(stop=FixedCycles(140))
+        for correlations in (True, False):
+            run_reduced(fixed, correlations=correlations)
+        Engine(fixed).run()
+        assert not predicted
+        run_reduced_ensemble(mixed_ensemble(), correlations=False)
+        assert predicted and all((eps > -np.inf).all() for eps in predicted)
 
     @pytest.mark.parametrize("predictor", sorted(MISPREDICTIONS))
     def test_ensemble_and_scan(self, predictor, monkeypatch):

@@ -438,8 +438,8 @@ class TestScanEnsembles:
         assert random_scan(**self.SCAN) == reference, "one-engine sub-batches"
         monkeypatch.undo()
         for bound in (1, 10**9):
-            monkeypatch.setattr(engine, "_SPAN_CYCLES", bound)
-            assert random_scan(**self.SCAN) == reference, f"spans of {bound} engine-cycles"
+            monkeypatch.setattr(engine, "_CALL_POINTS", bound)
+            assert random_scan(**self.SCAN) == reference, f"calls of {bound} kernel points"
         monkeypatch.undo()
         assert random_scan(**self.SCAN, workers=2) == reference, "two workers"
 

@@ -199,6 +199,13 @@ class TestSymplecticEigenvalues:
         with pytest.raises(ValueError):
             symplectic_eigenvalues(np.eye(3))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, value):
+        sigma = 0.5 * np.eye(6)
+        sigma[2, 4] = sigma[4, 2] = value
+        with pytest.raises(PhysicalityError, match="^covariance matrix has non-finite entries$"):
+            symplectic_eigenvalues(sigma)
+
 
 class TestCovarianceMatrix:
     def test_rejects_asymmetric(self):
