@@ -97,8 +97,8 @@ _STACK_CYCLES = _CHUNK_MAX
 # engine-cycle, not a few per sampled point.
 _LEAN_STACK_CYCLES = 2 * _STACK_CYCLES
 # A call that keeps states holds at most this many kernel points
-# (engine-cycles x (3 + interior points per cycle)): a tracked run takes
-# about 95 cycles per call, a scan block of 50 engines one chunk.
+# (engine-cycles x (3 + interior points per cycle)): about 95 cycles of a
+# tracked run, and no bound below _STACK_CYCLES at a scan's 9 points.
 _CALL_POINTS = 4096
 # Engines per ensemble of run_reduced_ensemble; bounds the stacked stroke
 # maps and cursors of a long scan.
