@@ -34,9 +34,9 @@ time, never a number, because the kernel's own w_cycle decides every
 stop.  Many independent engines (a scan) step together along an engine axis through
 the same cycle kernel and stepping loop that run one Engine; no engine's
 numbers depend on the others.  Their inputs are an EngineBatch, one array
-per parameter, checked in one pass: the stroke maps, the initial states
-and the stepping loop read its columns, and an engine's record columns
-stay arrays, engine by engine.  EngineParams is one row at the API
+per parameter, its rows checked by the rules EngineParams uses: the stroke
+maps, the initial states and the stepping loop read its columns, and an
+engine's record columns stay arrays, engine by engine.  EngineParams is one row at the API
 boundary; Engine and run_reduced_ensemble turn params into batches
 (EngineBatch.of), and a scan builds its batch from its draws.
 prepared() runs an ensemble ahead of run_reduced calls that each evaluate
@@ -71,8 +71,8 @@ from .propagators import (
     ramp_propagators,
     ramp_propagators_at,
 )
-from .states import (CovarianceMatrix, Preparation, Thermal, product_state, product_states,
-                     validate_covariances)
+from .states import (CovarianceMatrix, Preparation, check_frequencies, product_state,
+                     product_states, validate_covariances)
 
 FIRST_LAW_RTOL = 1e-12
 DEFAULT_STROKE_SAMPLES = 20
@@ -142,28 +142,47 @@ def _points_within(tau, dt):
     return np.where(np.isfinite(span), np.maximum(0.0, np.ceil(span)), math.inf)
 
 
-class _Durations:
-    """Stroke durations of EngineParams (floats) or an EngineBatch (columns)."""
+def _durations(ramp: RampMode, tau_comp, tau_h=0.0, tau_c=0.0) -> tuple:
+    """Wall-clock lengths of one ramp stroke and of one cycle (floats or columns)."""
+    ramp_tau = 0.0 * tau_comp if ramp is RampMode.SUDDEN else tau_comp
+    return ramp_tau, 2.0 * ramp_tau + tau_h + tau_c
 
-    @property
-    def ramp_duration(self):
-        """Wall-clock length of one ramp stroke."""
-        return 0.0 * self.tau_comp if self.ramp is RampMode.SUDDEN else self.tau_comp
 
-    @property
-    def cycle_duration(self):
-        return 2.0 * self.ramp_duration + self.tau_h + self.tau_c
+def _check_engine(ramp: RampMode, alpha12: float, alpha23: float, tau_comp: float,
+                  tau_h: float, tau_c: float, sample_dt: Optional[float], stop: StopRule,
+                  max_cycles: int) -> None:
+    """Refuse one engine's strokes and stopping with ConfigError: the rules
+    of EngineParams, which every checked EngineBatch row runs too."""
+    if not isinstance(ramp, RampMode):
+        raise ConfigError(f"ramp must be a RampMode, got {ramp!r}")
+    for name, value in zip(_FLOAT_PARAMS, (alpha12, alpha23, tau_comp, tau_h, tau_c)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+    if ramp is not RampMode.SUDDEN and tau_comp <= 0:
+        raise ConfigError("finite-time ramps need tau_comp > 0")
+    if sample_dt is not None:
+        if not (math.isfinite(sample_dt) and sample_dt > 0):
+            raise ConfigError(f"sample_dt must be finite and > 0, got {sample_dt}")
+        strokes = (tau_h, tau_c) + (tau_comp, tau_comp) * (ramp is RampMode.LINEAR_AIRY)
+        points = sum(_points_within(tau, sample_dt) for tau in strokes)
+        if points > _BATCH_POINT_BUDGET:
+            raise ConfigError(f"sample_dt={sample_dt} samples {points:.0f} interior points per "
+                              f"cycle; at most {_BATCH_POINT_BUDGET} are allowed")
+    check_count("max_cycles", max_cycles, 1)
+    if not isinstance(stop, (WorkNonNegative, FixedCycles)):
+        raise ConfigError(f"unknown stop rule {stop!r}")
+    # the probe cycle past the limit must end at a finite time too
+    duration = _durations(ramp, tau_comp, tau_h, tau_c)[1]
+    if not math.isfinite((_stop_limits(stop, max_cycles)[0] + 1) * duration):
+        raise ConfigError(f"the run's clock overflows at {duration} per cycle")
 
-    def _points_per_cycle(self, dt):
-        """Interior points per cycle that a sample_dt dt takes."""
-        strokes = [self.tau_h, self.tau_c]
-        if self.ramp is RampMode.LINEAR_AIRY:
-            strokes += [self.tau_comp, self.tau_comp]
-        return sum(_points_within(tau, dt) for tau in strokes)
+
+_FLOAT_PARAMS = ("alpha12", "alpha23", "tau_comp", "tau_h", "tau_c")
+_FLOAT_COLUMNS = ("omega1", "omega3", *_FLOAT_PARAMS, "sample_dt", "eps_stop")
 
 
 @dataclass(frozen=True)
-class EngineParams(_Durations):
+class EngineParams:
     """Static description of one engine configuration.
 
     The cold frequency omega3 is the preparation's.  tau_comp is the
@@ -184,34 +203,23 @@ class EngineParams(_Durations):
     max_cycles: int = 10_000
 
     def __post_init__(self) -> None:
-        for name in ("alpha12", "alpha23", "tau_comp", "tau_h", "tau_c"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-        if self.ramp is not RampMode.SUDDEN and self.tau_comp <= 0:
-            raise ConfigError("finite-time ramps need tau_comp > 0")
-        if self.sample_dt is not None:
-            if not (math.isfinite(self.sample_dt) and self.sample_dt > 0):
-                raise ConfigError(f"sample_dt must be finite and > 0, got {self.sample_dt}")
-            points = self._points_per_cycle(self.sample_dt)
-            if points > _BATCH_POINT_BUDGET:
-                raise ConfigError(
-                    f"sample_dt={self.sample_dt} samples {points:.0f} interior points per "
-                    f"cycle; at most {_BATCH_POINT_BUDGET} are allowed")
-        check_count("max_cycles", self.max_cycles, 1)
-        if not isinstance(self.stop, (WorkNonNegative, FixedCycles)):
-            raise ConfigError(f"unknown stop rule {self.stop!r}")
-        # the probe cycle past the limit must end at a finite time too
-        if not math.isfinite((_stop_limits(self)[0] + 1) * self.cycle_duration):
-            raise ConfigError(f"the run's clock overflows at {self.cycle_duration} per cycle")
+        if not isinstance(self.prep, Preparation):
+            raise ConfigError(f"prep must be a Preparation, got {self.prep!r}")
+        _check_engine(self.ramp, self.alpha12, self.alpha23, self.tau_comp, self.tau_h,
+                      self.tau_c, self.sample_dt, self.stop, self.max_cycles)
 
+    @property
+    def ramp_duration(self) -> float:
+        """Wall-clock length of one ramp stroke."""
+        return _durations(self.ramp, self.tau_comp)[0]
 
-_FLOAT_PARAMS = ("alpha12", "alpha23", "tau_comp", "tau_h", "tau_c")
-_FLOAT_COLUMNS = ("omega1", "omega3", *_FLOAT_PARAMS, "sample_dt", "eps_stop")
+    @property
+    def cycle_duration(self) -> float:
+        return _durations(self.ramp, self.tau_comp, self.tau_h, self.tau_c)[1]
 
 
 @dataclass(frozen=True)
-class EngineBatch(_Durations):
+class EngineBatch:
     """The inputs of E engines that share a ramp mode, one column per
     parameter, row e for engine e: what the stroke maps (_Strokes), the
     initial states (states.product_states) and the stepping loop read.
@@ -222,11 +230,11 @@ class EngineBatch(_Durations):
     oscillators (Preparation.factors).  sample_dt is NaN for fixed sample
     counts, totals the cycle limit (FixedCycles.n, else max_cycles) and
     eps_stop the work threshold, -inf under FixedCycles.  A column shared
-    by every engine may be given as one value; the others must have one row
-    per engine, or the batch refuses them.  Unless check=False, the
-    batch refuses the first engine that Preparation or EngineParams would
-    refuse, with their error, prefixed "engine {id}: " when E > 1; ids
-    name engines in every error (default: their positions).
+    by every engine may be given as one value, the others (modes too) need
+    a row per engine, and a batch of shared columns is one engine.  Unless
+    check=False, each row runs the rules a lone engine runs, in its order,
+    and the first failure raises their error, prefixed "engine {id}: " when
+    E > 1; ids name engines in every error (default: their positions).
     """
 
     ramp: RampMode
@@ -246,53 +254,41 @@ class EngineBatch(_Durations):
 
     def __post_init__(self, check: bool) -> None:
         cols = {name: np.asarray(getattr(self, name), dtype=float) for name in _FLOAT_COLUMNS}
-        cols["totals"] = np.asarray(self.totals)
-        longest = max(cols, key=lambda name: cols[name].size)
-        n_eng = cols[longest].size
-        cols["modes"] = np.asarray(self.modes, dtype=float)
-        cols["ids"] = np.arange(n_eng) if self.ids is None else np.asarray(self.ids)
-        for name, col in cols.items():
-            shared = col.ndim < (3 if name == "modes" else 1)
-            if not shared and len(col) != n_eng:
-                raise ConfigError(f"column {name} has {len(col)} rows where column "
-                                  f"{longest} has {n_eng}")
+        cols.update(totals=np.asarray(self.totals), modes=np.asarray(self.modes, dtype=float))
+        if self.ids is not None:
+            cols["ids"] = np.asarray(self.ids)
+        rows = {name: len(col) for name, col in cols.items() if col.ndim > 2 * (name == "modes")}
+        first, n_eng = next(iter(rows.items()), (None, 1))
+        for name, n in rows.items():
+            if n != n_eng:
+                raise ConfigError(f"column {name} has {n} rows where column {first} has {n_eng}")
+        cols.setdefault("ids", np.arange(n_eng))
         cols["modes"] = np.broadcast_to(cols["modes"], (n_eng, 3, 2))
         for name, col in cols.items():
             object.__setattr__(self, name, col if col.ndim else np.full(n_eng, col))
         if not check:
             return
-        values = np.array([getattr(self, name) for name in _FLOAT_PARAMS])
-        dt, eps = self.sample_dt, self.eps_stop
-        with np.errstate(all="ignore"):
-            ok = ((0 < self.omega3) & (self.omega3 < self.omega1) & np.isfinite(self.omega1)
-                  & (np.isfinite(values) & (values >= 0)).all(axis=0)
-                  & ((self.ramp is RampMode.SUDDEN) | (self.tau_comp > 0))
-                  & (np.isnan(dt) | ((dt > 0) & (dt < math.inf)
-                                     & (self._points_per_cycle(dt) <= _BATCH_POINT_BUDGET)))
-                  & ~np.isnan(eps) & (eps < math.inf)
-                  & np.issubdtype(self.totals.dtype, np.integer)
-                  & (self.totals >= (eps > -math.inf))
-                  & np.isfinite((self.totals + 1) * self.cycle_duration))
-        for k in np.flatnonzero(~ok).tolist():
-            v = {name: getattr(self, name)[k].item() for name in (*_FLOAT_COLUMNS, "totals")}
-            work, dt_k = v["eps_stop"] != -math.inf, v["sample_dt"]
-            try:  # row k as a lone engine
-                EngineParams(Preparation((Thermal(0.0),) * 3, v["omega3"], v["omega1"]),
-                             *(v[name] for name in _FLOAT_PARAMS), self.ramp,
-                             WorkNonNegative(v["eps_stop"]) if work else FixedCycles(v["totals"]),
-                             None if math.isnan(dt_k) else dt_k, v["totals"] if work else 1)
+        for k, w1, w3, *floats, dt, eps, total in zip(self.ids.tolist(), *(
+                getattr(self, name).tolist() for name in (*_FLOAT_COLUMNS, "totals"))):
+            work = eps != -math.inf
+            try:  # engine k's rules, in the order a lone engine meets them
+                check_frequencies(w3, w1)
+                _check_engine(self.ramp, *floats, None if math.isnan(dt) else dt,
+                              WorkNonNegative(eps) if work else FixedCycles(total),
+                              total if work else 1)  # max_cycles does not limit FixedCycles
             except ConfigError as exc:
-                raise ConfigError(f"engine {self.ids[k]}: {exc}" if n_eng > 1
-                                  else str(exc)) from None
+                raise ConfigError(f"engine {k}: {exc}" if n_eng > 1 else str(exc)) from None
 
     @classmethod
     def of(cls, params: Sequence[EngineParams], ids: Optional[Sequence[int]] = None) -> EngineBatch:
         """The batch of params, engines that share one ramp mode; EngineParams
         checked each of them already."""
+        if not params:
+            raise ValueError("EngineBatch.of needs engines; the list of params is empty")
         ramp = params[0].ramp
         if any(p.ramp is not ramp for p in params):
             raise ValueError("the engines of one batch share their ramp mode")
-        totals, eps_stop = zip(*(_stop_limits(p) for p in params))
+        totals, eps_stop = zip(*(_stop_limits(p.stop, p.max_cycles) for p in params))
         omega1, omega3, *floats, dt = np.array([
             (p.prep.omega1, p.prep.omega3, *(getattr(p, name) for name in _FLOAT_PARAMS),
              math.nan if p.sample_dt is None else p.sample_dt) for p in params], dtype=float).T
@@ -395,11 +391,11 @@ class EngineResult:
         return float(np.max(np.abs(self.sigma_final.matrix - self.sigma_initial.matrix)))
 
 
-def _stop_limits(params: EngineParams) -> tuple[int, float]:
-    """(cycle limit, eps_stop) of a run under params.stop; -inf means no work rule."""
-    if isinstance(params.stop, FixedCycles):
-        return params.stop.n, -math.inf
-    return params.max_cycles, params.stop.eps_stop
+def _stop_limits(stop: StopRule, max_cycles: int) -> tuple[int, float]:
+    """(cycle limit, eps_stop) of a run under stop; -inf means no work rule."""
+    if isinstance(stop, FixedCycles):
+        return stop.n, -math.inf
+    return max_cycles, stop.eps_stop
 
 
 def _energy(s: np.ndarray, mode: int, wsq: "float | np.ndarray") -> np.ndarray:
@@ -464,8 +460,9 @@ def _interior(tau: np.ndarray, n: int, dt: np.ndarray,
     np.arange(dt, tau, dt) less a last instant within 1e-12 of tau; none
     for tau = 0 or n = 0.
 
-    Returns the (E,) counts and, with instants, the (E, count) instants of
-    engines that share one count (else None).  The counts are computed
+    Returns the (E,) counts and, with instants, the (E, count) instants
+    (else None), count being the first engine's: callers that ask for
+    instants pass engines that share one count.  The counts are computed
     without building the instants.
     """
     with np.errstate(all="ignore"):
@@ -499,7 +496,7 @@ class _Strokes:
         self.size = w1.size
         self.w1sq, self.w3sq = w1**2, w3**2
         self.alpha12, self.alpha23 = batch.alpha12[rows], batch.alpha23[rows]
-        tau = batch.ramp_duration[rows]
+        tau = _durations(batch.ramp, batch.tau_comp[rows])[0]
         comp, exp = ramp_propagators(batch.ramp, np.stack((w3, w1)), np.stack((w1, w3)),
                                      tau, tau, w1, w3)
         heat = coupling_propagators_at(self.alpha12, w1, w3, batch.tau_h[rows],

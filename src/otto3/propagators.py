@@ -96,6 +96,8 @@ class RampSchedule:
     mode: RampMode = RampMode.LINEAR_AIRY
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, RampMode):
+            raise ValueError(f"ramp mode must be a RampMode, got {self.mode!r}")
         if not all(math.isfinite(v) and v > 0 for v in (self.omega_in, self.omega_fin)):
             raise ValueError(f"ramp frequencies must be finite and > 0, got {self.omega_in}, {self.omega_fin}")
         if not (math.isfinite(self.tau) and self.tau >= 0):

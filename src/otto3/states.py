@@ -223,6 +223,13 @@ class SqueezedVacuum:
 ModeSpec = Union[Thermal, SqueezedVacuum]
 
 
+def check_frequencies(omega3: float, omega1: float) -> None:
+    """Refuse a cold frequency omega3 and a hot omega1 unless finite 0 < omega3 < omega1."""
+    if not (0 < omega3 < omega1 and math.isfinite(omega1)):
+        raise ConfigError(f"need finite 0 < omega3 < omega1, got omega3={omega3}, "
+                          f"omega1={omega1}")
+
+
 @dataclass(frozen=True)
 class Preparation:
     """Initial product state of the three oscillators.
@@ -238,9 +245,9 @@ class Preparation:
     def __post_init__(self) -> None:
         if len(self.modes) != 3:
             raise ConfigError("exactly three mode specifications required")
-        if not (0 < self.omega3 < self.omega1 and math.isfinite(self.omega1)):
-            raise ConfigError(f"need finite 0 < omega3 < omega1, got omega3={self.omega3}, "
-                              f"omega1={self.omega1}")
+        if not all(isinstance(mode, ModeSpec) for mode in self.modes):
+            raise ConfigError(f"modes must be Thermal or SqueezedVacuum, got {self.modes!r}")
+        check_frequencies(self.omega3, self.omega1)
 
     @property
     def frequencies(self) -> tuple[float, float, float]:

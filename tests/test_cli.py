@@ -402,6 +402,16 @@ class TestOptimize:
         assert_allclose(float(rows[0][1]), RATIO_BASELINE, rtol=1e-6)
         assert rows[0][5] == "1"
 
+    def test_without_omega3_searches_the_default_omega3_interval(self, tmp_path):
+        doc = {"schema_version": 1, "seed": 0,
+               "optimize": {"budget": 4, "restarts": 1, "box": PUBLISHED_BOX}}
+        out = tmp_path / "o"
+        assert main(["optimize", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        best = json.loads((out / "best_params.json").read_text())
+        assert best["evaluations"] == 4
+        assert 0.01 <= best["best_params"]["omega3"] <= 0.99
+        assert best["best_params"]["alpha12"] == 0.038
+
 
 class TestValidate:
     def test_all_checks_pass(self, capsys):

@@ -179,6 +179,26 @@ class TestErgotropy:
         with pytest.raises(ConvergenceError):
             ergotropy(prep, level_budget=100)
 
+    def test_floors_that_keep_too_many_products_are_refined(self):
+        # three equal hot modes: a floor below the top product keeps more than
+        # twice the budget, so the step down shrinks until a floor fits; the
+        # first floor that keeps the budget or more is refused
+        prep = Preparation((Thermal(1.0),) * 3, omega3=0.5)
+        with pytest.raises(ConvergenceError, match=r"needs more than \d+ levels, budget is 30$"):
+            ergotropy(prep, level_budget=30)
+
+    def test_more_populations_than_the_budget_refuse_the_levels(self):
+        # a coarse tail keeps between budget and twice budget populations
+        prep = Preparation((Thermal(7.0), Thermal(0.5), Thermal(0.1)), omega3=0.5)
+        with pytest.raises(ConvergenceError, match=r"^level enumeration needs 28 levels, "
+                                                   r"budget is 16$"):
+            ergotropy(prep, tail_mass=0.3, level_budget=16)
+
+    def test_a_whole_tail_keeps_no_population_and_still_converges(self):
+        prep = thermal_preparation(beta1=0.5, omega3=0.3)
+        assert initial_spectrum(prep, tail_mass=1.0).populations.size == 0
+        assert ergotropy(prep, tail_mass=1.0) == ergotropy(prep)
+
     def test_rejects_nonpositive_convergence(self):
         with pytest.raises(ValueError):
             ergotropy(vacuum_prep(), convergence=0.0)

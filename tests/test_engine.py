@@ -16,7 +16,8 @@ from otto3.cli import build_engine_params, load_config
 from otto3.energetics import mode_energy
 from otto3.engine import (Engine, EngineParams, FixedCycles, TimeSeries,
                           WorkNonNegative, run_reduced)
-from otto3.errors import ConfigError, EnergyBalanceError, PhysicalityError
+from otto3.errors import (ConfigError, EnergyBalanceError, PhysicalityError,
+                          SymplecticityError)
 from otto3.explore import ParameterBox, PrepFamily, random_scan
 from otto3.engine import _BATCH_POINT_BUDGET, run_reduced_ensemble
 from otto3.propagators import SYMPLECTIC_TOL, RampMode, _symplectic_defect
@@ -93,6 +94,19 @@ class TestParamsValidation:
             EngineParams(prep=thermal_preparation(beta1=0.01, omega3=0.1), **kw)
         kw[field] = 1e300
         EngineParams(prep=thermal_preparation(beta1=0.01, omega3=0.1), **kw)
+
+    def test_rejects_a_ramp_given_by_its_value(self):
+        # "quasistatic" is no RampMode: it would run the Airy sweep
+        with pytest.raises(ConfigError, match="^ramp must be a RampMode, got 'quasistatic'$"):
+            optimized_params(ramp="quasistatic")
+
+    def test_rejects_a_prep_that_is_not_a_preparation(self):
+        with pytest.raises(ConfigError, match="^prep must be a Preparation, got 'x'$"):
+            dataclasses.replace(optimized_params(), prep="x")
+
+    def test_rejects_an_unknown_stop_rule(self):
+        with pytest.raises(ConfigError, match="^unknown stop rule 'forever'$"):
+            optimized_params(stop="forever")
 
     def test_cycle_duration(self):
         p = optimized_params()
@@ -372,6 +386,14 @@ class TestTimeSeries:
             want_timeseries=False)
         assert res.timeseries is None
 
+    def test_a_series_follows_exactly_one_engine(self):
+        batch = engine.EngineBatch.of([optimized_params(stop=FixedCycles(1))] * 2)
+        with pytest.raises(ValueError, match="^a time series follows exactly one engine$"):
+            engine._run_engines(engine._Strokes(batch), np.zeros((2, 6, 6)),
+                                totals=batch.totals, eps_stop=batch.eps_stop, interior=(0, 0),
+                                times=None, correlations=False, keep_records=True,
+                                series=object())
+
 
 FROZEN_SERIES = Path(__file__).resolve().parent / "data" / "timeseries_frozen.json"
 
@@ -621,6 +643,32 @@ def squeezed_mixed_ensemble():
     ]
 
 
+# A batch row that every rule accepts, and edge values of each column (a
+# few ordinary ones among them) that a row may take instead.
+USUAL_ROW = dict(omega1=1.0, omega3=0.1, alpha12=0.01, alpha23=0.02, tau_comp=10.0, tau_h=0.5,
+                 tau_c=0.5, sample_dt=math.nan, eps_stop=0.0, totals=100)
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e308, 0.1, 0.5, 1.0, 10.0]
+EDGE_CHANGES = st.sampled_from(
+    [(name, value) for name in USUAL_ROW if name != "totals" for value in EDGE_FLOATS]
+    + [("sample_dt", 1e-9)] + [("totals", n) for n in (0, 1, -1, 2.0, -3.0, 10**6)])
+
+
+def lone_refusal(ramp, omega1, omega3, alpha12, alpha23, tau_comp, tau_h, tau_c, sample_dt,
+                 eps_stop, totals):
+    """The ConfigError text with which a lone engine refuses one batch row,
+    built as a caller builds it (preparation, stop rule, params), or None."""
+    try:
+        prep = Preparation((Thermal(0.0),) * 3, omega3, omega1)
+        work = eps_stop != -math.inf
+        stop = WorkNonNegative(eps_stop) if work else FixedCycles(totals)
+        EngineParams(prep, alpha12, alpha23, tau_comp, tau_h, tau_c, ramp, stop,
+                     None if math.isnan(sample_dt) else sample_dt,
+                     **({"max_cycles": totals} if work else {}))
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
 class TestEngineBatch:
     """A batch checks its columns at once and refuses as a lone engine would."""
 
@@ -691,6 +739,72 @@ class TestEngineBatch:
         assert len({p.ramp for p in params}) == 3
         assert_ensemble_matches_lone_runs(params)
         assert_ensemble_matches_lone_runs(params, correlations=False)
+
+    def test_a_ramp_given_by_its_value_is_refused(self):
+        with pytest.raises(ConfigError, match="^engine 0: ramp must be a RampMode"):
+            self.batch(ramp="quasistatic", alpha12=(0, 0.01))
+
+    def test_modes_alone_count_the_engines(self):
+        preps = [thermal_preparation(beta1, 0.1) for beta1 in (0.01, 0.1, 1.0)]
+        params = [EngineParams(prep=prep, alpha12=0.01, alpha23=0.02, tau_comp=10.0, tau_h=0.5,
+                               tau_c=0.5, max_cycles=100) for prep in preps]
+        batch = engine.EngineBatch(RampMode.LINEAR_AIRY, 1.0, 0.1,
+                                   np.array([prep.factors() for prep in preps]), 0.01, 0.02,
+                                   10.0, 0.5, 0.5, math.nan, 100, 0.0)
+        assert batch.size == 3
+        lone = engine.EngineBatch.of(params)
+        for name in (*engine._FLOAT_COLUMNS, "totals", "modes", "ids"):
+            assert np.array_equal(getattr(batch, name), getattr(lone, name), equal_nan=True)
+        assert_ensemble_matches_lone_runs(params)
+
+    def test_shared_columns_alone_are_one_engine(self):
+        cols = self.columns()
+        batch = engine.EngineBatch(RampMode.SUDDEN, **cols, modes=thermal_preparation(0.01, 0.1)
+                                   .factors())
+        assert batch.size == 1 and batch.modes.shape == (1, 3, 2) and batch.ids.tolist() == [0]
+
+    def test_a_batch_of_no_engines(self):
+        cols = dict(self.columns(), omega3=np.empty(0))
+        batch = engine.EngineBatch(RampMode.QUASI_STATIC, **cols, modes=thermal_preparation(
+            0.01, 0.1).factors())
+        assert batch.size == 0 and batch.modes.shape == (0, 3, 2)
+        assert all(getattr(batch, name).size == 0 for name in (*engine._FLOAT_COLUMNS, "totals"))
+        assert run_reduced_ensemble(batch).n_cycles.size == 0
+
+    def test_of_refuses_an_empty_list_and_mixed_ramps(self):
+        with pytest.raises(ValueError, match="empty"):
+            engine.EngineBatch.of([])
+        with pytest.raises(ValueError, match="share their ramp mode"):
+            engine.EngineBatch.of([optimized_params(), optimized_params(ramp=RampMode.SUDDEN)])
+
+    def test_a_map_that_is_not_symplectic_names_its_stroke_and_engine(self):
+        # check=False trusts its columns: a NaN coupling reaches the stroke maps
+        cols = self.columns(alpha23=(1, math.nan))
+        batch = engine.EngineBatch(RampMode.LINEAR_AIRY, **cols, modes=thermal_preparation(
+            0.01, 0.1).factors(), ids=[5, 6, 7, 8], check=False)
+        with pytest.raises(SymplecticityError, match="^cooling map of engine 6: propagator"):
+            engine._Strokes(batch)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(list(RampMode)), st.lists(st.lists(EDGE_CHANGES, max_size=3).map(
+        lambda changes: {**USUAL_ROW, **dict(changes)}), min_size=1, max_size=4))
+    def test_a_row_is_refused_exactly_when_a_lone_engine_is(self, ramp, rows):
+        ids = np.arange(len(rows)) + 10
+        cols = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+        refusal = None
+        for k, lone in zip(ids.tolist(), zip(*(col.tolist() for col in cols.values()))):
+            refusal = lone_refusal(ramp, **dict(zip(cols, lone)))
+            if refusal is not None:
+                refusal = f"engine {k}: {refusal}" if len(rows) > 1 else refusal
+                break
+        event(f"refused: {refusal is not None}")
+        try:
+            engine.EngineBatch(ramp, **cols, modes=thermal_preparation(0.01, 0.1).factors(),
+                               ids=ids)
+        except ConfigError as exc:
+            assert str(exc) == refusal
+        else:
+            assert refusal is None
 
     def test_a_scan_box_that_draws_tau_comp_zero_is_refused(self):
         box = ParameterBox(tau_comp=(0.0, 0.0), omega3=(0.1, 0.5))

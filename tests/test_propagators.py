@@ -68,6 +68,11 @@ class TestRampSchedule:
         with pytest.raises(ValueError):
             RampSchedule(1.0, -0.1, 1.0)
 
+    def test_rejects_a_mode_that_is_not_a_ramp_mode(self):
+        # a mode given by its value would build the Airy map and fail later
+        with pytest.raises(ValueError, match="^ramp mode must be a RampMode, got 'quasistatic'$"):
+            RampSchedule(0.1, 1.0, 5.0, "quasistatic")
+
     def test_omega_sq_is_linear_in_time(self):
         sched = RampSchedule(1.0, 0.1, 10.0)
         assert_allclose(sched.omega_sq(0.0), 1.0, rtol=1e-15)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from otto3.correlations import gaussian_discord, pair_correlations
 from otto3.energetics import mode_energies, mode_energy
-from otto3.errors import PhysicalityError
+from otto3.errors import ConfigError, PhysicalityError
 from otto3.states import product_states, validate_covariances
 from otto3.propagators import CouplingSide, coupling_propagator
 from otto3.states import (CovarianceMatrix, Preparation, SqueezedVacuum, Thermal,
@@ -111,6 +111,11 @@ class TestPreparation:
             Preparation((Thermal(0.0),) * 3, omega3=1.0)
         with pytest.raises(ValueError):
             Preparation((Thermal(0.0),) * 3, omega3=0.0)
+
+    @pytest.mark.parametrize("modes", [(1, 2, 3), (Thermal(0.0), "x", Thermal(0.0))])
+    def test_rejects_modes_that_are_not_mode_specs(self, modes):
+        with pytest.raises(ConfigError, match="^modes must be Thermal or SqueezedVacuum"):
+            Preparation(modes, omega3=0.1)
 
     def test_hashable(self):
         a = thermal_preparation(beta1=0.01, omega3=0.1)
