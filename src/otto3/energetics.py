@@ -162,18 +162,18 @@ def _spectrum(prep: Preparation, tail_mass: float, budget: int) -> SpectrumPopul
                 for r in ratios]
     lattice = math.prod(p.size for p in per_mode)
     target = 1.0 - tail_mass
-    # Floors fall from the largest product; `fitted` populations were kept
-    # at `above`, the last floor tried that fitted within the limit.
-    above, fitted = per_mode[0][0] * per_mode[1][0] * per_mode[2][0], 0
+    # Floors fall from the largest product; `above` is the last floor tried
+    # that fitted within the limit.
+    above = per_mode[0][0] * per_mode[1][0] * per_mode[2][0]
     step = 1.0 / tail_mass
     while True:
         floor = above / step
         found = _products_at_least(per_mode, floor, 2 * budget)
         if found is None:
             # Too many entries reach this floor: try halfway (in log scale)
-            # to `above`, unless budget populations there fell short already.
+            # to `above`, unless the step has run out.
             step = math.sqrt(step)
-            if fitted >= budget or above / step == above:
+            if above / step == above:
                 raise ConvergenceError(
                     f"level enumeration needs more than {budget} levels")
             continue
@@ -189,7 +189,7 @@ def _spectrum(prep: Preparation, tail_mass: float, budget: int) -> SpectrumPopul
         if kept.size >= budget:
             raise ConvergenceError(
                 f"level enumeration needs more than {kept.size} levels, budget is {budget}")
-        above, fitted, step = floor, kept.size, min(step, _FLOOR_STEP)
+        above, step = floor, min(step, _FLOOR_STEP)
 
 
 def initial_spectrum(prep: Preparation, tail_mass: float = 1e-8) -> SpectrumPopulation:

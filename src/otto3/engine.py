@@ -87,18 +87,20 @@ _BATCH_POINT_BUDGET = 200_000
 # Chunks double from a small first one: most scan engines stop within a few
 # cycles, while each chunk carries a fixed correlation-scoring cost.
 _CHUNK_START, _CHUNK_MAX = 4, 256
-# Engines stepped together: one kernel call holds at most this many
-# engine-cycles, which is one engine's largest chunk, however many engines
-# share the call.  A call takes its engines' following chunks of the
-# schedule (a span) up to this bound too.
+# Engines stepped together: a kernel call that keeps states holds at most
+# this many engine-cycles, which is one engine's largest chunk, however
+# many engines share the call.  A call takes its engines' following chunks
+# of the schedule (a span) up to its bound too.  It is also the horizon of
+# every probe prediction (_Strokes.probe_cycles).
 _STACK_CYCLES = _CHUNK_MAX
-# The same bound for a call that holds no states past the cycle starts (no
-# records, correlations or time series): it holds a few states per
-# engine-cycle, not a few per sampled point.
-_LEAN_STACK_CYCLES = 2 * _STACK_CYCLES
-# A call that keeps states holds at most this many kernel points
-# (engine-cycles x (3 + interior points per cycle)): about 95 cycles of a
-# tracked run, and no bound below _STACK_CYCLES at a scan's 9 points.
+# Every kernel call holds at most this many kernel points, engine-cycles x
+# (3 + interior points per cycle): a cycle's start, the state after heating,
+# its end and the coupling interiors.  A call that keeps states holds them
+# all: about 95 cycles of a tracked run, and no bound below _STACK_CYCLES
+# at a scan's 9 points.  A lean call (no records, correlations or time
+# series) holds no interior points, so up to 1,365 engine-cycles: a whole
+# round of the optimizer (16 engines, at most 1,021 engine-cycles at
+# ratio_sweep's omega3 = 0.1) runs in one call.
 _CALL_POINTS = 4096
 # Engines per ensemble of run_reduced_ensemble; bounds the stacked stroke
 # maps and cursors of a long scan.
@@ -171,9 +173,13 @@ def _check_engine(ramp: RampMode, alpha12: float, alpha23: float, tau_comp: floa
     check_count("max_cycles", max_cycles, 1)
     if not isinstance(stop, (WorkNonNegative, FixedCycles)):
         raise ConfigError(f"unknown stop rule {stop!r}")
+    limit = _stop_limits(stop, max_cycles)[0]
+    if limit >= 2**63:  # the stepping loop holds cycle limits as int64
+        name = "cycle count" if isinstance(stop, FixedCycles) else "max_cycles"
+        raise ConfigError(f"{name} must be below 2**63")
     # the probe cycle past the limit must end at a finite time too
     duration = _durations(ramp, tau_comp, tau_h, tau_c)[1]
-    if not math.isfinite((_stop_limits(stop, max_cycles)[0] + 1) * duration):
+    if not math.isfinite((limit + 1) * duration):
         raise ConfigError(f"the run's clock overflows at {duration} per cycle")
 
 
@@ -413,11 +419,37 @@ def _energy(s: np.ndarray, mode: int, wsq: "float | np.ndarray") -> np.ndarray:
 # matmul would be faster, but its fused multiply-adds turn exact zeros (the
 # heat of a zero-coupling stroke) into rounding noise.
 
-def _sandwich_stack(mats: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """mats[..., n] @ states[..., n] @ mats[..., n].T for (6, 6, N) stacks."""
-    x = np.einsum("abn,bcn->acn", mats, states)
-    out = np.einsum("acn,dcn->adn", x[:, 0::2], mats[:, 0::2])
-    out += np.einsum("acn,dcn->adn", x[:, 1::2], mats[:, 1::2])
+# The entries of the state after each stroke that a lean kernel call (no
+# records, correlations or time series) computes, as indices of (x1, x2,
+# x3, p1, p2, p3): what the medium's energies read.  After compression
+# that is the whole state, after heating and after expansion the block of
+# the medium and the cold oscillator, which the cooling acts on, and after
+# cooling the medium's entries.  The ramps act on each oscillator alone and
+# cooling couples only that block, so the terms a lean sandwich leaves out
+# are exact zeros; with the sums grouped as below, every entry it computes
+# equals the full sandwich's (leaving out a zero term can change only the
+# sign of a zero sum).
+_ALL = tuple(range(6))
+_LEAN_ENTRIES = (_ALL, (1, 2, 4, 5), (1, 2, 4, 5), (1, 4))
+# Positions, among a sandwich's input entries (all six, or the block
+# (1, 2, 4, 5)), of the even and of the odd indices: the left-hand sums
+# run in sequence, the right-hand ones over each group apart, then added.
+_SPLIT = {6: (slice(0, None, 2), slice(1, None, 2)), 4: (slice(1, 3), slice(0, None, 3))}
+# Rows (engine-cycles) a lean call computes at a time: its workspace stays
+# under 1 MB whatever the call's size.
+_LEAN_BLOCK = 512
+
+
+def _sandwich_stack(mats: np.ndarray, states: np.ndarray, out: Optional[np.ndarray] = None,
+                    x: Optional[np.ndarray] = None,
+                    odd: Optional[np.ndarray] = None) -> np.ndarray:
+    """mats[..., n] @ states[..., n] @ mats[..., n].T for element-first
+    (m, k, N) maps and (k, k, N) states, into out if given; x (m, k, N) and
+    odd (m, m, N), if given, hold the intermediates."""
+    even_cols, odd_cols = _SPLIT[states.shape[0]]
+    x = np.einsum("abn,bcn->acn", mats, states, out=x)
+    out = np.einsum("acn,dcn->adn", x[:, even_cols], mats[:, even_cols], out=out)
+    out += np.einsum("acn,dcn->adn", x[:, odd_cols], mats[:, odd_cols], out=odd)
     return out
 
 
@@ -507,9 +539,9 @@ class _Strokes:
         _check_symplectic(maps.reshape(-1, 6, 6), name=lambda k: (
             f"{_STROKE_NAMES[k % 4]} map of engine {self.ids[k // 4]}"))
         self.cycle = cool @ exp @ heat @ comp
-        self.comp_el, self.heat_el, self.exp_el, self.cool_el = (
-            np.ascontiguousarray(x) for x in _by_element(maps).reshape(6, 6, -1, 4)
-            .transpose(3, 0, 1, 2))
+        # compression, heating, expansion and cooling, element-first (6, 6, E)
+        self.stroke_maps = tuple(np.ascontiguousarray(x) for x in _by_element(maps)
+                                 .reshape(6, 6, -1, 4).transpose(3, 0, 1, 2))
 
     def probe_cycles(self, idx: np.ndarray, sigma0: np.ndarray, eps_stop: np.ndarray,
                      horizon: int) -> np.ndarray:
@@ -632,8 +664,10 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
     rounding-level defect breaks.  It is checked on every computed cycle of
     each chunk up to and including the one where the engine's stop rule
     (w_cycle >= -eps_stop) fires; later chunks are dropped unchecked, as if
-    never run.  Without `ends`, the chunk holds no states past the cycle
-    starts (sig_a), only the medium's energies.
+    never run.  Without `ends` (a lean call), the chunk holds no states
+    past the cycle starts (sig_a), only the medium's energies, and of each
+    stroke's state the kernel computes only the entries those read
+    (_LEAN_ENTRIES), in one workspace (_lean_energies).
     """
     n_eng, count = idx.size, sum(span)
     offsets = np.array([0, *itertools.accumulate(span)])
@@ -663,8 +697,6 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
         end = _sandwich_stack(_by_element(chain[span[i]]), cursor)
         cursor = 0.5 * (end + end.transpose(1, 0, 2))
         cursors[:, i + 1] = _by_matrix(cursor)
-    sig_a = _sandwich_stack(_by_element(powers[owner, exponent]),
-                            _by_element(cursors[owner, chunk]))
     live = np.arange(count) < lengths[:, None]
     uniform = rows == live.size
 
@@ -678,22 +710,23 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
 
     w1sq = strokes.w1sq[idx].repeat(lengths)
     w3sq = strokes.w3sq[idx].repeat(lengths)
-    # The states after each stroke and the medium's energy before it.
-    # Unless the caller reads the states (ends), only the newest is held,
-    # and the cooling sandwich computes only the medium's rows and columns
-    # (x2, p2), each entry as the whole sandwich would.
-    medium = slice(None) if ends else [1, 4]
-    states, energies = [sig_a[:, :, :rows]], []
-    for maps, wsq in zip((strokes.comp_el, strokes.heat_el, strokes.exp_el,
-                          strokes.cool_el[medium]), (w3sq, w1sq, w1sq, w3sq)):
-        energies.append(by_engine(_energy(states[-1], 1, wsq)))
-        states.append(_sandwich_stack(np.repeat(maps[:, :, idx], lengths, axis=2), states[-1]))
-        if not ends:
-            states[-2] = None
-    e_a, e_b, e_c, e_d = energies
-    end_states = states[-1]
-    e_e = by_engine(_energy(end_states, 1, w3sq) if ends
-                    else 0.5 * (end_states[1, 1] + w3sq * end_states[0, 0]))
+    wsqs = (w3sq, w1sq, w1sq, w3sq, w3sq)  # at each stage of a cycle
+    # The cycle starts, the states after each stroke and the medium's
+    # energy at each of those stages.
+    if ends:
+        sig_a = _sandwich_stack(_by_element(powers[owner, exponent]),
+                                _by_element(cursors[owner, chunk]))
+        states, energies = [sig_a[:, :, :rows]], []
+        for maps, wsq in zip(strokes.stroke_maps, wsqs):
+            energies.append(by_engine(_energy(states[-1], 1, wsq)))
+            states.append(_sandwich_stack(np.repeat(maps[:, :, idx], lengths, axis=2), states[-1]))
+        energies.append(by_engine(_energy(states[-1], 1, wsqs[-1])))
+    else:
+        sig_a, flat = _lean_energies(strokes, idx, lengths, powers, cursors,
+                                     owner * (top + 1) + exponent, owner * (last + 1) + chunk,
+                                     wsqs)
+        states, energies = [None] * 5, [by_engine(e) for e in flat]
+    e_a, e_b, e_c, e_d, e_e = energies
     w1, q1 = e_b - e_a, e_b - e_c
     w2, q2 = e_d - e_c, e_d - e_e
     du = e_e - e_a
@@ -714,9 +747,60 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
             f"engine {strokes.ids[idx[g]]}, cycle {first_cycle[g] + k}: first-law residual "
             f"{residual[g, k]:.3e} exceeds {budget[g, k]:.3e}"
         )
-    return _Chunk(span, lengths, live, first, keep, stopped, sig_a, *states[1:4],
-                  end_states if ends else None,
+    return _Chunk(span, lengths, live, first, keep, stopped, sig_a, *states[1:],
                   e_a, e_b, e_c, e_d, e_e, w1, q1, w2, q2, du, w_cycle)
+
+
+def _lean_energies(strokes: _Strokes, idx: np.ndarray, lengths: np.ndarray,
+                   powers: np.ndarray, cursors: np.ndarray, power_at: np.ndarray,
+                   cursor_at: np.ndarray, wsqs: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The cycle starts (6, 6, n) of a lean kernel call, n = power_at.size,
+    and the medium's five stage energies of its computed cycles, (5,
+    lengths.sum()), read at the squared frequencies wsqs.
+
+    Start r is powers.reshape(-1, 6, 6)[power_at[r]] sandwiching
+    cursors.reshape(-1, 6, 6)[cursor_at[r]]; after each stroke the kernel
+    computes only the entries _LEAN_ENTRIES.  Rows go _LEAN_BLOCK at a
+    time through one workspace, filled in place: the gathered powers (then
+    each stroke's gathered maps), the gathered cursors, the sandwich
+    scratch and the stage states.
+    """
+    rows, n = int(lengths.sum()), power_at.size
+    sig_a, energies = np.empty((6, 6, n)), np.empty((5, rows))
+    block = min(n, _LEAN_BLOCK)
+    sizes = [36 * block] * 4 + [len(e) ** 2 * block for e in _LEAN_ENTRIES]
+    mats, centres, scratch, odd, *outs = np.split(np.empty(sum(sizes)), np.cumsum(sizes[:-1]))
+    at = idx.repeat(lengths)
+    # each stroke's map, restricted to the entries it computes from those before
+    stroke_maps = [maps[np.ix_(entries, before)] for maps, entries, before in
+                   zip(strokes.stroke_maps, _LEAN_ENTRIES, (_ALL, *_LEAN_ENTRIES))]
+
+    def slot(work: np.ndarray, *shape: int) -> np.ndarray:
+        """The first entries of a workspace part, as an array of that shape."""
+        return work[:math.prod(shape)].reshape(shape)
+
+    for lo in range(0, n, block):
+        b = min(n - lo, block)
+        gathered = slot(scratch, b, 36)  # matrix-first, then copied element-first
+        for table, where, dest in ((powers, power_at, mats), (cursors, cursor_at, centres)):
+            np.take(table.reshape(-1, 36), where[lo:lo + b], axis=0, out=gathered, mode="clip")
+            slot(dest, 36, b)[...] = gathered.T
+        state = _sandwich_stack(slot(mats, 6, 6, b), slot(centres, 6, 6, b),
+                                sig_a[:, :, lo:lo + b], slot(scratch, 6, 6, b), slot(odd, 6, 6, b))
+        r = min(b, rows - lo)  # the computed starts; the closing states come last
+        if r <= 0:
+            continue
+        state, cut = state[:, :, :r], slice(lo, lo + r)
+        for k, entries in enumerate((_ALL, *_LEAN_ENTRIES)):
+            if k:  # the state after stroke k
+                maps, out = stroke_maps[k - 1], outs[k - 1]
+                m, j = maps.shape[:2]
+                taken = np.take(maps, at[cut], axis=2, out=slot(mats, m, j, r), mode="clip")
+                state = _sandwich_stack(taken, state, slot(out, m, m, r),
+                                        slot(scratch, m, j, r), slot(odd, m, m, r))
+            x, p = entries.index(1), entries.index(4)  # the medium's (x2, p2), as _energy
+            energies[k, cut] = 0.5 * (state[p, p] + wsqs[k][cut] * state[x, x])
+    return sig_a, energies
 
 
 _RECORD_FLOATS = ("w1", "q1", "w2", "q2", "du", "w_cycle", "e1", "e2", "e3")
@@ -753,10 +837,12 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     doubling from _CHUNK_START to _CHUNK_MAX and capped by
     _BATCH_POINT_BUDGET, so its numbers do not depend on the engines beside
     it.  Engines at the same point of the schedule with the same chunk
-    size are stepped together in sub-batches of at most _STACK_CYCLES
-    engine-cycles and _CALL_POINTS kernel points (_LEAN_STACK_CYCLES
-    engine-cycles when no records, correlations or series read the
-    states), counting the cycles each engine computes.
+    size are stepped together in sub-batches of at most _CALL_POINTS
+    kernel points, counting the cycles each engine computes; a call that
+    keeps states also holds at most _STACK_CYCLES engine-cycles.  A lean
+    call (no records, correlations or series read the states) holds three
+    points per engine-cycle, so one call runs a whole optimizer round of
+    up to 1,365 engine-cycles.
 
     One rule sizes every kernel call.  Each engine has a planned end:
     totals[e] without a work rule, else its probe, predicted from its cycle
@@ -797,10 +883,10 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     # which add the ramp interiors.
     per_cycle = 3 + nh + nc if series is None else series.rows_per_cycle
     ends = correlations or keep_records or series is not None  # read the states after cooling
-    stack_cycles = _STACK_CYCLES if ends else _LEAN_STACK_CYCLES
     chunk_cap = max(1, min(_CHUNK_MAX, _BATCH_POINT_BUDGET // per_cycle))
-    stack_cap = max(1, min(stack_cycles, _BATCH_POINT_BUDGET // per_cycle,
-                           _CALL_POINTS // (3 + nh + nc) if ends else stack_cycles))
+    # A lean call holds no interior points, only the three of each cycle.
+    stack_cap = max(1, min(_STACK_CYCLES, _BATCH_POINT_BUDGET // per_cycle,
+                           _CALL_POINTS // (3 + nh + nc)) if ends else _CALL_POINTS // 3)
 
     def chunk_size(k: int) -> int:
         """Cycles in chunk k of the doubling schedule."""
@@ -871,7 +957,7 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
                 fresh = idx[np.isnan(planned[idx])]
                 if fresh.size and (k > 0 or not correlations
                                    or idx.size * (count + chunk_size(1)) <= stack_cap):
-                    horizon = int(min(stack_cycles, totals[fresh].max()))
+                    horizon = int(min(_STACK_CYCLES, totals[fresh].max()))
                     cycle = strokes.probe_cycles(fresh, sigma0[fresh], eps_stop[fresh], horizon)
                     # A probe among the cycles run already was missed; an
                     # engine with no probe below the horizon runs to it at least.

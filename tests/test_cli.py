@@ -169,6 +169,11 @@ REFUSED = [
     ("scan", {"scan": {"n_samples": 2, "max_cycles": "x"}}, "scan.max_cycles"),
     ("scan", {"scan": {"n_samples": 2, "max_cycles": 2.7}}, "scan.max_cycles"),
     ("simulate", {"engine": {"max_cycles": 2.7}}, "engine.max_cycles"),
+    # cycle limits past the float range, which int64 columns cannot hold
+    ("simulate", {"engine": {"max_cycles": 10**333}}, r"max_cycles must be below 2\*\*63"),
+    ("simulate", {"engine": {"stop": {"rule": "fixed_cycles", "n": 10**333}}},
+     r"cycle count must be below 2\*\*63"),
+    ("scan", {"scan": {"n_samples": 2, "max_cycles": 10**333}}, "max_cycles must be below"),
     ("optimize", {"optimize": {"omega3": 1.0, "budget": 4}}, "optimize.omega3 must lie"),
     ("optimize", {"optimize": {"omega3_sweep": [0.1, 1.0], "budget": 4}},
      "optimize.omega3_sweep must lie"),

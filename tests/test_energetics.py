@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from otto3 import energetics
 from otto3.energetics import (_ascending_levels, efficiency, ergotropy, initial_spectrum,
                               mode_energies, mode_energy, spectral_shortfall)
 from otto3.errors import ConvergenceError
@@ -193,6 +194,22 @@ class TestErgotropy:
         with pytest.raises(ConvergenceError, match=r"^level enumeration needs 28 levels, "
                                                    r"budget is 16$"):
             ergotropy(prep, tail_mass=0.3, level_budget=16)
+
+    def test_an_exhausted_floor_step_is_refused(self, monkeypatch):
+        # every floor keeps too many products: the step down halves (in log
+        # scale) until it no longer moves the floor, and the loop ends there
+        tried = []
+
+        def too_many(per_mode, floor, limit):
+            tried.append(floor)
+            return None
+
+        monkeypatch.setattr(energetics, "_products_at_least", too_many)
+        with pytest.raises(ConvergenceError, match=r"^level enumeration needs more than 1000 "
+                                                   r"levels$"):
+            ergotropy(thermal_preparation(beta1=0.5, omega3=0.3), level_budget=1000)
+        assert 1 < len(tried) < 100
+        assert all(low < high for low, high in zip(tried, tried[1:]))
 
     def test_a_whole_tail_keeps_no_population_and_still_converges(self):
         prep = thermal_preparation(beta1=0.5, omega3=0.3)

@@ -95,6 +95,18 @@ class TestParamsValidation:
         kw[field] = 1e300
         EngineParams(prep=thermal_preparation(beta1=0.01, omega3=0.1), **kw)
 
+    @pytest.mark.parametrize("limit", [2**63, 10**400], ids=["int64", "past-float"])
+    def test_rejects_a_cycle_limit_past_int64(self, limit):
+        # the stepping loop holds cycle limits as int64; 10**400 once raised
+        # a bare OverflowError from the clock rule
+        with pytest.raises(ConfigError, match=r"^max_cycles must be below 2\*\*63$"):
+            dataclasses.replace(optimized_params(), max_cycles=limit)
+        with pytest.raises(ConfigError, match=r"^cycle count must be below 2\*\*63$"):
+            optimized_params(stop=FixedCycles(limit))
+        widest = dataclasses.replace(optimized_params(), max_cycles=2**63 - 1)
+        assert (run_reduced(widest, correlations=False).n_cycles
+                == run_reduced(optimized_params(), correlations=False).n_cycles)
+
     def test_rejects_a_ramp_given_by_its_value(self):
         # "quasistatic" is no RampMode: it would run the Airy sweep
         with pytest.raises(ConfigError, match="^ramp must be a RampMode, got 'quasistatic'$"):
@@ -456,7 +468,8 @@ class TestModuleLevelRunners:
         assert red.discord_max[0] > 0.0
 
 
-RECURRENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "recurrence_140.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+RECURRENCE_CONFIG = CONFIGS / "recurrence_140.json"
 ENERGY_FIELDS = ("w1", "w2", "q1", "q2", "du", "w_cycle", "w_cum", "e1", "e2", "e3")
 
 
@@ -707,6 +720,13 @@ class TestEngineBatch:
             self.batch(**{name: (2, value)})
         assert str(batch.value) == f"engine 2: {alone.value}"
 
+    def test_a_cycle_limit_past_the_float_range_is_refused_by_its_row(self):
+        cols = self.columns()
+        cols["totals"] = [100, 100, 10**400, 100]
+        with pytest.raises(ConfigError, match=r"^engine 2: max_cycles must be below 2\*\*63$"):
+            engine.EngineBatch(RampMode.LINEAR_AIRY, cols.pop("omega1"), cols.pop("omega3"),
+                               thermal_preparation(0.01, 0.1).factors(), **cols)
+
     def test_the_first_bad_engine_is_named_by_its_id(self):
         cols = self.columns(alpha12=(3, math.nan), tau_h=(1, -1.0))
         with pytest.raises(ConfigError, match=r"^engine 11: tau_h must be finite"):
@@ -895,6 +915,25 @@ def test_unstable_airy_box_draws_match_their_lone_runs(draw):
     assert_ensemble_matches_lone_runs(params, correlations=correlations)
 
 
+def assert_lean_run_equals_tracked_run(params):
+    """run_reduced without correlations takes the lean kernel, which
+    computes only the entries the medium's energies read; a run with records
+    sandwiches whole states.  Both give the same numbers, bit for bit, or
+    the same refusal of an unstable engine's final state."""
+    outcomes = []
+    for run in (lambda: run_reduced(params, correlations=False),
+                lambda: Engine(params).run(want_timeseries=False, correlations=False)):
+        try:
+            res = run()
+        except PhysicalityError as exc:
+            outcomes.append(str(exc))
+            event("refused: an unstable engine")
+        else:
+            outcomes.append((res.w_total, res.n_cycles, res.sigma_final.matrix.tobytes()))
+    lean, tracked = outcomes
+    assert lean == tracked
+
+
 class TestBoxProperties:
     @settings(max_examples=40)
     @given(st.lists(box_engines(), min_size=1, max_size=6))
@@ -910,6 +949,20 @@ class TestBoxProperties:
         # every work-rule engine is predicted before its first call, and each
         # engine of a shared call computes only up to its own planned probe
         assert_ensemble_matches_lone_runs(params, correlations=False)
+
+    @pytest.mark.parametrize("ramp", list(RampMode))
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_lean_runs_equal_tracked_runs(self, ramp, data):
+        params = data.draw(box_engines().filter(lambda p: p.ramp is ramp))
+        assert_lean_run_equals_tracked_run(params)
+
+    def test_lean_run_equals_tracked_run_at_zero_coupling(self):
+        # both coupling strokes exchange exactly zero heat
+        params = build_engine_params(load_config(str(CONFIGS / "zero_coupling.json")),
+                                     argparse.Namespace(ramp=None, cycles=None))
+        assert run_reduced(params, correlations=False).n_cycles == 5
+        assert_lean_run_equals_tracked_run(params)
 
     @settings(max_examples=40)
     @given(box_engines())
@@ -1007,12 +1060,12 @@ def fingerprint(res):
             res.sigma_final.matrix.tobytes(), series)
 
 
-# Bounds on one kernel call: its kernel points when it keeps states
-# (_CALL_POINTS), its engine-cycles (_STACK_CYCLES), and those of a call
-# that keeps none (_LEAN_STACK_CYCLES): one chunk per call, the defaults,
+# Bounds on one kernel call: its kernel points (_CALL_POINTS), its
+# engine-cycles when it keeps states (_STACK_CYCLES), and the rows a lean
+# call computes at a time (_LEAN_BLOCK): one chunk per call, the defaults,
 # and none.
 CALL_BOUNDS = {"one_chunk": (1, 1, 1),
-               "default": (engine._CALL_POINTS, engine._STACK_CYCLES, engine._LEAN_STACK_CYCLES),
+               "default": (engine._CALL_POINTS, engine._STACK_CYCLES, engine._LEAN_BLOCK),
                "unbounded": (10**9, 10**9, 10**9)}
 
 
@@ -1032,10 +1085,10 @@ class TestSpans:
 
     def _by_bound(self, monkeypatch, run):
         out = {}
-        for name, (points, stack, lean) in CALL_BOUNDS.items():
+        for name, (points, stack, block) in CALL_BOUNDS.items():
             monkeypatch.setattr(engine, "_CALL_POINTS", points)
             monkeypatch.setattr(engine, "_STACK_CYCLES", stack)
-            monkeypatch.setattr(engine, "_LEAN_STACK_CYCLES", lean)
+            monkeypatch.setattr(engine, "_LEAN_BLOCK", block)
             out[name] = run()
         return out
 
@@ -1061,6 +1114,14 @@ class TestSpans:
             column.tobytes() for column in vars(run_reduced_ensemble(params)).values()])
         assert out["default"] == out["one_chunk"]
         assert out["unbounded"] == out["one_chunk"]
+
+    def test_lean_calls_are_bit_identical_row_by_row(self, monkeypatch):
+        # one row at a time: the closing states of a call's engines take
+        # blocks of their own after its computed cycles
+        params = mixed_ensemble()
+        default = [fingerprint(res) for res in engine._reduced_results(params)]
+        monkeypatch.setattr(engine, "_LEAN_BLOCK", 1)
+        assert [fingerprint(res) for res in engine._reduced_results(params)] == default
 
     def test_a_lone_engine_spans_and_a_scan_block_does_not(self, monkeypatch):
         spans = []

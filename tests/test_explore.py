@@ -102,6 +102,10 @@ class TestRandomScan:
         with pytest.raises(ConfigError):
             random_scan(4, seed=1, box=ParameterBox())
 
+    def test_rejects_a_cycle_limit_past_the_float_range(self):
+        with pytest.raises(ConfigError, match="max_cycles must be below 2"):
+            random_scan(4, seed=1, max_cycles=10**400)
+
     def test_column_names_cover_every_field(self):
         assert ScanSample.COLUMNS == (
             "index", "alpha12", "alpha23", "tau_h", "tau_c", "tau_comp",
@@ -188,6 +192,8 @@ class TestOptimize:
             optimize(omega3=0.5, method="annealing")
         with pytest.raises(ConfigError):
             optimize(omega3=0.5, seed=-1)
+        with pytest.raises(ConfigError, match="^max_cycles must be below 2"):
+            optimize(omega3=0.5, budget=4, max_cycles=10**400)
 
     def test_fully_pinned_box_is_a_single_evaluation(self):
         out = optimize(omega3=0.1, box=published_box())
@@ -299,6 +305,32 @@ class TestOptimize:
         assert sum(simulated) > 10 * len(simulated)  # runs of many cycles
         assert sum(computed) <= 1.05 * sum(simulated)
 
+    def test_each_round_runs_in_one_kernel_call(self, monkeypatch):
+        """A round's engines run as one lean ensemble, and one kernel call
+        holds all of it, its longest runs included (late rounds here
+        compute up to about 1,000 engine-cycles)."""
+        calls, in_round = [], []  # kernel calls per round
+        kernel, results = engine._simulate_chunk, engine._reduced_results
+
+        def round_results(params):
+            calls.append(0)
+            in_round.append(True)
+            try:
+                return results(params)
+            finally:
+                in_round.pop()
+
+        def counting_kernel(*args):
+            if in_round:
+                calls[-1] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(engine, "_reduced_results", round_results)
+        monkeypatch.setattr(engine, "_simulate_chunk", counting_kernel)
+        optimize(omega3=0.1, budget=800, restarts=16, seed=0)
+        assert len(calls) > 40
+        assert calls == [1] * len(calls)
+
     def test_squeezed_family_optimization_runs(self):
         out = optimize(omega3=0.1, box=published_box(),
                        family=PrepFamily.SQUEEZED)
@@ -363,10 +395,12 @@ class TestRestartLanes:
         assert started == [], "optimize starts no thread"
         assert set(threads) == {before}
 
-    @pytest.mark.parametrize("where, nth", [("ensemble", 1), ("ensemble", 25),
+    # A clean run makes 18 kernel calls in its 12 rounds; the 9th is the
+    # first of the fifth round.
+    @pytest.mark.parametrize("where, nth", [("ensemble", 1), ("ensemble", 9),
                                             ("evaluation", 300)])
     def test_a_failure_leaves_no_prepared_result(self, where, nth, monkeypatch):
-        """The nth kernel call of a round's ensemble, or the nth
+        """The nth kernel call of the rounds' ensembles, or the nth
         evaluation, raises: optimize raises that very error, and only it,
         no prepared result survives, and a later run_reduced of a params
         the failed round prepared computes it afresh."""
