@@ -21,7 +21,11 @@ rounding-level defects but never a wrong stroke map.
 
 All four stroke propagators are fixed symplectic matrices, so a whole cycle
 is a single 6x6 sandwich and long runs evaluate matrix-power batches
-instead of stepping stroke by stroke.  Cycles run in chunks that double
+instead of stepping stroke by stroke.  Every kernel call computes its cycle
+starts and the state after each stroke through one function; a call whose
+caller reads no states (no records, correlations or time series) keeps
+none and computes of each only the entries the medium's energies read,
+bit for bit as the whole sandwich would.  Cycles run in chunks that double
 from 4 to 256, each starting from the symmetrised end of the one before.
 A kernel call may run several consecutive chunks (a span) and may cut its
 last chunk short; either way it computes the same cycles from the same
@@ -260,7 +264,10 @@ class EngineBatch:
 
     def __post_init__(self, check: bool) -> None:
         cols = {name: np.asarray(getattr(self, name), dtype=float) for name in _FLOAT_COLUMNS}
-        cols.update(totals=np.asarray(self.totals), modes=np.asarray(self.modes, dtype=float))
+        totals = np.asarray(self.totals)
+        if totals.dtype.kind not in "iu":  # keep each row's limit as given, ints past int64 too
+            totals = np.asarray(self.totals, dtype=object)
+        cols.update(totals=totals, modes=np.asarray(self.modes, dtype=float))
         if self.ids is not None:
             cols["ids"] = np.asarray(self.ids)
         rows = {name: len(col) for name, col in cols.items() if col.ndim > 2 * (name == "modes")}
@@ -404,20 +411,22 @@ def _stop_limits(stop: StopRule, max_cycles: int) -> tuple[int, float]:
     return max_cycles, stop.eps_stop
 
 
-def _energy(s: np.ndarray, mode: int, wsq: "float | np.ndarray") -> np.ndarray:
-    """Energy of oscillator `mode` (0, 1, 2) at squared frequency wsq, read off
-    a state or an element-first (6, 6, ...) stack s."""
-    return 0.5 * (s[mode + 3, mode + 3] + wsq * s[mode, mode])
-
-
 # Batched states and maps are held matrix-element first, as (6, 6, N)
 # stacks, so that every einsum's inner loop runs along the stack and not
 # along a 6-long matrix row.  A sandwich is a left and a right two-operand
 # product, each summing over its contracted index in a fixed order whatever
 # N is (in sequence on the left; even and odd terms apart, then added, on
 # the right), so no engine's numbers depend on which engines share a call.
-# matmul would be faster, but its fused multiply-adds turn exact zeros (the
-# heat of a zero-coupling stroke) into rounding noise.
+# That order also rests on the operands' memory layout, not only on N:
+# einsum orders its loops by the operands' strides, and its rounding
+# follows.  Every operand is element-first with the stack axis innermost
+# (a C-contiguous array, or a slice of one along that axis).  A gathered
+# operand must be built in that layout: maps[:, :, at] returns its copy
+# laid out stack-first, and gathering the stroke maps that way moved D13
+# of the pinned optimized_run artifacts by 5e-10 relative, where
+# np.take(..., axis=2) keeps every number.  matmul would
+# be faster, but its fused multiply-adds turn exact zeros (the heat of a
+# zero-coupling stroke) into rounding noise.
 
 # The entries of the state after each stroke that a lean kernel call (no
 # records, correlations or time series) computes, as indices of (x1, x2,
@@ -440,6 +449,14 @@ _SPLIT = {6: (slice(0, None, 2), slice(1, None, 2)), 4: (slice(1, 3), slice(0, N
 _LEAN_BLOCK = 512
 
 
+def _energy(s: np.ndarray, mode: int, wsq: "float | np.ndarray",
+            entries: tuple[int, ...] = _ALL) -> np.ndarray:
+    """Energy of oscillator `mode` (0, 1, 2) at squared frequency wsq, read off
+    a state or an element-first (k, k, ...) stack s of the entries `entries`."""
+    x, p = entries.index(mode), entries.index(mode + 3)
+    return 0.5 * (s[p, p] + wsq * s[x, x])
+
+
 def _sandwich_stack(mats: np.ndarray, states: np.ndarray, out: Optional[np.ndarray] = None,
                     x: Optional[np.ndarray] = None,
                     odd: Optional[np.ndarray] = None) -> np.ndarray:
@@ -453,10 +470,13 @@ def _sandwich_stack(mats: np.ndarray, states: np.ndarray, out: Optional[np.ndarr
     return out
 
 
-def _by_element(stack: np.ndarray) -> np.ndarray:
-    """(..., 6, 6) -> contiguous (6, 6, N), N = the product of the leading axes."""
+def _by_element(stack: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(..., 6, 6) -> contiguous (6, 6, N), N = the product of the leading
+    axes, into out (36, N) if given."""
     flat = stack.reshape(-1, 36)
-    return np.ascontiguousarray(flat.T).reshape(6, 6, flat.shape[0])
+    out = np.empty((36, flat.shape[0])) if out is None else out
+    out[...] = flat.T
+    return out.reshape(6, 6, flat.shape[0])
 
 
 def _by_matrix(stack: np.ndarray) -> np.ndarray:
@@ -664,10 +684,10 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
     rounding-level defect breaks.  It is checked on every computed cycle of
     each chunk up to and including the one where the engine's stop rule
     (w_cycle >= -eps_stop) fires; later chunks are dropped unchecked, as if
-    never run.  Without `ends` (a lean call), the chunk holds no states
-    past the cycle starts (sig_a), only the medium's energies, and of each
-    stroke's state the kernel computes only the entries those read
-    (_LEAN_ENTRIES), in one workspace (_lean_energies).
+    never run.  One function computes the stages (_stages); `ends` (the
+    caller reads the states after each stroke) chooses whether the chunk
+    holds them, and without it the kernel computes of each only the entries
+    the medium's energies read (_LEAN_ENTRIES).
     """
     n_eng, count = idx.size, sum(span)
     offsets = np.array([0, *itertools.accumulate(span)])
@@ -711,22 +731,10 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
     w1sq = strokes.w1sq[idx].repeat(lengths)
     w3sq = strokes.w3sq[idx].repeat(lengths)
     wsqs = (w3sq, w1sq, w1sq, w3sq, w3sq)  # at each stage of a cycle
-    # The cycle starts, the states after each stroke and the medium's
-    # energy at each of those stages.
-    if ends:
-        sig_a = _sandwich_stack(_by_element(powers[owner, exponent]),
-                                _by_element(cursors[owner, chunk]))
-        states, energies = [sig_a[:, :, :rows]], []
-        for maps, wsq in zip(strokes.stroke_maps, wsqs):
-            energies.append(by_engine(_energy(states[-1], 1, wsq)))
-            states.append(_sandwich_stack(np.repeat(maps[:, :, idx], lengths, axis=2), states[-1]))
-        energies.append(by_engine(_energy(states[-1], 1, wsqs[-1])))
-    else:
-        sig_a, flat = _lean_energies(strokes, idx, lengths, powers, cursors,
-                                     owner * (top + 1) + exponent, owner * (last + 1) + chunk,
-                                     wsqs)
-        states, energies = [None] * 5, [by_engine(e) for e in flat]
-    e_a, e_b, e_c, e_d, e_e = energies
+    sig_a, states, energies = _stages(strokes, idx, lengths, powers, cursors,
+                                      owner * (top + 1) + exponent, owner * (last + 1) + chunk,
+                                      wsqs, ends)
+    e_a, e_b, e_c, e_d, e_e = (by_engine(e) for e in energies)
     w1, q1 = e_b - e_a, e_b - e_c
     w2, q2 = e_d - e_c, e_d - e_e
     du = e_e - e_a
@@ -747,60 +755,66 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
             f"engine {strokes.ids[idx[g]]}, cycle {first_cycle[g] + k}: first-law residual "
             f"{residual[g, k]:.3e} exceeds {budget[g, k]:.3e}"
         )
-    return _Chunk(span, lengths, live, first, keep, stopped, sig_a, *states[1:],
+    return _Chunk(span, lengths, live, first, keep, stopped, sig_a, *states,
                   e_a, e_b, e_c, e_d, e_e, w1, q1, w2, q2, du, w_cycle)
 
 
-def _lean_energies(strokes: _Strokes, idx: np.ndarray, lengths: np.ndarray,
-                   powers: np.ndarray, cursors: np.ndarray, power_at: np.ndarray,
-                   cursor_at: np.ndarray, wsqs: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The cycle starts (6, 6, n) of a lean kernel call, n = power_at.size,
-    and the medium's five stage energies of its computed cycles, (5,
-    lengths.sum()), read at the squared frequencies wsqs.
+def _stages(strokes: _Strokes, idx: np.ndarray, lengths: np.ndarray, powers: np.ndarray,
+            cursors: np.ndarray, power_at: np.ndarray, cursor_at: np.ndarray, wsqs: tuple,
+            ends: bool) -> tuple[np.ndarray, list, np.ndarray]:
+    """The cycle starts (6, 6, n) of a kernel call, n = power_at.size, the
+    states after its four strokes, (6, 6, R) each, R = lengths.sum() (None
+    without ends), and the medium's five stage energies of its computed
+    cycles, (5, R), read at the squared frequencies wsqs.
 
     Start r is powers.reshape(-1, 6, 6)[power_at[r]] sandwiching
-    cursors.reshape(-1, 6, 6)[cursor_at[r]]; after each stroke the kernel
-    computes only the entries _LEAN_ENTRIES.  Rows go _LEAN_BLOCK at a
-    time through one workspace, filled in place: the gathered powers (then
-    each stroke's gathered maps), the gathered cursors, the sandwich
-    scratch and the stage states.
+    cursors.reshape(-1, 6, 6)[cursor_at[r]].  After each stroke the kernel
+    computes every entry with ends; else (a lean call) only _LEAN_ENTRIES,
+    _LEAN_BLOCK rows at a time through one workspace filled in place: the
+    gathered powers (then maps), the gathered cursors (then odd halves),
+    the sandwich scratch and the stage states.  A call that keeps states
+    holds them all, so it runs in one block and numpy allocates each array
+    where the chain makes it: in the workspace, a scan took about 50 more
+    page faults per 50-engine block and ran 2-3% slower.
     """
     rows, n = int(lengths.sum()), power_at.size
-    sig_a, energies = np.empty((6, 6, n)), np.empty((5, rows))
-    block = min(n, _LEAN_BLOCK)
-    sizes = [36 * block] * 4 + [len(e) ** 2 * block for e in _LEAN_ENTRIES]
-    mats, centres, scratch, odd, *outs = np.split(np.empty(sum(sizes)), np.cumsum(sizes[:-1]))
+    entries = (_ALL,) * 4 if ends else _LEAN_ENTRIES
+    block = n if ends else min(n, _LEAN_BLOCK)
+    sizes = [0 if ends else size * block for size in (36, 36, 36, *(len(e) ** 2 for e in entries))]
+    bounds = [0, *itertools.accumulate(sizes)]
+    work = np.empty(bounds[-1])
+    mats, centres, scratch, *outs = (work[a:z] for a, z in zip(bounds, bounds[1:]))
+    sig_a = None if ends else np.empty((6, 6, n))
+    energies, states = np.empty((5, rows)), []
     at = idx.repeat(lengths)
     # each stroke's map, restricted to the entries it computes from those before
-    stroke_maps = [maps[np.ix_(entries, before)] for maps, entries, before in
-                   zip(strokes.stroke_maps, _LEAN_ENTRIES, (_ALL, *_LEAN_ENTRIES))]
+    stroke_maps = strokes.stroke_maps if ends else [
+        maps[np.ix_(e, before)] for maps, e, before in
+        zip(strokes.stroke_maps, entries, (_ALL, *entries))]
 
-    def slot(work: np.ndarray, *shape: int) -> np.ndarray:
-        """The first entries of a workspace part, as an array of that shape."""
-        return work[:math.prod(shape)].reshape(shape)
+    def room(part: np.ndarray, *shape: int) -> Optional[np.ndarray]:
+        """None with ends (numpy allocates), else a workspace part's first entries."""
+        return None if ends else part[:math.prod(shape)].reshape(shape)
 
     for lo in range(0, n, block):
         b = min(n - lo, block)
-        gathered = slot(scratch, b, 36)  # matrix-first, then copied element-first
-        for table, where, dest in ((powers, power_at, mats), (cursors, cursor_at, centres)):
-            np.take(table.reshape(-1, 36), where[lo:lo + b], axis=0, out=gathered, mode="clip")
-            slot(dest, 36, b)[...] = gathered.T
-        state = _sandwich_stack(slot(mats, 6, 6, b), slot(centres, 6, 6, b),
-                                sig_a[:, :, lo:lo + b], slot(scratch, 6, 6, b), slot(odd, 6, 6, b))
-        r = min(b, rows - lo)  # the computed starts; the closing states come last
-        if r <= 0:
-            continue
+        pair = [_by_element(table.reshape(-1, 36).take(where[lo:lo + b], axis=0, mode="clip",
+                                                       out=room(scratch, b, 36)), room(part, 36, b))
+                for table, where, part in ((powers, power_at, mats), (cursors, cursor_at, centres))]
+        state = _sandwich_stack(*pair, None if ends else sig_a[:, :, lo:lo + b],
+                                room(scratch, 6, 6, b), room(centres, 6, 6, b))
+        sig_a = state if ends else sig_a  # with ends, the one block's starts are the call's
+        r = max(0, min(b, rows - lo))  # the computed starts; the closing states come last
         state, cut = state[:, :, :r], slice(lo, lo + r)
-        for k, entries in enumerate((_ALL, *_LEAN_ENTRIES)):
-            if k:  # the state after stroke k
-                maps, out = stroke_maps[k - 1], outs[k - 1]
-                m, j = maps.shape[:2]
-                taken = np.take(maps, at[cut], axis=2, out=slot(mats, m, j, r), mode="clip")
-                state = _sandwich_stack(taken, state, slot(out, m, m, r),
-                                        slot(scratch, m, j, r), slot(odd, m, m, r))
-            x, p = entries.index(1), entries.index(4)  # the medium's (x2, p2), as _energy
-            energies[k, cut] = 0.5 * (state[p, p] + wsqs[k][cut] * state[x, x])
-    return sig_a, energies
+        energies[0, cut] = _energy(state, 1, wsqs[0][cut])
+        for k, maps in enumerate(stroke_maps):  # the state after stroke k
+            m, j = maps.shape[:2]
+            taken = maps.take(at[cut], axis=2, out=room(mats, m, j, r), mode="clip")
+            state = _sandwich_stack(taken, state, room(outs[k], m, m, r), room(scratch, m, j, r),
+                                    room(centres, m, m, r))
+            states.append(state)
+            energies[k + 1, cut] = _energy(state, 1, wsqs[k + 1][cut], entries[k])
+    return sig_a, states if ends else [None] * 4, energies
 
 
 _RECORD_FLOATS = ("w1", "q1", "w2", "q2", "du", "w_cycle", "e1", "e2", "e3")
@@ -842,7 +856,7 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     keeps states also holds at most _STACK_CYCLES engine-cycles.  A lean
     call (no records, correlations or series read the states) holds three
     points per engine-cycle, so one call runs a whole optimizer round of
-    up to 1,365 engine-cycles.
+    up to 1,365 engine-cycles.  Both kinds of call run the same kernel.
 
     One rule sizes every kernel call.  Each engine has a planned end:
     totals[e] without a work rule, else its probe, predicted from its cycle

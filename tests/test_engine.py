@@ -22,7 +22,7 @@ from otto3.explore import ParameterBox, PrepFamily, random_scan
 from otto3.engine import _BATCH_POINT_BUDGET, run_reduced_ensemble
 from otto3.propagators import SYMPLECTIC_TOL, RampMode, _symplectic_defect
 from otto3.states import (PHYSICALITY_TOL, Preparation, SqueezedVacuum, Thermal,
-                          squeezed_preparation, thermal_preparation)
+                          product_states, squeezed_preparation, thermal_preparation)
 
 from helpers import (C1_BETA_001, assert_numbers_close, box_engines, first_law_residuals,
                      optimized_params, spectral_cycle_work, sudden_cycle_work)
@@ -721,11 +721,14 @@ class TestEngineBatch:
         assert str(batch.value) == f"engine 2: {alone.value}"
 
     def test_a_cycle_limit_past_the_float_range_is_refused_by_its_row(self):
-        cols = self.columns()
-        cols["totals"] = [100, 100, 10**400, 100]
-        with pytest.raises(ConfigError, match=r"^engine 2: max_cycles must be below 2\*\*63$"):
-            engine.EngineBatch(RampMode.LINEAR_AIRY, cols.pop("omega1"), cols.pop("omega3"),
-                               thermal_preparation(0.01, 0.1).factors(), **cols)
+        # 10**400 makes an object column, 2**63 a float64 one
+        for limit in (10**400, 2**63):
+            cols = self.columns()
+            cols["totals"] = [100, 100, limit, 100]
+            with pytest.raises(ConfigError,
+                               match=r"^engine 2: max_cycles must be below 2\*\*63$"):
+                engine.EngineBatch(RampMode.LINEAR_AIRY, cols.pop("omega1"), cols.pop("omega3"),
+                                   thermal_preparation(0.01, 0.1).factors(), **cols)
 
     def test_the_first_bad_engine_is_named_by_its_id(self):
         cols = self.columns(alpha12=(3, math.nan), tau_h=(1, -1.0))
@@ -957,6 +960,26 @@ class TestBoxProperties:
         params = data.draw(box_engines().filter(lambda p: p.ramp is ramp))
         assert_lean_run_equals_tracked_run(params)
 
+    @pytest.mark.parametrize("ramp", list(RampMode))
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_lean_calls_give_the_stage_energies_of_calls_that_keep_states(self, ramp, data):
+        # the cooling stage's energy feeds only q2, du and the first-law
+        # identity, so no run-level number would show a fault there
+        params = data.draw(st.lists(box_engines().filter(lambda p: p.ramp is ramp),
+                                    min_size=1, max_size=4))
+        n = len(params)
+        batch = engine.EngineBatch.of(params)
+        sigma = product_states(batch.modes, batch.omega1, batch.omega3)
+        lengths = np.array(data.draw(st.lists(st.integers(2, 12), min_size=n, max_size=n)))
+        lean, kept = (engine._simulate_chunk(engine._Strokes(batch), np.arange(n), sigma, (4, 8),
+                                             lengths, np.zeros(n, dtype=int),
+                                             np.full(n, -np.inf), ends)
+                      for ends in (False, True))
+        assert lean.sig_e is None and kept.sig_e is not None
+        for name in ("e_a", "e_b", "e_c", "e_d", "e_e", "q2", "du"):
+            assert getattr(lean, name).tobytes() == getattr(kept, name).tobytes(), name
+
     def test_lean_run_equals_tracked_run_at_zero_coupling(self):
         # both coupling strokes exchange exactly zero heat
         params = build_engine_params(load_config(str(CONFIGS / "zero_coupling.json")),
@@ -1153,8 +1176,8 @@ class TestSpans:
         monkeypatch.setattr(engine, "_STACK_CYCLES", 60)
         sandwich = engine._sandwich_stack
 
-        def poisoned(mats, states):
-            out = sandwich(mats, states)
+        def poisoned(mats, states, *work):
+            out = sandwich(mats, states, *work)
             if out.shape[2] == 60:  # a stroke stack of the span's 60 cycles
                 out[:, :, 4:] = np.nan
             return out
