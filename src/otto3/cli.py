@@ -593,6 +593,7 @@ _SUBCOMMANDS = {"simulate": (cmd_simulate, ("--config", "--out", "--cycles", "--
                 "validate": (cmd_validate, ("--perturb",))}
 
 
+@functools.cache  # built once per process: parsing leaves a parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="otto3",

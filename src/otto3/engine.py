@@ -22,10 +22,11 @@ rounding-level defects but never a wrong stroke map.
 All four stroke propagators are fixed symplectic matrices, so a whole cycle
 is a single 6x6 sandwich and long runs evaluate matrix-power batches
 instead of stepping stroke by stroke.  Every kernel call computes its cycle
-starts and the state after each stroke through one function; a call whose
-caller reads no states (no records, correlations or time series) keeps
-none and computes of each only the entries the medium's energies read,
-bit for bit as the whole sandwich would.  Cycles run in chunks that double
+starts and the state after each stroke through one function, in arrays
+numpy allocates; a call whose caller reads no states (no records,
+correlations or time series) keeps none and computes of each only the
+entries the medium's energies read, bit for bit as the whole sandwich
+would, a block of rows at a time.  Cycles run in chunks that double
 from 4 to 256, each starting from the symmetrised end of the one before.
 A kernel call may run several consecutive chunks (a span) and may cut its
 last chunk short; either way it computes the same cycles from the same
@@ -49,7 +50,8 @@ while a coupling stroke acts (ramps drive each oscillator separately, and
 local maps cannot change a two-mode correlation measure), so interior
 sampling effort goes to the coupling strokes; ramp interiors reuse
 stroke-start correlation values, which is exact rather than an
-approximation.
+approximation.  Every medium energy is read by one formula (_energy) off
+a state the stroke maps carried there.
 """
 
 from __future__ import annotations
@@ -444,9 +446,12 @@ _LEAN_ENTRIES = (_ALL, (1, 2, 4, 5), (1, 2, 4, 5), (1, 4))
 # (1, 2, 4, 5)), of the even and of the odd indices: the left-hand sums
 # run in sequence, the right-hand ones over each group apart, then added.
 _SPLIT = {6: (slice(0, None, 2), slice(1, None, 2)), 4: (slice(1, 3), slice(0, None, 3))}
-# Rows (engine-cycles) a lean call computes at a time: its workspace stays
-# under 1 MB whatever the call's size.
-_LEAN_BLOCK = 512
+# Rows (engine-cycles) a lean call computes at a time.  Past glibc's heap
+# trim threshold, a block's freed arrays go back to the kernel and fault in
+# again: on a ratio_sweep optimize point, 512-row blocks took 46,000 page
+# faults and ran 12% slower than 256-row ones (400), one block per call
+# 75,000 and 11% slower.
+_LEAN_BLOCK = 256
 
 
 def _energy(s: np.ndarray, mode: int, wsq: "float | np.ndarray",
@@ -457,52 +462,21 @@ def _energy(s: np.ndarray, mode: int, wsq: "float | np.ndarray",
     return 0.5 * (s[p, p] + wsq * s[x, x])
 
 
-def _sandwich_stack(mats: np.ndarray, states: np.ndarray, out: Optional[np.ndarray] = None,
-                    x: Optional[np.ndarray] = None,
-                    odd: Optional[np.ndarray] = None) -> np.ndarray:
+def _sandwich_stack(mats: np.ndarray, states: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """mats[..., n] @ states[..., n] @ mats[..., n].T for element-first
-    (m, k, N) maps and (k, k, N) states, into out if given; x (m, k, N) and
-    odd (m, m, N), if given, hold the intermediates."""
+    (m, k, N) maps and (k, k, N) states, into out (m, m, N) if given."""
     even_cols, odd_cols = _SPLIT[states.shape[0]]
-    x = np.einsum("abn,bcn->acn", mats, states, out=x)
+    x = np.einsum("abn,bcn->acn", mats, states)
     out = np.einsum("acn,dcn->adn", x[:, even_cols], mats[:, even_cols], out=out)
-    out += np.einsum("acn,dcn->adn", x[:, odd_cols], mats[:, odd_cols], out=odd)
+    out += np.einsum("acn,dcn->adn", x[:, odd_cols], mats[:, odd_cols])
     return out
 
 
-def _by_element(stack: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """(..., 6, 6) -> contiguous (6, 6, N), N = the product of the leading
-    axes, into out (36, N) if given."""
+def _by_element(stack: np.ndarray) -> np.ndarray:
+    """(..., 6, 6) -> contiguous (6, 6, N), N = the product of the leading axes."""
     flat = stack.reshape(-1, 36)
-    out = np.empty((36, flat.shape[0])) if out is None else out
-    out[...] = flat.T
-    return out.reshape(6, 6, flat.shape[0])
-
-
-def _by_matrix(stack: np.ndarray) -> np.ndarray:
-    """(6, 6, ...) -> contiguous (..., 6, 6)."""
-    lead = stack.shape[2:]
-    return np.ascontiguousarray(stack.reshape(36, -1).T).reshape(*lead, 6, 6)
-
-
-def _ramp_interior_weights(omega_in: float, omega_fin: float, tau: float, times: np.ndarray,
-                           w1: float, w3: float) -> np.ndarray:
-    """Weights G_n with E2(t_n) = sum_ab G_n[a,b] sigma[a,b] at the interior
-    instants of a linear (Airy) sweep.
-
-    The medium's interior energy needs only one row of the interior
-    propagator and the instantaneous squared frequency, never the full
-    evolved state.
-    """
-    if times.size == 0:
-        return np.empty((0, 6, 6))
-    schedule = RampSchedule(omega_in, omega_fin, tau)
-    mats = ramp_propagators_at(schedule, times, spectator_omega1=w1, spectator_omega3=w3)
-    wsq = np.asarray(schedule.omega_sq(times), dtype=float)
-    px = mats[:, 4, :]
-    xx = mats[:, 1, :]
-    return 0.5 * (px[:, :, None] * px[:, None, :]
-                  + wsq[:, None, None] * xx[:, :, None] * xx[:, None, :])
+    return flat.T.copy().reshape(6, 6, flat.shape[0])
 
 
 def _interior(tau: np.ndarray, n: int, dt: np.ndarray,
@@ -716,7 +690,7 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
     for i in range(last):
         end = _sandwich_stack(_by_element(chain[span[i]]), cursor)
         cursor = 0.5 * (end + end.transpose(1, 0, 2))
-        cursors[:, i + 1] = _by_matrix(cursor)
+        cursors[:, i + 1] = cursor.transpose(2, 0, 1)
     live = np.arange(count) < lengths[:, None]
     uniform = rows == live.size
 
@@ -769,50 +743,31 @@ def _stages(strokes: _Strokes, idx: np.ndarray, lengths: np.ndarray, powers: np.
 
     Start r is powers.reshape(-1, 6, 6)[power_at[r]] sandwiching
     cursors.reshape(-1, 6, 6)[cursor_at[r]].  After each stroke the kernel
-    computes every entry with ends; else (a lean call) only _LEAN_ENTRIES,
-    _LEAN_BLOCK rows at a time through one workspace filled in place: the
-    gathered powers (then maps), the gathered cursors (then odd halves),
-    the sandwich scratch and the stage states.  A call that keeps states
-    holds them all, so it runs in one block and numpy allocates each array
-    where the chain makes it: in the workspace, a scan took about 50 more
-    page faults per 50-engine block and ran 2-3% slower.
+    computes every entry with ends, in one block.  Else (a lean call) it
+    computes only _LEAN_ENTRIES, _LEAN_BLOCK rows at a time, writing each
+    block's starts into the call's one array of them.  Numpy allocates
+    every other array where the chain makes it, in either kind of call.
     """
     rows, n = int(lengths.sum()), power_at.size
     entries = (_ALL,) * 4 if ends else _LEAN_ENTRIES
     block = n if ends else min(n, _LEAN_BLOCK)
-    sizes = [0 if ends else size * block for size in (36, 36, 36, *(len(e) ** 2 for e in entries))]
-    bounds = [0, *itertools.accumulate(sizes)]
-    work = np.empty(bounds[-1])
-    mats, centres, scratch, *outs = (work[a:z] for a, z in zip(bounds, bounds[1:]))
     sig_a = None if ends else np.empty((6, 6, n))
-    energies, states = np.empty((5, rows)), []
+    energies, states = np.empty((5, rows)), [None] * 4
     at = idx.repeat(lengths)
     # each stroke's map, restricted to the entries it computes from those before
     stroke_maps = strokes.stroke_maps if ends else [
         maps[np.ix_(e, before)] for maps, e, before in
         zip(strokes.stroke_maps, entries, (_ALL, *entries))]
-
-    def room(part: np.ndarray, *shape: int) -> Optional[np.ndarray]:
-        """None with ends (numpy allocates), else a workspace part's first entries."""
-        return None if ends else part[:math.prod(shape)].reshape(shape)
-
     for lo in range(0, n, block):
-        b = min(n - lo, block)
-        pair = [_by_element(table.reshape(-1, 36).take(where[lo:lo + b], axis=0, mode="clip",
-                                                       out=room(scratch, b, 36)), room(part, 36, b))
-                for table, where, part in ((powers, power_at, mats), (cursors, cursor_at, centres))]
-        state = _sandwich_stack(*pair, None if ends else sig_a[:, :, lo:lo + b],
-                                room(scratch, 6, 6, b), room(centres, 6, 6, b))
+        pair = (_by_element(table.reshape(-1, 36).take(where[lo:lo + block], axis=0))
+                for table, where in ((powers, power_at), (cursors, cursor_at)))
+        state = _sandwich_stack(*pair, None if ends else sig_a[:, :, lo:lo + block])
         sig_a = state if ends else sig_a  # with ends, the one block's starts are the call's
-        r = max(0, min(b, rows - lo))  # the computed starts; the closing states come last
+        r = max(0, min(block, rows - lo))  # the computed starts; the closing states come last
         state, cut = state[:, :, :r], slice(lo, lo + r)
         energies[0, cut] = _energy(state, 1, wsqs[0][cut])
         for k, maps in enumerate(stroke_maps):  # the state after stroke k
-            m, j = maps.shape[:2]
-            taken = maps.take(at[cut], axis=2, out=room(mats, m, j, r), mode="clip")
-            state = _sandwich_stack(taken, state, room(outs[k], m, m, r), room(scratch, m, j, r),
-                                    room(centres, m, m, r))
-            states.append(state)
+            states[k] = state = _sandwich_stack(maps.take(at[cut], axis=2), state)
             energies[k + 1, cut] = _energy(state, 1, wsqs[k + 1][cut], entries[k])
     return sig_a, states if ends else [None] * 4, energies
 
@@ -1005,11 +960,12 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
 
 
 def _interior_states(mats: np.ndarray, owner: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Interior states (6, 6, R, n) of R kept cycles: mats[:, :, owner[r], i]
-    sandwiching states[:, :, r], for element-first (6, 6, E, n) maps."""
-    n = mats.shape[3]
-    out = _sandwich_stack(mats[:, :, owner].reshape(6, 6, -1), states.repeat(n, axis=2))
-    return out.reshape(6, 6, owner.size, n)
+    """Interior states (m, m, R, n) of R kept cycles: mats[:, :, owner[r], i]
+    sandwiching states[:, :, r], for element-first (m, 6, E, n) maps, m of
+    their rows (all six, or the medium's (x2, p2) of a ramp's)."""
+    m, n = mats.shape[0], mats.shape[3]
+    out = _sandwich_stack(mats[:, :, owner].reshape(m, 6, -1), states.repeat(n, axis=2))
+    return out.reshape(m, m, owner.size, n)
 
 
 def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], lengths: np.ndarray,
@@ -1182,10 +1138,11 @@ class _TimeSeriesBuilder:
 
     Each stroke of a cycle emits one row at its start, then one per interior
     instant.  Ramp interiors keep the start's spectator energies and
-    correlations (local maps conserve both) and weigh the start state for
-    E2; coupling interiors read the kernel's interior states and scored
-    points.  A cycle's closing edge is the next cycle's first row; finish()
-    appends the newest edge, the initial state sigma0 if no cycle ran.
+    correlations (local maps conserve both) and read E2 off the start state
+    sandwiched through the medium's rows of the sweep's interior maps;
+    coupling interiors read the kernel's interior states and scored points.
+    A cycle's closing edge is the next cycle's first row; finish() appends
+    the newest edge, the initial state sigma0 if no cycle ran.
     """
 
     def __init__(self, params: EngineParams, strokes: _Strokes, sigma0: np.ndarray,
@@ -1200,26 +1157,35 @@ class _TimeSeriesBuilder:
                                 np.array([math.nan if params.sample_dt is None
                                           else params.sample_dt]), instants=True)[1][0]
                       if params.ramp is RampMode.LINEAR_AIRY else np.empty(0))
-        comp, exp = (_ramp_interior_weights(a, b, params.tau_comp, ramp_times, w1, w3)
-                     for a, b in ((w3, w1), (w1, w3)))
+
+        def sweep(omega_in: float, omega_fin: float) -> tuple[np.ndarray, np.ndarray]:
+            """The medium's rows (x2, p2) of a sweep's interior maps,
+            element-first (2, 6, 1, n), and its squared frequency at each instant."""
+            if ramp_times.size == 0:
+                return np.empty((2, 6, 1, 0)), np.empty(0)
+            schedule = RampSchedule(omega_in, omega_fin, params.tau_comp)
+            mats = ramp_propagators_at(schedule, ramp_times, spectator_omega1=w1,
+                                       spectator_omega3=w3)
+            return _by_element(mats)[[1, 4]][:, :, None], schedule.omega_sq(ramp_times)
+
         tau_r, nh = params.ramp_duration, heat_times.size
-        # Per stroke: start offset, interior offsets, ramp weights (None for a
-        # coupling stroke), the medium's squared frequency and the scored
-        # point of its start; a cycle's scored points are its start, the
-        # heating interiors, the state after heating, the cooling interiors
-        # and its end.
+        # Per stroke: start offset, interior offsets, the sweep's interior maps
+        # (None for a coupling stroke), the medium's squared frequency at the
+        # interior instants and the scored point of its start; a cycle's
+        # scored points are its start, the heating interiors, the state after
+        # heating, the cooling interiors and its end.
         self._strokes = (
-            (0.0, ramp_times, comp, self._w3sq, 0),
+            (0.0, ramp_times, *sweep(w3, w1), 0),
             (tau_r, heat_times, None, self._w1sq, 0),
-            (tau_r + params.tau_h, ramp_times, exp, self._w1sq, 1 + nh),
+            (tau_r + params.tau_h, ramp_times, *sweep(w1, w3), 1 + nh),
             (2.0 * tau_r + params.tau_h, cool_times, None, self._w3sq, 1 + nh),
         )
         self._offsets = np.concatenate([np.append(start, start + times)
                                         for start, times, *_ in self._strokes])
         self._points = np.concatenate([
-            np.append(point, np.full(times.size, point) if weights is not None
+            np.append(point, np.full(times.size, point) if maps is not None
                       else point + 1 + np.arange(times.size))
-            for _, times, weights, _, point in self._strokes])
+            for _, times, maps, _, point in self._strokes])
         self.rows_per_cycle = self._offsets.size
         self._rows: list[tuple[np.ndarray, ...]] = []
         # (time, state, E2, scored pair correlations or None) of the newest edge
@@ -1246,19 +1212,20 @@ class _TimeSeriesBuilder:
                   (chunk.sig_c, chunk.e_c), (chunk.sig_d, chunk.e_d))
         interiors = (None, heat_states, None, cool_states)
         e1, e2, e3 = [], [], []
-        for (_, times, weights, wsq, _), (sig, e_start), inner in zip(
+        for (_, times, maps, wsq, _), (sig, e_start), inner in zip(
                 self._strokes, starts, interiors):
             s = sig[:, :, :m]
             e1.append(_energy(s, 0, self._w1sq)[:, None])
             e2.append(e_start[0, :m, None])
             e3.append(_energy(s, 2, self._w3sq)[:, None])
-            if weights is None:
+            if maps is None:
                 e1.append(_energy(inner, 0, self._w1sq))
                 e2.append(_energy(inner, 1, wsq))
                 e3.append(_energy(inner, 2, self._w3sq))
-            else:
+            else:  # a sweep moves the medium alone
                 e1.append(np.repeat(e1[-1], times.size, axis=1))
-                e2.append(np.einsum("nab,kab->kn", weights, _by_matrix(s)))
+                inner = _interior_states(maps, np.zeros(m, dtype=int), s)
+                e2.append(_energy(inner, 1, wsq, entries=(1, 4)))
                 e3.append(np.repeat(e3[-1], times.size, axis=1))
         t = t_cycle[:m, None] + self._offsets[None, :]
         energies = [np.concatenate(e, axis=1).reshape(-1) for e in (e1, e2, e3)]
@@ -1357,7 +1324,8 @@ def run_reduced_ensemble(params: Union[EngineBatch, Sequence[EngineParams]], *,
     engines share one cycle kernel and stepping loop, never their
     arithmetic.  Engines are taken _ENSEMBLE_SIZE at a time.  Every initial
     and final state is checked for physicality once; errors name engines by
-    their batch ids, by default their position in `params`.
+    their batch ids, by default their position in `params`, whenever the
+    run holds more than one engine.
     """
     if isinstance(params, EngineBatch):
         n_eng, batches = params.size, [(np.arange(params.size), params)]
@@ -1365,10 +1333,11 @@ def run_reduced_ensemble(params: Union[EngineBatch, Sequence[EngineParams]], *,
         n_eng, batches = len(params), _batches(params)
     out = EnsembleTotals(np.zeros(n_eng, dtype=int), np.zeros(n_eng), *np.zeros((2, n_eng, 3)))
     for positions, batch in batches:
+        ids = batch.ids if n_eng > 1 else None
         sigma0 = validate_covariances(product_states(batch.modes, batch.omega1, batch.omega3),
-                                      batch.ids)
+                                      ids)
         for rows, runs in _cohorts(batch, sigma0, correlations):
-            validate_covariances(runs.sigma, batch.ids[rows])
+            validate_covariances(runs.sigma, None if ids is None else ids[rows])
             at = positions[rows]
             out.n_cycles[at], out.w_total[at] = runs.simulated - runs.probe, runs.w_total
             out.discord_max[at], out.negativity_max[at] = runs.disc_max, runs.neg_max
@@ -1377,13 +1346,15 @@ def run_reduced_ensemble(params: Union[EngineBatch, Sequence[EngineParams]], *,
 
 def _reduced_results(params: Sequence[EngineParams]) -> list[EngineResult]:
     """run_reduced(p, correlations=False) of every p in params, run as one
-    correlation-free ensemble (run_reduced_ensemble's stepping)."""
+    correlation-free ensemble (run_reduced_ensemble's stepping, which names
+    the engine of a refused final state the same way)."""
     initial = [product_state(p.prep) for p in params]
     results: list[Optional[EngineResult]] = [None] * len(params)
     for positions, batch in _batches(params):
+        ids = batch.ids if len(params) > 1 else None
         sigma0 = np.array([initial[e].matrix for e in positions])
         for rows, runs in _cohorts(batch, sigma0, False):
-            final = CovarianceMatrix.stack(runs.sigma)
+            final = CovarianceMatrix.stack(runs.sigma, None if ids is None else ids[rows])
             for k, e in enumerate(positions[rows].tolist()):
                 results[e] = _result(params[e], runs, k, initial[e], final[k])
     return results

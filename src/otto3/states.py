@@ -74,8 +74,8 @@ def validate_covariances(mats: np.ndarray, ids: Optional[Sequence[int]] = None) 
 
     Each matrix must be finite, symmetric to 1e-12 relative to its largest
     entry, and physical: min symplectic eigenvalue >= 1/2 - 1e-9.  The
-    first failing matrix is named by ids[its stack index] (default: the
-    index).
+    first failing matrix is named by ids[its stack index] where ids are
+    given, else by that index in a stack of more than one.
     """
     return _validated(mats, ids)[0]
 
@@ -89,7 +89,8 @@ def _validated(mats: np.ndarray,
 
     def fail(bad: np.ndarray, what: str) -> None:
         k = int(np.flatnonzero(bad)[0])
-        where = f"state {k if ids is None else ids[k]}: " if mat.shape[0] > 1 else ""
+        named = ids is not None or len(mat) > 1
+        where = f"state {k if ids is None else ids[k]}: " if named else ""
         raise PhysicalityError(f"{where}covariance matrix {what}")
 
     finite = np.isfinite(mat).all(axis=(1, 2))
@@ -130,10 +131,11 @@ class CovarianceMatrix:
         object.__setattr__(self, "_nus", nus)
 
     @classmethod
-    def stack(cls, mats: np.ndarray) -> list[CovarianceMatrix]:
+    def stack(cls, mats: np.ndarray,
+              ids: Optional[Sequence[int]] = None) -> list[CovarianceMatrix]:
         """One instance per matrix of a (E, 2n, 2n) stack, validated as a
-        stack (validate_covariances) rather than one by one."""
-        mats, nus = _validated(mats)
+        stack (validate_covariances, which ids name) rather than one by one."""
+        mats, nus = _validated(mats, ids)
         mats.flags.writeable = nus.flags.writeable = False
         out = []
         for mat, nu in zip(mats, nus):

@@ -418,6 +418,19 @@ class TestOptimize:
         assert best["best_params"]["alpha12"] == 0.038
 
 
+class TestParser:
+    def test_one_parser_serves_every_call_and_keeps_no_state(self, capsys):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        first = parser.parse_args(["scan", "--workers", "2", "--seed", "7"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["scan", "--cycles", "3"])  # not a scan flag
+        again = parser.parse_args(["scan"])
+        assert (first.workers, first.seed) == (2, 7)
+        assert (again.workers, again.seed, again.fn) == (1, None, cli.cmd_scan)
+        assert parser.parse_args(["validate"]).fn is cli.cmd_validate
+
+
 class TestValidate:
     def test_all_checks_pass(self, capsys):
         assert main(["validate"]) == 0

@@ -20,8 +20,9 @@ from otto3.errors import (ConfigError, EnergyBalanceError, PhysicalityError,
                           SymplecticityError)
 from otto3.explore import ParameterBox, PrepFamily, random_scan
 from otto3.engine import _BATCH_POINT_BUDGET, run_reduced_ensemble
-from otto3.propagators import SYMPLECTIC_TOL, RampMode, _symplectic_defect
-from otto3.states import (PHYSICALITY_TOL, Preparation, SqueezedVacuum, Thermal,
+from otto3.propagators import (SYMPLECTIC_TOL, CouplingSide, RampMode, RampSchedule,
+                               _symplectic_defect, coupling_propagator, ramp_propagator)
+from otto3.states import (PHYSICALITY_TOL, Preparation, SqueezedVacuum, Thermal, product_state,
                           product_states, squeezed_preparation, thermal_preparation)
 
 from helpers import (C1_BETA_001, assert_numbers_close, box_engines, first_law_residuals,
@@ -449,6 +450,36 @@ class TestPinnedTimeSeries:
         ts = Engine(PINNED_SERIES[name]()).run().timeseries
         assert_numbers_close(series_digest(ts), frozen, name)
 
+    def test_ramp_interior_rows_read_the_sweep_at_their_instant(self):
+        # E2 of the stroke start evolved to each instant by the sweep's own
+        # propagator, at the sweep's frequency then; E1 and E3 repeat the
+        # stroke start's, which a sweep of the medium alone conserves
+        params = PINNED_SERIES["airy_sample_dt"]()
+        ts = Engine(params).run().timeseries
+        w1, w3, tau = params.prep.omega1, params.prep.omega3, params.tau_comp
+        spectators = dict(spectator_omega1=w1, spectator_omega3=w3)
+        instants = np.arange(params.sample_dt, tau, params.sample_dt)
+        sweeps = (RampSchedule(w3, w1, tau), RampSchedule(w1, w3, tau))
+        couplings = (coupling_propagator(params.alpha12, w1, w3, params.tau_h,
+                                         CouplingSide.HOT_PAIR),
+                     coupling_propagator(params.alpha23, w3, w1, params.tau_c,
+                                         CouplingSide.COLD_PAIR))
+        # a cycle's rows: compression start and interiors, heating start and
+        # its one interior, expansion start and interiors, then cooling's
+        per_cycle = (len(ts) - 1) // params.stop.n
+        assert per_cycle == 2 * instants.size + 6
+        state = product_state(params.prep).matrix
+        for c in range(params.stop.n):
+            for sweep, coupling, first in zip(sweeps, couplings, (0, instants.size + 3)):
+                start = c * per_cycle + first
+                rows = start + 1 + np.arange(instants.size)
+                assert_allclose(ts.t[rows] - ts.t[start], instants, rtol=0, atol=1e-9)
+                e2 = [mode_energy(ramp_propagator(sweep, t=t, **spectators).apply(state), 2,
+                                  math.sqrt(sweep.omega_sq(t))) for t in instants]
+                assert_allclose(ts.e2[rows], e2, rtol=1e-12, atol=0)
+                assert np.all(ts.e1[rows] == ts.e1[start]) and np.all(ts.e3[rows] == ts.e3[start])
+                state = coupling.apply(ramp_propagator(sweep, **spectators).apply(state))
+
 
 class TestModuleLevelRunners:
     def test_run_reduced_keeps_totals_only(self):
@@ -642,6 +673,42 @@ class TestReducedEnsemble:
     def test_each_engine_gets_what_run_reduced_gives_it_without_correlations(self, monkeypatch):
         monkeypatch.setattr(engine, "_ENSEMBLE_SIZE", 4)
         assert_ensemble_matches_lone_runs(mixed_ensemble(), correlations=False)
+
+    @staticmethod
+    def _refusing(monkeypatch, bad):
+        """Make the engine of batch id `bad` end its run in an unphysical state."""
+        run = engine._run_engines
+
+        def refusing(strokes, sigma0, **kwargs):
+            runs = run(strokes, sigma0, **kwargs)
+            runs.sigma[strokes.ids == bad] = 0.25 * np.eye(6)  # below the uncertainty bound
+            return runs
+
+        monkeypatch.setattr(engine, "_run_engines", refusing)
+
+    @pytest.mark.parametrize("first", ["no_heat", "quasi_static"])
+    def test_a_refused_final_state_names_its_engine(self, first, monkeypatch):
+        # without heating an engine runs in a cohort of its own, so engine 2
+        # is second in its cohort after no_heat, and alone after quasi_static
+        airy = optimized_params(ramp=RampMode.LINEAR_AIRY, stop=FixedCycles(3))
+        others = {"no_heat": [dataclasses.replace(airy, tau_h=0.0), airy],
+                  "quasi_static": [optimized_params(stop=FixedCycles(3)),
+                                   dataclasses.replace(airy, tau_h=0.0)]}
+        params = others[first] + [dataclasses.replace(airy, alpha12=0.03)]
+        self._refusing(monkeypatch, 2)
+        for run in (lambda: run_reduced_ensemble(params, correlations=False),
+                    lambda: engine._reduced_results(params)):
+            with pytest.raises(PhysicalityError, match="^state 2: covariance matrix violates"):
+                run()
+
+    def test_a_lone_run_names_no_engine(self, monkeypatch):
+        params = optimized_params(ramp=RampMode.LINEAR_AIRY, stop=FixedCycles(3))
+        self._refusing(monkeypatch, 0)
+        for run in (lambda: run_reduced_ensemble([params], correlations=False),
+                    lambda: engine._reduced_results([params]),
+                    lambda: run_reduced(params, correlations=False)):
+            with pytest.raises(PhysicalityError, match="^covariance matrix violates"):
+                run()
 
 
 def squeezed_mixed_ensemble():
@@ -977,7 +1044,8 @@ class TestBoxProperties:
                                              np.full(n, -np.inf), ends)
                       for ends in (False, True))
         assert lean.sig_e is None and kept.sig_e is not None
-        for name in ("e_a", "e_b", "e_c", "e_d", "e_e", "q2", "du"):
+        # the cycle starts and closing states, from which the next call starts
+        for name in ("sig_a", "e_a", "e_b", "e_c", "e_d", "e_e", "q2", "du"):
             assert getattr(lean, name).tobytes() == getattr(kept, name).tobytes(), name
 
     def test_lean_run_equals_tracked_run_at_zero_coupling(self):
