@@ -26,9 +26,13 @@ starts and the state after each stroke through one function, in arrays
 numpy allocates; a call whose caller reads no states (no records,
 correlations or time series) keeps none and computes of each only the
 entries the medium's energies read, bit for bit as the whole sandwich
-would, a block of rows at a time.  Cycles run in chunks that double
-from 4 to 256, each starting from the symmetrised end of the one before.
-A kernel call may run several consecutive chunks (a span) and may cut its
+would, a block of rows at a time.  A ramp acts on each oscillator alone,
+so its sandwich runs through the oscillators' 2x2 blocks, again bit for
+bit.  A call that keeps states lays its kept cycles' scored points out in
+one point-major array and sandwiches the coupling strokes' interior states
+straight into it.  Cycles run in chunks that double from 4 to 256, each
+starting from the symmetrised end of the one before.  A kernel call may
+run several consecutive chunks (a span) and may cut its
 last chunk short; either way it computes the same cycles from the same
 cursors, so the grouping changes no number.  A call ends where its
 engines end (a FixedCycles count, else a probe cycle predicted off the
@@ -421,14 +425,17 @@ def _stop_limits(stop: StopRule, max_cycles: int) -> tuple[int, float]:
 # the right), so no engine's numbers depend on which engines share a call.
 # That order also rests on the operands' memory layout, not only on N:
 # einsum orders its loops by the operands' strides, and its rounding
-# follows.  Every operand is element-first with the stack axis innermost
-# (a C-contiguous array, or a slice of one along that axis).  A gathered
-# operand must be built in that layout: maps[:, :, at] returns its copy
-# laid out stack-first, and gathering the stroke maps that way moved D13
-# of the pinned optimized_run artifacts by 5e-10 relative, where
-# np.take(..., axis=2) keeps every number.  matmul would
-# be faster, but its fused multiply-adds turn exact zeros (the heat of a
-# zero-coupling stroke) into rounding noise.
+# follows.  Every operand, and an out= slot, is element-first with the
+# stack axis innermost (a C-contiguous array, or a slice of one along that
+# axis, such as a run of points of a point-major (6, 6, P, R) array).  A
+# gathered operand must be built in that layout: maps[:, :, at] returns its
+# copy laid out stack-first, and gathering the stroke maps that way moved
+# D13 of the pinned optimized_run artifacts by 5e-10 relative, where
+# np.take(..., axis=2) keeps every number.  matmul would be faster, but its
+# fused multiply-adds turn exact zeros (the heat of a zero-coupling stroke)
+# into rounding noise.  A ramp acts on each oscillator alone, so its
+# sandwich runs through the oscillators' 2x2 blocks (_ramp_sandwich), in
+# the same sums less their exact-zero terms.
 
 # The entries of the state after each stroke that a lean kernel call (no
 # records, correlations or time series) computes, as indices of (x1, x2,
@@ -473,6 +480,30 @@ def _sandwich_stack(mats: np.ndarray, states: np.ndarray,
     return out
 
 
+def _ramp_sandwich(blocks: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """_sandwich_stack of a map that acts on each of K oscillators alone,
+    given as its (x_k, p_k) blocks, (2, 2, K, ...), on element-first
+    (2K, 2K, ...) states of those oscillators' entries (x.., p..); the
+    trailing axes broadcast.
+
+    Each entry is einsum's sum less its exact-zero terms: the left sum
+    keeps two terms, and the right sum's even and odd parts one each, so
+    each is one two-term sum, the same in either order.  Leaving out the
+    zero terms and einsum's starting +0.0 can change only the sign of a
+    zero, and the final + 0.0 gives a zero entry einsum's +0.0.  So it
+    equals _sandwich_stack of the whole map byte for byte on finite states
+    (einsum's 0 x inf is NaN).
+    """
+    k = blocks.shape[2]
+    x = blocks[:, 0, :, None] * states[:k]
+    x += blocks[:, 1, :, None] * states[k:]
+    x = x.reshape(2 * k, 2, k, *x.shape[3:])
+    out = x[:, None, 0] * blocks[:, 0]
+    out += x[:, None, 1] * blocks[:, 1]
+    out += 0.0
+    return out.reshape(2 * k, 2 * k, *out.shape[3:])
+
+
 def _by_element(stack: np.ndarray) -> np.ndarray:
     """(..., 6, 6) -> contiguous (6, 6, N), N = the product of the leading axes."""
     flat = stack.reshape(-1, 36)
@@ -508,8 +539,11 @@ _STROKE_NAMES = ("compression", "heating", "expansion", "cooling")
 
 
 class _Strokes:
-    """The stroke maps, element-first (6, 6, E), and the cycle map, (E, 6, 6),
-    of the engines `rows` of a batch, read off its columns.
+    """The stroke maps and the cycle map, (E, 6, 6), of the engines `rows`
+    of a batch, read off its columns.  stroke_maps holds them for the
+    sandwiches, compression, heating, expansion and cooling: each ramp as
+    its oscillators' blocks (2, 2, 3, E), each coupling element-first
+    (6, 6, E).
 
     Every map of every engine is checked to be symplectic when built; errors
     name engines by their batch ids.
@@ -533,9 +567,11 @@ class _Strokes:
         _check_symplectic(maps.reshape(-1, 6, 6), name=lambda k: (
             f"{_STROKE_NAMES[k % 4]} map of engine {self.ids[k // 4]}"))
         self.cycle = cool @ exp @ heat @ comp
-        # compression, heating, expansion and cooling, element-first (6, 6, E)
-        self.stroke_maps = tuple(np.ascontiguousarray(x) for x in _by_element(maps)
-                                 .reshape(6, 6, -1, 4).transpose(3, 0, 1, 2))
+        stages = _by_element(maps).reshape(6, 6, -1, 4).transpose(3, 0, 1, 2)
+        osc = np.arange(3) + 3 * np.arange(2)[:, None]  # (x_k, p_k) is entry k + 3r
+        comp, exp = stages[::2, osc[:, None], osc]
+        self.stroke_maps = (comp, np.ascontiguousarray(stages[1]), exp,
+                            np.ascontiguousarray(stages[3]))
 
     def probe_cycles(self, idx: np.ndarray, sigma0: np.ndarray, eps_stop: np.ndarray,
                      horizon: int) -> np.ndarray:
@@ -754,10 +790,11 @@ def _stages(strokes: _Strokes, idx: np.ndarray, lengths: np.ndarray, powers: np.
     sig_a = None if ends else np.empty((6, 6, n))
     energies, states = np.empty((5, rows)), [None] * 4
     at = idx.repeat(lengths)
-    # each stroke's map, restricted to the entries it computes from those before
+    # each stroke's maps, restricted to the entries it computes from those
+    # before: a ramp's (even k) to the blocks of those entries' oscillators
     stroke_maps = strokes.stroke_maps if ends else [
-        maps[np.ix_(e, before)] for maps, e, before in
-        zip(strokes.stroke_maps, entries, (_ALL, *entries))]
+        maps[:, :, list(e[:len(e) // 2])] if k % 2 == 0 else maps[np.ix_(e, before)]
+        for k, (maps, e, before) in enumerate(zip(strokes.stroke_maps, entries, (_ALL, *entries)))]
     for lo in range(0, n, block):
         pair = (_by_element(table.reshape(-1, 36).take(where[lo:lo + block], axis=0))
                 for table, where in ((powers, power_at), (cursors, cursor_at)))
@@ -767,12 +804,14 @@ def _stages(strokes: _Strokes, idx: np.ndarray, lengths: np.ndarray, powers: np.
         state, cut = state[:, :, :r], slice(lo, lo + r)
         energies[0, cut] = _energy(state, 1, wsqs[0][cut])
         for k, maps in enumerate(stroke_maps):  # the state after stroke k
-            states[k] = state = _sandwich_stack(maps.take(at[cut], axis=2), state)
+            sandwich = _sandwich_stack if k % 2 else _ramp_sandwich
+            states[k] = state = sandwich(maps.take(at[cut], axis=-1), state)
             energies[k + 1, cut] = _energy(state, 1, wsqs[k + 1][cut], entries[k])
     return sig_a, states if ends else [None] * 4, energies
 
 
-_RECORD_FLOATS = ("w1", "q1", "w2", "q2", "du", "w_cycle", "e1", "e2", "e3")
+# A cycle's record columns, in CycleRecord's order of the floats.
+_RECORD_FLOATS = ("w1", "w2", "q1", "q2", "du", "w_cycle", "e1", "e2", "e3")
 _RECORD_COLUMNS = _RECORD_FLOATS + ("neg", "disc")
 
 
@@ -959,15 +998,6 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
     return _Runs(simulated, probe, sigma, neg_max, disc_max, columns, w_total)
 
 
-def _interior_states(mats: np.ndarray, owner: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Interior states (m, m, R, n) of R kept cycles: mats[:, :, owner[r], i]
-    sandwiching states[:, :, r], for element-first (m, 6, E, n) maps, m of
-    their rows (all six, or the medium's (x2, p2) of a ramp's)."""
-    m, n = mats.shape[0], mats.shape[3]
-    out = _sandwich_stack(mats[:, :, owner].reshape(m, 6, -1), states.repeat(n, axis=2))
-    return out.reshape(m, m, owner.size, n)
-
-
 def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], lengths: np.ndarray,
           cut: bool, sigma: np.ndarray, simulated: np.ndarray, probe: np.ndarray,
           neg_max: np.ndarray, disc_max: np.ndarray, parts: list,
@@ -997,28 +1027,31 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], lengths: np
             return whole
         has = rows > 0
 
-    heat_states = cool_states = neg = disc = None
+    points = neg = disc = None
     # Kept cycles, engine by engine, as one row axis: of the (G, count)
-    # cycles, and of the computed ones.
+    # cycles, and their positions among the computed ones.
     first = np.cumsum(rows) - rows
     keeps = np.arange(count) < rows[:, None]
-    kept = keeps[chunk.live]
+    kept = np.flatnonzero(keeps[chunk.live])
     owner = idx.repeat(rows)
     if heat_mats is not None:
-        heat_states = _interior_states(heat_mats, owner, chunk.sig_b[:, :, kept])
-        cool_states = _interior_states(cool_mats, owner, chunk.sig_d[:, :, kept])
+        # The kept cycles' points, point-major (6, 6, P, R): start, heating
+        # interiors, after heating, cooling interiors, end.  Ramp interiors
+        # carry no new correlation values.  Interior i of kept cycle r
+        # sandwiches the state it starts from by its engine's map i.
+        nh, nc = heat_mats.shape[3], cool_mats.shape[3]
+        points = np.empty((6, 6, 3 + nh + nc, kept.size))
+        flat = points.reshape(6, 6, -1)
+        for at, sig in ((0, chunk.sig_a), (1 + nh, chunk.sig_c), (2 + nh + nc, chunk.sig_e)):
+            points[:, :, at] = sig.take(kept, axis=2)
+        for lo, mats, sig in ((1, heat_mats, chunk.sig_b), (2 + nh, cool_mats, chunk.sig_d)):
+            n = mats.shape[3]
+            maps = mats.reshape(6, 6, -1).take((np.arange(n)[:, None] + owner * n).ravel(), axis=2)
+            _sandwich_stack(maps, sig.take(np.tile(kept, n), axis=2),
+                            flat[:, :, lo * kept.size:(lo + n) * kept.size])
     if correlations:
-        # Points per cycle: start, heating interiors, after heating, cooling
-        # interiors, end.  Ramp interiors carry no new correlation values.
-        pts = np.concatenate([
-            chunk.sig_a[:, :, :kept.size][:, :, kept][..., None],
-            heat_states,
-            chunk.sig_c[:, :, kept][..., None],
-            cool_states,
-            chunk.sig_e[:, :, kept][..., None],
-        ], axis=3)
-        neg, disc = pair_correlations(np.moveaxis(pts, (0, 1), (-2, -1)))
-        cyc_neg, cyc_disc = neg.max(axis=1), disc.max(axis=1)
+        neg, disc = pair_correlations(np.moveaxis(points, (0, 1), (-2, -1)))
+        cyc_neg, cyc_disc = neg.max(axis=0), disc.max(axis=0)
         finite = np.isfinite(cyc_neg).all(axis=1) & np.isfinite(cyc_disc).all(axis=1)
         if not finite.all():
             r = int(np.argmin(finite))
@@ -1037,7 +1070,7 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], lengths: np
     if records:
         for name in ("w1", "q1", "w2", "q2", "du"):
             cols[name] = getattr(chunk, name)[keeps]
-        end_states = chunk.sig_e[:, :, kept]
+        end_states = chunk.sig_e.take(kept, axis=2)
         cols["e1"] = _energy(end_states, 0, strokes.w1sq[owner])
         cols["e2"] = chunk.e_e[keeps]
         cols["e3"] = _energy(end_states, 2, strokes.w3sq[owner])
@@ -1045,7 +1078,7 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], lengths: np
                                      else np.full((2, owner.size, 3), np.nan))
     parts.append((owner, cols))
     if series is not None:
-        series.add_chunk(chunk, int(rows[0]), heat_states, cool_states, neg, disc)
+        series.add_chunk(chunk, int(rows[0]), points, neg, disc)
 
     # the state after each engine's last kept cycle, the probe excluded
     final = chunk.start(rows - stopped)
@@ -1094,18 +1127,15 @@ class Engine:
             interior=(int(nh[0]), int(nc[0])), times=(heat_times, cool_times) if read else None,
             correlations=correlations, keep_records=keep_records, series=ts)
 
-        flat = runs.columns
         records: list[CycleRecord] = []
         if keep_records:
-            w_cum = 0.0
-            for i in range(int(runs.simulated[0])):
-                row = {name: float(flat[name][i]) for name in _RECORD_FLOATS}
-                w_cum += row["w_cycle"]
-                (d12, d23, d13), (n12, n23, n13) = flat["disc"][i].tolist(), flat["neg"][i].tolist()
-                records.append(CycleRecord(
-                    index=i, **row, w_cum=w_cum,
-                    eta=efficiency(row["w_cycle"], row["du"], row["q1"], row["q2"]).value,
-                    d12_max=d12, d23_max=d23, d13_max=d13, n12_max=n12, n23_max=n23, n13_max=n13))
+            w1, w2, q1, q2, du, w_cycle, e1, e2, e3 = (runs.columns[name].tolist()
+                                                       for name in _RECORD_FLOATS)
+            w_cum = list(itertools.accumulate(w_cycle, initial=0.0))[1:]  # summed from 0.0
+            eta = [efficiency(*cycle).value for cycle in zip(w_cycle, du, q1, q2)]
+            disc, neg = (zip(*runs.columns[name].tolist()) for name in ("disc", "neg"))
+            records = [CycleRecord(*row) for row in zip(
+                range(len(w1)), w1, w2, q1, q2, du, w_cycle, w_cum, eta, e1, e2, e3, *disc, *neg)]
         probe = records.pop() if keep_records and runs.probe[0] else None
         return _result(params, runs, 0, self.sigma_initial, CovarianceMatrix(runs.sigma[0]),
                        records, probe, ts.finish() if ts is not None else None)
@@ -1138,9 +1168,9 @@ class _TimeSeriesBuilder:
 
     Each stroke of a cycle emits one row at its start, then one per interior
     instant.  Ramp interiors keep the start's spectator energies and
-    correlations (local maps conserve both) and read E2 off the start state
-    sandwiched through the medium's rows of the sweep's interior maps;
-    coupling interiors read the kernel's interior states and scored points.
+    correlations (local maps conserve both) and read E2 off the medium's
+    block of the start state sandwiched through the medium's blocks of the
+    sweep's interior maps; coupling interiors read the kernel's points.
     A cycle's closing edge is the next cycle's first row; finish() appends
     the newest edge, the initial state sigma0 if no cycle ran.
     """
@@ -1159,14 +1189,15 @@ class _TimeSeriesBuilder:
                       if params.ramp is RampMode.LINEAR_AIRY else np.empty(0))
 
         def sweep(omega_in: float, omega_fin: float) -> tuple[np.ndarray, np.ndarray]:
-            """The medium's rows (x2, p2) of a sweep's interior maps,
-            element-first (2, 6, 1, n), and its squared frequency at each instant."""
+            """The medium's (x2, p2) blocks of a sweep's interior maps,
+            (2, 2, 1, 1, n), and its squared frequency at each instant."""
             if ramp_times.size == 0:
-                return np.empty((2, 6, 1, 0)), np.empty(0)
+                return np.empty((2, 2, 1, 1, 0)), np.empty(0)
             schedule = RampSchedule(omega_in, omega_fin, params.tau_comp)
             mats = ramp_propagators_at(schedule, ramp_times, spectator_omega1=w1,
                                        spectator_omega3=w3)
-            return _by_element(mats)[[1, 4]][:, :, None], schedule.omega_sq(ramp_times)
+            return (_by_element(mats)[np.ix_((1, 4), (1, 4))][:, :, None, None],
+                    schedule.omega_sq(ramp_times))
 
         tau_r, nh = params.ramp_duration, heat_times.size
         # Per stroke: start offset, interior offsets, the sweep's interior maps
@@ -1191,16 +1222,15 @@ class _TimeSeriesBuilder:
         # (time, state, E2, scored pair correlations or None) of the newest edge
         self._end = (0.0, sigma0, _energy(sigma0, 1, self._w3sq), None)
 
-    def add_chunk(self, chunk: _Chunk, rows: int, heat_states: np.ndarray,
-                  cool_states: np.ndarray, neg: Optional[np.ndarray],
-                  disc: Optional[np.ndarray]) -> None:
+    def add_chunk(self, chunk: _Chunk, rows: int, points: np.ndarray,
+                  neg: Optional[np.ndarray], disc: Optional[np.ndarray]) -> None:
         """Rows of the engine's first `rows` cycles of a one-engine chunk.
 
-        heat_states and cool_states hold those cycles' interior states,
-        (6, 6, rows, n); neg and disc their scored points, (rows, points,
-        3), or None without correlations.  Row times count from the start
-        of each cycle's inner chunk of the span, so they do not depend on
-        how chunks are grouped into kernel calls.
+        points holds those cycles' points, (6, 6, points, rows), and neg
+        and disc their scores, (points, rows, 3), or None without
+        correlations.  Row times count from the start of each cycle's inner
+        chunk of the span, so they do not depend on how chunks are grouped
+        into kernel calls.
         """
         m, dur = rows, self._cycle_duration
         # first cycle of each row's inner chunk; the closing edge shares the last's
@@ -1210,29 +1240,29 @@ class _TimeSeriesBuilder:
         self._cycles_added += m
         starts = ((chunk.sig_a, chunk.e_a), (chunk.sig_b, chunk.e_b),
                   (chunk.sig_c, chunk.e_c), (chunk.sig_d, chunk.e_d))
-        interiors = (None, heat_states, None, cool_states)
         e1, e2, e3 = [], [], []
-        for (_, times, maps, wsq, _), (sig, e_start), inner in zip(
-                self._strokes, starts, interiors):
+        for (_, times, maps, wsq, point), (sig, e_start) in zip(self._strokes, starts):
             s = sig[:, :, :m]
             e1.append(_energy(s, 0, self._w1sq)[:, None])
             e2.append(e_start[0, :m, None])
             e3.append(_energy(s, 2, self._w3sq)[:, None])
-            if maps is None:
+            if maps is None:  # a coupling stroke's interiors follow its start's point
+                inner = points[:, :, point + 1:point + 1 + times.size].transpose(0, 1, 3, 2)
                 e1.append(_energy(inner, 0, self._w1sq))
                 e2.append(_energy(inner, 1, wsq))
                 e3.append(_energy(inner, 2, self._w3sq))
             else:  # a sweep moves the medium alone
                 e1.append(np.repeat(e1[-1], times.size, axis=1))
-                inner = _interior_states(maps, np.zeros(m, dtype=int), s)
+                inner = _ramp_sandwich(maps, s[np.ix_((1, 4), (1, 4))][..., None])
                 e2.append(_energy(inner, 1, wsq, entries=(1, 4)))
                 e3.append(np.repeat(e3[-1], times.size, axis=1))
         t = t_cycle[:m, None] + self._offsets[None, :]
         energies = [np.concatenate(e, axis=1).reshape(-1) for e in (e1, e2, e3)]
         corr = ([np.full((t.size, 3), np.nan)] * 2 if neg is None
-                else [src[:, self._points].reshape(-1, 3) for src in (neg, disc)])
+                else [src.transpose(1, 0, 2)[:, self._points].reshape(-1, 3)
+                      for src in (neg, disc)])
         self._rows.append((t.reshape(-1), *energies, *corr))
-        scored = None if neg is None else (neg[m - 1, -1], disc[m - 1, -1])
+        scored = None if neg is None else (neg[-1, m - 1], disc[-1, m - 1])
         self._end = (t_cycle[m], chunk.sig_e[:, :, m - 1],
                      chunk.e_e[0, m - 1], scored)
 

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import threading
@@ -1066,6 +1067,165 @@ class TestBoxProperties:
     def test_final_states_are_physical(self, params):
         res = Engine(params).run(want_timeseries=False, correlations=False)
         assert res.sigma_final.symplectic_eigenvalues()[0] >= 0.5 - PHYSICALITY_TOL
+
+
+def dense_ramp_maps(blocks):
+    """The element-first (2K, 2K, N) maps whose oscillator blocks are the
+    (2, 2, K, N) blocks, exact zeros elsewhere."""
+    k = blocks.shape[2]
+    maps = np.zeros((2, k, 2, k, blocks.shape[3]))
+    for j in range(k):
+        maps[:, j, :, j] = blocks[:, :, j]
+    return maps.reshape(2 * k, 2 * k, -1)
+
+
+def einsum_ramp_sandwich(blocks, states):
+    """_ramp_sandwich through the dense maps and einsum, as every ramp was
+    sandwiched before the block form."""
+    return engine._sandwich_stack(dense_ramp_maps(blocks), states)
+
+
+# Oscillators whose block of the state a ramp sandwich reads, and the
+# columns of the map the dense sandwich read in their place: all three (a
+# call that keeps states, and a lean compression), the medium and the cold
+# oscillator (a lean expansion), and the medium alone, whose rows of the
+# whole map sandwiched the whole state (a time series' ramp interiors).
+RAMP_OSCILLATORS = {"all": ((0, 1, 2), engine._ALL), "lean": ((1, 2), (1, 2, 4, 5)),
+                    "medium": ((1,), engine._ALL)}
+
+
+class TestRampSandwich:
+    @pytest.mark.parametrize("block", sorted(RAMP_OSCILLATORS))
+    @pytest.mark.parametrize("ramp", list(RampMode))
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_blocks_give_the_dense_sandwich_byte_for_byte(self, ramp, block, data):
+        oscillators, columns = RAMP_OSCILLATORS[block]
+        params = data.draw(st.lists(box_engines().filter(lambda p: p.ramp is ramp),
+                                    min_size=1, max_size=4))
+        batch = engine.EngineBatch.of(params)
+        rows = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        at = rng.integers(len(params), size=rows)
+        # product states (exact zeros off their oscillators' blocks) and
+        # dense ones with exact zeros, every entry's sign drawn: +0.0 and -0.0
+        g = rng.normal(size=(rows, 6, 6))
+        dense = np.where(rng.random((rows, 6, 6)) < 0.3, 0.0, g @ g.transpose(0, 2, 1))
+        product = product_states(batch.modes, batch.omega1, batch.omega3)[at]
+        states = np.where(rng.random((rows, 1, 1)) < 0.5, product, dense)
+        states = engine._by_element(states * rng.choice([-1.0, 1.0], size=states.shape))
+        entries = [*oscillators, *(k + 3 for k in oscillators)]
+        for maps in engine._Strokes(batch).stroke_maps[::2]:  # compression, expansion
+            blocks = maps.take(at, axis=-1)
+            got = engine._ramp_sandwich(blocks[:, :, list(oscillators)],
+                                        states[np.ix_(entries, entries)])
+            whole = dense_ramp_maps(blocks)
+            want = engine._sandwich_stack(np.ascontiguousarray(whole[np.ix_(entries, columns)]),
+                                          np.ascontiguousarray(states[np.ix_(columns, columns)]))
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_trailing_axes_broadcast(self):
+        rng = np.random.default_rng(7)
+        blocks, states = rng.normal(size=(2, 2, 1, 1, 5)), rng.normal(size=(2, 2, 3, 1))
+        got = engine._ramp_sandwich(blocks, states)
+        assert got.shape == (2, 2, 3, 5)
+        for m in range(3):
+            want = engine._ramp_sandwich(blocks[..., 0, :], np.repeat(states[:, :, m], 5, axis=2))
+            assert got[:, :, m].tobytes() == want.tobytes()
+
+
+# Engines of one call that stop at cycles 0, 1, 2 and 3 of their first
+# chunk, and one that runs it out: a ragged call that keeps every cycle it
+# computes.
+RAGGED_CALL = [
+    EngineParams(prep=thermal_preparation(beta1=0.01, omega3=omega3), alpha12=alpha12,
+                 alpha23=alpha23, tau_comp=tau_comp, tau_h=tau_h, tau_c=tau_c,
+                 ramp=RampMode.QUASI_STATIC)
+    for omega3, alpha12, alpha23, tau_comp, tau_h, tau_c in (
+        (0.585, 0.0, 0.036, 69.054, 0.677, 0.657),
+        (0.644, 0.015, 0.021, 67.392, 0.029, 0.125),
+        (0.905, 0.032, 0.014, 81.514, 0.042, 0.018),
+        (0.013, 0.03, 0.037, 81.77, 0.544, 0.935))
+] + [optimized_params(stop=FixedCycles(4))]
+
+
+def test_a_ragged_call_scores_the_points_of_explicitly_gathered_sandwiches(monkeypatch):
+    """Every point a state-keeping call scores, against the state it is
+    read off or one _sandwich_stack over interior maps and stroke states
+    gathered one by one, in cycle-major order."""
+    calls, step, kernel, score = [], engine._step, engine._simulate_chunk, engine.pair_correlations
+
+    def spy_step(*args, **kwargs):
+        calls.append(dict(inspect.signature(step).bind(*args, **kwargs).arguments))
+        return step(*args, **kwargs)
+
+    def spy_kernel(*args, **kwargs):
+        calls[-1]["chunk"] = kernel(*args, **kwargs)
+        return calls[-1]["chunk"]
+
+    def spy_score(points):
+        calls[-1]["points"] = np.array(points)
+        return score(points)
+
+    monkeypatch.setattr(engine, "_step", spy_step)
+    monkeypatch.setattr(engine, "_simulate_chunk", spy_kernel)
+    monkeypatch.setattr(engine, "pair_correlations", spy_score)
+    run_reduced_ensemble(RAGGED_CALL)
+    call = calls[0]
+    chunk, heat, cool = call["chunk"], call["heat_mats"], call["cool_mats"]
+    lengths = call["lengths"]
+    assert lengths.tolist() == [1, 2, 3, 4, 4]
+    # the engines that stop keep their last computed cycle: every cycle is scored
+    assert chunk.keep.tolist() == [0, 1, 2, 3, 4]
+    owner = call["idx"].repeat(lengths)
+    nh, nc = heat.shape[3], cool.shape[3]
+    want = np.empty((3 + nh + nc, owner.size, 6, 6))
+    for at, sig in ((0, chunk.sig_a), (1 + nh, chunk.sig_c), (2 + nh + nc, chunk.sig_e)):
+        for r in range(owner.size):
+            want[at, r] = sig[:, :, r]
+    for lo, mats, sig in ((1, heat, chunk.sig_b), (2 + nh, cool, chunk.sig_d)):
+        pairs = [(r, i) for r in range(owner.size) for i in range(mats.shape[3])]
+        out = engine._sandwich_stack(np.stack([mats[:, :, owner[r], i] for r, i in pairs], axis=-1),
+                                     np.stack([sig[:, :, r] for r, _ in pairs], axis=-1))
+        for j, (r, i) in enumerate(pairs):
+            want[lo + i, r] = out[:, :, j]
+    assert call["points"].shape == want.shape
+    assert call["points"].tobytes() == want.tobytes()
+
+
+# Runs that refuse a parametrically unstable Airy engine, or may: einsum
+# turns 0 x inf into NaN where the ramps' block form skips the term, so
+# both must reach the same outcome.
+REFUSED_RUNS = {
+    "lone": lambda: Engine(UNSTABLE_AIRY).run(want_timeseries=False),
+    "ensemble": lambda: run_reduced_ensemble([optimized_params(stop=FixedCycles(3)),
+                                              UNSTABLE_AIRY]),
+    **{f"box-{name}": (lambda params=params, correlations=correlations: run_reduced_ensemble(
+        params, correlations=correlations)) for name, (params, correlations)
+       in UNSTABLE_BOX_DRAWS.items()},
+    **{f"box-{name}-lone": (lambda params=params, correlations=correlations: [
+        run_reduced(p, correlations=correlations) for p in params]) for name, (params, correlations)
+       in UNSTABLE_BOX_DRAWS.items()},
+}
+
+
+@pytest.mark.parametrize("run", sorted(REFUSED_RUNS))
+def test_unstable_airy_refusals_keep_their_error_and_message(run, monkeypatch):
+    def outcome():
+        try:
+            result = REFUSED_RUNS[run]()
+        except PhysicalityError as exc:
+            return str(exc)
+        if isinstance(result, engine.EnsembleTotals):
+            return [column.tobytes() for column in vars(result).values()]
+        return [fingerprint(res) for res in (result if isinstance(result, list) else [result])]
+
+    blocks = outcome()
+    monkeypatch.setattr(engine, "_ramp_sandwich", einsum_ramp_sandwich)
+    assert outcome() == blocks
+    if run in ("lone", "ensemble"):
+        assert "pair correlations are not finite" in blocks
 
 
 # Largest gap between the kernel and the spectral oracle, relative to the
