@@ -30,10 +30,12 @@ would, a block of rows at a time.  A ramp acts on each oscillator alone,
 so its sandwich runs through the oscillators' 2x2 blocks, again bit for
 bit.  A call that keeps states lays its kept cycles' scored points out in
 one point-major array and sandwiches the coupling strokes' interior states
-straight into it.  Cycles run in chunks that double from 4 to 256, each
-starting from the symmetrised end of the one before.  A kernel call may
-run several consecutive chunks (a span) and may cut its
-last chunk short; either way it computes the same cycles from the same
+straight into it; that array, the gathered interior operands and the
+sandwiches' temporaries live in per-thread scratch buffers that grow to the
+largest call and are reused by every later one.  Cycles run in chunks
+that double from 4 to 256, each starting from the symmetrised end of the
+one before.  A kernel call may run several consecutive chunks (a span)
+and may cut its last chunk short; either way it computes the same cycles from the same
 cursors, so the grouping changes no number.  A call ends where its
 engines end (a FixedCycles count, else a probe cycle predicted off the
 cycle map), within a bound on the states it holds: a lone engine that
@@ -63,6 +65,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import threading
 from contextvars import ContextVar
 from dataclasses import InitVar, dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -459,6 +462,37 @@ _SPLIT = {6: (slice(0, None, 2), slice(1, None, 2)), 4: (slice(1, 3), slice(0, N
 # faults and ran 12% slower than 256-row ones (400), one block per call
 # 75,000 and 11% slower.
 _LEAN_BLOCK = 256
+# The scratch buffers of a state-keeping call's point build (_step): the
+# points, the gathered interior maps and states, and the interior
+# sandwiches' two temporaries.
+_POINTS, _MAPS, _STATES, _PRODUCT, _ODD = range(5)
+
+
+class _Scratch(threading.local):
+    """One thread's flat float64 buffers, one per use above, each grown to
+    the largest request and never shrunk, so a scan's calls reuse their
+    pages instead of faulting in fresh ones (freed arrays past glibc's
+    mmap threshold go back to the kernel).  A state-keeping call holds at
+    most _CALL_POINTS points unless one cycle holds more, so no buffer
+    grows past 36 * _CALL_POINTS entries; a larger request gets its own
+    array.  Lean calls and _stages let numpy allocate, which measured as
+    fast there (CHANGES.md)."""
+
+    def __init__(self) -> None:
+        self.buffers = [np.empty(0) for _ in range(5)]
+
+    def take(self, use: int, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous (shape) array in buffer `use`, holding whatever
+        the last call left there."""
+        size = math.prod(shape)
+        if size > 36 * _CALL_POINTS:
+            return np.empty(shape)
+        if self.buffers[use].size < size:
+            self.buffers[use] = np.empty(size)
+        return self.buffers[use][:size].reshape(shape)
+
+
+_SCRATCH = _Scratch()
 
 
 def _energy(s: np.ndarray, mode: int, wsq: "float | np.ndarray",
@@ -469,14 +503,16 @@ def _energy(s: np.ndarray, mode: int, wsq: "float | np.ndarray",
     return 0.5 * (s[p, p] + wsq * s[x, x])
 
 
-def _sandwich_stack(mats: np.ndarray, states: np.ndarray,
-                    out: Optional[np.ndarray] = None) -> np.ndarray:
+def _sandwich_stack(mats: np.ndarray, states: np.ndarray, out: Optional[np.ndarray] = None,
+                    x: Optional[np.ndarray] = None, odd: Optional[np.ndarray] = None) -> np.ndarray:
     """mats[..., n] @ states[..., n] @ mats[..., n].T for element-first
-    (m, k, N) maps and (k, k, N) states, into out (m, m, N) if given."""
+    (m, k, N) maps and (k, k, N) states, into out (m, m, N) if given; x
+    (m, k, N) and odd (m, m, N), if given, hold the product mats @ states
+    and the odd columns' part of the right-hand sum."""
     even_cols, odd_cols = _SPLIT[states.shape[0]]
-    x = np.einsum("abn,bcn->acn", mats, states)
+    x = np.einsum("abn,bcn->acn", mats, states, out=x)
     out = np.einsum("acn,dcn->adn", x[:, even_cols], mats[:, even_cols], out=out)
-    out += np.einsum("acn,dcn->adn", x[:, odd_cols], mats[:, odd_cols])
+    out += np.einsum("acn,dcn->adn", x[:, odd_cols], mats[:, odd_cols], out=odd)
     return out
 
 
@@ -1039,16 +1075,20 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], lengths: np
         # interiors, after heating, cooling interiors, end.  Ramp interiors
         # carry no new correlation values.  Interior i of kept cycle r
         # sandwiches the state it starts from by its engine's map i.
-        nh, nc = heat_mats.shape[3], cool_mats.shape[3]
-        points = np.empty((6, 6, 3 + nh + nc, kept.size))
+        # Every array of the build is scratch (_Scratch); the gathers take
+        # mode="clip", as the default "raise" copies through a temporary.
+        nh, nc, size = heat_mats.shape[3], cool_mats.shape[3], kept.size
+        points = _SCRATCH.take(_POINTS, (6, 6, 3 + nh + nc, size))
         flat = points.reshape(6, 6, -1)
         for at, sig in ((0, chunk.sig_a), (1 + nh, chunk.sig_c), (2 + nh + nc, chunk.sig_e)):
             points[:, :, at] = sig.take(kept, axis=2)
         for lo, mats, sig in ((1, heat_mats, chunk.sig_b), (2 + nh, cool_mats, chunk.sig_d)):
             n = mats.shape[3]
-            maps = mats.reshape(6, 6, -1).take((np.arange(n)[:, None] + owner * n).ravel(), axis=2)
-            _sandwich_stack(maps, sig.take(np.tile(kept, n), axis=2),
-                            flat[:, :, lo * kept.size:(lo + n) * kept.size])
+            work = [_SCRATCH.take(use, (6, 6, n * size)) for use in (_MAPS, _STATES, _PRODUCT, _ODD)]
+            mats.reshape(6, 6, -1).take((np.arange(n)[:, None] + owner * n).ravel(), axis=2,
+                                        out=work[0], mode="clip")
+            sig.take(np.tile(kept, n), axis=2, out=work[1], mode="clip")
+            _sandwich_stack(work[0], work[1], flat[:, :, lo * size:(lo + n) * size], *work[2:])
     if correlations:
         neg, disc = pair_correlations(np.moveaxis(points, (0, 1), (-2, -1)))
         cyc_neg, cyc_disc = neg.max(axis=0), disc.max(axis=0)

@@ -159,18 +159,91 @@ class ScanSettings:
     min_alpha23_tau_c: float
 
 
+# numpy's SeedSequence hash and PCG64 seeding, which NEP 19 keeps
+# stream-compatible across numpy versions: the pool size, the hash
+# constants and multipliers, and PCG64's 128-bit multiplier.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _substreams(seed: int, indices: range) -> list[dict]:
+    """The PCG64 state of default_rng(SeedSequence(seed, spawn_key=(i,)))
+    for each i of indices, as bit_generator.state takes it.
+
+    The SeedSequence entropy is the seed's 32-bit words, zero padding to
+    the pool size, then i.  The hash constants do not depend on the data,
+    so the hash runs over (words, samples) uint32 arrays, every sample's
+    in one pass.  Indices of more than one word go through numpy's
+    SeedSequence itself.
+    """
+    if max(indices, default=0) > _MASK32:
+        return [np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))).state
+                for i in indices]
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = np.empty((len(words) + 1, len(indices)), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = indices
+
+    def constants(init: int, mult: int, count: int) -> np.ndarray:
+        out = [init]
+        for _ in range(count):
+            out.append(out[-1] * mult & _MASK32)
+        return np.array(out, dtype=np.uint32)[:, None]
+
+    # hashmix call t xors with a[t] and multiplies by a[t + 1]; the pool
+    # takes 4 calls, its mixing 12 and each further entropy word 4
+    a = constants(_INIT_A, _MULT_A, 4 * entropy.shape[0])
+
+    def hashmix(value: np.ndarray, t: int) -> np.ndarray:
+        """Hash calls t, t + 1, ... of the rows of value."""
+        value = (value ^ a[t:t + len(value)]) * a[t + 1:t + 1 + len(value)]
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ value >> 16
+
+    pool, t = hashmix(entropy[:_POOL_SIZE], 0), _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[[src] * len(dst)], t))
+        t += len(dst)
+    for word in entropy[_POOL_SIZE:]:
+        pool = mix(pool, hashmix(np.broadcast_to(word, pool.shape), t))
+        t += _POOL_SIZE
+    # generate_state(4, np.uint64): eight words off the pool in turn,
+    # paired little-endian into (s_high, s_low, i_high, i_low)
+    b = constants(_INIT_B, _MULT_B, 8)
+    state = (pool[np.arange(8) % _POOL_SIZE] ^ b[:-1]) * b[1:]
+    state = (state ^ state >> 16).astype(np.uint64)
+    seeded = []
+    for s0, s1, i0, i1 in zip(*(state[1::2] << np.uint64(32) | state[::2]).tolist()):
+        # pcg64_set_seed: inc = 2 i + 1, then two steps around adding s
+        inc = (i0 << 65 | i1 << 1 | 1) & _MASK128
+        seeded.append({"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
+            "state": ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, "inc": inc}})
+    return seeded
+
+
 def _draws(indices: range, settings: ScanSettings) -> np.ndarray:
     """(len(DIMENSIONS), n) parameter draws of the samples indices, one
     column per sample.  Sample i draws from its own substream: one
     uniform draw over the box, lo + (hi - lo) * U, per attempt, redrawn
     until the weak-cold-contact filter passes, so the filter cannot break
-    determinism.  A filter that MAX_DRAWS draws do not meet is refused."""
+    determinism.  A filter that MAX_DRAWS draws do not meet is refused.
+    One generator serves every sample, set to each sample's substream in
+    turn (_substreams), which hashes the block's seeds in one pass."""
     lo, hi = np.array([settings.box.interval(name) for name in DIMENSIONS]).T
     span = hi - lo
     (a_lo, t_lo), (a_span, t_span) = lo[[1, 3]].tolist(), span[[1, 3]].tolist()
     u = np.empty((len(indices), len(DIMENSIONS)))
-    for row, index in zip(u, indices):
-        rng = np.random.default_rng(np.random.SeedSequence(settings.seed, spawn_key=(index,)))
+    rng = np.random.Generator(np.random.PCG64(0))
+    for row, index, state in zip(u, indices, _substreams(settings.seed, indices)):
+        rng.bit_generator.state = state
         for _ in range(MAX_DRAWS):
             rng.random(out=row)
             # alpha23 * tau_c, as the rows below compute them

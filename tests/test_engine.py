@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import json
 import math
+import sys
 import threading
 from pathlib import Path
 
@@ -1150,10 +1151,9 @@ RAGGED_CALL = [
 ] + [optimized_params(stop=FixedCycles(4))]
 
 
-def test_a_ragged_call_scores_the_points_of_explicitly_gathered_sandwiches(monkeypatch):
-    """Every point a state-keeping call scores, against the state it is
-    read off or one _sandwich_stack over interior maps and stroke states
-    gathered one by one, in cycle-major order."""
+def _ragged_call(monkeypatch) -> dict:
+    """The first _step call of run_reduced_ensemble(RAGGED_CALL): its
+    arguments, its kernel chunk and a copy of the points it scores."""
     calls, step, kernel, score = [], engine._step, engine._simulate_chunk, engine.pair_correlations
 
     def spy_step(*args, **kwargs):
@@ -1172,7 +1172,14 @@ def test_a_ragged_call_scores_the_points_of_explicitly_gathered_sandwiches(monke
     monkeypatch.setattr(engine, "_simulate_chunk", spy_kernel)
     monkeypatch.setattr(engine, "pair_correlations", spy_score)
     run_reduced_ensemble(RAGGED_CALL)
-    call = calls[0]
+    return calls[0]
+
+
+def test_a_ragged_call_scores_the_points_of_explicitly_gathered_sandwiches(monkeypatch):
+    """Every point a state-keeping call scores, against the state it is
+    read off or one _sandwich_stack over interior maps and stroke states
+    gathered one by one, in cycle-major order."""
+    call = _ragged_call(monkeypatch)
     chunk, heat, cool = call["chunk"], call["heat_mats"], call["cool_mats"]
     lengths = call["lengths"]
     assert lengths.tolist() == [1, 2, 3, 4, 4]
@@ -1192,6 +1199,92 @@ def test_a_ragged_call_scores_the_points_of_explicitly_gathered_sandwiches(monke
             want[lo + i, r] = out[:, :, j]
     assert call["points"].shape == want.shape
     assert call["points"].tobytes() == want.tobytes()
+
+
+def _poison_scratch(monkeypatch) -> None:
+    """Fill every scratch buffer of this thread with NaN before each kernel
+    call, each grown first to its bound so that no call grows one."""
+    for use in range(len(engine._SCRATCH.buffers)):
+        engine._SCRATCH.take(use, (36 * engine._CALL_POINTS,))
+    kernel = engine._simulate_chunk
+
+    def poisoned(*args, **kwargs):
+        for buffer in engine._SCRATCH.buffers:
+            buffer.fill(np.nan)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_simulate_chunk", poisoned)
+
+
+def _scratch_runs() -> tuple:
+    """Every number of a 50-sample scan and of a tracked recurrence_140 run."""
+    return repr(random_scan(50, seed=23)), fingerprint(Engine(_recurrence_params()).run())
+
+
+class TestScratch:
+    """A state-keeping call builds its scored points in per-thread scratch
+    buffers (engine._Scratch): no number may depend on what they held
+    before, and no result may share their memory."""
+
+    def test_stale_scratch_changes_no_number(self, monkeypatch):
+        """A read of a scratch entry the call did not write first reads NaN."""
+        clean = _scratch_runs(), _ragged_call(monkeypatch)["points"].tobytes()
+        monkeypatch.undo()
+        _poison_scratch(monkeypatch)
+        assert (_scratch_runs(), _ragged_call(monkeypatch)["points"].tobytes()) == clean
+
+    def test_no_result_shares_the_scratch(self):
+        res = Engine(_recurrence_params()).run()
+        totals = run_reduced_ensemble(RAGGED_CALL)
+        arrays = [res.sigma_final.matrix, *res.timeseries.columns(),
+                  *(getattr(totals, f.name) for f in dataclasses.fields(totals)),
+                  *(getattr(r, f.name) for r in res.records for f in dataclasses.fields(r))]
+        buffers = engine._SCRATCH.buffers
+        assert all(b.size for b in buffers)
+        assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
+
+    def test_a_later_larger_run_leaves_earlier_results_alone(self, monkeypatch):
+        monkeypatch.setattr(engine._SCRATCH, "buffers", [np.empty(0)] * 5)
+        small = Engine(optimized_params(stop=FixedCycles(4))).run()
+        totals = run_reduced_ensemble(RAGGED_CALL[:2])
+        sizes = [b.size for b in engine._SCRATCH.buffers]
+
+        def numbers():
+            return fingerprint(small), [getattr(totals, f.name).tobytes()
+                                        for f in dataclasses.fields(totals)]
+        before = numbers()
+        _scratch_runs()
+        assert all(b.size > size for b, size in zip(engine._SCRATCH.buffers, sizes))
+        assert numbers() == before
+
+    def test_threads_running_scans_at_once_get_their_serial_bytes(self):
+        """Each thread has its own scratch: two threads stepping different
+        scan blocks at the same time, with thread switches forced often,
+        each get the block's serial samples."""
+        serial = {seed: repr(random_scan(50, seed=seed)) for seed in (31, 37)}
+        got, errors = {}, []
+        start = threading.Barrier(len(serial))
+
+        def scan(seed):
+            try:
+                start.wait(timeout=60)
+                got[seed] = [repr(random_scan(50, seed=seed)) for _ in range(3)]
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=scan, args=(seed,)) for seed in serial]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert got == {seed: [block] * 3 for seed, block in serial.items()}
 
 
 # Runs that refuse a parametrically unstable Airy engine, or may: einsum

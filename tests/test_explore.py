@@ -176,6 +176,63 @@ class TestRandomScan:
                 assert lo <= getattr(s, name) <= hi
 
 
+def _scan_settings(seed, min_alpha23_tau_c=0.0):
+    return explore.ScanSettings(seed=seed, box=ParameterBox(omega3=explore.OMEGA3_RANGE),
+                                family=PrepFamily.THERMAL, beta1=DEFAULT_BETA1,
+                                ramp=RampMode.QUASI_STATIC, max_cycles=10,
+                                min_alpha23_tau_c=min_alpha23_tau_c)
+
+
+def _fresh_generator_draws(indices, settings):
+    """explore._draws with one default_rng(SeedSequence(seed, spawn_key=(i,)))
+    per sample, and the attempts each sample took."""
+    lo, hi = np.array([settings.box.interval(name) for name in DIMENSIONS]).T
+    (a_lo, t_lo), (a_span, t_span) = lo[[1, 3]].tolist(), (hi - lo)[[1, 3]].tolist()
+    u, attempts = np.empty((len(indices), len(DIMENSIONS))), []
+    for row, index in zip(u, indices):
+        rng = np.random.default_rng(np.random.SeedSequence(settings.seed, spawn_key=(index,)))
+        for attempt in range(1, explore.MAX_DRAWS + 1):
+            rng.random(out=row)
+            if (a_lo + a_span * row[1]) * (t_lo + t_span * row[3]) >= settings.min_alpha23_tau_c:
+                break
+        attempts.append(attempt)
+    return lo[:, None] + (hi - lo)[:, None] * u.T, attempts
+
+
+SUBSTREAM_SEEDS = (0, 1, 12345, 2**32, 2**64 + 5, 2**130 + 1)
+# single indices, with one- and two-word spawn keys, and blocks, one of
+# them crossing into two words
+SUBSTREAM_INDICES = [range(i, i + 1) for i in (0, 1, 49, 2**31, 2**32 + 3)] + [
+    range(50), range(2**32 - 2, 2**32 + 2)]
+
+
+class TestSubstreams:
+    """A scan block hashes its samples' SeedSequences in one pass and
+    reuses one generator; every sample must still draw numpy's stream
+    default_rng(SeedSequence(seed, spawn_key=(i,)))."""
+
+    @pytest.mark.parametrize("seed", SUBSTREAM_SEEDS)
+    def test_states_are_numpys_spawned_streams(self, seed):
+        for indices in SUBSTREAM_INDICES:
+            assert explore._substreams(seed, indices) == [
+                np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))).bit_generator.state
+                for i in indices], indices
+
+    @pytest.mark.parametrize("seed", SUBSTREAM_SEEDS)
+    def test_draws_are_those_of_a_fresh_generator_per_sample(self, seed):
+        settings = _scan_settings(seed)
+        for indices in SUBSTREAM_INDICES:
+            want, _ = _fresh_generator_draws(indices, settings)
+            assert explore._draws(indices, settings).tobytes() == want.tobytes(), indices
+
+    @pytest.mark.parametrize("indices", [range(50), range(2**32 - 25, 2**32 + 25)])
+    def test_filtered_samples_redraw_their_own_streams(self, indices):
+        settings = _scan_settings(12345, min_alpha23_tau_c=0.02)
+        want, attempts = _fresh_generator_draws(indices, settings)
+        assert max(attempts) > 1
+        assert explore._draws(indices, settings).tobytes() == want.tobytes()
+
+
 class TestOptimize:
     def test_omega3_must_come_from_exactly_one_place(self):
         with pytest.raises(ConfigError):
