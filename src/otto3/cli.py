@@ -587,10 +587,10 @@ _FLAGS = {"--config": dict(help="JSON config path"), "--out": dict(help="output 
           "--ramp": dict(choices=sorted(m.value for m in RampMode)),
           "--perturb": dict(type=float, default=0.0, help=argparse.SUPPRESS)}
 # The flags each subcommand reads; any other is an argparse error, exit 2.
-_SUBCOMMANDS = {"simulate": (cmd_simulate, ("--config", "--out", "--cycles", "--ramp")),
-                "optimize": (cmd_optimize, ("--config", "--out", "--seed")),
-                "scan": (cmd_scan, ("--config", "--out", "--seed", "--workers")),
-                "validate": (cmd_validate, ("--perturb",))}
+_SUBCOMMANDS = {"simulate": ("--config", "--out", "--cycles", "--ramp"),
+                "optimize": ("--config", "--out", "--seed"),
+                "scan": ("--config", "--out", "--seed", "--workers"),
+                "validate": ("--perturb",)}
 
 
 @functools.cache  # built once per process: parsing leaves a parser unchanged
@@ -599,18 +599,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="otto3",
         description="Three-oscillator quantum Otto engine: simulate, optimize, scan.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, flags) in _SUBCOMMANDS.items():
+    for name, flags in _SUBCOMMANDS.items():
         p = sub.add_parser(name)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up by name at each call, so a rebound cmd_<command> is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,10 @@ points of a round, one per live restart, run as one ensemble
 generation run as one ensemble too.  Every restart sees what it would see
 alone, and the trace records the restarts' values in restart order, so
 the outcome is that of running them one after another.
+
+scipy.optimize and multiprocessing are imported where they are first
+used, by differential evolution and by scans with more than one worker,
+so the other paths never load them.
 """
 
 from __future__ import annotations
@@ -30,11 +34,9 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Generator, Optional
 
 import numpy as np
-from scipy.optimize import differential_evolution
 
 from .energetics import ergotropy
 from . import engine
@@ -307,6 +309,8 @@ def random_scan(n_samples: int, seed: int, *, box: Optional[ParameterBox] = None
     size = max(1, min(engine._ENSEMBLE_SIZE, n_samples // (8 * workers)))
     jobs = [(range(lo, min(lo + size, n_samples)), settings)
             for lo in range(0, n_samples, size)]
+    # imported here, not at module level: only a scan with several workers starts processes
+    from multiprocessing import Pool
     with Pool(workers) as pool:
         return [s for block in pool.map(_scan_worker, jobs) for s in block]
 
@@ -651,6 +655,8 @@ def _run_de(problem: _Problem, bounds, seed: int, budget: int,
         raise ConfigError(f"differential evolution needs a budget of at least one "
                           f"population, {population} evaluations, got {budget}")
     maxiter = budget // population - 1
+    # imported here, not at module level: only this method needs scipy.optimize, a slow import
+    from scipy.optimize import differential_evolution
     res = differential_evolution(
         members, bounds, seed=seed, maxiter=maxiter, popsize=popsize,
         polish=False, updating="deferred", vectorized=True, init="sobol", tol=1e-8)

@@ -11,7 +11,9 @@ matrices evolve as sigma -> S sigma S^T.  Three generators appear:
   to a rescaling plus a rotation by the accumulated phase integral(omega dt).
 
 A Dormand-Prince integrator of the same linear system is provided as an
-independent cross-check for the closed forms.
+independent cross-check for the closed forms.  scipy is imported where it
+is first used, by the Airy sweep and the integrator, so quasi-static runs
+never load it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import airy
 
 from .errors import DegenerateRampError, IntegrationError, SymplecticityError
 from .states import symplectic_form
@@ -192,6 +192,8 @@ def ramp_xy(omega_in, omega_fin, tau, t) -> tuple[np.ndarray, np.ndarray, np.nda
     omega_sq_t = omega_in**2 + (omega_fin**2 - omega_in**2) * t / tau
     w = -(omega_in**2) * s23
     z = -omega_sq_t * s23
+    # imported here, not at module level: only Airy sweeps need scipy.special, a slow import
+    from scipy.special import airy
     ai_z, aip_z, bi_z, bip_z = airy(z)
     ai_w, aip_w, bi_w, bip_w = airy(w)
     x = -math.pi * cube * (ai_z * bi_w - ai_w * bi_z)
@@ -342,6 +344,8 @@ def ode_propagator(schedule: RampSchedule, tol: float = 1e-11, *,
         ds[3:] = -omega2[:, None] * s[:3]
         return ds.reshape(-1)
 
+    # imported here, not at module level: only this cross-check needs scipy.integrate, a slow import
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(rhs, (0.0, schedule.tau), np.eye(6).reshape(-1), method="DOP853",
                     rtol=tol, atol=tol * 1e-3, dense_output=False)
     if not sol.success:

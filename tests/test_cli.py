@@ -427,8 +427,22 @@ class TestParser:
             parser.parse_args(["scan", "--cycles", "3"])  # not a scan flag
         again = parser.parse_args(["scan"])
         assert (first.workers, first.seed) == (2, 7)
-        assert (again.workers, again.seed, again.fn) == (1, None, cli.cmd_scan)
-        assert parser.parse_args(["validate"]).fn is cli.cmd_validate
+        assert (again.workers, again.seed, again.command) == (1, None, "scan")
+        assert parser.parse_args(["validate"]).command == "validate"
+
+    def test_main_runs_the_command_bound_at_call_time(self, monkeypatch, tmp_path):
+        # a tracer or a test that rebinds cmd_simulate must see the call
+        calls = []
+        original = cli.cmd_simulate
+
+        def wrapper(args):
+            calls.append(args.command)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_simulate", wrapper)
+        cfg = str(CONFIGS / "zero_coupling.json")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert calls == ["simulate"]
 
 
 class TestValidate:

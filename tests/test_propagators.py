@@ -343,7 +343,7 @@ class TestOdePropagator:
     def test_nan_solution_fails_defect_check(self, monkeypatch):
         nan_solution = SimpleNamespace(success=True, message="",
                                        y=np.full((36, 1), np.nan))
-        monkeypatch.setattr(propagators, "solve_ivp",
+        monkeypatch.setattr("scipy.integrate.solve_ivp",
                             lambda *args, **kwargs: nan_solution)
         with pytest.raises(IntegrationError):
             ode_propagator(RampSchedule(0.2, 0.9, 5.0))
