@@ -22,17 +22,17 @@ rounding-level defects but never a wrong stroke map.
 All four stroke propagators are fixed symplectic matrices, so a whole cycle
 is a single 6x6 sandwich and long runs evaluate matrix-power batches
 instead of stepping stroke by stroke.  Every kernel call computes its cycle
-starts and the state after each stroke through one function, in arrays
-numpy allocates; a call whose caller reads no states (no records,
+starts and the state after each stroke through one function, all its rows
+in one pass.  A call whose caller reads no states (no records,
 correlations or time series) keeps none and computes of each only the
 entries the medium's energies read, bit for bit as the whole sandwich
-would, a block of rows at a time.  A ramp acts on each oscillator alone,
-so its sandwich runs through the oscillators' 2x2 blocks, again bit for
-bit.  A call that keeps states lays its kept cycles' scored points out in
-one point-major array and sandwiches the coupling strokes' interior states
-straight into it; that array, the gathered interior operands and the
-sandwiches' temporaries live in per-thread scratch buffers that grow to the
-largest call and are reused by every later one.  Cycles run in chunks
+would, in per-thread scratch buffers that every later call reuses.  A ramp
+acts on each oscillator alone, so its sandwich runs through the
+oscillators' 2x2 blocks, again bit for bit.  A call that keeps states has
+numpy allocate its stage states, lays its kept cycles' scored points out
+in one point-major array and sandwiches the coupling strokes' interior
+states straight into it; that array, the gathered interior operands and
+the sandwiches' temporaries live in the scratch buffers.  Cycles run in chunks
 that double from 4 to 256, each starting from the symmetrised end of the
 one before.  A kernel call may run several consecutive chunks (a span)
 and may cut its last chunk short; either way it computes the same cycles from the same
@@ -237,6 +237,16 @@ class EngineParams:
         return _durations(self.ramp, self.tau_comp, self.tau_h, self.tau_c)[1]
 
 
+def _per_prep(params: Sequence[EngineParams], make) -> list:
+    """make(p.prep) of each p in params, made once per preparation object
+    (an optimizer's points share one)."""
+    made: dict[int, object] = {}
+    for p in params:
+        if id(p.prep) not in made:
+            made[id(p.prep)] = make(p.prep)
+    return [made[id(p.prep)] for p in params]
+
+
 @dataclass(frozen=True)
 class EngineBatch:
     """The inputs of E engines that share a ramp mode, one column per
@@ -314,9 +324,8 @@ class EngineBatch:
         omega1, omega3, *floats, dt = np.array([
             (p.prep.omega1, p.prep.omega3, *(getattr(p, name) for name in _FLOAT_PARAMS),
              math.nan if p.sample_dt is None else p.sample_dt) for p in params], dtype=float).T
-        modes = np.array([f for p in params for mode in p.prep.modes for f in mode.factors()])
-        return cls(ramp, omega1, omega3, modes.reshape(-1, 3, 2), *floats, dt, totals, eps_stop,
-                   ids, check=False)
+        modes = np.array(_per_prep(params, Preparation.factors))
+        return cls(ramp, omega1, omega3, modes, *floats, dt, totals, eps_stop, ids, check=False)
 
     @property
     def size(self) -> int:
@@ -456,40 +465,56 @@ _LEAN_ENTRIES = (_ALL, (1, 2, 4, 5), (1, 2, 4, 5), (1, 4))
 # (1, 2, 4, 5)), of the even and of the odd indices: the left-hand sums
 # run in sequence, the right-hand ones over each group apart, then added.
 _SPLIT = {6: (slice(0, None, 2), slice(1, None, 2)), 4: (slice(1, 3), slice(0, None, 3))}
-# Rows (engine-cycles) a lean call computes at a time.  Past glibc's heap
-# trim threshold, a block's freed arrays go back to the kernel and fault in
-# again: on a ratio_sweep optimize point, 512-row blocks took 46,000 page
-# faults and ran 12% slower than 256-row ones (400), one block per call
-# 75,000 and 11% slower.
-_LEAN_BLOCK = 256
-# The scratch buffers of a state-keeping call's point build (_step): the
-# points, the gathered interior maps and states, and the interior
-# sandwiches' two temporaries.
+# The scratch buffers.  A state-keeping call's point build (_step) holds
+# the points, the gathered interior maps and states, and the interior
+# sandwiches' two temporaries in them.  A lean call holds its powers of the
+# cycle maps (_simulate_chunk), then its cycle starts, in _POINTS, and
+# gathers the powers and cursors into _MAPS and _STATES, each through
+# _PRODUCT (_stages); the starts' sandwich forms its left product in
+# _PRODUCT and its odd part over the cursors.  Stroke k gathers its maps
+# into _LEAN_SLOTS[k][0], forms its left product in _PRODUCT and writes
+# its state into _MAPS, over the state before it, and its other temporary
+# into _LEAN_SLOTS[k][1]: a sandwich reads its states only while it forms
+# its left product.  So a lean call holds at most 36 entries per start, or
+# per power, in a buffer.
 _POINTS, _MAPS, _STATES, _PRODUCT, _ODD = range(5)
+_LEAN_SLOTS = ((_ODD, _STATES), (_STATES, _MAPS), (_STATES, _STATES), (_STATES, _MAPS))
+_SCRATCH_SIZE = 36 * _CALL_POINTS
 
 
 class _Scratch(threading.local):
-    """One thread's flat float64 buffers, one per use above, each grown to
-    the largest request and never shrunk, so a scan's calls reuse their
-    pages instead of faulting in fresh ones (freed arrays past glibc's
-    mmap threshold go back to the kernel).  A state-keeping call holds at
-    most _CALL_POINTS points unless one cycle holds more, so no buffer
-    grows past 36 * _CALL_POINTS entries; a larger request gets its own
-    array.  Lean calls and _stages let numpy allocate, which measured as
-    fast there (CHANGES.md)."""
+    """One thread's flat float64 buffers, one per use above, each of
+    _SCRATCH_SIZE entries, allocated when the thread first reads them.
+    The kernel maps a buffer's pages in as calls first touch them, so it
+    takes the memory of the largest call, and every later call reuses
+    those pages instead of faulting in fresh ones (freed arrays past
+    glibc's mmap threshold go back to the kernel, and a buffer regrown to
+    each larger call left heap holes behind).  A call holds at most
+    _CALL_POINTS points unless one cycle holds more, and a lean call 36
+    entries per start or power in a buffer, so a request past a buffer's
+    end is rare; it gets arrays of its own.  The stage states of a call
+    that keeps states outlive its point build, so numpy allocates them."""
 
     def __init__(self) -> None:
-        self.buffers = [np.empty(0) for _ in range(5)]
+        self.buffers = [np.empty(_SCRATCH_SIZE) for _ in range(5)]
 
     def take(self, use: int, shape: tuple[int, ...]) -> np.ndarray:
         """A C-contiguous (shape) array in buffer `use`, holding whatever
         the last call left there."""
-        size = math.prod(shape)
-        if size > 36 * _CALL_POINTS:
-            return np.empty(shape)
-        if self.buffers[use].size < size:
-            self.buffers[use] = np.empty(size)
-        return self.buffers[use][:size].reshape(shape)
+        return self.carve((use,), (shape,))[0]
+
+    def carve(self, uses: Sequence[int],
+              shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+        """C-contiguous arrays, of shape shapes[i] in buffer uses[i], those
+        of one buffer laid one after another."""
+        sizes = [math.prod(shape) for shape in shapes]
+        need, starts = dict.fromkeys(uses, 0), []
+        for use, size in zip(uses, sizes):
+            starts.append(need[use])
+            need[use] += size
+        return [np.empty(shape) if need[use] > self.buffers[use].size
+                else self.buffers[use][start:start + size].reshape(shape)
+                for use, shape, start, size in zip(uses, shapes, starts, sizes)]
 
 
 _SCRATCH = _Scratch()
@@ -508,7 +533,8 @@ def _sandwich_stack(mats: np.ndarray, states: np.ndarray, out: Optional[np.ndarr
     """mats[..., n] @ states[..., n] @ mats[..., n].T for element-first
     (m, k, N) maps and (k, k, N) states, into out (m, m, N) if given; x
     (m, k, N) and odd (m, m, N), if given, hold the product mats @ states
-    and the odd columns' part of the right-hand sum."""
+    and the odd columns' part of the right-hand sum.  states is read only
+    into x, so out and odd may overlap it."""
     even_cols, odd_cols = _SPLIT[states.shape[0]]
     x = np.einsum("abn,bcn->acn", mats, states, out=x)
     out = np.einsum("acn,dcn->adn", x[:, even_cols], mats[:, even_cols], out=out)
@@ -516,11 +542,16 @@ def _sandwich_stack(mats: np.ndarray, states: np.ndarray, out: Optional[np.ndarr
     return out
 
 
-def _ramp_sandwich(blocks: np.ndarray, states: np.ndarray) -> np.ndarray:
+def _ramp_sandwich(blocks: np.ndarray, states: np.ndarray, out: Optional[np.ndarray] = None,
+                   x: Optional[np.ndarray] = None,
+                   term: Optional[np.ndarray] = None) -> np.ndarray:
     """_sandwich_stack of a map that acts on each of K oscillators alone,
     given as its (x_k, p_k) blocks, (2, 2, K, ...), on element-first
     (2K, 2K, ...) states of those oscillators' entries (x.., p..); the
-    trailing axes broadcast.
+    trailing axes broadcast.  For (2, 2, K, N) blocks on (2K, 2K, N)
+    states, out, x and term, if given, are C-contiguous (2K, 2K, N) arrays
+    for the result, the left-hand product and each sum's second term;
+    states is read only into x and term, so out may overlap it.
 
     Each entry is einsum's sum less its exact-zero terms: the left sum
     keeps two terms, and the right sum's even and odd parts one each, so
@@ -531,19 +562,27 @@ def _ramp_sandwich(blocks: np.ndarray, states: np.ndarray) -> np.ndarray:
     (einsum's 0 x inf is NaN).
     """
     k = blocks.shape[2]
-    x = blocks[:, 0, :, None] * states[:k]
-    x += blocks[:, 1, :, None] * states[k:]
+
+    def slot(buffer: Optional[np.ndarray], *shape: int) -> Optional[np.ndarray]:
+        return None if buffer is None else buffer.reshape(*shape, -1)
+
+    x = np.multiply(blocks[:, 0, :, None], states[:k], out=slot(x, 2, k, 2 * k))
+    x += np.multiply(blocks[:, 1, :, None], states[k:], out=slot(term, 2, k, 2 * k))
     x = x.reshape(2 * k, 2, k, *x.shape[3:])
-    out = x[:, None, 0] * blocks[:, 0]
-    out += x[:, None, 1] * blocks[:, 1]
+    out = np.multiply(x[:, None, 0], blocks[:, 0], out=slot(out, 2 * k, 2, k))
+    out += np.multiply(x[:, None, 1], blocks[:, 1], out=slot(term, 2 * k, 2, k))
     out += 0.0
     return out.reshape(2 * k, 2 * k, *out.shape[3:])
 
 
-def _by_element(stack: np.ndarray) -> np.ndarray:
-    """(..., 6, 6) -> contiguous (6, 6, N), N = the product of the leading axes."""
+def _by_element(stack: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(..., 6, 6) -> contiguous (6, 6, N), N = the product of the leading
+    axes, into out if given."""
     flat = stack.reshape(-1, 36)
-    return flat.T.copy().reshape(6, 6, flat.shape[0])
+    if out is None:
+        out = np.empty((6, 6, flat.shape[0]))
+    out.reshape(36, -1)[...] = flat.T
+    return out
 
 
 def _interior(tau: np.ndarray, n: int, dt: np.ndarray,
@@ -676,7 +715,8 @@ class _Chunk:
     element-first and flat, engine by engine: sig_b[:, :, first[g] + c] is
     engine g's state after compression in its cycle c.  sig_a holds the
     cycle starts the same way, then each engine's closing state, the start
-    of its cycle lengths[g] (see start()).  Energies are (G, count), NaN
+    of its cycle lengths[g] (see start()); a lean call's sig_a is scratch,
+    valid until the thread's next kernel call.  Energies are (G, count), NaN
     past an engine's cycles.  Engine g's stop rule fires first on its cycle
     keep[g] (stopped[g]); keep[g] = count otherwise.
     """
@@ -750,7 +790,8 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
     # A cursor past chunk i needs chunk i's whole power.
     last = int(chunk.max())
     top = max([int(exponent.max()), *span[:last]])
-    powers = np.empty((n_eng, top + 1, 6, 6))
+    shape = (n_eng, top + 1, 6, 6)
+    powers = np.empty(shape) if ends else _SCRATCH.take(_POINTS, shape)
     powers[:, 0] = np.eye(6)
     cycle = strokes.cycle[idx]
     chain = list(powers.swapaxes(0, 1))  # views made in one go
@@ -815,34 +856,52 @@ def _stages(strokes: _Strokes, idx: np.ndarray, lengths: np.ndarray, powers: np.
 
     Start r is powers.reshape(-1, 6, 6)[power_at[r]] sandwiching
     cursors.reshape(-1, 6, 6)[cursor_at[r]].  After each stroke the kernel
-    computes every entry with ends, in one block.  Else (a lean call) it
-    computes only _LEAN_ENTRIES, _LEAN_BLOCK rows at a time, writing each
-    block's starts into the call's one array of them.  Numpy allocates
-    every other array where the chain makes it, in either kind of call.
+    computes every entry with ends, else (a lean call) only _LEAN_ENTRIES,
+    all rows at once either way.  With ends numpy allocates every array,
+    as the states outlive the call's point build.  A lean call keeps no
+    state but its starts, which _step reads (_Chunk.start, a copy) before
+    the thread's next kernel call, so every array it makes is scratch
+    (_LEAN_SLOTS); the gathers take mode="clip", as the default "raise"
+    copies through a temporary.
     """
     rows, n = int(lengths.sum()), power_at.size
-    entries = (_ALL,) * 4 if ends else _LEAN_ENTRIES
-    block = n if ends else min(n, _LEAN_BLOCK)
-    sig_a = None if ends else np.empty((6, 6, n))
     energies, states = np.empty((5, rows)), [None] * 4
     at = idx.repeat(lengths)
-    # each stroke's maps, restricted to the entries it computes from those
-    # before: a ramp's (even k) to the blocks of those entries' oscillators
-    stroke_maps = strokes.stroke_maps if ends else [
-        maps[:, :, list(e[:len(e) // 2])] if k % 2 == 0 else maps[np.ix_(e, before)]
-        for k, (maps, e, before) in enumerate(zip(strokes.stroke_maps, entries, (_ALL, *entries)))]
-    for lo in range(0, n, block):
-        pair = (_by_element(table.reshape(-1, 36).take(where[lo:lo + block], axis=0))
-                for table, where in ((powers, power_at), (cursors, cursor_at)))
-        state = _sandwich_stack(*pair, None if ends else sig_a[:, :, lo:lo + block])
-        sig_a = state if ends else sig_a  # with ends, the one block's starts are the call's
-        r = max(0, min(block, rows - lo))  # the computed starts; the closing states come last
-        state, cut = state[:, :, :r], slice(lo, lo + r)
-        energies[0, cut] = _energy(state, 1, wsqs[0][cut])
-        for k, maps in enumerate(stroke_maps):  # the state after stroke k
-            sandwich = _sandwich_stack if k % 2 else _ramp_sandwich
-            states[k] = state = sandwich(maps.take(at[cut], axis=-1), state)
-            energies[k + 1, cut] = _energy(state, 1, wsqs[k + 1][cut], entries[k])
+    if ends:
+        entries, stroke_maps = (_ALL,) * 4, strokes.stroke_maps
+
+        def slots(uses: Sequence[int], shapes: Sequence[tuple]) -> list:
+            return [None] * len(shapes)  # numpy allocates
+    else:
+        entries, slots = _LEAN_ENTRIES, _SCRATCH.carve
+        # each stroke's maps, restricted to the entries it computes from
+        # those before: a ramp's (even k) to the blocks of those entries'
+        # oscillators
+        stroke_maps = [
+            maps[:, :, list(e[:len(e) // 2])] if k % 2 == 0 else maps[np.ix_(e, before)]
+            for k, (maps, e, before) in enumerate(zip(strokes.stroke_maps, entries,
+                                                      (_ALL, *entries)))]
+    shape = (6, 6, n)
+    pair = [_by_element(table.reshape(-1, 36).take(
+                where, axis=0, out=slots((_PRODUCT,), ((n, 36),))[0], mode="clip"),
+                *slots((use,), (shape,)))
+            for use, table, where in ((_MAPS, powers, power_at), (_STATES, cursors, cursor_at))]
+    odd = None if ends else pair[1]  # over the cursors
+    sig_a = _sandwich_stack(*pair, *slots((_POINTS, _PRODUCT), (shape,) * 2), odd)
+    state = sig_a[:, :, :rows]  # the computed starts; the closing states come last
+    energies[0] = _energy(state, 1, wsqs[0])
+    for k, (maps, (gather_use, other_use)) in enumerate(zip(stroke_maps, _LEAN_SLOTS)):
+        size = len(entries[k])  # the state after stroke k
+        shape = (size, size, rows)
+        if k % 2:
+            sandwich, product = _sandwich_stack, (size, maps.shape[1], rows)
+        else:
+            sandwich, product = _ramp_sandwich, shape
+        taken, x, out, other = slots((gather_use, _PRODUCT, _MAPS, other_use),
+                                     (maps.shape[:-1] + (rows,), product, shape, shape))
+        states[k] = state = sandwich(maps.take(at, axis=-1, out=taken, mode="clip"), state,
+                                     out, x, other)
+        energies[k + 1] = _energy(state, 1, wsqs[k + 1], entries[k])
     return sig_a, states if ends else [None] * 4, energies
 
 
@@ -1418,7 +1477,7 @@ def _reduced_results(params: Sequence[EngineParams]) -> list[EngineResult]:
     """run_reduced(p, correlations=False) of every p in params, run as one
     correlation-free ensemble (run_reduced_ensemble's stepping, which names
     the engine of a refused final state the same way)."""
-    initial = [product_state(p.prep) for p in params]
+    initial = _per_prep(params, product_state)
     results: list[Optional[EngineResult]] = [None] * len(params)
     for positions, batch in _batches(params):
         ids = batch.ids if len(params) > 1 else None

@@ -390,13 +390,20 @@ class _Problem:
     max_cycles: int
     objective: Objective
 
+    @functools.cached_property
+    def _fixed_prep(self) -> Preparation:
+        """The preparation of every point when omega3 is fixed."""
+        return self.family.preparation(self.fixed["omega3"], self.beta1)
+
     def params(self, x: np.ndarray) -> EngineParams:
         values = dict(self.fixed)
         for name, xi in zip(self.free, x):
             values[name] = self.box.clip(name, float(xi))
-        return EngineParams(prep=self.family.preparation(values.pop("omega3"), self.beta1),
-                            ramp=self.ramp, stop=WorkNonNegative(), max_cycles=self.max_cycles,
-                            **values)
+        omega3 = values.pop("omega3")
+        prep = (self._fixed_prep if "omega3" in self.fixed
+                else self.family.preparation(omega3, self.beta1))
+        return EngineParams(prep=prep, ramp=self.ramp, stop=WorkNonNegative(),
+                            max_cycles=self.max_cycles, **values)
 
     def value(self, params: EngineParams) -> float:
         """The objective of one engine: one run_reduced call."""

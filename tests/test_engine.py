@@ -20,7 +20,7 @@ from otto3.engine import (Engine, EngineParams, FixedCycles, TimeSeries,
                           WorkNonNegative, run_reduced)
 from otto3.errors import (ConfigError, EnergyBalanceError, PhysicalityError,
                           SymplecticityError)
-from otto3.explore import ParameterBox, PrepFamily, random_scan
+from otto3.explore import ParameterBox, PrepFamily, optimize, random_scan
 from otto3.engine import _BATCH_POINT_BUDGET, run_reduced_ensemble
 from otto3.propagators import (SYMPLECTIC_TOL, CouplingSide, RampMode, RampSchedule,
                                _symplectic_defect, coupling_propagator, ramp_propagator)
@@ -1080,10 +1080,10 @@ def dense_ramp_maps(blocks):
     return maps.reshape(2 * k, 2 * k, -1)
 
 
-def einsum_ramp_sandwich(blocks, states):
+def einsum_ramp_sandwich(blocks, states, *work):
     """_ramp_sandwich through the dense maps and einsum, as every ramp was
-    sandwiched before the block form."""
-    return engine._sandwich_stack(dense_ramp_maps(blocks), states)
+    sandwiched before the block form, into the same buffers if given."""
+    return engine._sandwich_stack(dense_ramp_maps(blocks), states, *work)
 
 
 # Oscillators whose block of the state a ramp sandwich reads, and the
@@ -1203,9 +1203,7 @@ def test_a_ragged_call_scores_the_points_of_explicitly_gathered_sandwiches(monke
 
 def _poison_scratch(monkeypatch) -> None:
     """Fill every scratch buffer of this thread with NaN before each kernel
-    call, each grown first to its bound so that no call grows one."""
-    for use in range(len(engine._SCRATCH.buffers)):
-        engine._SCRATCH.take(use, (36 * engine._CALL_POINTS,))
+    call."""
     kernel = engine._simulate_chunk
 
     def poisoned(*args, **kwargs):
@@ -1222,9 +1220,10 @@ def _scratch_runs() -> tuple:
 
 
 class TestScratch:
-    """A state-keeping call builds its scored points in per-thread scratch
-    buffers (engine._Scratch): no number may depend on what they held
-    before, and no result may share their memory."""
+    """A state-keeping call builds its scored points, and a lean call its
+    stages, in per-thread scratch buffers (engine._Scratch): no number may
+    depend on what they held before, and no result may share their
+    memory."""
 
     def test_stale_scratch_changes_no_number(self, monkeypatch):
         """A read of a scratch entry the call did not write first reads NaN."""
@@ -1243,19 +1242,68 @@ class TestScratch:
         assert all(b.size for b in buffers)
         assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
 
-    def test_a_later_larger_run_leaves_earlier_results_alone(self, monkeypatch):
-        monkeypatch.setattr(engine._SCRATCH, "buffers", [np.empty(0)] * 5)
+    def test_stale_scratch_changes_no_lean_number(self, monkeypatch):
+        """Lean calls keep every array of their stages in the scratch too."""
+        def lean_runs():
+            results = engine._reduced_results(mixed_ensemble())
+            return ([fingerprint(res) for res in results],
+                    [res.sigma_initial.matrix.tobytes() for res in results],
+                    repr(optimize(omega3=0.1, budget=200, restarts=4)))
+
+        clean = lean_runs()
+        _poison_scratch(monkeypatch)
+        assert lean_runs() == clean
+
+    def test_no_result_shares_the_scratch(self):
+        res = Engine(_recurrence_params()).run()
+        totals = run_reduced_ensemble(RAGGED_CALL)
+        params = mixed_ensemble()
+        with engine.prepared(params):
+            lean = [run_reduced(p, correlations=False) for p in params]
+        lean.append(run_reduced(optimized_params(), correlations=False))
+        arrays = [res.sigma_final.matrix, *res.timeseries.columns(),
+                  *(getattr(totals, f.name) for f in dataclasses.fields(totals)),
+                  *(getattr(r, f.name) for r in res.records for f in dataclasses.fields(r)),
+                  *(r.sigma_initial.matrix for r in lean), *(r.sigma_final.matrix for r in lean)]
+        buffers = engine._SCRATCH.buffers
+        assert all(b.size for b in buffers)
+        assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
+
+    def test_a_later_larger_run_leaves_earlier_results_alone(self):
+        """The later runs write further into every buffer than the earlier
+        ones did (a run leaves the NaN past its last write)."""
+        def extents():
+            return [int(np.flatnonzero(~np.isnan(b)).max(initial=-1)) + 1
+                    for b in engine._SCRATCH.buffers]
+
+        def poison():
+            for buffer in engine._SCRATCH.buffers:
+                buffer.fill(np.nan)
+
+        poison()
         small = Engine(optimized_params(stop=FixedCycles(4))).run()
         totals = run_reduced_ensemble(RAGGED_CALL[:2])
-        sizes = [b.size for b in engine._SCRATCH.buffers]
+        earlier = extents()
 
         def numbers():
             return fingerprint(small), [getattr(totals, f.name).tobytes()
                                         for f in dataclasses.fields(totals)]
         before = numbers()
+        poison()
         _scratch_runs()
-        assert all(b.size > size for b, size in zip(engine._SCRATCH.buffers, sizes))
+        assert all(later > extent > 0 for later, extent in zip(extents(), earlier))
         assert numbers() == before
+
+    def test_lean_and_state_keeping_runs_interleave(self):
+        """A lean run between two state-keeping runs on one thread, or the
+        reverse: each run gets its own numbers, and no later run changes
+        an earlier one's."""
+        runs = {"tracked": lambda: Engine(_recurrence_params()).run(),
+                "lean": lambda: run_reduced(optimized_params(), correlations=False)}
+        alone = {name: fingerprint(run()) for name, run in runs.items()}
+        for order in (("tracked", "lean", "tracked"), ("lean", "tracked", "lean")):
+            results = [runs[name]() for name in order]
+            assert [fingerprint(res) for res in results] == [alone[name] for name in order]
 
     def test_threads_running_scans_at_once_get_their_serial_bytes(self):
         """Each thread has its own scratch: two threads stepping different
@@ -1404,13 +1452,12 @@ def fingerprint(res):
             res.sigma_final.matrix.tobytes(), series)
 
 
-# Bounds on one kernel call: its kernel points (_CALL_POINTS), its
-# engine-cycles when it keeps states (_STACK_CYCLES), and the rows a lean
-# call computes at a time (_LEAN_BLOCK): one chunk per call, the defaults,
-# and none.
-CALL_BOUNDS = {"one_chunk": (1, 1, 1),
-               "default": (engine._CALL_POINTS, engine._STACK_CYCLES, engine._LEAN_BLOCK),
-               "unbounded": (10**9, 10**9, 10**9)}
+# Bounds on one kernel call: its kernel points (_CALL_POINTS) and its
+# engine-cycles when it keeps states (_STACK_CYCLES): one chunk per call,
+# the defaults, and none.
+CALL_BOUNDS = {"one_chunk": (1, 1),
+               "default": (engine._CALL_POINTS, engine._STACK_CYCLES),
+               "unbounded": (10**9, 10**9)}
 
 
 def _no_prediction(self, idx, sigma0, eps_stop, horizon):
@@ -1429,10 +1476,9 @@ class TestSpans:
 
     def _by_bound(self, monkeypatch, run):
         out = {}
-        for name, (points, stack, block) in CALL_BOUNDS.items():
+        for name, (points, stack) in CALL_BOUNDS.items():
             monkeypatch.setattr(engine, "_CALL_POINTS", points)
             monkeypatch.setattr(engine, "_STACK_CYCLES", stack)
-            monkeypatch.setattr(engine, "_LEAN_BLOCK", block)
             out[name] = run()
         return out
 
@@ -1459,13 +1505,28 @@ class TestSpans:
         assert out["default"] == out["one_chunk"]
         assert out["unbounded"] == out["one_chunk"]
 
-    def test_lean_calls_are_bit_identical_row_by_row(self, monkeypatch):
-        # one row at a time: the closing states of a call's engines take
-        # blocks of their own after its computed cycles
-        params = mixed_ensemble()
-        default = [fingerprint(res) for res in engine._reduced_results(params)]
-        monkeypatch.setattr(engine, "_LEAN_BLOCK", 1)
-        assert [fingerprint(res) for res in engine._reduced_results(params)] == default
+    def test_each_engine_of_a_lean_round_gets_its_lone_run(self, monkeypatch):
+        """A round's engines run as lean calls of all their rows at once
+        (here 20 engines within 0.1% of the optimized point, in one call
+        past 1,000 rows); each engine gets the numbers of its lone lean
+        run, bit for bit."""
+        rng = np.random.default_rng(5)
+        best = optimized_params()
+        round_ = [dataclasses.replace(best, **{
+            name: getattr(best, name) * float(rng.uniform(0.999, 1.001))
+            for name in ("alpha12", "alpha23", "tau_h", "tau_c", "tau_comp")}) for _ in range(20)]
+        rows, kernel = [], engine._simulate_chunk
+
+        def recording(strokes, idx, sigma, span, lengths, *args):
+            rows.append(int(lengths.sum()))
+            return kernel(strokes, idx, sigma, span, lengths, *args)
+
+        for params in (mixed_ensemble(), round_):
+            monkeypatch.setattr(engine, "_simulate_chunk", recording)
+            results = [fingerprint(res) for res in engine._reduced_results(params)]
+            monkeypatch.undo()
+            assert results == [fingerprint(run_reduced(p, correlations=False)) for p in params]
+        assert max(rows) > 1000
 
     def test_a_lone_engine_spans_and_a_scan_block_does_not(self, monkeypatch):
         spans = []

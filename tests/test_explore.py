@@ -339,6 +339,24 @@ class TestOptimize:
                        max_cycles=300)
         assert len(calls) == out.evaluations + 1
 
+    def test_the_points_of_a_fixed_omega3_share_one_preparation(self, monkeypatch):
+        """Each point gets its own checked EngineParams, and a fixed omega3
+        one Preparation object, built once; an omega3 interval gets one
+        per point."""
+        preps, inner = [], explore.run_reduced
+
+        def recording(params, **kwargs):
+            preps.append(params.prep)
+            return inner(params, **kwargs)
+
+        monkeypatch.setattr(explore, "run_reduced", recording)
+        optimize(omega3=0.5, budget=60, restarts=2, seed=0, max_cycles=300)
+        assert len(preps) == 61 and all(prep is preps[0] for prep in preps)
+        preps.clear()
+        optimize(box=ParameterBox(omega3=(0.3, 0.6)), budget=60, restarts=2, seed=0,
+                 max_cycles=300)
+        assert preps[0] is not preps[1] and preps[0].omega3 != preps[1].omega3
+
     def test_the_kernel_computes_few_cycles_past_each_stop(self, monkeypatch):
         """Predicted probes end each run's kernel call at its stop: the
         engine-cycles the kernel computes stay within 5% of those the runs
