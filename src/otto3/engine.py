@@ -45,13 +45,17 @@ time, never a number, because the kernel's own w_cycle decides every
 stop.  Many independent engines (a scan) step together along an engine axis through
 the same cycle kernel and stepping loop that run one Engine; no engine's
 numbers depend on the others.  Their inputs are an EngineBatch, one array
-per parameter, its rows checked by the rules EngineParams uses: the stroke
-maps, the initial states and the stepping loop read its columns, and an
-engine's record columns stay arrays, engine by engine.  EngineParams is one row at the API
+per parameter, its rows checked by the rules EngineParams uses and its
+initial product states in closed form: the stroke maps, the initial
+states and the stepping loop read its columns, and an engine's record
+columns stay arrays, engine by engine.  EngineParams is one row at the API
 boundary; Engine and run_reduced_ensemble turn params into batches
-(EngineBatch.of), and a scan builds its batch from its draws.
-prepared() runs an ensemble ahead of run_reduced calls that each evaluate
-one of its engines (the optimizer's rounds).  Pair correlations move only
+(EngineBatch.of, which reads each preparation once), and a scan builds
+its batch from its draws.  prepared() runs an ensemble ahead of
+run_reduced calls that each evaluate one of its engines (the optimizer's
+rounds), paying the round's set-up once: one batch, one stroke-map build
+and one prediction per cohort, and engines whose lean calls differ only in
+their interior point counts share one cohort.  Pair correlations move only
 while a coupling stroke acts (ramps drive each oscillator separately, and
 local maps cannot change a two-mode correlation measure), so interior
 sampling effort goes to the coupling strokes; ramp interiors reuse
@@ -65,6 +69,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import operator
 import threading
 from contextvars import ContextVar
 from dataclasses import InitVar, dataclass
@@ -84,8 +89,8 @@ from .propagators import (
     ramp_propagators,
     ramp_propagators_at,
 )
-from .states import (CovarianceMatrix, Preparation, check_frequencies, product_state,
-                     product_states, validate_covariances)
+from .states import (CovarianceMatrix, Preparation, check_frequencies, check_product_factors,
+                     product_state, product_states, validate_covariances)
 
 FIRST_LAW_RTOL = 1e-12
 DEFAULT_STROKE_SAMPLES = 20
@@ -197,6 +202,7 @@ def _check_engine(ramp: RampMode, alpha12: float, alpha23: float, tau_comp: floa
 
 
 _FLOAT_PARAMS = ("alpha12", "alpha23", "tau_comp", "tau_h", "tau_c")
+_FLOAT_GETTER = operator.attrgetter(*_FLOAT_PARAMS)
 _FLOAT_COLUMNS = ("omega1", "omega3", *_FLOAT_PARAMS, "sample_dt", "eps_stop")
 
 
@@ -262,8 +268,9 @@ class EngineBatch:
     by every engine may be given as one value, the others (modes too) need
     a row per engine, and a batch of shared columns is one engine.  Unless
     check=False, each row runs the rules a lone engine runs, in its order,
-    and the first failure raises their error, prefixed "engine {id}: " when
-    E > 1; ids name engines in every error (default: their positions).
+    its initial state last (states.check_product_factors), and the first
+    failure raises their error, prefixed "engine {id}: " when E > 1; ids
+    name engines in every error (default: their positions).
     """
 
     ramp: RampMode
@@ -295,36 +302,52 @@ class EngineBatch:
             if n != n_eng:
                 raise ConfigError(f"column {name} has {n} rows where column {first} has {n_eng}")
         cols.setdefault("ids", np.arange(n_eng))
-        cols["modes"] = np.broadcast_to(cols["modes"], (n_eng, 3, 2))
+        if cols["modes"].shape != (n_eng, 3, 2):
+            cols["modes"] = np.broadcast_to(cols["modes"], (n_eng, 3, 2))
         for name, col in cols.items():
             object.__setattr__(self, name, col if col.ndim else np.full(n_eng, col))
         if not check:
             return
-        for k, w1, w3, *floats, dt, eps, total in zip(self.ids.tolist(), *(
-                getattr(self, name).tolist() for name in (*_FLOAT_COLUMNS, "totals"))):
+        for k, w1, w3, *floats, dt, eps, total, modes in zip(self.ids.tolist(), *(
+                getattr(self, name).tolist() for name in (*_FLOAT_COLUMNS, "totals", "modes"))):
             work = eps != -math.inf
             try:  # engine k's rules, in the order a lone engine meets them
                 check_frequencies(w3, w1)
                 _check_engine(self.ramp, *floats, None if math.isnan(dt) else dt,
                               WorkNonNegative(eps) if work else FixedCycles(total),
                               total if work else 1)  # max_cycles does not limit FixedCycles
-            except ConfigError as exc:
-                raise ConfigError(f"engine {k}: {exc}" if n_eng > 1 else str(exc)) from None
+                check_product_factors(modes, w1, w3)
+            except (ConfigError, PhysicalityError) as exc:
+                raise type(exc)(f"engine {k}: {exc}" if n_eng > 1 else str(exc)) from None
 
     @classmethod
     def of(cls, params: Sequence[EngineParams], ids: Optional[Sequence[int]] = None) -> EngineBatch:
         """The batch of params, engines that share one ramp mode; EngineParams
-        checked each of them already."""
+        checked each of them already.  Each preparation is read once, and
+        its initial state checked (states.check_product_factors), its first
+        engine named as a checked row names it."""
         if not params:
             raise ValueError("EngineBatch.of needs engines; the list of params is empty")
         ramp = params[0].ramp
-        if any(p.ramp is not ramp for p in params):
+        if [p.ramp for p in params].count(ramp) != len(params):
             raise ValueError("the engines of one batch share their ramp mode")
+        preps = {id(p.prep): p.prep for p in params}
+        slot = {key: k for k, key in enumerate(preps)}
+        at = [slot[id(p.prep)] for p in params]  # each engine's preparation
+        columns = [(prep.omega1, prep.omega3, prep.factors()) for prep in preps.values()]
+        for k, (omega1, omega3, factors) in enumerate(columns):
+            try:
+                check_product_factors(factors, omega1, omega3)
+            except PhysicalityError as exc:
+                e = at.index(k)
+                name = e if ids is None else ids[e]
+                raise PhysicalityError(f"engine {name}: {exc}" if len(params) > 1
+                                       else str(exc)) from None
+        omega1, omega3, modes = (np.array(col)[at] for col in zip(*columns))
+        floats = np.array(list(map(_FLOAT_GETTER, params)), dtype=float).T
+        dt = np.array([math.nan if p.sample_dt is None else p.sample_dt for p in params],
+                      dtype=float)
         totals, eps_stop = zip(*(_stop_limits(p.stop, p.max_cycles) for p in params))
-        omega1, omega3, *floats, dt = np.array([
-            (p.prep.omega1, p.prep.omega3, *(getattr(p, name) for name in _FLOAT_PARAMS),
-             math.nan if p.sample_dt is None else p.sample_dt) for p in params], dtype=float).T
-        modes = np.array(_per_prep(params, Preparation.factors))
         return cls(ramp, omega1, omega3, modes, *floats, dt, totals, eps_stop, ids, check=False)
 
     @property
@@ -460,17 +483,24 @@ def _stop_limits(stop: StopRule, max_cycles: int) -> tuple[int, float]:
 # equals the full sandwich's (leaving out a zero term can change only the
 # sign of a zero sum).
 _ALL = tuple(range(6))
+_EYE = np.eye(6)
 _LEAN_ENTRIES = (_ALL, (1, 2, 4, 5), (1, 2, 4, 5), (1, 4))
 # Positions, among a sandwich's input entries (all six, or the block
 # (1, 2, 4, 5)), of the even and of the odd indices: the left-hand sums
 # run in sequence, the right-hand ones over each group apart, then added.
 _SPLIT = {6: (slice(0, None, 2), slice(1, None, 2)), 4: (slice(1, 3), slice(0, None, 3))}
+# Each stroke's maps (_Strokes.stroke_maps) restricted to the entries it
+# computes from those before: a ramp's to the blocks of those entries'
+# oscillators, a coupling's to their rows and columns.
+_LEAN_MAPS = tuple(
+    (slice(None), slice(None), list(e[:len(e) // 2])) if k % 2 == 0 else np.ix_(e, before)
+    for k, (e, before) in enumerate(zip(_LEAN_ENTRIES, (_ALL, *_LEAN_ENTRIES))))
 # The scratch buffers.  A state-keeping call's point build (_step) holds
 # the points, the gathered interior maps and states, and the interior
 # sandwiches' two temporaries in them.  A lean call holds its powers of the
 # cycle maps (_simulate_chunk), then its cycle starts, in _POINTS, and
-# gathers the powers and cursors into _MAPS and _STATES, each through
-# _PRODUCT (_stages); the starts' sandwich forms its left product in
+# gathers the powers into _MAPS, through _PRODUCT, and the cursors into
+# _STATES (_stages); the starts' sandwich forms its left product in
 # _PRODUCT and its odd part over the cursors.  Stroke k gathers its maps
 # into _LEAN_SLOTS[k][0], forms its left product in _PRODUCT and writes
 # its state into _MAPS, over the state before it, and its other temporary
@@ -500,8 +530,9 @@ class _Scratch(threading.local):
 
     def take(self, use: int, shape: tuple[int, ...]) -> np.ndarray:
         """A C-contiguous (shape) array in buffer `use`, holding whatever
-        the last call left there."""
-        return self.carve((use,), (shape,))[0]
+        the last call left there: carve((use,), (shape,))[0]."""
+        size, buffer = math.prod(shape), self.buffers[use]
+        return np.empty(shape) if size > buffer.size else buffer[:size].reshape(shape)
 
     def carve(self, uses: Sequence[int],
               shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
@@ -611,6 +642,7 @@ def _interior(tau: np.ndarray, n: int, dt: np.ndarray,
 
 
 _STROKE_NAMES = ("compression", "heating", "expansion", "cooling")
+_OSC = np.arange(3) + 3 * np.arange(2)[:, None]  # (x_k, p_k) is entry k + 3r
 
 
 class _Strokes:
@@ -632,19 +664,20 @@ class _Strokes:
         self.w1sq, self.w3sq = w1**2, w3**2
         self.alpha12, self.alpha23 = batch.alpha12[rows], batch.alpha23[rows]
         tau = _durations(batch.ramp, batch.tau_comp[rows])[0]
-        comp, exp = ramp_propagators(batch.ramp, np.stack((w3, w1)), np.stack((w1, w3)),
+        comp, exp = ramp_propagators(batch.ramp, np.array((w3, w1)), np.array((w1, w3)),
                                      tau, tau, w1, w3)
         heat = coupling_propagators_at(self.alpha12, w1, w3, batch.tau_h[rows],
                                        CouplingSide.HOT_PAIR)
         cool = coupling_propagators_at(self.alpha23, w3, w1, batch.tau_c[rows],
                                        CouplingSide.COLD_PAIR)
-        self.maps = maps = np.stack((comp, heat, exp, cool), axis=1)
+        self.maps = maps = np.empty((self.size, 4, 6, 6))
+        for k, stroke in enumerate((comp, heat, exp, cool)):
+            maps[:, k] = stroke
         _check_symplectic(maps.reshape(-1, 6, 6), name=lambda k: (
             f"{_STROKE_NAMES[k % 4]} map of engine {self.ids[k // 4]}"))
         self.cycle = cool @ exp @ heat @ comp
         stages = _by_element(maps).reshape(6, 6, -1, 4).transpose(3, 0, 1, 2)
-        osc = np.arange(3) + 3 * np.arange(2)[:, None]  # (x_k, p_k) is entry k + 3r
-        comp, exp = stages[::2, osc[:, None], osc]
+        comp, exp = stages[::2, _OSC[:, None], _OSC]
         self.stroke_maps = (comp, np.ascontiguousarray(stages[1]), exp,
                             np.ascontiguousarray(stages[3]))
 
@@ -695,7 +728,7 @@ def _powers(mats: np.ndarray, count: int) -> np.ndarray:
     """Powers 0 .. count - 1 of a (n, 6, 6) stack, (n, count, 6, 6), by
     repeated squaring."""
     out = np.empty((len(mats), count, 6, 6))
-    out[:, 0] = np.eye(6)
+    out[:, 0] = _EYE
     have = 1
     while have < count:
         top = min(2 * have, count)
@@ -749,7 +782,7 @@ class _Chunk:
         """(6, 6, G): engine g's state at the start of its cycle cycle[g],
         where cycle[g] = lengths[g] reads its closing state."""
         closing = self.sig_a.shape[2] - self.lengths.size + np.arange(self.lengths.size)
-        return self.sig_a[:, :, np.where(cycle < self.lengths, self.first + cycle, closing)]
+        return self.sig_a.take(np.where(cycle < self.lengths, self.first + cycle, closing), axis=2)
 
 
 def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
@@ -781,29 +814,28 @@ def _simulate_chunk(strokes: _Strokes, idx: np.ndarray, sigma: np.ndarray,
     # Every computed cycle start, engine by engine, then each engine's
     # closing state: its chunk, and its power of the cycle map applied to
     # that chunk's cursor.  The closing state ends its last cycle's chunk.
-    owner = np.repeat(np.arange(n_eng), lengths)
-    first = np.cumsum(lengths) - lengths
+    owner = np.arange(n_eng).repeat(lengths)
+    first = lengths.cumsum() - lengths
     cycles = np.concatenate((np.arange(rows) - first[owner], lengths))
     owner = np.concatenate((owner, np.arange(n_eng)))
-    chunk = np.searchsorted(offsets[1:], np.minimum(cycles, lengths[owner] - 1), side="right")
+    chunk = offsets[1:].searchsorted(np.minimum(cycles, lengths[owner] - 1), side="right")
     exponent = cycles - offsets[chunk]
     # A cursor past chunk i needs chunk i's whole power.
     last = int(chunk.max())
     top = max([int(exponent.max()), *span[:last]])
     shape = (n_eng, top + 1, 6, 6)
     powers = np.empty(shape) if ends else _SCRATCH.take(_POINTS, shape)
-    powers[:, 0] = np.eye(6)
+    powers[:, 0] = _EYE
     cycle = strokes.cycle[idx]
     chain = list(powers.swapaxes(0, 1))  # views made in one go
     for j in range(top):
         np.matmul(cycle, chain[j], out=chain[j + 1])
-    cursors = np.empty((n_eng, last + 1, 6, 6))
-    cursors[:, 0] = sigma
-    cursor = _by_element(sigma)
+    cursors = np.empty((6, 6, n_eng, last + 1))  # element-first, chunk by chunk
+    cursors[..., 0] = cursor = _by_element(sigma)
     for i in range(last):
         end = _sandwich_stack(_by_element(chain[span[i]]), cursor)
         cursor = 0.5 * (end + end.transpose(1, 0, 2))
-        cursors[:, i + 1] = cursor.transpose(2, 0, 1)
+        cursors[..., i + 1] = cursor
     live = np.arange(count) < lengths[:, None]
     uniform = rows == live.size
 
@@ -855,7 +887,8 @@ def _stages(strokes: _Strokes, idx: np.ndarray, lengths: np.ndarray, powers: np.
     cycles, (5, R), read at the squared frequencies wsqs.
 
     Start r is powers.reshape(-1, 6, 6)[power_at[r]] sandwiching
-    cursors.reshape(-1, 6, 6)[cursor_at[r]].  After each stroke the kernel
+    cursors.reshape(6, 6, -1)[:, :, cursor_at[r]], the cursors held
+    element-first.  After each stroke the kernel
     computes every entry with ends, else (a lean call) only _LEAN_ENTRIES,
     all rows at once either way.  With ends numpy allocates every array,
     as the states outlive the call's point build.  A lean call keeps no
@@ -870,24 +903,21 @@ def _stages(strokes: _Strokes, idx: np.ndarray, lengths: np.ndarray, powers: np.
     if ends:
         entries, stroke_maps = (_ALL,) * 4, strokes.stroke_maps
 
+        def slot(use: int, shape: tuple) -> None:
+            return None  # numpy allocates
+
         def slots(uses: Sequence[int], shapes: Sequence[tuple]) -> list:
-            return [None] * len(shapes)  # numpy allocates
+            return [None] * len(shapes)
     else:
-        entries, slots = _LEAN_ENTRIES, _SCRATCH.carve
-        # each stroke's maps, restricted to the entries it computes from
-        # those before: a ramp's (even k) to the blocks of those entries'
-        # oscillators
-        stroke_maps = [
-            maps[:, :, list(e[:len(e) // 2])] if k % 2 == 0 else maps[np.ix_(e, before)]
-            for k, (maps, e, before) in enumerate(zip(strokes.stroke_maps, entries,
-                                                      (_ALL, *entries)))]
+        entries, slot, slots = _LEAN_ENTRIES, _SCRATCH.take, _SCRATCH.carve
+        stroke_maps = [maps[index] for maps, index in zip(strokes.stroke_maps, _LEAN_MAPS)]
     shape = (6, 6, n)
-    pair = [_by_element(table.reshape(-1, 36).take(
-                where, axis=0, out=slots((_PRODUCT,), ((n, 36),))[0], mode="clip"),
-                *slots((use,), (shape,)))
-            for use, table, where in ((_MAPS, powers, power_at), (_STATES, cursors, cursor_at))]
-    odd = None if ends else pair[1]  # over the cursors
-    sig_a = _sandwich_stack(*pair, *slots((_POINTS, _PRODUCT), (shape,) * 2), odd)
+    maps = _by_element(powers.reshape(-1, 36).take(power_at, axis=0, out=slot(_PRODUCT, (n, 36)),
+                                                   mode="clip"), slot(_MAPS, shape))
+    starts = cursors.reshape(6, 6, -1).take(cursor_at, axis=2, out=slot(_STATES, shape),
+                                            mode="clip")
+    odd = None if ends else starts  # over the cursors
+    sig_a = _sandwich_stack(maps, starts, slot(_POINTS, shape), slot(_PRODUCT, shape), odd)
     state = sig_a[:, :, :rows]  # the computed starts; the closing states come last
     energies[0] = _energy(state, 1, wsqs[0])
     for k, (maps, (gather_use, other_use)) in enumerate(zip(stroke_maps, _LEAN_SLOTS)):
@@ -928,8 +958,14 @@ class _Runs:
     w_total: np.ndarray     # (E,)
 
 
+def _chunk_caps(points):
+    """The cycles in a chunk of engines holding `points` points, or series
+    rows, per cycle (an int or an int array)."""
+    return np.maximum(1, np.minimum(_CHUNK_MAX, _BATCH_POINT_BUDGET // np.asarray(points)))
+
+
 def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
-                 eps_stop: np.ndarray, interior: tuple[int, int],
+                 eps_stop: np.ndarray, points: int,
                  times: Optional[tuple[np.ndarray, np.ndarray]], correlations: bool,
                  keep_records: bool, series: Optional["_TimeSeriesBuilder"] = None) -> _Runs:
     """The stepping loop: run E engines in lockstep until each one stops.
@@ -963,10 +999,14 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
 
     Correlations are scored only at the kept cycles' points, batched
     across engines; a score that is not finite raises PhysicalityError.
-    interior holds the heating and cooling strokes' interior points per
-    cycle, (nh, nc); times, their instants, (E, nh) and (E, nc), is read
-    only with correlations or a series and may be None without them.
-    series, if given, receives every call of a one-engine run.
+    points counts each cycle's kernel points: its start, the state after
+    heating, its end and the heating and cooling strokes' nh and nc
+    interior points.  A lean call holds three points per cycle whatever
+    points is, which then only sizes the chunks (_chunk_caps), so engines
+    whose counts give one chunk cap may share the call, given the largest.
+    times, the interior instants, (E, nh) and (E, nc), is read only with
+    correlations or a series and may be None without them.  series, if
+    given, receives every call of a one-engine run.
     """
     n_eng = strokes.size
     if series is not None and n_eng != 1:
@@ -981,15 +1021,14 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
             CouplingSide.COLD_PAIR)).reshape(6, 6, *cool_times.shape)
     else:
         heat_mats = cool_mats = None
-    nh, nc = interior
     # Points held per cycle: the kernel's, or the rows of a time series,
     # which add the ramp interiors.
-    per_cycle = 3 + nh + nc if series is None else series.rows_per_cycle
+    per_cycle = points if series is None else series.rows_per_cycle
     ends = correlations or keep_records or series is not None  # read the states after cooling
-    chunk_cap = max(1, min(_CHUNK_MAX, _BATCH_POINT_BUDGET // per_cycle))
+    chunk_cap = int(_chunk_caps(per_cycle))
     # A lean call holds no interior points, only the three of each cycle.
     stack_cap = max(1, min(_STACK_CYCLES, _BATCH_POINT_BUDGET // per_cycle,
-                           _CALL_POINTS // (3 + nh + nc)) if ends else _CALL_POINTS // 3)
+                           _CALL_POINTS // points) if ends else _CALL_POINTS // 3)
 
     def chunk_size(k: int) -> int:
         """Cycles in chunk k of the doubling schedule."""
@@ -1004,15 +1043,12 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
         planned end (reach: cycles to it, inf without one, NaN until
         predicted), and the span falls short of latest cycles (NaN: chunk
         k alone)."""
-        def held(cycles: int) -> float:
-            return float(np.fmin(reach, cycles).sum())
-
         span, total = [count], count
         fewest, most = left
-        while total < latest and held(total + 1) <= cap:
+        while total < latest:
             size = chunk_size(k + len(span))
             c = min(size, fewest)
-            if c == 0 or c != min(size, most) or held(total + c) > cap:
+            if c == 0 or c != min(size, most) or np.fmin(reach, total + c).sum() > cap:
                 break
             span.append(c)
             total += c
@@ -1047,13 +1083,16 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
             same, rest = now[sel], left[sel] - count
             # Sub-batches of consecutive engines that hold at most stack_cap
             # engine-cycles of chunk k, an engine none past its planned end.
-            batches, load = [[]], 0.0
-            for g, cycles in enumerate(np.fmin(planned[same] - done, count).tolist()):
-                if batches[-1] and load + cycles > stack_cap:
-                    batches.append([])
-                    load = 0.0
-                batches[-1].append(g)
-                load += cycles
+            loads = np.fmin(planned[same] - done, count)
+            batches = [slice(None)]  # one call, unless they hold more
+            if loads.sum() > stack_cap:
+                batches, load = [[]], 0.0
+                for g, cycles in enumerate(loads.tolist()):
+                    if batches[-1] and load + cycles > stack_cap:
+                        batches.append([])
+                        load = 0.0
+                    batches[-1].append(g)
+                    load += cycles
             for rows in batches:
                 idx, sub = same[rows], rest[rows]
                 bounds = int(sub.min()), int(sub.max())
@@ -1085,9 +1124,9 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
                 planned[idx[~probe[idx] & (reach <= total)]] = np.inf
         active = active[~probe[active] & (simulated[active] < totals[active])]
 
-    order = np.argsort(np.concatenate([owner for owner, _ in parts]), kind="stable")
+    order = np.concatenate([owner for owner, _ in parts]).argsort(kind="stable")
     columns = {name: np.concatenate([cols[name] for _, cols in parts])[order] for name in names}
-    w, ends = columns["w_cycle"], np.cumsum(simulated)
+    w, ends = columns["w_cycle"], simulated.cumsum()
     w_total = np.array([np.add.reduce(w[a:b]) for a, b in
                         zip((ends - simulated).tolist(), (ends - probe).tolist())], dtype=float)
     return _Runs(simulated, probe, sigma, neg_max, disc_max, columns, w_total)
@@ -1113,9 +1152,10 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], lengths: np
     chunk = _simulate_chunk(strokes, idx, sigma[idx], span, lengths, simulated[idx],
                             eps_stop[idx], ends)
     count, keep, stopped = sum(span), chunk.keep, chunk.stopped
-    closes = np.cumsum(span[:len(span) - cut], dtype=int)  # the ends of the whole chunks
-    whole = np.searchsorted(closes, lengths, side="right")
-    rows = np.where(stopped, keep + 1, np.append(0, closes)[whole])
+    # 0, then the ends of the whole chunks
+    closes = np.array([0, *itertools.accumulate(span[:len(span) - cut])])
+    whole = closes[1:].searchsorted(lengths, side="right")
+    rows = np.where(stopped, keep + 1, closes[whole])
     has = slice(None)  # the engines that keep cycles of this call
     if not rows.all():
         if not rows.any():
@@ -1124,11 +1164,12 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], lengths: np
 
     points = neg = disc = None
     # Kept cycles, engine by engine, as one row axis: of the (G, count)
-    # cycles, and their positions among the computed ones.
-    first = np.cumsum(rows) - rows
+    # cycles, and, where states are read, their positions among the
+    # computed ones.
     keeps = np.arange(count) < rows[:, None]
-    kept = np.flatnonzero(keeps[chunk.live])
     owner = idx.repeat(rows)
+    if ends:
+        kept = np.flatnonzero(keeps[chunk.live])
     if heat_mats is not None:
         # The kept cycles' points, point-major (6, 6, P, R): start, heating
         # interiors, after heating, cooling interiors, end.  Ramp interiors
@@ -1149,6 +1190,7 @@ def _step(strokes: _Strokes, idx: np.ndarray, span: tuple[int, ...], lengths: np
             sig.take(np.tile(kept, n), axis=2, out=work[1], mode="clip")
             _sandwich_stack(work[0], work[1], flat[:, :, lo * size:(lo + n) * size], *work[2:])
     if correlations:
+        first = rows.cumsum() - rows
         neg, disc = pair_correlations(np.moveaxis(points, (0, 1), (-2, -1)))
         cyc_neg, cyc_disc = neg.max(axis=0), disc.max(axis=0)
         finite = np.isfinite(cyc_neg).all(axis=1) & np.isfinite(cyc_disc).all(axis=1)
@@ -1223,7 +1265,7 @@ class Engine:
                                     correlations)
         runs = _run_engines(
             self._strokes, sigma0[None], totals=batch.totals, eps_stop=batch.eps_stop,
-            interior=(int(nh[0]), int(nc[0])), times=(heat_times, cool_times) if read else None,
+            points=3 + int(nh[0]) + int(nc[0]), times=(heat_times, cool_times) if read else None,
             correlations=correlations, keep_records=keep_records, series=ts)
 
         records: list[CycleRecord] = []
@@ -1236,30 +1278,32 @@ class Engine:
             records = [CycleRecord(*row) for row in zip(
                 range(len(w1)), w1, w2, q1, q2, du, w_cycle, w_cum, eta, e1, e2, e3, *disc, *neg)]
         probe = records.pop() if keep_records and runs.probe[0] else None
-        return _result(params, runs, 0, self.sigma_initial, CovarianceMatrix(runs.sigma[0]),
-                       records, probe, ts.finish() if ts is not None else None)
+        return _results([params], runs, [self.sigma_initial], [CovarianceMatrix(runs.sigma[0])],
+                        records, probe, ts.finish() if ts is not None else None)[0]
 
 
-def _result(params: EngineParams, runs: _Runs, e: int, sigma_initial: CovarianceMatrix,
-            sigma_final: CovarianceMatrix, records: Sequence[CycleRecord] = (),
-            probe: Optional[CycleRecord] = None,
-            timeseries: Optional[TimeSeries] = None) -> EngineResult:
-    """The EngineResult of engine e of the stepping loop's outcome."""
-    probe_seen = bool(runs.probe[e])
-    return EngineResult(
-        params=params,
+def _results(params: Sequence[EngineParams], runs: _Runs,
+             sigma_initial: Sequence[CovarianceMatrix], sigma_final: Sequence[CovarianceMatrix],
+             records: Sequence[CycleRecord] = (), probe: Optional[CycleRecord] = None,
+             timeseries: Optional[TimeSeries] = None) -> list[EngineResult]:
+    """The EngineResult of each engine of the stepping loop's outcome, row
+    e for params[e]; records, probe and timeseries are a lone engine's."""
+    return [EngineResult(
+        params=p,
         records=tuple(records),
         probe=probe,
-        stop_reason=("work_non_negative" if probe_seen else
-                     "fixed_cycles" if isinstance(params.stop, FixedCycles) else "cycle_cap"),
-        n_cycles=int(runs.simulated[e]) - probe_seen,
-        w_total=float(runs.w_total[e]),
+        stop_reason=("work_non_negative" if seen else
+                     "fixed_cycles" if isinstance(p.stop, FixedCycles) else "cycle_cap"),
+        n_cycles=simulated - seen,
+        w_total=w_total,
         timeseries=timeseries,
-        sigma_initial=sigma_initial,
-        sigma_final=sigma_final,
-        discord_max=tuple(runs.disc_max[e].tolist()),
-        negativity_max=tuple(runs.neg_max[e].tolist()),
-    )
+        sigma_initial=initial,
+        sigma_final=final,
+        discord_max=tuple(disc),
+        negativity_max=tuple(neg),
+    ) for p, seen, simulated, w_total, disc, neg, initial, final in zip(
+        params, runs.probe.tolist(), runs.simulated.tolist(), runs.w_total.tolist(),
+        runs.disc_max.tolist(), runs.neg_max.tolist(), sigma_initial, sigma_final)]
 
 
 class _TimeSeriesBuilder:
@@ -1422,26 +1466,40 @@ def _batches(params: Sequence[EngineParams]) -> Iterator[tuple[np.ndarray, Engin
 
 
 def _cohorts(batch: EngineBatch, sigma0: np.ndarray,
-             correlations: bool) -> Iterator[tuple[np.ndarray, _Runs]]:
+             correlations: bool) -> Iterator[tuple[Union[slice, np.ndarray], _Runs]]:
     """Run run_reduced's engines of a batch together, _ENSEMBLE_SIZE at a
-    time; yields the rows and the outcome of each cohort, engines with the
-    same interior point counts, which share stacks."""
+    time; yields the rows and the outcome of each cohort, engines that
+    share stacks.  With correlations they share their interior point
+    counts.  A lean call holds none, so there they share the chunk cap the
+    counts imply (_run_engines); the fixed sample counts imply the largest
+    chunks, so only engines with sample_dt set have their counts computed."""
     strokes = (batch.tau_h, batch.tau_c)
     for lo in range(0, batch.size, _ENSEMBLE_SIZE):
         block = np.arange(lo, min(lo + _ENSEMBLE_SIZE, batch.size))
-        nh, nc = (_interior(tau[block], n, batch.sample_dt[block])[0]
-                  for tau, n in zip(strokes, _REDUCED_SAMPLES))
-        key = nh * (_BATCH_POINT_BUDGET + 1) + nc
-        for k in dict.fromkeys(key.tolist()):  # in order of first appearance
-            rows = block[key == k]
+        if correlations:
+            nh, nc = (_interior(tau[block], n, batch.sample_dt[block])[0]
+                      for tau, n in zip(strokes, _REDUCED_SAMPLES))
+            points, key = 3 + nh + nc, nh * (_BATCH_POINT_BUDGET + 1) + nc
+        else:
+            points = np.full(block.size, 3 + sum(_REDUCED_SAMPLES))
+            timed = ~np.isnan(batch.sample_dt[block])
+            if timed.any():
+                at = block[timed]
+                points[timed] = 3 + sum(_interior(tau[at], n, batch.sample_dt[at])[0]
+                                        for tau, n in zip(strokes, _REDUCED_SAMPLES))
+            key = _chunk_caps(points)
+        keys = dict.fromkeys(key.tolist())  # in order of first appearance
+        for k in keys:
+            sel = key == k
+            rows = slice(lo, lo + block.size) if len(keys) == 1 else block[sel]
             times = None
             if correlations:  # the interior instants are read
                 times = tuple(_interior(tau[rows], n, batch.sample_dt[rows], instants=True)[1]
                               for tau, n in zip(strokes, _REDUCED_SAMPLES))
             yield rows, _run_engines(
                 _Strokes(batch, rows), sigma0[rows], totals=batch.totals[rows],
-                eps_stop=batch.eps_stop[rows], interior=divmod(k, _BATCH_POINT_BUDGET + 1),
-                times=times, correlations=correlations, keep_records=False)
+                eps_stop=batch.eps_stop[rows], points=int(points[sel].max()), times=times,
+                correlations=correlations, keep_records=False)
 
 
 def run_reduced_ensemble(params: Union[EngineBatch, Sequence[EngineParams]], *,
@@ -1454,7 +1512,8 @@ def run_reduced_ensemble(params: Union[EngineBatch, Sequence[EngineParams]], *,
     arithmetic.  Engines are taken _ENSEMBLE_SIZE at a time.  Every initial
     and final state is checked for physicality once; errors name engines by
     their batch ids, by default their position in `params`, whenever the
-    run holds more than one engine.
+    run holds more than one engine.  The initial states were checked with
+    the batch's rows (EngineBatch, states.check_product_factors).
     """
     if isinstance(params, EngineBatch):
         n_eng, batches = params.size, [(np.arange(params.size), params)]
@@ -1463,8 +1522,7 @@ def run_reduced_ensemble(params: Union[EngineBatch, Sequence[EngineParams]], *,
     out = EnsembleTotals(np.zeros(n_eng, dtype=int), np.zeros(n_eng), *np.zeros((2, n_eng, 3)))
     for positions, batch in batches:
         ids = batch.ids if n_eng > 1 else None
-        sigma0 = validate_covariances(product_states(batch.modes, batch.omega1, batch.omega3),
-                                      ids)
+        sigma0 = product_states(batch.modes, batch.omega1, batch.omega3)
         for rows, runs in _cohorts(batch, sigma0, correlations):
             validate_covariances(runs.sigma, None if ids is None else ids[rows])
             at = positions[rows]
@@ -1476,7 +1534,8 @@ def run_reduced_ensemble(params: Union[EngineBatch, Sequence[EngineParams]], *,
 def _reduced_results(params: Sequence[EngineParams]) -> list[EngineResult]:
     """run_reduced(p, correlations=False) of every p in params, run as one
     correlation-free ensemble (run_reduced_ensemble's stepping, which names
-    the engine of a refused final state the same way)."""
+    the engine of a refused final state the same way); each cohort's
+    results are read off its arrays with one tolist per column."""
     initial = _per_prep(params, product_state)
     results: list[Optional[EngineResult]] = [None] * len(params)
     for positions, batch in _batches(params):
@@ -1484,8 +1543,10 @@ def _reduced_results(params: Sequence[EngineParams]) -> list[EngineResult]:
         sigma0 = np.array([initial[e].matrix for e in positions])
         for rows, runs in _cohorts(batch, sigma0, False):
             final = CovarianceMatrix.stack(runs.sigma, None if ids is None else ids[rows])
-            for k, e in enumerate(positions[rows].tolist()):
-                results[e] = _result(params[e], runs, k, initial[e], final[k])
+            at = positions[rows].tolist()
+            for e, result in zip(at, _results([params[e] for e in at], runs,
+                                              [initial[e] for e in at], final)):
+                results[e] = result
     return results
 
 
@@ -1497,8 +1558,11 @@ def prepared(params: Sequence[EngineParams]) -> Iterator[None]:
 
     Callers that evaluate many points one call at a time (the optimizer)
     get ensemble throughput this way while still making one run_reduced
-    call per evaluation.  The results are local to the calling context and
-    are dropped when the block ends, normally or by an error.
+    call per evaluation: the ensemble's batch, stroke maps, predictions and
+    final-state check are paid once for all of params, and its results are
+    read off the ensemble's arrays (_reduced_results).  The results are
+    local to the calling context and are dropped when the block ends,
+    normally or by an error.
     """
     table = {id(r.params): r for r in _reduced_results(params)}
     token = _prepared.set(table)

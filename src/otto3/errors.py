@@ -39,5 +39,7 @@ class ConfigError(Otto3Error, ValueError):
 
 def check_count(name: str, value: object, minimum: int) -> None:
     """Refuse a count unless it is an integer (numbers.Integral, not bool) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    if (type(value) is not int and (isinstance(value, bool)
+                                    or not isinstance(value, numbers.Integral))
+            or value < minimum):
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -40,7 +40,7 @@ import numpy as np
 
 from .energetics import ergotropy
 from . import engine
-from .engine import EngineParams, WorkNonNegative, run_reduced, run_reduced_ensemble
+from .engine import EngineParams, run_reduced, run_reduced_ensemble
 from .errors import ConfigError, check_count
 from .propagators import RampMode
 from .states import Preparation, squeezed_preparation, thermal_preparation
@@ -396,28 +396,41 @@ class _Problem:
         return self.family.preparation(self.fixed["omega3"], self.beta1)
 
     def params(self, x: np.ndarray) -> EngineParams:
+        """The engine of one point, each free value clipped to the box."""
         values = dict(self.fixed)
         for name, xi in zip(self.free, x):
             values[name] = self.box.clip(name, float(xi))
+        return self._engine(values)
+
+    def _engine(self, values: dict[str, float]) -> EngineParams:
         omega3 = values.pop("omega3")
         prep = (self._fixed_prep if "omega3" in self.fixed
                 else self.family.preparation(omega3, self.beta1))
-        return EngineParams(prep=prep, ramp=self.ramp, stop=WorkNonNegative(),
-                            max_cycles=self.max_cycles, **values)
+        return EngineParams(prep=prep, ramp=self.ramp, max_cycles=self.max_cycles, **values)
 
-    def value(self, params: EngineParams) -> float:
-        """The objective of one engine: one run_reduced call."""
-        value = run_reduced(params, correlations=False).w_total
-        if self.objective is Objective.WORK_ERGOTROPY_RATIO:
-            value /= _ergotropy_cached(params.prep)
-        return value
+    @functools.cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The free parameters' lower and upper bounds."""
+        return np.array([self.box.interval(name) for name in self.free]).reshape(-1, 2).T
 
     def values(self, points) -> list[float]:
         """The objective at each point, in order; their engines run as one
-        ensemble, and each point still makes its own run_reduced call."""
-        params = [self.params(x) for x in points]
+        ensemble, and each point still makes its own run_reduced call.
+        The points are clipped as one array, min(max(x, lo), hi) as
+        ParameterBox.clip takes it: a tie or a NaN keeps x."""
+        x = np.array(points, dtype=float).reshape(len(points), len(self.free))
+        lo, hi = self._bounds
+        x = np.where(lo > x, lo, x)
+        x = np.where(hi < x, hi, x)
+        params = [self._engine({**self.fixed, **dict(zip(self.free, row))})
+                  for row in x.tolist()]
         with engine.prepared(params):
-            return [self.value(p) for p in params]
+            values = [run_reduced(p, correlations=False).w_total for p in params]
+        if self.objective is Objective.TOTAL_WORK:
+            return values
+        preps = {id(p.prep): p.prep for p in params}
+        scale = {key: _ergotropy_cached(prep) for key, prep in preps.items()}
+        return [value / scale[id(p.prep)] for value, p in zip(values, params)]
 
 
 def optimize(*, omega3: Optional[float] = None, box: Optional[ParameterBox] = None,

@@ -53,15 +53,19 @@ def symplectic_eigenvalues(sigma: Union[np.ndarray, "CovarianceMatrix"]) -> np.n
         raise ValueError(f"covariance matrix must be square with even dimension, got {mat.shape}")
     if not np.isfinite(mat).all():
         raise PhysicalityError("covariance matrix has non-finite entries")
-    if np.any(_asymmetric(mat)):
+    if np.any(_asymmetric(mat, _scale(mat))):
         raise PhysicalityError("covariance matrix is not symmetric")
     return _spectrum(mat)
 
 
-def _asymmetric(mat: np.ndarray) -> np.ndarray:
-    """True for each matrix of a stack asymmetric beyond SYMMETRY_TOL * max(1, largest |entry|)."""
-    scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)))
-    return np.max(np.abs(mat - np.swapaxes(mat, -1, -2)), axis=(-2, -1)) > SYMMETRY_TOL * scale
+def _scale(mat: np.ndarray) -> np.ndarray:
+    """max(1, largest |entry|) of each matrix of a stack."""
+    return np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
+
+
+def _asymmetric(mat: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """True for each matrix of a stack asymmetric beyond SYMMETRY_TOL * scale."""
+    return np.abs(mat - np.swapaxes(mat, -1, -2)).max(axis=(-2, -1)) > SYMMETRY_TOL * scale
 
 
 def _spectrum(mat: np.ndarray) -> np.ndarray:
@@ -73,7 +77,8 @@ def validate_covariances(mats: np.ndarray, ids: Optional[Sequence[int]] = None) 
     """Check a (E, 2n, 2n) stack of covariance matrices; return it symmetrised.
 
     Each matrix must be finite, symmetric to 1e-12 relative to its largest
-    entry, and physical: min symplectic eigenvalue >= 1/2 - 1e-9.  The
+    entry, and physical: min symplectic eigenvalue >= 1/2 - 1e-9, and
+    positive definite to within the symmetry tolerance.  The
     first failing matrix is named by ids[its stack index] where ids are
     given, else by that index in a stack of more than one.
     """
@@ -83,7 +88,7 @@ def validate_covariances(mats: np.ndarray, ids: Optional[Sequence[int]] = None) 
 def _validated(mats: np.ndarray,
                ids: Optional[Sequence[int]] = None) -> tuple[np.ndarray, np.ndarray]:
     """validate_covariances, plus the (E, n) symplectic spectra it checked."""
-    mat = np.array(mats, dtype=float)
+    mat = np.asarray(mats, dtype=float)
     if mat.ndim != 3 or mat.shape[1] != mat.shape[2] or mat.shape[1] % 2 or mat.shape[1] == 0:
         raise PhysicalityError(f"expected a stack of 2n x 2n matrices, got {mat.shape}")
 
@@ -96,7 +101,8 @@ def _validated(mats: np.ndarray,
     finite = np.isfinite(mat).all(axis=(1, 2))
     if not finite.all():
         fail(~finite, "has non-finite entries")
-    asym = _asymmetric(mat)
+    scale = _scale(mat)
+    asym = _asymmetric(mat, scale)
     if asym.any():
         fail(asym, "is not symmetric to 1e-12")
     mat = 0.5 * (mat + mat.transpose(0, 2, 1))
@@ -105,7 +111,30 @@ def _validated(mats: np.ndarray,
     if low.any():
         fail(low, f"violates the uncertainty bound: min symplectic eigenvalue "
                   f"{float(nus[np.flatnonzero(low)[0], 0])!r} < 1/2")
+    # The spectrum is the uncertainty relation only for sigma > 0 (Williamson;
+    # -sigma has sigma's spectrum).  So sigma, or else, to within the
+    # rounding the symmetry check allows, sigma + 2n SYMMETRY_TOL scale I,
+    # must have a Cholesky factor: the shift follows the state's scale, as
+    # rounding does, and keeps the exact states of unstable engines, which
+    # reach 1e93 and lose their smallest eigenvalues to rounding.
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        dim = mat.shape[1]
+        shifted = mat.copy()
+        shifted.reshape(len(mat), -1)[:, ::dim + 1] += (dim * SYMMETRY_TOL * scale)[:, None]
+        bad = np.array([not _has_cholesky(m) for m in shifted])
+        if bad.any():
+            fail(bad, "is not positive definite")
     return mat, nus
+
+
+def _has_cholesky(mat: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -113,7 +142,8 @@ class CovarianceMatrix:
     """Validated covariance matrix of one, two or three modes.
 
     Construction checks symmetry (to 1e-12 relative to the largest entry)
-    and physicality (min symplectic eigenvalue >= 1/2 - 1e-9), as
+    and physicality (min symplectic eigenvalue >= 1/2 - 1e-9, and positive
+    definite), as
     validate_covariances does for a stack, keeping the spectrum it computed.
     The arrays are read-only so instances can be shared freely.
     """
@@ -265,9 +295,8 @@ def product_states(factors: np.ndarray, omega1: np.ndarray, omega3: np.ndarray) 
     in the block diag(a / (2 omega), b omega / 2), (a, b) = factors[e, i],
     at the frequencies (omega1[e], omega3[e], omega3[e]).
 
-    Pass the stack through validate_covariances before trusting it; its
-    symplectic spectrum is the union of the blocks' spectra, so checking
-    each block first adds nothing.
+    Its symplectic spectrum is the union of the blocks' spectra, sqrt(ab)/2
+    each, so check_product_factors checks a state in closed form.
     """
     omega = np.stack((omega1, omega3, omega3), axis=1)
     sigma = np.zeros((omega.shape[0], 6, 6))
@@ -275,6 +304,24 @@ def product_states(factors: np.ndarray, omega1: np.ndarray, omega3: np.ndarray) 
     diag[:, :3] = factors[..., 0] / (2.0 * omega)
     diag[:, 3:] = factors[..., 1] * omega / 2.0
     return sigma
+
+
+def check_product_factors(factors: Sequence[Sequence[float]], omega1: float,
+                          omega3: float) -> None:
+    """Refuse, with PhysicalityError, the product state of oscillators with
+    factors (a, b) at (omega1, omega3, omega3), finite 0 < omega3 < omega1,
+    unless each block diag(a / (2 omega), b omega / 2) is finite and
+    positive and its symplectic eigenvalue sqrt(ab)/2 is >= 1/2 - 1e-9:
+    validate_covariances' checks of that state, without its eigensolve."""
+    for mode, ((a, b), omega) in enumerate(zip(factors, (omega1, omega3, omega3)), 1):
+        x, p = a / (2.0 * omega), b * omega / 2.0
+        if not (0 < x < math.inf and 0 < p < math.inf):
+            raise PhysicalityError(f"oscillator {mode}: factors ({a!r}, {b!r}) give the initial "
+                                   f"block {(x, p)}, which is not finite and positive")
+        nu = math.sqrt(a * b) / 2.0
+        if not nu >= 0.5 - PHYSICALITY_TOL:
+            raise PhysicalityError(f"oscillator {mode}: factors ({a!r}, {b!r}) give the initial "
+                                   f"symplectic eigenvalue {nu!r} < 1/2")
 
 
 @functools.lru_cache(maxsize=256)

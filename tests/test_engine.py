@@ -405,7 +405,7 @@ class TestTimeSeries:
         batch = engine.EngineBatch.of([optimized_params(stop=FixedCycles(1))] * 2)
         with pytest.raises(ValueError, match="^a time series follows exactly one engine$"):
             engine._run_engines(engine._Strokes(batch), np.zeros((2, 6, 6)),
-                                totals=batch.totals, eps_stop=batch.eps_stop, interior=(0, 0),
+                                totals=batch.totals, eps_stop=batch.eps_stop, points=3,
                                 times=None, correlations=False, keep_records=True,
                                 series=object())
 
@@ -690,8 +690,9 @@ class TestReducedEnsemble:
 
     @pytest.mark.parametrize("first", ["no_heat", "quasi_static"])
     def test_a_refused_final_state_names_its_engine(self, first, monkeypatch):
-        # without heating an engine runs in a cohort of its own, so engine 2
-        # is second in its cohort after no_heat, and alone after quasi_static
+        # without correlations an engine without heating shares its cohort
+        # (one chunk cap), so engine 2 is third in its cohort after no_heat,
+        # and second after quasi_static, which runs in a batch of its own
         airy = optimized_params(ramp=RampMode.LINEAR_AIRY, stop=FixedCycles(3))
         others = {"no_heat": [dataclasses.replace(airy, tau_h=0.0), airy],
                   "quasi_static": [optimized_params(stop=FixedCycles(3)),
@@ -702,6 +703,31 @@ class TestReducedEnsemble:
                     lambda: engine._reduced_results(params)):
             with pytest.raises(PhysicalityError, match="^state 2: covariance matrix violates"):
                 run()
+
+    def test_lean_cohorts_merge_engines_of_one_chunk_cap(self, monkeypatch):
+        """Without correlations, engines share a cohort by chunk cap alone:
+        no heating, no cooling and the fixed counts give the largest chunks
+        and run together, rows whose sample_dt implies a smaller cap run
+        apart, and each engine gets its lone run's numbers."""
+        best = optimized_params()
+        fine = dict(sample_dt=1e-3, tau_h=0.6, tau_c=0.6)  # 1,000 points per cycle: 199-cycle chunks
+        params = [best, dataclasses.replace(best, tau_h=0.0),
+                  dataclasses.replace(best, **fine), dataclasses.replace(best, tau_c=0.0),
+                  dataclasses.replace(best, alpha12=0.03, **fine)]
+        assert engine._chunk_caps(3 + 499 + 499) < engine._CHUNK_MAX
+        lone = [fingerprint(run_reduced(p, correlations=False)) for p in params]
+        cohorts, run = [], engine._run_engines
+
+        def recording(strokes, sigma0, **kwargs):
+            cohorts.append(strokes.ids.tolist())
+            return run(strokes, sigma0, **kwargs)
+
+        monkeypatch.setattr(engine, "_run_engines", recording)
+        assert [fingerprint(res) for res in engine._reduced_results(params)] == lone
+        totals = run_reduced_ensemble(params, correlations=False)
+        assert cohorts == [[0, 1, 3], [2, 4]] * 2
+        assert totals.n_cycles.tolist() == [res[3] for res in lone]
+        assert [repr(w) for w in totals.w_total.tolist()] == [res[4] for res in lone]
 
     def test_a_lone_run_names_no_engine(self, monkeypatch):
         params = optimized_params(ramp=RampMode.LINEAR_AIRY, stop=FixedCycles(3))
@@ -737,17 +763,18 @@ EDGE_CHANGES = st.sampled_from(
 
 def lone_refusal(ramp, omega1, omega3, alpha12, alpha23, tau_comp, tau_h, tau_c, sample_dt,
                  eps_stop, totals):
-    """The ConfigError text with which a lone engine refuses one batch row,
-    built as a caller builds it (preparation, stop rule, params), or None."""
+    """The error, as (type, text), with which a lone engine refuses one
+    batch row, built as a caller builds it (preparation, stop rule, params,
+    its batch, which checks its initial state), or None."""
     try:
         prep = Preparation((Thermal(0.0),) * 3, omega3, omega1)
         work = eps_stop != -math.inf
         stop = WorkNonNegative(eps_stop) if work else FixedCycles(totals)
-        EngineParams(prep, alpha12, alpha23, tau_comp, tau_h, tau_c, ramp, stop,
-                     None if math.isnan(sample_dt) else sample_dt,
-                     **({"max_cycles": totals} if work else {}))
-    except ConfigError as exc:
-        return str(exc)
+        engine.EngineBatch.of([EngineParams(prep, alpha12, alpha23, tau_comp, tau_h, tau_c, ramp,
+                                            stop, None if math.isnan(sample_dt) else sample_dt,
+                                            **({"max_cycles": totals} if work else {}))])
+    except (ConfigError, PhysicalityError) as exc:
+        return type(exc), str(exc)
     return None
 
 
@@ -887,16 +914,75 @@ class TestEngineBatch:
         for k, lone in zip(ids.tolist(), zip(*(col.tolist() for col in cols.values()))):
             refusal = lone_refusal(ramp, **dict(zip(cols, lone)))
             if refusal is not None:
-                refusal = f"engine {k}: {refusal}" if len(rows) > 1 else refusal
+                kind, text = refusal
+                refusal = kind, f"engine {k}: {text}" if len(rows) > 1 else text
                 break
         event(f"refused: {refusal is not None}")
         try:
-            engine.EngineBatch(ramp, **cols, modes=thermal_preparation(0.01, 0.1).factors(),
-                               ids=ids)
-        except ConfigError as exc:
-            assert str(exc) == refusal
+            engine.EngineBatch(ramp, **cols, modes=Preparation((Thermal(0.0),) * 3, 0.1)
+                               .factors(), ids=ids)
+        except (ConfigError, PhysicalityError) as exc:
+            assert (type(exc), str(exc)) == refusal
         else:
             assert refusal is None
+
+    @pytest.mark.parametrize("factors, text", [
+        ((math.nan, 1.0), r"factors \(nan, 1\.0\) give the initial block .* not finite"),
+        ((1.0, math.inf), r"factors \(1\.0, inf\) give the initial block .* not finite"),
+        ((0.0, 1.0), r"factors \(0\.0, 1\.0\) give the initial block .* not finite and pos"),
+        ((-1.0, -1.0), r"factors \(-1\.0, -1\.0\) give the initial block .* not finite"),
+        ((0.5, 0.5), r"factors \(0\.5, 0\.5\) give the initial symplectic eigenvalue 0\.25 "),
+    ])
+    def test_a_row_with_bad_factors_is_refused_before_any_kernel_call(self, factors, text,
+                                                                      monkeypatch):
+        """Each row's initial state is checked in closed form, sqrt(ab)/2
+        per oscillator, and refused with the engine named."""
+        monkeypatch.setattr(engine, "_simulate_chunk", None)  # a kernel call would fail
+        modes = np.broadcast_to(thermal_preparation(0.01, 0.1).factors(), (self.N, 3, 2)).copy()
+        modes[2, 0] = factors
+        cols = self.columns()
+        with pytest.raises(PhysicalityError, match=r"^engine 2: oscillator 1: " + text):
+            engine.EngineBatch(RampMode.LINEAR_AIRY, cols.pop("omega1"), cols.pop("omega3"),
+                               modes, **cols)
+
+    def test_an_unchecked_batch_of_negative_factors_ends_refused(self):
+        """check=False trusts the modes: a negative hot mode keeps its
+        symplectic spectrum, but its final state is not positive definite."""
+        modes = np.broadcast_to(thermal_preparation(0.01, 0.1).factors(), (self.N, 3, 2)).copy()
+        modes[2, 0] = (-1.0, -1.0)
+        batch = engine.EngineBatch(RampMode.QUASI_STATIC, **self.columns(), modes=modes,
+                                   check=False)
+        with pytest.raises(PhysicalityError, match=r"^state 2: covariance matrix is not positive"):
+            run_reduced_ensemble(batch, correlations=False)
+
+    def test_bad_preparations_are_refused_before_any_kernel_call(self, monkeypatch):
+        """EngineBatch.of checks each preparation's state once, naming its
+        first engine: a hot mode whose (a, b) overflow, and a cold
+        frequency so low that the state's entries do."""
+        monkeypatch.setattr(engine, "_simulate_chunk", None)
+        good = optimized_params()
+        hot = Preparation((Thermal(1e308), Thermal(0.0), Thermal(0.0)), omega3=0.1)
+        cold = Preparation((Thermal(0.0),) * 3, omega3=5e-324)
+        for prep, oscillator in ((hot, 1), (cold, 2)):
+            bad = dataclasses.replace(good, prep=prep)
+            with pytest.raises(PhysicalityError, match=rf"^engine 1: oscillator {oscillator}: "
+                                                       r"factors .* not finite and positive$"):
+                run_reduced_ensemble([good, bad, bad], correlations=False)
+            with pytest.raises(PhysicalityError, match=rf"^oscillator {oscillator}: "):
+                engine.EngineBatch.of([bad])
+
+    def test_the_initial_states_are_not_validated_again(self, monkeypatch):
+        """A run's states reach validate_covariances once, at the end: the
+        rows checked the initial ones."""
+        validated, validate = [], engine.validate_covariances
+
+        def recording(mats, ids=None):
+            validated.append(len(mats))
+            return validate(mats, ids)
+
+        monkeypatch.setattr(engine, "validate_covariances", recording)
+        run_reduced_ensemble(self.batch(eps_stop=(0, 1e6)))
+        assert validated == [self.N]
 
     def test_a_scan_box_that_draws_tau_comp_zero_is_refused(self):
         box = ParameterBox(tau_comp=(0.0, 0.0), omega3=(0.1, 0.5))

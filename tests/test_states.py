@@ -229,6 +229,32 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError):
             CovarianceMatrix(bad)
 
+    @pytest.mark.parametrize("diagonal", [[-1.0] * 6, [2.0, -0.5, 1.0, 0.5, -2.0, 1.0]])
+    def test_rejects_a_matrix_that_is_not_positive_definite(self, diagonal):
+        # each symplectic eigenvalue is 1, which alone passes the uncertainty bound
+        sigma = np.diag(diagonal)
+        assert_allclose(symplectic_eigenvalues(sigma), [1.0, 1.0, 1.0])
+        with pytest.raises(PhysicalityError, match="^covariance matrix is not positive definite$"):
+            CovarianceMatrix(sigma)
+        stack = np.stack([np.eye(6), np.eye(6), sigma])
+        with pytest.raises(PhysicalityError,
+                           match="^state 2: covariance matrix is not positive definite$"):
+            validate_covariances(stack)
+        with pytest.raises(PhysicalityError, match="^state 7: "):
+            CovarianceMatrix.stack(stack, ids=[5, 6, 7])
+
+    def test_positive_definite_to_within_rounding(self):
+        """A strongly squeezed state has an eigenvalue far below its
+        entries' rounding, as the states of unstable engines do: it has no
+        Cholesky factor in float64, and passes."""
+        s = coupling_propagator(0.3, 1.0, 0.4, 2.0, CouplingSide.HOT_PAIR).matrix
+        squeeze = np.diag([1e8, 1.0, 1.0, 1e-8, 1.0, 1.0])
+        sigma = s @ squeeze @ (1e4 * np.eye(6)) @ squeeze @ s.T
+        sigma = 0.5 * (sigma + sigma.T)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(sigma)
+        assert CovarianceMatrix(sigma).matrix.tobytes() == sigma.tobytes()
+
     def test_read_only_view(self):
         cm = CovarianceMatrix(np.diag([1.0] * 6))
         with pytest.raises(ValueError):
