@@ -323,9 +323,8 @@ class EngineBatch:
     @classmethod
     def of(cls, params: Sequence[EngineParams], ids: Optional[Sequence[int]] = None) -> EngineBatch:
         """The batch of params, engines that share one ramp mode; EngineParams
-        checked each of them already.  Each preparation is read once, and
-        its initial state checked (states.check_product_factors), its first
-        engine named as a checked row names it."""
+        checked each of them and Preparation each initial state already.
+        Each preparation is read once."""
         if not params:
             raise ValueError("EngineBatch.of needs engines; the list of params is empty")
         ramp = params[0].ramp
@@ -335,14 +334,6 @@ class EngineBatch:
         slot = {key: k for k, key in enumerate(preps)}
         at = [slot[id(p.prep)] for p in params]  # each engine's preparation
         columns = [(prep.omega1, prep.omega3, prep.factors()) for prep in preps.values()]
-        for k, (omega1, omega3, factors) in enumerate(columns):
-            try:
-                check_product_factors(factors, omega1, omega3)
-            except PhysicalityError as exc:
-                e = at.index(k)
-                name = e if ids is None else ids[e]
-                raise PhysicalityError(f"engine {name}: {exc}" if len(params) > 1
-                                       else str(exc)) from None
         omega1, omega3, modes = (np.array(col)[at] for col in zip(*columns))
         floats = np.array(list(map(_FLOAT_GETTER, params)), dtype=float).T
         dt = np.array([math.nan if p.sample_dt is None else p.sample_dt for p in params],
@@ -1083,16 +1074,13 @@ def _run_engines(strokes: _Strokes, sigma0: np.ndarray, *, totals: np.ndarray,
             same, rest = now[sel], left[sel] - count
             # Sub-batches of consecutive engines that hold at most stack_cap
             # engine-cycles of chunk k, an engine none past its planned end.
-            loads = np.fmin(planned[same] - done, count)
-            batches = [slice(None)]  # one call, unless they hold more
-            if loads.sum() > stack_cap:
-                batches, load = [[]], 0.0
-                for g, cycles in enumerate(loads.tolist()):
-                    if batches[-1] and load + cycles > stack_cap:
-                        batches.append([])
-                        load = 0.0
-                    batches[-1].append(g)
-                    load += cycles
+            batches, load = [[]], 0.0
+            for g, cycles in enumerate(np.fmin(planned[same] - done, count).tolist()):
+                if batches[-1] and load + cycles > stack_cap:
+                    batches.append([])
+                    load = 0.0
+                batches[-1].append(g)
+                load += cycles
             for rows in batches:
                 idx, sub = same[rows], rest[rows]
                 bounds = int(sub.min()), int(sub.max())
@@ -1512,8 +1500,8 @@ def run_reduced_ensemble(params: Union[EngineBatch, Sequence[EngineParams]], *,
     arithmetic.  Engines are taken _ENSEMBLE_SIZE at a time.  Every initial
     and final state is checked for physicality once; errors name engines by
     their batch ids, by default their position in `params`, whenever the
-    run holds more than one engine.  The initial states were checked with
-    the batch's rows (EngineBatch, states.check_product_factors).
+    run holds more than one engine.  The initial states were checked by
+    their Preparation or the batch's rows (states.check_product_factors).
     """
     if isinstance(params, EngineBatch):
         n_eng, batches = params.size, [(np.arange(params.size), params)]

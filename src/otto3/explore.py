@@ -395,35 +395,33 @@ class _Problem:
         """The preparation of every point when omega3 is fixed."""
         return self.family.preparation(self.fixed["omega3"], self.beta1)
 
-    def params(self, x: np.ndarray) -> EngineParams:
-        """The engine of one point, each free value clipped to the box."""
-        values = dict(self.fixed)
-        for name, xi in zip(self.free, x):
-            values[name] = self.box.clip(name, float(xi))
-        return self._engine(values)
-
-    def _engine(self, values: dict[str, float]) -> EngineParams:
-        omega3 = values.pop("omega3")
-        prep = (self._fixed_prep if "omega3" in self.fixed
-                else self.family.preparation(omega3, self.beta1))
-        return EngineParams(prep=prep, ramp=self.ramp, max_cycles=self.max_cycles, **values)
-
     @functools.cached_property
     def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """The free parameters' lower and upper bounds."""
         return np.array([self.box.interval(name) for name in self.free]).reshape(-1, 2).T
 
-    def values(self, points) -> list[float]:
-        """The objective at each point, in order; their engines run as one
-        ensemble, and each point still makes its own run_reduced call.
-        The points are clipped as one array, min(max(x, lo), hi) as
-        ParameterBox.clip takes it: a tie or a NaN keeps x."""
+    def engines(self, points) -> list[EngineParams]:
+        """The engine of each point, its free values clipped to the box as
+        one array, min(max(x, lo), hi) as ParameterBox.clip takes it: a tie
+        or a NaN keeps x."""
         x = np.array(points, dtype=float).reshape(len(points), len(self.free))
         lo, hi = self._bounds
         x = np.where(lo > x, lo, x)
         x = np.where(hi < x, hi, x)
-        params = [self._engine({**self.fixed, **dict(zip(self.free, row))})
-                  for row in x.tolist()]
+        params = []
+        for row in x.tolist():
+            values = {**self.fixed, **dict(zip(self.free, row))}
+            omega3 = values.pop("omega3")
+            prep = (self._fixed_prep if "omega3" in self.fixed
+                    else self.family.preparation(omega3, self.beta1))
+            params.append(EngineParams(prep=prep, ramp=self.ramp, max_cycles=self.max_cycles,
+                                       **values))
+        return params
+
+    def values(self, points) -> list[float]:
+        """The objective at each point, in order; their engines run as one
+        ensemble, and each point still makes its own run_reduced call."""
+        params = self.engines(points)
         with engine.prepared(params):
             values = [run_reduced(p, correlations=False).w_total for p in params]
         if self.objective is Objective.TOTAL_WORK:
@@ -482,7 +480,7 @@ def optimize(*, omega3: Optional[float] = None, box: Optional[ParameterBox] = No
         x_best, value, converged = _run_nelder_mead(
             problem, bounds, seed, budget, restarts, tracker)
 
-    best_params = problem.params(x_best)
+    best_params, = problem.engines([x_best])
     final = run_reduced(best_params, correlations=False)
     return OptimizeOutcome(
         best_params=best_params, value=value, w_total=final.w_total,

@@ -267,7 +267,9 @@ class Preparation:
     """Initial product state of the three oscillators.
 
     Oscillator 1 sits at omega1, oscillators 2 and 3 at omega3; the working
-    medium (oscillator 2) always starts at the cold frequency.
+    medium (oscillator 2) always starts at the cold frequency.  Its state is
+    checked on construction (check_product_factors): a preparation whose
+    blocks overflow or vanish raises PhysicalityError.
     """
 
     modes: tuple[ModeSpec, ModeSpec, ModeSpec]
@@ -280,6 +282,7 @@ class Preparation:
         if not all(isinstance(mode, ModeSpec) for mode in self.modes):
             raise ConfigError(f"modes must be Thermal or SqueezedVacuum, got {self.modes!r}")
         check_frequencies(self.omega3, self.omega1)
+        check_product_factors(self.factors(), self.omega1, self.omega3)
 
     @property
     def frequencies(self) -> tuple[float, float, float]:

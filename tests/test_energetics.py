@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from otto3 import energetics
 from otto3.energetics import (_ascending_levels, efficiency, ergotropy, initial_spectrum,
                               mode_energies, mode_energy, spectral_shortfall)
-from otto3.errors import ConvergenceError
+from otto3.errors import ConvergenceError, PhysicalityError
 from otto3.states import (Preparation, SqueezedVacuum, Thermal, product_state,
                           squeezed_preparation, thermal_preparation)
 
@@ -313,10 +313,8 @@ class TestNonFiniteFrequencies:
             Preparation((Thermal(1.0), Thermal(0.0), Thermal(0.0)),
                         omega3=omega3, omega1=omega1)
 
-    def test_overflowing_energy_raises_convergence_error(self):
-        # finite frequencies whose initial energy overflows: the value is
-        # not finite, which no tail refinement can mend
-        prep = Preparation((Thermal(2.0), Thermal(0.0), Thermal(0.0)),
-                           omega3=0.5, omega1=1e308)
-        with pytest.raises(ConvergenceError, match="not finite"):
-            ergotropy(prep)
+    def test_overflowing_energy_is_refused_with_its_preparation(self):
+        # finite frequencies whose initial energy overflows: the hot
+        # block b omega1 / 2 is not finite, so no ergotropy is asked of it
+        with pytest.raises(PhysicalityError, match=r"^oscillator 1: .* not finite"):
+            Preparation((Thermal(2.0), Thermal(0.0), Thermal(0.0)), omega3=0.5, omega1=1e308)

@@ -955,22 +955,6 @@ class TestEngineBatch:
         with pytest.raises(PhysicalityError, match=r"^state 2: covariance matrix is not positive"):
             run_reduced_ensemble(batch, correlations=False)
 
-    def test_bad_preparations_are_refused_before_any_kernel_call(self, monkeypatch):
-        """EngineBatch.of checks each preparation's state once, naming its
-        first engine: a hot mode whose (a, b) overflow, and a cold
-        frequency so low that the state's entries do."""
-        monkeypatch.setattr(engine, "_simulate_chunk", None)
-        good = optimized_params()
-        hot = Preparation((Thermal(1e308), Thermal(0.0), Thermal(0.0)), omega3=0.1)
-        cold = Preparation((Thermal(0.0),) * 3, omega3=5e-324)
-        for prep, oscillator in ((hot, 1), (cold, 2)):
-            bad = dataclasses.replace(good, prep=prep)
-            with pytest.raises(PhysicalityError, match=rf"^engine 1: oscillator {oscillator}: "
-                                                       r"factors .* not finite and positive$"):
-                run_reduced_ensemble([good, bad, bad], correlations=False)
-            with pytest.raises(PhysicalityError, match=rf"^oscillator {oscillator}: "):
-                engine.EngineBatch.of([bad])
-
     def test_the_initial_states_are_not_validated_again(self, monkeypatch):
         """A run's states reach validate_covariances once, at the end: the
         rows checked the initial ones."""

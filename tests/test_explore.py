@@ -381,11 +381,12 @@ class TestOptimize:
         assert sum(computed) <= 1.05 * sum(simulated)
 
     @pytest.mark.parametrize("omega3", [0.1, None])
-    def test_a_round_clips_its_points_as_each_point_alone(self, omega3, monkeypatch):
-        """_Problem.values clips a round's points as one array; each point's
-        engine equals _Problem.params of it, bit for bit and signed zeros
-        included (numpy's minimum and maximum order them otherwise), inside,
-        outside and on the box, collapsed intervals too, fixed omega3 or not."""
+    def test_a_round_clips_its_points_as_the_box_clips_each_value(self, omega3):
+        """_Problem.engines clips a round's points as one array; each engine
+        holds ParameterBox.clip of each free value, bit for bit and signed
+        zeros included (numpy's minimum and maximum order them otherwise),
+        inside, outside and on the box, collapsed intervals too, fixed
+        omega3 or not."""
         box = ParameterBox(alpha12=(0.0, 0.05), alpha23=(0.0, 0.0), tau_h=(-0.0, 1.0),
                            omega3=None if omega3 else (0.2, 0.6))
         free = [name for name in DIMENSIONS if getattr(box, name) is not None]
@@ -395,22 +396,16 @@ class TestOptimize:
         lo, hi = np.array([box.interval(name) for name in free]).T
         zeros = np.where(lo == 0.0, -np.copysign(0.0, lo), 0.5 * (lo + hi))  # the other zero
         points = [lo, hi, 0.5 * (lo + hi), lo - 1.0, hi + 1.0, 2.0 * hi, zeros, -zeros]
-        seen, inner = [], explore.run_reduced
-
-        def recording(params, **kwargs):
-            seen.append(params)
-            return inner(params, **kwargs)
-
-        monkeypatch.setattr(explore, "run_reduced", recording)
-        values = problem.values(points)
-        assert len(seen) == len(values) == len(points)
-        names = ("alpha12", "alpha23", "tau_comp", "tau_h", "tau_c")
-        for params, x in zip(seen, points):
-            alone = problem.params(x)
-            assert params == alone
-            assert ([getattr(params, name).hex() for name in names] + [params.prep.omega3.hex()]
-                    == [getattr(alone, name).hex() for name in names] + [alone.prep.omega3.hex()])
-        signs = [np.copysign(1.0, [p.alpha12, p.alpha23, p.tau_h]).tolist() for p in seen[-2:]]
+        engines = problem.engines(points)
+        assert len(engines) == len(points)
+        for params, x in zip(engines, points):
+            want = {"omega3": omega3, **{name: box.clip(name, float(xi))
+                                         for name, xi in zip(free, x)}}
+            got = {name: getattr(params.prep if name == "omega3" else params, name)
+                   for name in want}
+            assert ({name: value.hex() for name, value in got.items()}
+                    == {name: float(value).hex() for name, value in want.items()})
+        signs = [np.copysign(1.0, [p.alpha12, p.alpha23, p.tau_h]).tolist() for p in engines[-2:]]
         assert signs == [[-1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]
 
     def test_each_round_runs_in_one_kernel_call(self, monkeypatch):

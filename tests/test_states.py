@@ -151,17 +151,19 @@ class TestProductState:
         assert_allclose(nus, 0.5, atol=1e-10)
 
     def test_overflowing_squeeze_still_rejected(self):
-        prep = Preparation((SqueezedVacuum(400.0), SqueezedVacuum(0.0),
-                            SqueezedVacuum(0.0)), omega3=0.1)
-        with pytest.raises(PhysicalityError):
-            product_state(prep)
+        with pytest.raises(PhysicalityError, match="overflows double precision"):
+            Preparation((SqueezedVacuum(400.0), SqueezedVacuum(0.0), SqueezedVacuum(0.0)),
+                        omega3=0.1)
 
     def test_non_finite_block_caught_by_assembled_check(self):
-        # c = 2 nbar + 1 overflows to inf; only the 6x6 validation sees it.
-        prep = Preparation((Thermal(1e308), Thermal(0.0), Thermal(0.0)),
-                           omega3=0.1)
-        with pytest.raises(PhysicalityError):
-            product_state(prep)
+        # c = 2 nbar + 1 overflows to inf, and a cold frequency of 5e-324
+        # makes a / (2 omega) do so: each mode is valid alone, and the
+        # preparation's check of its blocks refuses the state.
+        for modes, omega3, oscillator in (((Thermal(1e308),) + (Thermal(0.0),) * 2, 0.1, 1),
+                                          ((Thermal(0.0),) * 3, 5e-324, 2)):
+            with pytest.raises(PhysicalityError, match=rf"^oscillator {oscillator}: factors "
+                                                       r".* not finite and positive$"):
+                Preparation(modes, omega3=omega3)
 
     def test_energy_additivity(self):
         prep = Preparation((Thermal(1.5), SqueezedVacuum(0.7), Thermal(0.2)),
